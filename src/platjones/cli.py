@@ -5,8 +5,9 @@ probability at a root of unity), oracle (exact skein computation),
 verify (cross-check the pipeline against the oracle on a corpus or on
 seeded random words).
 
-Exit codes: 2 word syntax, 3 cap/orientation failure, 4 fit failure,
-5 degenerate or too-large theta, 6 crossing limit.
+Exit codes: 0 success, 1 verify found a failing case, 2 usage, word
+syntax, bad flag value or unreadable input, 3 cap/orientation failure,
+4 fit failure, 5 degenerate or too-large theta, 6 crossing limit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .braid import BraidWord, format_word, parse, resolve_orientations, writhe
+from .braid import BraidWord, format_word, mirror, parse, resolve_orientations, writhe
 from .errors import (
     AnnotationConflict,
     CapMismatch,
@@ -34,12 +35,10 @@ from .errors import (
     WordSyntaxError,
 )
 from .evaluator import (
-    admissible_arc,
     compile as compile_word,
     convention_factor,
-    evaluate,
     jones,
-    mirror_symmetry_check,
+    phase_grid,
     unlink_normalization,
 )
 from .laurent import LaurentPoly, laurent_eval, render_q
@@ -54,6 +53,22 @@ from .qsim import p_k as qsim_p_k, run as qsim_run
 
 MIRROR_TOL = 1e-10
 QSIM_TOL = 1e-12
+
+# Exception -> exit code; the first row the exception is an instance of
+# wins, so a subclass must come before its base.
+EXIT_CODES = {
+    WordSyntaxError: 2,
+    CapMismatch: 3,
+    AnnotationConflict: 3,
+    ResidualTooLarge: 4,
+    IllConditioned: 4,
+    NegativeRadicand: 5,
+    DegenerateQ: 5,
+    NonAdmissibleTriple: 5,
+    TooManyCrossings: 6,
+    ValueError: 2,
+    OSError: 2,
+}
 
 
 @dataclass(frozen=True)
@@ -74,6 +89,11 @@ class RunConfig:
             # root even the two-strand build degenerates
             raise NegativeRadicand(
                 f"root order {self.root_order} is too small; need at least 5"
+            )
+        if self.window is not None and self.window[0] > self.window[1]:
+            raise ValueError(
+                f"window [{self.window[0]}, {self.window[1]}] is empty; "
+                "DMIN must not exceed DMAX"
             )
 
 
@@ -145,16 +165,6 @@ def _emit(args, report, lines) -> None:
     else:
         for ln in lines:
             print(ln)
-
-
-def _theta_points(n: int, count: int) -> list[float]:
-    lo, hi = admissible_arc(n)
-    span = hi - lo
-    if count == 1:
-        return [lo + 0.5 * span]
-    return [
-        lo + span * (0.05 + 0.9 * j / (count - 1)) for j in range(count)
-    ]
 
 
 def cmd_eval(args) -> int:
@@ -296,6 +306,8 @@ def _random_words(count: int, seed: int) -> list[tuple[str, BraidWord]]:
 
 
 def _corpus_words(path: Path) -> list[tuple[str, BraidWord]]:
+    if not path.is_dir():
+        raise NotADirectoryError(f"corpus {path} is not a directory")
     files = sorted(path.glob("*.txt"))
     return [(f.name, parse(f.read_text())) for f in files]
 
@@ -303,29 +315,26 @@ def _corpus_words(path: Path) -> list[tuple[str, BraidWord]]:
 def _verify_case(name: str, word: BraidWord, config: RunConfig) -> dict:
     annotated, _ = resolve_orientations(word)
     program = compile_word(annotated)
+    mirrored = compile_word(resolve_orientations(mirror(word))[0])
     n = word.n
     diagram = plat_diagram(word)
     bracket = kauffman_bracket(diagram, max_crossings=20)
     exact = writhe_correction(bracket, writhe(diagram.word))
-    thetas = _theta_points(n, 10)
-    worst_mod = 0.0
-    worst_mirror = 0.0
+    thetas = phase_grid(n, 10)
+    amps = program.element(thetas)
     # polynomial roots can land on sample phases; floor the relative
     # scale by the coefficient mass so a true zero does not divide out
     floor = 1e-9 * max(
         1.0, float(sum(abs(v) for v in exact.coeffs().values()))
     )
-    for theta in thetas:
-        point = QPoint(theta)
-        got = abs(evaluate(word, theta)) * abs(unlink_normalization(n, theta))
-        want = abs(laurent_eval(exact, point))
-        scale = max(want, floor)
-        worst_mod = max(worst_mod, abs(got - want) / scale)
-        worst_mirror = max(worst_mirror, mirror_symmetry_check(word, theta))
-    mid_theta = thetas[len(thetas) // 2]
-    qsim_dev = abs(
-        qsim_p_k(word, mid_theta) - abs(evaluate(word, mid_theta)) ** 2
-    )
+    worst_mod = 0.0
+    for theta, amp in zip(thetas, amps):
+        got = abs(amp) * abs(unlink_normalization(n, theta))
+        want = abs(laurent_eval(exact, QPoint(float(theta))))
+        worst_mod = max(worst_mod, float(abs(got - want) / max(want, floor)))
+    worst_mirror = float(abs(mirrored.element(thetas) - amps.conj()).max())
+    mid = len(thetas) // 2
+    qsim_dev = float(abs(qsim_p_k(word, float(thetas[mid])) - abs(amps[mid]) ** 2))
     ok = (
         worst_mod < config.tolerance
         and worst_mirror < MIRROR_TOL
@@ -453,24 +462,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WordSyntaxError as e:
+    except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (CapMismatch, AnnotationConflict) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ResidualTooLarge, IllConditioned) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (NegativeRadicand, DegenerateQ, NonAdmissibleTriple) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
-    except TooManyCrossings as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 6
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

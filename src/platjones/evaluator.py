@@ -4,10 +4,12 @@ A word splits into maximal runs of same-parity generator indices.
 Odd-index runs are diagonal in the odd path basis; even-index runs are
 diagonal in the even basis and appear conjugated by the duality matrix,
 so a program reads like  a f a† g a h a† ...  with diagonal letters
-assigned in order of appearance. The plat matrix element is the (0,0)
-entry of the ordered product, and the Jones polynomial is recovered by
-sampling it over an admissible arc of phases and fitting a Laurent
-polynomial after multiplying in the unlink normalization d^{n-1}.
+assigned in order of appearance. The plat matrix element <0|M_1...M_L|0>
+is read by pushing the row vector e_0 through the operators in order
+(CompiledProgram.element), one word compiled once for every phase. The
+Jones polynomial is recovered by sampling it over an admissible arc of
+phases and fitting a Laurent polynomial after multiplying in the unlink
+normalization d^{n-1}.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .braid import (
     resolve_orientations,
 )
 from .errors import ParityMismatch, UnannotatedSyllable
-from .fusion import duality_matrix, enumerate_even_paths, enumerate_odd_paths
+from .fusion import duality_matrix, path_bases
 from .laurent import LaurentPoly, laurent_fit, find_support_window
 from .qnum import QPoint
 
@@ -87,18 +89,11 @@ class BlockOperator:
     basis: Optional[str] = None
     run: tuple[Syllable, ...] = ()
 
-    @property
-    def dimension(self) -> int:
-        return len(enumerate_odd_paths(self.n))
-
     def phases(self, point) -> np.ndarray:
         if self.kind != DIAGONAL:
             raise ValueError("only diagonal operators carry phases")
-        paths = (
-            enumerate_odd_paths(self.n)
-            if self.basis == ODD
-            else enumerate_even_paths(self.n)
-        )
+        odd, even = path_bases(self.n)
+        paths = odd if self.basis == ODD else even
         out = np.ones(len(paths), dtype=complex)
         for s in self.run:
             if s.orientation == AUTO:
@@ -107,9 +102,11 @@ class BlockOperator:
                 )
             pair = _pair_of_index(s.index, self.basis)
             hand = RIGHT if s.power > 0 else LEFT
-            for i, p in enumerate(paths):
-                lam = braiding_phase(p.J[pair], s.orientation, hand, point)
-                out[i] *= lam ** abs(s.power)
+            lam = [
+                braiding_phase(J, s.orientation, hand, point) ** abs(s.power)
+                for J in (0, 1)
+            ]
+            out *= [lam[p.J[pair]] for p in paths]
         return out
 
     def matrix(self, point) -> np.ndarray:
@@ -117,13 +114,6 @@ class BlockOperator:
             return np.diag(self.phases(point))
         a = duality_matrix(self.n, point).entries.astype(complex)
         return a if self.kind == DUALITY else a.T
-
-
-def diagonal_operator(run, basis: str, n: int, point) -> BlockOperator:
-    """Diagonal block for a same-parity syllable run; validates at point."""
-    op = BlockOperator(kind=DIAGONAL, n=n, token="f", basis=basis, run=tuple(run))
-    op.phases(point)  # eager parity/annotation validation
-    return op
 
 
 @dataclass(frozen=True)
@@ -139,8 +129,28 @@ class CompiledProgram:
     def operator_count(self) -> int:
         return len(self.operators)
 
-    def matrices(self, point) -> list[np.ndarray]:
-        return [op.matrix(point) for op in self.operators]
+    def element(self, thetas) -> np.ndarray:
+        """Plat element <0|M_1 ... M_L|0> at q = e^{i theta}, per theta.
+
+        The row vector e_0 goes through the operators in order: a
+        diagonal letter scales it elementwise, a is v @ A and a† is
+        v @ A^T, with A the cached duality array at that phase.
+        """
+        dimension = len(path_bases(self.n)[0])
+        needs_duality = any(op.kind != DIAGONAL for op in self.operators)
+        out = np.empty(len(thetas), dtype=complex)
+        for k, theta in enumerate(thetas):
+            point = QPoint(float(theta))
+            a = duality_matrix(self.n, point).entries if needs_duality else None
+            v = np.zeros(dimension, dtype=complex)
+            v[0] = 1.0
+            for op in self.operators:
+                if op.kind == DIAGONAL:
+                    v = v * op.phases(point)
+                else:
+                    v = v @ (a if op.kind == DUALITY else a.T)
+            out[k] = v[0]
+        return out
 
 
 def _diagonal_letter(i: int) -> str:
@@ -152,8 +162,6 @@ def compile(word: BraidWord) -> CompiledProgram:
     """Split into maximal same-parity runs and emit the operator list.
 
     Odd runs become bare diagonals; even runs become a, diagonal, a†.
-    Adjacent a† a pairs cancel (runs alternate parity, so this is a
-    safety net rather than a reachable rewrite).
     """
     n = word.n
     if not word.is_annotated():
@@ -166,11 +174,9 @@ def compile(word: BraidWord) -> CompiledProgram:
         else:
             runs.append([s])
     ops: list[BlockOperator] = []
-    diag_count = 0
-    for run in runs:
+    for i, run in enumerate(runs):
         basis = ODD if run[0].index % 2 == 1 else EVEN
-        token = _diagonal_letter(diag_count)
-        diag_count += 1
+        token = _diagonal_letter(i)
         diag = BlockOperator(kind=DIAGONAL, n=n, token=token, basis=basis, run=tuple(run))
         if basis == ODD:
             ops.append(diag)
@@ -178,27 +184,13 @@ def compile(word: BraidWord) -> CompiledProgram:
             ops.append(BlockOperator(kind=DUALITY, n=n, token="a"))
             ops.append(diag)
             ops.append(BlockOperator(kind=DUALITY_INVERSE, n=n, token=DAGGER))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ops) - 1):
-            if ops[i].kind == DUALITY_INVERSE and ops[i + 1].kind == DUALITY:
-                del ops[i : i + 2]
-                changed = True
-                break
     return CompiledProgram(n=n, operators=tuple(ops), word=word)
 
 
 def evaluate(word: BraidWord, theta: float) -> complex:
     """Plat matrix element <0| program |0> at q = e^{i theta}."""
     annotated, _ = resolve_orientations(word)
-    program = compile(annotated)
-    point = QPoint(theta)
-    d = len(enumerate_odd_paths(program.n))
-    out = np.eye(d, dtype=complex)
-    for m in program.matrices(point):
-        out = out @ m
-    return complex(out[0, 0])
+    return complex(compile(annotated).element([theta])[0])
 
 
 def unlink_normalization(n: int, theta: float) -> float:
@@ -213,6 +205,13 @@ def admissible_arc(n: int) -> tuple[float, float]:
     so theta must stay below 2 pi / (n+1).
     """
     return (0.0, 2.0 * math.pi / (n + 1))
+
+
+def phase_grid(n: int, count: int) -> np.ndarray:
+    """count equispaced phases on the middle 90% of the admissible arc."""
+    lo, hi = admissible_arc(n)
+    span = hi - lo
+    return np.linspace(lo + 0.05 * span, hi - 0.05 * span, count)
 
 
 @dataclass(frozen=True)
@@ -250,20 +249,11 @@ def jones(
     window = tuple(degree_window) if degree_window else (-3 * c, 3 * c)
     width = window[1] - window[0] + 1
     m = max(samples, width + 8, 16)
-    lo, hi = admissible_arc(n)
-    span = hi - lo
-    thetas = np.linspace(lo + 0.05 * span, hi - 0.05 * span, m)
-    d = len(enumerate_odd_paths(n))
-    pts = []
-    raw_samples = []
-    for t in thetas:
-        point = QPoint(float(t))
-        acc = np.eye(d, dtype=complex)
-        for mat in program.matrices(point):
-            acc = acc @ mat
-        raw = complex(acc[0, 0])
-        raw_samples.append((float(t), raw))
-        pts.append((float(t), raw * unlink_normalization(n, float(t))))
+    thetas = phase_grid(n, m)
+    raw_samples = [
+        (float(t), complex(raw)) for t, raw in zip(thetas, program.element(thetas))
+    ]
+    pts = [(t, raw * unlink_normalization(n, t)) for t, raw in raw_samples]
     support = find_support_window(pts, window)
     fit = laurent_fit(pts, support, tolerance=tolerance)
     return JonesResult(

@@ -108,6 +108,12 @@ def enumerate_even_paths(n: int) -> list[EvenPath]:
     return out
 
 
+@functools.cache
+def path_bases(n: int) -> tuple[tuple[OddPath, ...], tuple[EvenPath, ...]]:
+    """Odd and even path lists for n caps, enumerated once per n."""
+    return tuple(enumerate_odd_paths(n)), tuple(enumerate_even_paths(n))
+
+
 def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point) -> float:
     """Quantum Racah recoupling coefficient, doubled spin arguments.
 
@@ -279,8 +285,7 @@ def _basis_matrix(n, paths, tree_fn, point) -> np.ndarray:
 
 @functools.lru_cache(maxsize=512)
 def _duality_entries(n: int, point) -> np.ndarray:
-    odd = tuple(enumerate_odd_paths(n))
-    even = tuple(enumerate_even_paths(n))
+    odd, even = path_bases(n)
     Co = _basis_matrix(n, odd, _odd_tree, point)
     Ce = _basis_matrix(n, even, _even_tree, point)
     a = Co @ Ce.T
@@ -297,11 +302,11 @@ def duality_matrix(n: int, point) -> DualityMatrix:
     """
     if n < 2:
         raise ValueError("duality needs n >= 2 (no even basis on 2 strands)")
-    entries = _duality_entries(n, point)
+    odd, even = path_bases(n)
     return DualityMatrix(
         n=n,
         point=point,
-        entries=entries,
-        odd_paths=tuple(enumerate_odd_paths(n)),
-        even_paths=tuple(enumerate_even_paths(n)),
+        entries=_duality_entries(n, point),
+        odd_paths=odd,
+        even_paths=even,
     )

@@ -1,7 +1,12 @@
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
+from platjones import braid, cli, evaluator
+from platjones.braid import parse
 from platjones.cli import main
 
 REPORT_KEYS = {
@@ -162,3 +167,67 @@ def test_verify_random_deterministic(tmp_path, capsys):
 
 def test_verify_needs_source(capsys):
     assert main(["verify"]) == 2
+
+
+def test_eval_missing_file_exits_2(tmp_path, capsys):
+    assert main(["eval", str(tmp_path / "no-such-word.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_missing_corpus_exits_2(tmp_path, capsys):
+    assert main(["verify", str(tmp_path / "no-such-dir")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "result:" not in captured.out
+
+
+def test_eval_empty_window_rejected_before_sampling(tmp_path, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("jones ran on an empty window")
+
+    monkeypatch.setattr(cli, "jones", no_sampling)
+    path = _word_file(tmp_path, "strands=4; g2^1")
+    assert main(["eval", path, "--window", "5", "3"]) == 2
+    assert "window [5, 3]" in capsys.readouterr().err
+
+
+def test_exit_codes_documented_consistently():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    readme_codes = {int(c) for c in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)}
+    doc = cli.__doc__.split("Exit codes:", 1)[1]
+    doc_codes = {int(c) for c in re.findall(r"(?<![\w.^-])(\d+)(?![\w.])", doc)}
+    assert readme_codes == doc_codes
+    assert readme_codes == set(cli.EXIT_CODES.values()) | {0, 1}
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count calls to fn through every platjones module binding of it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "platjones":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
+    resolves = _count_calls(monkeypatch, braid.resolve_orientations)
+    compiles = _count_calls(monkeypatch, evaluator.compile)
+    words = [w for _, w in cli._random_words(6, 5)]
+    words.append(parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2"))
+    config = cli.RunConfig()
+    for word in words:
+        resolves.clear()
+        compiles.clear()
+        assert cli._verify_case("w", word, config)["pass"]
+        assert len(resolves) <= 4
+        assert len(compiles) <= 3

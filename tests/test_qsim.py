@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from platjones.braid import parse, resolve_orientations
+from platjones.cli import _random_words
 from platjones.errors import NonUnitaryBlock
 from platjones.evaluator import (
     BlockOperator,
     admissible_arc,
     compile as compile_word,
     evaluate,
+    phase_grid,
 )
 from platjones.qnum import QPoint, RealQPoint
 from platjones.qsim import StateVector, block_dimension, embed, evolution, p_k, run
@@ -105,3 +107,18 @@ def test_statevector_probability():
     sv = StateVector(n=1, amplitudes=np.array([0.6, 0.8j, 0, 0]))
     assert sv.probability(0) == pytest.approx(0.36)
     assert sv.probability(1) == pytest.approx(0.64)
+
+
+def test_element_matches_qsim_amplitude_on_verify_phases():
+    words = [w for _, w in _random_words(12, 2)]
+    words += [
+        parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2"),
+        parse("strands=8; g4^3 g1^-1 g6^-2 g7^1"),
+        parse("strands=8; g6^2 g3^1 g2^1 g4^-1"),
+    ]
+    for w in words:
+        program = compile_word(resolve_orientations(w)[0])
+        thetas = phase_grid(w.n, 10)
+        got = program.element(thetas)
+        want = [run(w, float(t)).amplitudes[0] for t in thetas]
+        assert np.max(np.abs(got - want)) < 1e-12
