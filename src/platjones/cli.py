@@ -80,8 +80,11 @@ class RunConfig:
     flips: Optional[str] = None
 
     def validate(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # a NaN tolerance would pass every comparison in the fit checks
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(
+                f"tolerance must be positive and finite, got {self.tolerance!r}"
+            )
         if self.samples < 16:
             raise ValueError("samples must be at least 16")
         if self.root_order is not None and self.root_order < 5:
@@ -234,6 +237,8 @@ def cmd_prob(args) -> int:
     else:
         theta = args.theta
         theta_label = f"{theta!r}"
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
     annotated, _ = resolve_orientations(word)
     program = compile_word(annotated)
     state = qsim_run(word, theta)

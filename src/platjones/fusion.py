@@ -4,9 +4,11 @@ Strand spins are all 1/2. The odd basis pairs strands (2i-1, 2i) and
 couples the pair spins J in {0,1} down a left comb whose final label
 must be 0; the even basis couples strand 1 with the interior pairs
 (2i, 2i+1) and ends on 1/2 so the last strand can close the total to 0.
-Both bases have Catalan(n) elements. The change of basis is built by
-composing elementary one-node recoupling moves on explicit fusion
-trees; each move applies one q-Racah coefficient.
+Both bases have Catalan(n) elements. Each basis reaches the left-comb
+basis of the 2n strands by one F-move per strand pair; the moves act on
+distinct nodes, so a basis-change entry is a product of one q-Racah
+coefficient per pair. The duality matrix is C_odd C_even^T, built from
+a per-n plan of those products and the few distinct Racah arguments.
 
 Labels are handled as doubled integers (twice the spin) so triangle
 arithmetic stays integral; the path dataclasses expose pair couplings
@@ -173,121 +175,73 @@ def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point) -> float:
     return pref * total
 
 
-# Fusion trees: leaf = strand id (spin 1/2), node = (left, right, doubled label).
+def _comb_terms(moves):
+    """Comb labels and racah keys of every term of one path's comb expansion.
 
-
-def _label(t) -> int:
-    return 1 if isinstance(t, int) else t[2]
-
-
-def _first_right_internal(t, path=()):
-    if isinstance(t, int):
-        return None
-    left, right = t[0], t[1]
-    if not isinstance(right, int):
-        return path
-    found = _first_right_internal(left, path + (0,))
-    if found is not None:
-        return found
-    return _first_right_internal(right, path + (1,))
-
-
-def _subtree(t, path):
-    for d in path:
-        t = t[d]
-    return t
-
-
-def _replace(t, path, new):
-    if not path:
-        return new
-    left, right, lb = t
-    if path[0] == 0:
-        return (_replace(left, path[1:], new), right, lb)
-    return (left, _replace(right, path[1:], new), lb)
-
-
-def _to_comb(state: dict, point) -> dict:
-    """Rotate every tree to the left comb by inverse F-moves.
-
-    (A (B C)_f)_d = sum_e racah(e, f, a, b, c, d) ((A B)_e C)_d applied
-    at the first (pre-order) node with an internal right child, until
-    no such node remains. All trees in a state share one shape.
+    Each move (a, f, d) is one F-move at a node with label d whose left
+    subtree has label a and whose right child is a strand pair coupled
+    to f: (A (B C)_f)_d = sum_e racah(e, f, a, b, c, d) ((A B)_e C)_d
+    with b = c = 1/2. A move touches only its own node, so the moves
+    commute and each term is a product of one coefficient per move.
     """
-    while True:
-        shape = next(iter(state))
-        path = _first_right_internal(shape)
-        if path is None:
-            return state
-        new = {}
-        for t, amp in state.items():
-            A, BC, d = _subtree(t, path)
-            B, C, f = BC
-            a, b, c = _label(A), _label(B), _label(C)
-            for e in _fuse_range(a, b):
-                if not is_admissible(e, c, d):
-                    continue
-                coef = racah(e, f, a, b, c, d, point)
-                nt = _replace(t, path, ((A, B, e), C, d))
-                new[nt] = new.get(nt, 0.0) + amp * coef
-        state = new
+    terms = [((), ())]
+    for a, f, d in moves:
+        terms = [
+            (labels + (e, d), keys + ((e, f, a, 1, 1, d),))
+            for labels, keys in terms
+            for e in _fuse_range(a, 1)
+            if is_admissible(e, 1, d)
+        ]
+    return terms
 
 
-def _comb_labels(t):
-    if isinstance(t, int):
-        return []
-    return _comb_labels(t[0]) + [t[2]]
+@functools.cache
+def _recoupling_plan(n: int):
+    """Phase-independent structure of the odd and even basis-to-comb maps.
 
+    Returns the distinct racah keys, the comb width, and per basis the
+    (rows, cols, factors) arrays of its terms: factors[t] indexes into
+    the keys whose coefficients multiply to term t. Comb columns are
+    numbered as labels are first seen; a = C_odd C_even^T does not
+    depend on that order.
+    """
+    odd, even = path_bases(n)
+    keys, columns = {}, {}
 
-def _odd_tree(n: int, p: OddPath):
-    t = (1, 2, 2 * p.J[0])
-    for i in range(1, n):
-        pair = (2 * i + 1, 2 * i + 2, 2 * p.J[i])
-        t = (t, pair, 2 * p.l[i])
-    return t
+    def terms(rows_moves):
+        rows, cols, factors = [], [], []
+        for row, (head, moves, tail) in enumerate(rows_moves):
+            for labels, term_keys in _comb_terms(moves):
+                rows.append(row)
+                cols.append(columns.setdefault(head + labels + tail, len(columns)))
+                factors.append([keys.setdefault(k, len(keys)) for k in term_keys])
+        return np.array(rows), np.array(cols), np.array(factors)
 
-
-def _even_tree(n: int, p: EvenPath):
-    t = 1
-    for i in range(n - 1):
-        pair = (2 * i + 2, 2 * i + 3, 2 * p.J[i])
-        t = (t, pair, p.two_r[i])
-    return (t, 2 * n, 0)
-
-
-def _std_paths(n: int):
-    """Left-comb intermediate label sequences, total spin 0."""
-    out = []
-
-    def rec(i, ks):
-        if i == 2 * n - 1:
-            if ks[-1] == 0:
-                out.append(tuple(ks))
-            return
-        opts = (0, 2) if i == 0 else _fuse_range(ks[-1], 1)
-        for k in opts:
-            rec(i + 1, ks + [k])
-
-    rec(0, [])
-    return sorted(out)
-
-
-def _basis_matrix(n, paths, tree_fn, point) -> np.ndarray:
-    std = _std_paths(n)
-    index = {p: i for i, p in enumerate(std)}
-    C = np.zeros((len(paths), len(std)))
-    for row, p in enumerate(paths):
-        state = _to_comb({tree_fn(n, p): 1.0}, point)
-        for t, amp in state.items():
-            C[row, index[tuple(_comb_labels(t))]] += amp
-    return C
+    # odd comb (2l_0, e_1, 2l_1, ..., e_{n-1}, 2l_{n-1}), moves (2l_{i-1}, 2J_i, 2l_i)
+    odd_terms = terms(
+        (
+            (2 * p.l[0],),
+            [(2 * a, 2 * f, 2 * d) for a, f, d in zip(p.l, p.J[1:], p.l[1:])],
+            (),
+        )
+        for p in odd
+    )
+    # even comb (e_0, r_0, ..., e_{n-2}, r_{n-2}, 0), moves (r_{i-1}, 2J_i, r_i),
+    # r_{-1} = 1 for strand 1
+    even_terms = terms(
+        ((), [(a, 2 * f, d) for a, f, d in zip((1,) + p.two_r, p.J, p.two_r)], (0,))
+        for p in even
+    )
+    return tuple(keys), len(columns), odd_terms, even_terms
 
 
 @functools.lru_cache(maxsize=512)
 def _duality_entries(n: int, point) -> np.ndarray:
-    odd, even = path_bases(n)
-    Co = _basis_matrix(n, odd, _odd_tree, point)
-    Ce = _basis_matrix(n, even, _even_tree, point)
+    keys, width, odd_terms, even_terms = _recoupling_plan(n)
+    values = np.array([racah(*k, point) for k in keys])
+    Co, Ce = np.zeros((2, len(path_bases(n)[0]), width))
+    for C, (rows, cols, factors) in ((Co, odd_terms), (Ce, even_terms)):
+        C[rows, cols] = values[factors].prod(axis=1)
     a = Co @ Ce.T
     a.setflags(write=False)
     return a

@@ -78,6 +78,18 @@ def test_eval_small_sample_count_rejected(tmp_path):
     assert main(["eval", path, "--samples", "8"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_rejected(tmp_path, capsys, value):
+    # at the default tolerance this word's fit is rejected (exit 4); a NaN
+    # tolerance used to disable the rejection and print a non-integral fit
+    path = _word_file(tmp_path, "strands=6; g4^-2 g2^-3 g3^-3 g4^-2 g4^-2 g4^2")
+    (tmp_path / "corpus").mkdir()
+    assert main(["eval", path, "--tolerance", value]) == 2
+    assert "error: tolerance" in capsys.readouterr().err
+    assert main(["verify", str(tmp_path / "corpus"), "--tolerance", value]) == 2
+    assert "error: tolerance" in capsys.readouterr().err
+
+
 def test_eval_syntax_error_reports_position(tmp_path, capsys):
     path = _word_file(tmp_path, "strands=4; gg2^3")
     assert main(["eval", path]) == 2
@@ -110,6 +122,15 @@ def test_prob_trefoil(tmp_path, capsys):
     assert main(["prob", path, "--root-order", "2"]) == 5
     assert main(["prob", path, "--root-order", "4"]) == 5
     assert main(["prob", path, "--theta", "0"]) == 5
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_prob_non_finite_theta_rejected(tmp_path, capsys, value):
+    path = _word_file(tmp_path, "strands=4; g2^-3")
+    assert main(["prob", path, "--theta", value, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: theta must be finite" in captured.err
 
 
 def test_prob_requires_phase_flag(tmp_path):

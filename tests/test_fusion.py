@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from platjones import fusion
 from platjones.errors import NegativeRadicand, NonAdmissibleTriple
 from platjones.evaluator import admissible_arc
 from platjones.fusion import (
@@ -103,9 +104,40 @@ def test_duality_dimensions():
         assert m.dimension == d
 
 
+def test_duality_matrix_n3_pinned():
+    # the plat element is blind to a sign flip of any path basis vector,
+    # so only recorded entries can see one in this public matrix
+    want = np.array([
+        [0.266299874183212, -0.442022907995974, -0.442022907995974,
+         0.733700125816787, 0.0],
+        [-0.442022907995974, -0.266299874183212, 0.733700125816787,
+         0.442022907995974, 0.0],
+        [-0.442022907995974, -0.266299874183212, -0.266299874183212,
+         -0.160434270955569, 0.798151205931400],
+        [-0.442022907995974, 0.733700125816787, -0.266299874183212,
+         0.442022907995974, 0.0],
+        [0.585603640212689, 0.352801117066291, 0.352801117066291,
+         0.212547565718711, 0.602457178951544],
+    ])
+    got = duality_matrix(3, QPoint(0.5)).entries
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_duality_build_calls_racah_once_per_distinct_key(monkeypatch):
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return racah(*args)
+
+    monkeypatch.setattr(fusion, "racah", counting)
+    fusion._duality_entries.__wrapped__(6, QPoint(0.3))  # bypass the cache
+    assert len(seen) == len(set(seen)) == 31
+
+
 def test_duality_orthogonality():
     rng = random.Random(5)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         lo, hi = admissible_arc(n)
         for _ in range(6):
             theta = rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
@@ -152,7 +184,7 @@ def _braid_blocks(n, pt):
 
 def test_braid_relations_in_fusion_basis():
     # adjacent generators must braid; distant ones must commute
-    for n in (2, 3):
+    for n in (2, 3, 4):
         lo, hi = admissible_arc(n)
         pt = QPoint(lo + 0.4 * (hi - lo))
         blocks = _braid_blocks(n, pt)
