@@ -44,6 +44,7 @@ from .evaluator import (
 from .laurent import LaurentPoly, laurent_eval, render_q
 from .oracle import (
     bracket_span,
+    jones_exact,
     kauffman_bracket,
     plat_diagram,
     writhe_correction,
@@ -184,10 +185,7 @@ def cmd_eval(args) -> int:
     exact = None
     factor = None
     if annotated.crossing_count() <= args.max_crossings:
-        diagram = plat_diagram(word)
-        exact = writhe_correction(
-            kauffman_bracket(diagram, max_crossings=args.max_crossings), w
-        )
+        exact = jones_exact(word, max_crossings=args.max_crossings)
         factor = convention_factor(result.polynomial, exact)
     deviations = {"rounding_shift": result.max_shift}
     report = _report(
@@ -287,7 +285,7 @@ def cmd_oracle(args) -> int:
 
 
 def _random_words(count: int, seed: int) -> list[tuple[str, BraidWord]]:
-    """Seeded cap-valid sample with a bounded state sum per word."""
+    """Seeded cap-valid sample of words with at most 10 crossings."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -322,9 +320,7 @@ def _verify_case(name: str, word: BraidWord, config: RunConfig) -> dict:
     program = compile_word(annotated)
     mirrored = compile_word(resolve_orientations(mirror(word))[0])
     n = word.n
-    diagram = plat_diagram(word)
-    bracket = kauffman_bracket(diagram, max_crossings=20)
-    exact = writhe_correction(bracket, writhe(diagram.word))
+    exact = jones_exact(word, max_crossings=20)
     thetas = phase_grid(n, 10)
     amps = program.element(thetas)
     # polynomial roots can land on sample phases; floor the relative

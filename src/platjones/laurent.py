@@ -155,7 +155,7 @@ def render_q(p: LaurentPoly, symbol: str = "q") -> str:
 def laurent_eval(p: LaurentPoly, point) -> complex:
     """Evaluate at the point's q^{1/2}: sum of c_k (q^{1/2})^k."""
     xh = point.q_half
-    return sum(complex(v) * xh ** k for k, v in p.coeffs().items())
+    return sum(complex(p.coeff(k)) * xh ** k for k in p.support())
 
 
 def _design(thetas: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Independent exact ground truth: Kauffman bracket of the plat closure.
 
-The bracket is a sum over all 2^c crossing smoothings; loops are
-counted with union-find over segment identifications and the result is
-an exact integer Laurent polynomial in A (unknot normalized to 1,
-closed loops contribute d = -A^2 - A^{-2} each). The Jones polynomial
-follows from the writhe correction V = (-1)^w A^{-3w} <K> with
-t = A^{-4}; exponents are returned in x_t = t^{1/2} = A^{-2} so the
-carrier type matches the evaluator's.
+The braid is swept upward from the cups as a Temperley–Lieb transfer
+matrix: each crossing expands as A^eps * 1 + A^{-eps} * e_i (Kauffman,
+"State models and the Jones polynomial", Topology 26, 1987), and the
+states are the planar matchings of the current strand ends, each
+carrying an exact integer Laurent polynomial in A. The caps close the
+remaining loops; the unknot is normalized to 1 and every further closed
+loop contributes d = -A^2 - A^{-2}. The Jones polynomial follows from
+the writhe correction V = (-1)^w A^{-3w} <K> with t = A^{-4}; exponents
+are returned in x_t = t^{1/2} = A^{-2} so the carrier type matches the
+evaluator's.
 """
 
 from __future__ import annotations
@@ -20,21 +23,20 @@ from .laurent import LaurentPoly
 BracketPoly = LaurentPoly  # exponents are powers of A
 
 LOOP_VALUE = LaurentPoly({2: -1, -2: -1})  # d = -A^2 - A^{-2}
+ZERO = LaurentPoly.zero()
 
 
 @dataclass(frozen=True)
 class PlanarDiagram:
-    """Plat closure as segments, signed crossings and cap identifications.
+    """Plat closure as signed crossings between n cups and n caps.
 
-    Segment ids are assigned in a fixed traversal order: one per bottom
-    cup, then two fresh outgoing segments per crossing. Each crossing
-    stores (left_in, right_in, left_out, right_out, sign).
+    Strand ends are numbered 0..2n-1 from the left; the cups and the
+    caps both pair ends k and k ^ 1. Each crossing stores
+    (position, sign) and crosses ends position and position + 1.
     """
 
     n: int
-    segments: int
-    crossings: tuple[tuple[int, int, int, int, int], ...]
-    caps: tuple[tuple[int, int], ...]
+    crossings: tuple[tuple[int, int], ...]
     word: BraidWord = field(repr=False)
 
     @property
@@ -43,80 +45,55 @@ class PlanarDiagram:
 
 
 def plat_diagram(word: BraidWord) -> PlanarDiagram:
-    """Build the capped diagram; orientation resolution validates caps."""
+    """List the crossings bottom to top; orientation resolution validates caps."""
     annotated, _ = resolve_orientations(word)
-    n = annotated.n
-    active = {}
-    seg = 0
-    for i in range(n):
-        # one segment per cup arc, covering both of its strand positions
-        active[2 * i + 1] = seg
-        active[2 * i + 2] = seg
-        seg += 1
-    crossings = []
-    for s in annotated.syllables:
-        eps = 1 if s.power > 0 else -1
-        for _ in range(abs(s.power)):
-            left, right = active[s.index], active[s.index + 1]
-            lo, ro = seg, seg + 1
-            seg += 2
-            crossings.append((left, right, lo, ro, eps))
-            active[s.index], active[s.index + 1] = lo, ro
-    caps = tuple((active[2 * i + 1], active[2 * i + 2]) for i in range(n))
-    return PlanarDiagram(
-        n=n, segments=seg, crossings=tuple(crossings), caps=caps, word=annotated
+    crossings = tuple(
+        (s.index - 1, 1 if s.power > 0 else -1)
+        for s in annotated.syllables
+        for _ in range(abs(s.power))
     )
+    return PlanarDiagram(n=annotated.n, crossings=crossings, word=annotated)
+
+
+def _cap(joined: list[int], i: int) -> bool:
+    """Cap ends i and i + 1 in place; True if that closes a loop."""
+    a, b = joined[i], joined[i + 1]
+    if a == i + 1:
+        return True
+    joined[a], joined[b] = b, a
+    return False
 
 
 def kauffman_bracket(diagram: PlanarDiagram, max_crossings: int = 20) -> BracketPoly:
-    """Exact state sum over all smoothings, unknot normalized to 1.
+    """Exact bracket by a sweep over planar matchings, unknot normalized to 1.
 
-    States are grouped by (A-exponent, loop count) before expanding the
-    d powers, which keeps the exact arithmetic out of the hot loop.
+    Each state is a matching of the current strand ends, partner[k]
+    being the other end of the arc below end k, mapped to its
+    coefficient. e_i caps ends i and i + 1 (closing a loop if they are
+    partners, else joining their partners) and cups them anew; at the
+    top the caps (k, k ^ 1) close every remaining loop.
     """
     c = diagram.crossing_count
     if c > max_crossings:
         raise TooManyCrossings(f"{c} crossings exceeds the limit {max_crossings}")
-    crossings = diagram.crossings
-    caps = diagram.caps
-    nseg = diagram.segments
-    counts: dict[tuple[int, int], int] = {}
-    for state in range(1 << c):
-        parent = list(range(nseg))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        exp = 0
-        for j, (left, right, lo, ro, eps) in enumerate(crossings):
-            if (state >> j) & 1:
-                # cup-cap smoothing: inputs join, outputs join
-                parent[find(left)] = find(right)
-                parent[find(lo)] = find(ro)
-                exp -= eps
-            else:
-                # identity smoothing: each input continues to its output
-                parent[find(left)] = find(lo)
-                parent[find(right)] = find(ro)
-                exp += eps
-        for x, y in caps:
-            parent[find(x)] = find(y)
-        loops = sum(1 for x in range(nseg) if find(x) == x)
-        key = (exp, loops)
-        counts[key] = counts.get(key, 0) + 1
-    powers = {0: LaurentPoly.one()}
-
-    def d_power(k):
-        if k not in powers:
-            powers[k] = d_power(k - 1) * LOOP_VALUE
-        return powers[k]
-
-    total = LaurentPoly.zero()
-    for (exp, loops), cnt in counts.items():
-        total = total + d_power(loops - 1).shift(exp) * cnt
+    states = {tuple(k ^ 1 for k in range(2 * diagram.n)): LaurentPoly.one()}
+    for i, eps in diagram.crossings:
+        swept: dict[tuple[int, ...], LaurentPoly] = {}
+        for partner, poly in states.items():
+            joined = list(partner)
+            term = poly * LOOP_VALUE if _cap(joined, i) else poly
+            joined[i], joined[i + 1] = i + 1, i
+            for key, value in (
+                (partner, poly.shift(eps)),
+                (tuple(joined), term.shift(-eps)),
+            ):
+                swept[key] = swept.get(key, ZERO) + value
+        states = swept
+    total = ZERO
+    for partner, poly in states.items():
+        joined = list(partner)
+        loops = sum(_cap(joined, k) for k in range(0, len(joined), 2))
+        total = total + poly * LOOP_VALUE ** (loops - 1)
     return total
 
 
@@ -126,7 +103,10 @@ def writhe_correction(bracket: BracketPoly, w: int) -> LaurentPoly:
     out = {}
     for e, coeff in bracket.coeffs().items():
         corrected = e - 3 * w
-        assert corrected % 2 == 0, "writhe-corrected A-exponent must be even"
+        if corrected % 2:
+            raise ValueError(
+                f"writhe-corrected A-exponent {corrected} is odd (writhe {w})"
+            )
         out[-corrected // 2] = coeff * sign
     return LaurentPoly(out)
 

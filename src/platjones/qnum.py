@@ -1,9 +1,9 @@
 """q-arithmetic: q-numbers, q-factorials and triangle coefficients.
 
 q is always given by its phase, q = e^{i theta}, or as a positive real
-in (0, 1]. Fixing the phase fixes the branch of every fractional power
-once: q^{1/2} = e^{i theta/2}, q^{1/4} = e^{i theta/4}. Spin labels are
-passed doubled (twice the spin) so triangle arithmetic stays integral.
+in (0, 1]. Fixing the phase fixes the branch of q^{1/2} = e^{i theta/2}
+once. Spin labels are passed doubled (twice the spin) so triangle
+arithmetic stays integral.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class QPoint:
     def q_half(self) -> complex:
         return cmath.exp(0.5j * self.theta)
 
-    @property
-    def q_quarter(self) -> complex:
-        return cmath.exp(0.25j * self.theta)
-
 
 @dataclass(frozen=True)
 class RealQPoint:
@@ -47,10 +43,6 @@ class RealQPoint:
     @property
     def q_half(self) -> float:
         return math.sqrt(self.q)
-
-    @property
-    def q_quarter(self) -> float:
-        return self.q ** 0.25
 
 
 def q_number(two_x: int, point) -> float:

@@ -1,10 +1,16 @@
-"""Exact skein oracle: brute-force state sums as ground truth."""
+"""Exact skein oracle: the Temperley–Lieb sweep against known values and
+against a brute-force 2^c state sum kept here as the reference."""
+
+import math
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from platjones.braid import mirror, parse, resolve_orientations, writhe
-from platjones.errors import CapMismatch, TooManyCrossings
-from platjones.laurent import LaurentPoly
+from platjones.errors import AnnotationConflict, CapMismatch, TooManyCrossings
+from platjones.laurent import LaurentPoly, laurent_eval
 from platjones.oracle import (
     LOOP_VALUE,
     bracket_span,
@@ -13,20 +19,90 @@ from platjones.oracle import (
     plat_diagram,
     writhe_correction,
 )
+from platjones.qnum import QPoint
 
 UNLINK2 = LaurentPoly({-1: -1, 1: -1})  # d in t^{1/2} exponents
+
+
+def state_sum_bracket(diagram):
+    """Every one of the 2^c smoothings, loops counted by union-find.
+
+    Segments are the n cup arcs, then two fresh ones above each
+    crossing; the identity smoothing weighs A^eps, the cup-cap one A^-eps.
+    """
+    n, c = diagram.n, diagram.crossing_count
+    counts = Counter()
+    for state in range(1 << c):
+        parent = list(range(n + 2 * c))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def join(x, y):
+            parent[find(x)] = find(y)
+
+        top = [k // 2 for k in range(2 * n)]
+        exp = 0
+        for j, (i, eps) in enumerate(diagram.crossings):
+            left, right = n + 2 * j, n + 2 * j + 1
+            if state >> j & 1:
+                join(top[i], top[i + 1])
+                join(left, right)
+                exp -= eps
+            else:
+                join(top[i], left)
+                join(top[i + 1], right)
+                exp += eps
+            top[i], top[i + 1] = left, right
+        for k in range(0, 2 * n, 2):
+            join(top[k], top[k + 1])
+        counts[exp, sum(find(x) == x for x in range(len(parent)))] += 1
+    return sum(
+        (
+            (LOOP_VALUE ** (loops - 1) * cnt).shift(exp)
+            for (exp, loops), cnt in counts.items()
+        ),
+        LaurentPoly.zero(),
+    )
+
+
+@st.composite
+def small_words(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    syllables = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from("bhg"),
+                st.integers(min_value=1, max_value=2 * n - 1),
+                st.sampled_from([-3, -2, -1, 1, 2, 3]),
+            ),
+            max_size=5,
+        )
+    )
+    text = " ".join(f"{letter}{i}^{k}" for letter, i, k in syllables)
+    word = parse(f"strands={2 * n}; {text}")
+    assume(word.crossing_count() <= 10)
+    return word
+
+
+@given(small_words())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_sweep_matches_state_sum(word):
+    try:
+        diagram = plat_diagram(word)
+    except (CapMismatch, AnnotationConflict):
+        assume(False)
+    assert kauffman_bracket(diagram) == state_sum_bracket(diagram)
 
 
 def test_diagram_structure():
     d = plat_diagram(parse("strands=4; g2^3"))
     assert d.n == 2
     assert d.crossing_count == 3
-    assert d.segments == 2 + 2 * 3
-    # each crossing consumes the previous pair and emits a fresh one
-    assert d.crossings[0][:2] == (0, 1)
-    assert d.crossings[0][2:4] == (2, 3)
-    assert d.crossings[1][:2] == (2, 3)
-    assert all(c[4] == 1 for c in d.crossings)
+    # 0-based position 1 crosses strand ends 1 and 2, positively
+    assert d.crossings == ((1, 1),) * 3
 
 
 def test_diagram_validates_caps():
@@ -141,7 +217,27 @@ def test_crossing_limit():
         kauffman_bracket(plat_diagram(parse("strands=4; g2^5")), max_crossings=4)
 
 
+def test_forty_crossings():
+    # two components: strands 1-6 close into one loop, 7-8 into another
+    w = parse(
+        "strands=8; g2^3 g4^-2 g3^3 g6^2 g5^-3 g1^2 g7^-3 g2^-2 g4^3 "
+        "g3^-2 g6^-3 g5^2 g4^2 g2^3 g6^-3 g3^2"
+    )
+    assert w.crossing_count() == 40
+    got = jones_exact(w, max_crossings=40)
+    assert jones_exact(mirror(w), max_crossings=40) == got.invert_variable()
+    mu = 2
+    assert abs(laurent_eval(got, QPoint(0.0))) == pytest.approx(2 ** (mu - 1))
+    cube_root = QPoint(2 * math.pi / 3)  # q^{1/2} = t^{1/2} = e^{i pi/3}
+    assert abs(laurent_eval(got, cube_root)) == pytest.approx(1.0, rel=1e-9)
+
+
 def test_writhe_correction_shifts_exponents():
     br = LaurentPoly({-4: -1, 4: -1})
     assert writhe_correction(br, 0) == LaurentPoly({-2: -1, 2: -1})
     assert writhe_correction(br, 2) == LaurentPoly({1: -1, 5: -1})
+
+
+def test_writhe_correction_rejects_odd_exponent():
+    with pytest.raises(ValueError):
+        writhe_correction(LaurentPoly({1: 1}), 0)
