@@ -6,10 +6,12 @@ diagonal in the even basis and appear conjugated by the duality matrix,
 so a program reads like  a f a† g a h a† ...  with diagonal letters
 assigned in order of appearance. The plat matrix element <0|M_1...M_L|0>
 is read by pushing the row vector e_0 through the operators in order
-(CompiledProgram.element), one word compiled once for every phase. The
-Jones polynomial is recovered by sampling it over an admissible arc of
-phases and fitting a Laurent polynomial after multiplying in the unlink
-normalization d^{n-1}.
+(CompiledProgram.element), one word compiled once and evaluated at all
+its phases in one pass: the phase axis is a numpy axis from the
+q-numbers through the duality stack to the contraction, with no loop
+over phases. The Jones polynomial is recovered by sampling it over an
+admissible arc of phases and fitting a Laurent polynomial after
+multiplying in the unlink normalization d^{n-1}.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ DUALITY_INVERSE = "duality_inverse"
 DAGGER = "a†"
 
 
-def braiding_phase(J: int, orientation: str, handedness: str, point) -> complex:
-    """Markov-corrected braiding eigenvalue for pair coupling J.
+def braiding_phase(J: int, orientation: str, handedness: str, point):
+    """Markov-corrected braiding eigenvalue for pair coupling J, per phase.
 
     Right-handed: parallel strands give (-q^{3/2}, q^{1/2}) for J=0,1;
     antiparallel give (1, -q^{-1}). Left-handed is the complex inverse.
@@ -59,13 +61,13 @@ def braiding_phase(J: int, orientation: str, handedness: str, point) -> complex:
     if orientation == PARALLEL:
         lam = -q * point.q_half if J == 0 else point.q_half
     elif orientation == ANTIPARALLEL:
-        lam = complex(1.0) if J == 0 else -1.0 / q
+        lam = np.ones_like(q) if J == 0 else -1.0 / q
     else:
         raise UnannotatedSyllable(f"orientation {orientation!r} is not resolved")
     if handedness == RIGHT:
-        return complex(lam)
+        return lam
     if handedness == LEFT:
-        return 1.0 / complex(lam)
+        return 1.0 / lam
     raise ValueError(f"handedness must be {RIGHT!r} or {LEFT!r}")
 
 
@@ -90,11 +92,16 @@ class BlockOperator:
     run: tuple[Syllable, ...] = ()
 
     def phases(self, point) -> np.ndarray:
+        """Diagonal entries, one row per phase of the point.
+
+        Each syllable's two eigenvalues (J = 0, 1) are gathered onto the
+        paths through the (paths, pairs) array of their pair couplings J.
+        """
         if self.kind != DIAGONAL:
             raise ValueError("only diagonal operators carry phases")
         odd, even = path_bases(self.n)
-        paths = odd if self.basis == ODD else even
-        out = np.ones(len(paths), dtype=complex)
+        couplings = np.array([p.J for p in (odd if self.basis == ODD else even)])
+        out = np.ones(np.shape(point.q) + couplings.shape[:1], dtype=complex)
         for s in self.run:
             if s.orientation == AUTO:
                 raise UnannotatedSyllable(
@@ -102,11 +109,8 @@ class BlockOperator:
                 )
             pair = _pair_of_index(s.index, self.basis)
             hand = RIGHT if s.power > 0 else LEFT
-            lam = [
-                braiding_phase(J, s.orientation, hand, point) ** abs(s.power)
-                for J in (0, 1)
-            ]
-            out *= [lam[p.J[pair]] for p in paths]
+            lam = [braiding_phase(J, s.orientation, hand, point) for J in (0, 1)]
+            out *= (np.stack(lam, axis=-1) ** abs(s.power))[..., couplings[:, pair]]
         return out
 
     def matrix(self, point) -> np.ndarray:
@@ -132,25 +136,26 @@ class CompiledProgram:
     def element(self, thetas) -> np.ndarray:
         """Plat element <0|M_1 ... M_L|0> at q = e^{i theta}, per theta.
 
-        The row vector e_0 goes through the operators in order: a
-        diagonal letter scales it elementwise, a is v @ A and a† is
-        v @ A^T, with A the cached duality array at that phase.
+        All phases go through the operators at once as a (phases, paths)
+        block of row vectors v: a diagonal letter scales it by its
+        (phases, paths) table, a is the batched v @ A and a† is computed
+        as A v^T, with A the real (phases, paths, paths) duality stack
+        built once per call. The real and imaginary parts of v go through
+        A apart, so A is neither copied to complex nor transposed.
         """
-        dimension = len(path_bases(self.n)[0])
-        needs_duality = any(op.kind != DIAGONAL for op in self.operators)
-        out = np.empty(len(thetas), dtype=complex)
-        for k, theta in enumerate(thetas):
-            point = QPoint(float(theta))
-            a = duality_matrix(self.n, point).entries if needs_duality else None
-            v = np.zeros(dimension, dtype=complex)
-            v[0] = 1.0
-            for op in self.operators:
-                if op.kind == DIAGONAL:
-                    v = v * op.phases(point)
-                else:
-                    v = v @ (a if op.kind == DUALITY else a.T)
-            out[k] = v[0]
-        return out
+        point = QPoint(tuple(np.asarray(thetas, dtype=float).tolist()))
+        v = np.zeros((len(point.theta), len(path_bases(self.n)[0])), dtype=complex)
+        v[:, 0] = 1.0
+        if any(op.kind != DIAGONAL for op in self.operators):
+            a = duality_matrix(self.n, point).entries
+        for op in self.operators:
+            if op.kind == DIAGONAL:
+                v = v * op.phases(point)
+            elif op.kind == DUALITY:
+                v = (v.real[:, None] @ a)[:, 0] + 1j * (v.imag[:, None] @ a)[:, 0]
+            else:
+                v = (a @ v.real[..., None])[..., 0] + 1j * (a @ v.imag[..., None])[..., 0]
+        return v[:, 0]
 
 
 def _diagonal_letter(i: int) -> str:
@@ -193,9 +198,9 @@ def evaluate(word: BraidWord, theta: float) -> complex:
     return complex(compile(annotated).element([theta])[0])
 
 
-def unlink_normalization(n: int, theta: float) -> float:
-    """d^{n-1} with d = -(q^{1/2} + q^{-1/2}) = -2 cos(theta/2)."""
-    return (-2.0 * math.cos(theta / 2.0)) ** (n - 1)
+def unlink_normalization(n: int, theta):
+    """d^{n-1} with d = -(q^{1/2} + q^{-1/2}) = -2 cos(theta/2), per theta."""
+    return (-2.0 * np.cos(theta / 2.0)) ** (n - 1)
 
 
 def admissible_arc(n: int) -> tuple[float, float]:
@@ -221,10 +226,17 @@ class JonesResult:
     max_shift: float
     window: tuple[int, int]
     requested_window: tuple[int, int]
-    operator_count: int
-    n: int
     normalization: str
+    program: CompiledProgram = field(repr=False)
     samples: tuple[tuple[float, complex], ...] = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.program.n
+
+    @property
+    def operator_count(self) -> int:
+        return self.program.operator_count
 
 
 def jones(
@@ -250,10 +262,8 @@ def jones(
     width = window[1] - window[0] + 1
     m = max(samples, width + 8, 16)
     thetas = phase_grid(n, m)
-    raw_samples = [
-        (float(t), complex(raw)) for t, raw in zip(thetas, program.element(thetas))
-    ]
-    pts = [(t, raw * unlink_normalization(n, t)) for t, raw in raw_samples]
+    raw = program.element(thetas)
+    pts = list(zip(thetas.tolist(), (raw * unlink_normalization(n, thetas)).tolist()))
     support = find_support_window(pts, window)
     fit = laurent_fit(pts, support, tolerance=tolerance)
     return JonesResult(
@@ -262,10 +272,9 @@ def jones(
         max_shift=fit.max_shift,
         window=fit.window,
         requested_window=window,
-        operator_count=program.operator_count,
-        n=n,
         normalization=f"d^{n - 1}, d = -(q^(1/2) + q^(-1/2))",
-        samples=tuple(raw_samples),
+        program=program,
+        samples=tuple(zip(thetas.tolist(), raw.tolist())),
     )
 
 

@@ -7,8 +7,12 @@ must be 0; the even basis couples strand 1 with the interior pairs
 Both bases have Catalan(n) elements. Each basis reaches the left-comb
 basis of the 2n strands by one F-move per strand pair; the moves act on
 distinct nodes, so a basis-change entry is a product of one q-Racah
-coefficient per pair. The duality matrix is C_odd C_even^T, built from
-a per-n plan of those products and the few distinct Racah arguments.
+coefficient per pair. In the duality matrix C_odd C_even^T each entry
+is then one product of Racah coefficients, built from a per-n plan of
+those products and the few distinct Racah arguments. A phase point may
+carry a batch of phases: the Racah values then form one (keys, phases)
+table, cached per (n, point), and the matrix a (phases, paths, paths)
+stack, rebuilt from that table on each call.
 
 Labels are handled as doubled integers (twice the spin) so triangle
 arithmetic stays integral; the path dataclasses expose pair couplings
@@ -18,13 +22,14 @@ as plain integers since those are integral spins.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NegativeRadicand, NonAdmissibleTriple
-from .qnum import is_admissible, q_factorial, q_number, triangle
+from .qnum import factorials, first_at, is_admissible, q_number, triangle
 
 
 @dataclass(frozen=True, order=True)
@@ -116,135 +121,106 @@ def path_bases(n: int) -> tuple[tuple[OddPath, ...], tuple[EvenPath, ...]]:
     return tuple(enumerate_odd_paths(n)), tuple(enumerate_even_paths(n))
 
 
-def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point) -> float:
+def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
     """Quantum Racah recoupling coefficient, doubled spin arguments.
 
     Prefactor (-1)^{s1+s2+s3+s4} sqrt([2j+1][2l+1]) times the four
     triangle coefficients times the alternating sum over m of
     (-1)^m [m+1]! over the seven constraint factorials. The m bounds
-    keep every factorial argument nonnegative.
+    keep every factorial argument nonnegative. One value per phase of
+    the point, all read from one [k]! table.
     """
-    for a, b, c in (
+    triads = (
         (two_s1, two_s2, two_j),
         (two_s3, two_s4, two_j),
         (two_s1, two_s4, two_l),
         (two_s2, two_s3, two_l),
-    ):
+    )
+    for a, b, c in triads:
         if not is_admissible(a, b, c):
             raise NonAdmissibleTriple(f"({a}/2, {b}/2, {c}/2)")
-    pref = (-1) ** ((two_s1 + two_s2 + two_s3 + two_s4) // 2)
-    norm = q_number(2 * (two_j + 1), point) * q_number(2 * (two_l + 1), point)
-    if norm <= 0.0:
-        raise NegativeRadicand(
-            f"[{two_j + 1}][{two_l + 1}] = {norm!r} not positive; theta too large"
-        )
-    pref *= math.sqrt(norm)
-    pref *= (
-        triangle(two_s1, two_s2, two_j, point)
-        * triangle(two_s3, two_s4, two_j, point)
-        * triangle(two_s1, two_s4, two_l, point)
-        * triangle(two_s2, two_s3, two_l, point)
-    )
-    mmin = max(
-        two_s1 + two_s2 + two_j,
-        two_s3 + two_s4 + two_j,
-        two_s1 + two_s4 + two_l,
-        two_s2 + two_s3 + two_l,
-    ) // 2
-    mmax = min(
+    quads = (
         two_s1 + two_s2 + two_s3 + two_s4,
         two_s1 + two_s3 + two_j + two_l,
         two_s2 + two_s4 + two_j + two_l,
-    ) // 2
-    total = 0.0
-    for m in range(mmin, mmax + 1):
-        den = (
-            q_factorial(m - (two_s1 + two_s2 + two_j) // 2, point)
-            * q_factorial(m - (two_s3 + two_s4 + two_j) // 2, point)
-            * q_factorial(m - (two_s1 + two_s4 + two_l) // 2, point)
-            * q_factorial(m - (two_s2 + two_s3 + two_l) // 2, point)
-            * q_factorial((two_s1 + two_s2 + two_s3 + two_s4) // 2 - m, point)
-            * q_factorial((two_s1 + two_s3 + two_j + two_l) // 2 - m, point)
-            * q_factorial((two_s2 + two_s4 + two_j + two_l) // 2 - m, point)
+    )
+    # the triangle rules make max(triads) <= min(quads), so the table
+    # reaches every factorial below, the triangles' a+b+c+1 included
+    fact = factorials(min(quads) // 2 + 1, point)
+    norm = q_number(2 * (two_j + 1), point) * q_number(2 * (two_l + 1), point)
+    if norm.min() <= 0.0:
+        bad = norm <= 0.0
+        raise NegativeRadicand(
+            f"[{two_j + 1}][{two_l + 1}] = {first_at(norm, bad)!r} not positive "
+            f"at theta={first_at(point.thetas, bad)!r}; theta too large"
         )
-        if den == 0.0:
+    pref = (-1) ** (quads[0] // 2) * np.sqrt(norm)
+    pref *= math.prod(triangle(*t, point, fact) for t in triads)
+    total = 0.0
+    for m in range(max(map(sum, triads)) // 2, min(quads) // 2 + 1):
+        den = math.prod(
+            [fact[m - sum(t) // 2] for t in triads] + [fact[b // 2 - m] for b in quads]
+        )
+        if np.abs(den).min() == 0.0:
             raise NegativeRadicand(
-                "racah sum denominator vanishes; theta too large for these spins"
+                "racah sum denominator vanishes at "
+                f"theta={first_at(point.thetas, den == 0.0)!r}; "
+                "theta too large for these spins"
             )
-        total += (-1) ** m * q_factorial(m + 1, point) / den
+        total += (-1) ** m * fact[m + 1] / den
     return pref * total
-
-
-def _comb_terms(moves):
-    """Comb labels and racah keys of every term of one path's comb expansion.
-
-    Each move (a, f, d) is one F-move at a node with label d whose left
-    subtree has label a and whose right child is a strand pair coupled
-    to f: (A (B C)_f)_d = sum_e racah(e, f, a, b, c, d) ((A B)_e C)_d
-    with b = c = 1/2. A move touches only its own node, so the moves
-    commute and each term is a product of one coefficient per move.
-    """
-    terms = [((), ())]
-    for a, f, d in moves:
-        terms = [
-            (labels + (e, d), keys + ((e, f, a, 1, 1, d),))
-            for labels, keys in terms
-            for e in _fuse_range(a, 1)
-            if is_admissible(e, 1, d)
-        ]
-    return terms
 
 
 @functools.cache
 def _recoupling_plan(n: int):
-    """Phase-independent structure of the odd and even basis-to-comb maps.
+    """Phase-independent structure of the duality matrix a = C_odd C_even^T.
 
-    Returns the distinct racah keys, the comb width, and per basis the
-    (rows, cols, factors) arrays of its terms: factors[t] indexes into
-    the keys whose coefficients multiply to term t. Comb columns are
-    numbered as labels are first seen; a = C_odd C_even^T does not
-    depend on that order.
+    An odd path fixes the comb labels at even positions, (2l_0, ., 2l_1,
+    ..., 2l_{n-1}), and an even path those at odd positions, (., r_0, .,
+    r_1, ..., r_{n-2}, .), so each pair of paths meets in exactly one comb
+    labelling and a[odd, even] is a single product. Each F-move
+    (A (B C)_f)_d = sum_e racah(e, f, a, b, c, d) ((A B)_e C)_d, with
+    b = c = 1/2, contributes one factor: the odd path's move at pair i
+    takes e = r_{i-1}, the even path's move at pair i takes e = 2l_i. An
+    odd path's admissible r sequences thus pick its nonzero entries, and
+    the even moves are then admissible too. Returns the distinct racah
+    keys and the (rows, cols, factors) arrays of the nonzero entries:
+    factors[t] indexes the keys whose coefficients multiply to entry t.
     """
     odd, even = path_bases(n)
-    keys, columns = {}, {}
+    by_r = {}
+    for col, q in enumerate(even):
+        by_r.setdefault(q.two_r, []).append((col, q))
+    keys = {}
+    rows, cols, factors = [], [], []
 
-    def terms(rows_moves):
-        rows, cols, factors = [], [], []
-        for row, (head, moves, tail) in enumerate(rows_moves):
-            for labels, term_keys in _comb_terms(moves):
+    def index(e, f, a, d):
+        return keys.setdefault((e, f, a, 1, 1, d), len(keys))
+
+    for row, p in enumerate(odd):
+        l = [2 * x for x in p.l]
+        choices = [
+            [e for e in _fuse_range(a, 1) if is_admissible(e, 1, d)]
+            for a, d in zip(l, l[1:])
+        ]
+        for r in itertools.product(*choices):
+            moves = zip(r, p.J[1:], l, l[1:])
+            odd_factors = [index(e, 2 * J, a, d) for e, J, a, d in moves]
+            for col, q in by_r.get(r, ()):
                 rows.append(row)
-                cols.append(columns.setdefault(head + labels + tail, len(columns)))
-                factors.append([keys.setdefault(k, len(keys)) for k in term_keys])
-        return np.array(rows), np.array(cols), np.array(factors)
-
-    # odd comb (2l_0, e_1, 2l_1, ..., e_{n-1}, 2l_{n-1}), moves (2l_{i-1}, 2J_i, 2l_i)
-    odd_terms = terms(
-        (
-            (2 * p.l[0],),
-            [(2 * a, 2 * f, 2 * d) for a, f, d in zip(p.l, p.J[1:], p.l[1:])],
-            (),
-        )
-        for p in odd
-    )
-    # even comb (e_0, r_0, ..., e_{n-2}, r_{n-2}, 0), moves (r_{i-1}, 2J_i, r_i),
-    # r_{-1} = 1 for strand 1
-    even_terms = terms(
-        ((), [(a, 2 * f, d) for a, f, d in zip((1,) + p.two_r, p.J, p.two_r)], (0,))
-        for p in even
-    )
-    return tuple(keys), len(columns), odd_terms, even_terms
+                cols.append(col)
+                # r_{-1} = 1: strand 1 alone
+                moves = zip(l, q.J, (1,) + r, r)
+                factors.append(odd_factors + [index(e, 2 * J, a, d) for e, J, a, d in moves])
+    return tuple(keys), np.array(rows), np.array(cols), np.array(factors)
 
 
-@functools.lru_cache(maxsize=512)
-def _duality_entries(n: int, point) -> np.ndarray:
-    keys, width, odd_terms, even_terms = _recoupling_plan(n)
-    values = np.array([racah(*k, point) for k in keys])
-    Co, Ce = np.zeros((2, len(path_bases(n)[0]), width))
-    for C, (rows, cols, factors) in ((Co, odd_terms), (Ce, even_terms)):
-        C[rows, cols] = values[factors].prod(axis=1)
-    a = Co @ Ce.T
-    a.setflags(write=False)
-    return a
+@functools.lru_cache(maxsize=64)
+def _racah_values(n: int, point) -> np.ndarray:
+    """racah of every distinct key of the plan, one row per key, one column per phase."""
+    values = np.array([racah(*k, point) for k in _recoupling_plan(n)[0]])
+    values.setflags(write=False)
+    return values
 
 
 def duality_matrix(n: int, point) -> DualityMatrix:
@@ -252,15 +228,20 @@ def duality_matrix(n: int, point) -> DualityMatrix:
 
     Rows are indexed by odd paths, columns by even paths, both in their
     frozen enumeration order. For n = 2 this is the single all-1/2
-    racah matrix.
+    racah matrix. At a batched point the entries are a stack with one
+    leading axis over the phases. Only the racah values are cached, per
+    (n, point); the stack is rebuilt from them on every call.
     """
     if n < 2:
         raise ValueError("duality needs n >= 2 (no even basis on 2 strands)")
     odd, even = path_bases(n)
-    return DualityMatrix(
-        n=n,
-        point=point,
-        entries=_duality_entries(n, point),
-        odd_paths=odd,
-        even_paths=even,
-    )
+    _, rows, cols, factors = _recoupling_plan(n)
+    values = _racah_values(n, point)
+    a = np.zeros(values.shape[1:] + (len(odd), len(even)))
+    # 128 entries at a time keep the (entries, phases) products, and the
+    # process's peak memory, small next to the stack itself
+    for lo in range(0, len(rows), 128):
+        block = slice(lo, lo + 128)
+        entries = math.prod(values[column] for column in factors[block].T)
+        a[..., rows[block], cols[block]] = np.moveaxis(entries, 0, -1)
+    return DualityMatrix(n, point, a, odd, even)

@@ -153,7 +153,7 @@ def render_q(p: LaurentPoly, symbol: str = "q") -> str:
 
 
 def laurent_eval(p: LaurentPoly, point) -> complex:
-    """Evaluate at the point's q^{1/2}: sum of c_k (q^{1/2})^k."""
+    """Evaluate at the point's q^{1/2}: sum of c_k (q^{1/2})^k, per phase."""
     xh = point.q_half
     return sum(complex(p.coeff(k)) * xh ** k for k in p.support())
 
@@ -198,14 +198,15 @@ def laurent_fit(
     if lo > hi:
         raise ValueError("degree window is empty")
     width = hi - lo + 1
+    settings = f"window [{lo}, {hi}], {len(pts)} samples"
     if len(pts) < width:
-        raise IllConditioned(f"{len(pts)} samples for {width} coefficients")
+        raise IllConditioned(f"{len(pts)} samples for {width} coefficients ({settings})")
     thetas = np.array([t for t, _ in pts], dtype=float)
     vals = np.array([v for _, v in pts], dtype=complex)
     A = _design(thetas, lo, hi)
     coeffs, rank, _ = _stacked_solve(A, vals)
     if rank < width:
-        raise IllConditioned(f"design matrix rank {rank} < {width}")
+        raise IllConditioned(f"design matrix rank {rank} < {width} ({settings})")
     rounded = [Fraction(float(c)).limit_denominator(max_denominator) for c in coeffs]
     max_shift = max(
         (abs(float(r) - float(c)) for r, c in zip(rounded, coeffs)), default=0.0
@@ -213,14 +214,15 @@ def laurent_fit(
     if max_shift > tolerance:
         raise ResidualTooLarge(
             f"rounding shifted a coefficient by {max_shift:.3e} > {tolerance:.3e}"
-            " (window too wide for reliable rounding, or no rational answer)",
+            f" ({settings}; window too wide for reliable rounding, or no"
+            " rational answer)",
             residual=max_shift,
         )
     exact = np.array([float(r) for r in rounded])
     residual = float(np.max(np.abs(A @ exact - vals))) if pts else 0.0
     if residual > tolerance:
         raise ResidualTooLarge(
-            f"post-rounding residual {residual:.3e} > {tolerance:.3e}",
+            f"post-rounding residual {residual:.3e} > {tolerance:.3e} ({settings})",
             residual=residual,
         )
     poly = LaurentPoly({k: r for k, r in zip(range(lo, hi + 1), rounded)})
@@ -257,7 +259,7 @@ def find_support_window(
                 return (s, s + w)
     raise ResidualTooLarge(
         "no exponent window inside "
-        f"[{lo}, {hi}] explains the samples (relative residual floor "
+        f"[{lo}, {hi}] explains the {len(pts)} samples (relative residual floor "
         f"{stage_tolerance:.1e}); the window may be undersized or the "
         "normalization inconsistent"
     )

@@ -1,33 +1,45 @@
 """q-arithmetic: q-numbers, q-factorials and triangle coefficients.
 
-q is always given by its phase, q = e^{i theta}, or as a positive real
-in (0, 1]. Fixing the phase fixes the branch of q^{1/2} = e^{i theta/2}
-once. Spin labels are passed doubled (twice the spin) so triangle
-arithmetic stays integral.
+q is given by its phase, q = e^{i theta}, or as a positive real in
+(0, 1]. Fixing the phase fixes the branch of q^{1/2} = e^{i theta/2}
+once. A phase point may carry a tuple of phases: every function here
+then returns one value per phase, computed as numpy arrays from one
+table of [k] and [k]! per call, and a range check fails if it fails at
+any phase, naming the first such theta. Spin labels are passed doubled
+(twice the spin) so triangle arithmetic stays integral.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateQ, NegativeRadicand, NonAdmissibleTriple
 
 
 @dataclass(frozen=True)
 class QPoint:
-    """Unit-circle evaluation point q = e^{i theta}."""
+    """Unit-circle evaluation point q = e^{i theta}.
 
-    theta: float
+    theta is one phase or a tuple of phases (a batch); a tuple keeps the
+    point hashable, so caches can key on it.
+    """
+
+    theta: float | tuple[float, ...]
 
     @property
-    def q(self) -> complex:
-        return cmath.exp(1j * self.theta)
+    def thetas(self) -> np.ndarray:
+        return np.asarray(self.theta, dtype=float)
 
     @property
-    def q_half(self) -> complex:
-        return cmath.exp(0.5j * self.theta)
+    def q(self):
+        return np.exp(1j * self.thetas)
+
+    @property
+    def q_half(self):
+        return np.exp(0.5j * self.thetas)
 
 
 @dataclass(frozen=True)
@@ -45,35 +57,45 @@ class RealQPoint:
         return math.sqrt(self.q)
 
 
-def q_number(two_x: int, point) -> float:
-    """[x] for doubled argument two_x = 2x.
+def first_at(values, bad) -> float:
+    """The first of values (one per phase) at which the boolean array bad holds."""
+    return float(np.broadcast_to(values, np.shape(bad))[bad][0])
+
+
+def q_number(two_x, point):
+    """[x] for doubled argument two_x = 2x, one value per phase.
 
     [x] = (q^{x/2} - q^{-x/2}) / (q^{1/2} - q^{-1/2}); real for both
-    supported point kinds. At unit-circle q this is
-    sin(x*theta/2)/sin(theta/2).
+    point kinds. At unit-circle q this is sin(x*theta/2)/sin(theta/2).
+    An array of arguments gives one row per argument.
     """
-    if two_x < 0:
+    two_x = np.asarray(two_x, dtype=float)
+    if two_x.min() < 0:
         raise ValueError("q_number argument must be nonnegative")
     if isinstance(point, RealQPoint):
-        if point.q == 1.0:
-            return two_x / 2.0
-        rh = point.q_half
-        x = two_x / 2.0
-        return (rh ** x - rh ** (-x)) / (rh - 1.0 / rh)
-    den = math.sin(point.theta / 2.0)
-    if abs(den) < 1e-12:
-        raise DegenerateQ(f"sin(theta/2) vanishes at theta={point.theta!r}")
-    return math.sin(two_x * point.theta / 4.0) / den
+        rh, x = point.q_half, two_x / 2.0
+        return x if point.q == 1.0 else (rh**x - rh ** (-x)) / (rh - 1.0 / rh)
+    thetas = point.thetas
+    den = np.sin(thetas / 2.0)
+    if np.abs(den).min() < 1e-12:
+        raise DegenerateQ(
+            f"sin(theta/2) vanishes at theta={first_at(thetas, np.abs(den) < 1e-12)!r}"
+        )
+    return np.sin(np.multiply.outer(two_x, thetas) / 4.0) / den
 
 
-def q_factorial(x: int, point) -> float:
+def factorials(kmax: int, point) -> np.ndarray:
+    """[k]! for k = 0..kmax, one row per k: the running product of [1]..[k]."""
+    table = q_number(2 * np.arange(kmax + 1), point)
+    table[0] = 1.0
+    return np.cumprod(table, axis=0)
+
+
+def q_factorial(x: int, point):
     """[x]! = [1][2]...[x]; [0]! = 1."""
     if x < 0:
         raise ValueError("q_factorial argument must be nonnegative")
-    out = 1.0
-    for k in range(1, x + 1):
-        out *= q_number(2 * k, point)
-    return out
+    return factorials(x, point)[x]
 
 
 def is_admissible(two_a: int, two_b: int, two_c: int) -> bool:
@@ -84,42 +106,49 @@ def is_admissible(two_a: int, two_b: int, two_c: int) -> bool:
     )
 
 
-def triangle(two_a: int, two_b: int, two_c: int, point) -> float:
+def triangle(two_a: int, two_b: int, two_c: int, point, fact=None):
     """Triangle coefficient Delta(a,b,c), doubled arguments.
 
     sqrt([-a+b+c]! [a-b+c]! [a+b-c]! / [a+b+c+1]!). The radicand must be
     strictly positive; it goes negative when theta is too large for the
-    spins involved.
+    spins involved. fact, a [k]! table from factorials() reaching
+    a+b+c+1, saves building one per call.
     """
     if not is_admissible(two_a, two_b, two_c):
         raise NonAdmissibleTriple(f"({two_a}/2, {two_b}/2, {two_c}/2)")
+    name = f"triangle({two_a}/2,{two_b}/2,{two_c}/2)"
+    largest = (two_a + two_b + two_c) // 2 + 1
     if isinstance(point, QPoint):
         # rad > 0 iff every q-number [k] up to the largest factorial
         # argument K is positive, i.e. |theta| < 2 pi / K; checking the
         # bound directly avoids float noise at the q-number zeros
-        largest = (two_a + two_b + two_c) // 2 + 1
+        size = np.abs(point.thetas)
         limit = 2.0 * math.pi / largest
-        if abs(point.theta) >= limit:
+        if size.max() >= limit:
             raise NegativeRadicand(
-                f"triangle({two_a}/2,{two_b}/2,{two_c}/2) needs "
-                f"|theta| < 2*pi/{largest}, got {point.theta!r}"
+                f"{name} needs |theta| < 2*pi/{largest}, "
+                f"got {first_at(point.thetas, size >= limit)!r}"
             )
+    if fact is None:
+        fact = factorials(largest, point)
     num = (
-        q_factorial((-two_a + two_b + two_c) // 2, point)
-        * q_factorial((two_a - two_b + two_c) // 2, point)
-        * q_factorial((two_a + two_b - two_c) // 2, point)
+        fact[(-two_a + two_b + two_c) // 2]
+        * fact[(two_a - two_b + two_c) // 2]
+        * fact[(two_a + two_b - two_c) // 2]
     )
-    den = q_factorial((two_a + two_b + two_c) // 2 + 1, point)
-    if den == 0.0:
+    den = fact[largest]
+    if np.abs(den).min() == 0.0:
         # a q-number in the denominator vanished (theta at or past the
         # degeneracy for these spins), e.g. [2] = 0 at theta = pi
         raise NegativeRadicand(
-            f"triangle({two_a}/2,{two_b}/2,{two_c}/2) denominator vanishes; "
-            "theta too large"
+            f"{name} denominator vanishes at "
+            f"theta={first_at(point.thetas, den == 0.0)!r}; theta too large"
         )
     rad = num / den
-    if rad <= 0.0:
+    if rad.min() <= 0.0:
+        bad = rad <= 0.0
         raise NegativeRadicand(
-            f"triangle({two_a}/2,{two_b}/2,{two_c}/2) radicand {rad!r}; theta too large"
+            f"{name} radicand {first_at(rad, bad)!r} at "
+            f"theta={first_at(point.thetas, bad)!r}; theta too large"
         )
-    return math.sqrt(rad)
+    return np.sqrt(rad)

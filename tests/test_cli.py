@@ -8,6 +8,7 @@ import pytest
 from platjones import braid, cli, evaluator
 from platjones.braid import parse
 from platjones.cli import main
+from platjones.errors import NonUnitaryBlock, ParityMismatch, UnannotatedSyllable
 
 REPORT_KEYS = {
     "word",
@@ -252,3 +253,84 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
         assert cli._verify_case("w", word, config)["pass"]
         assert len(resolves) <= 4
         assert len(compiles) <= 3
+
+
+def test_eval_compiles_once_and_resolves_twice(tmp_path, monkeypatch, capsys):
+    resolves = _count_calls(monkeypatch, braid.resolve_orientations)
+    compiles = _count_calls(monkeypatch, evaluator.compile)
+    path = _word_file(tmp_path, "strands=8; g2^-1 g4^2 g3^1")
+    assert main(["eval", path]) == 0
+    assert "operators (4): a f a† g" in capsys.readouterr().out
+    assert len(compiles) == 1
+    assert len(resolves) <= 2
+
+
+def test_fit_rejection_names_window_and_samples(tmp_path, capsys):
+    path = _word_file(tmp_path, "strands=4; b2^3 h1^-2 h3^-2 b2^3")
+    assert main(["eval", path, "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "window [5, 25], 69 samples" in captured.err
+
+
+def test_verify_crossing_limit_fails_only_that_case(tmp_path, capsys):
+    (tmp_path / "a.txt").write_text("strands=4; g2^3")
+    (tmp_path / "b.txt").write_text("strands=4; g2^9 g1^-8 g2^4")
+    assert main(["verify", str(tmp_path), "--json"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    a, b = payload["cases"]
+    assert a["pass"] and not b["pass"] and not payload["passed"]
+    assert b["report"]["oracle_polynomial"] is None
+    assert b["report"]["deviations"] is None
+    assert payload["worst"] == a["report"]["deviations"]
+    assert "b.txt" in captured.err and "21 crossings" in captured.err
+    assert main(["verify", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL strands=4; g2^9 g1^-8 g2^4" in out
+    assert "result: FAIL" in out
+
+
+def test_internal_errors_cannot_reach_the_cli(tmp_path, monkeypatch, capsys):
+    """ParityMismatch, UnannotatedSyllable and NonUnitaryBlock have no exit code.
+
+    Every subcommand resolves orientations before it compiles, compile
+    splits runs by parity, and the blocks are unitary on the admissible
+    arc, so none of them can reach main; an escaped one fails this test.
+    """
+    internal = (ParityMismatch, UnannotatedSyllable, NonUnitaryBlock)
+    assert not any(issubclass(e, tuple(cli.EXIT_CODES)) for e in internal)
+    compile_word = evaluator.compile
+    compiled = []
+
+    def annotated_only(word):
+        assert word.is_annotated()
+        compiled.append(word)
+        return compile_word(word)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "platjones":
+            for attr, value in list(vars(module).items()):
+                if value is compile_word:
+                    monkeypatch.setattr(module, attr, annotated_only)
+    texts = [
+        "strands=4; g2^-3",
+        "strands=4; flips=10; g2^2 g1^1",
+        "strands=4; b2^3 h1^-2 h3^-2 b2^3",
+        "strands=6; g4^-2 g2^-3 g3^-3 g4^-2",
+        "strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2",
+    ]
+    codes = []
+    for i, text in enumerate(texts):
+        path = _word_file(tmp_path, text, name=f"w{i}.txt")
+        edge = evaluator.admissible_arc(parse(text).n)[1]
+        codes.append(main(["eval", path, "--json"]))
+        codes.append(main(["oracle", path]))
+        for theta in (edge - 1e-9, edge + 1e-9):
+            codes.append(main(["prob", path, "--theta", repr(theta)]))
+        (tmp_path / "corpus").mkdir(exist_ok=True)
+        (tmp_path / "corpus" / f"w{i}.txt").write_text(text)
+    codes.append(main(["verify", str(tmp_path / "corpus")]))
+    capsys.readouterr()
+    assert compiled
+    assert set(codes) <= set(cli.EXIT_CODES.values()) | {0, 1}

@@ -15,9 +15,10 @@ from platjones.evaluator import (
     evaluate,
     jones,
     mirror_symmetry_check,
+    phase_grid,
     unlink_normalization,
 )
-from platjones.fusion import duality_matrix
+from platjones.fusion import duality_matrix, path_bases
 from platjones.laurent import LaurentPoly, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
@@ -138,6 +139,33 @@ def test_evaluate_matches_oracle_modulus():
             got = abs(evaluate(w, theta)) * abs(unlink_normalization(n, theta))
             want = abs(laurent_eval(exact, QPoint(theta)))
             assert got == pytest.approx(want, abs=1e-9)
+
+
+def _element_per_phase(program, thetas):
+    """Test-only reference: the row vector e_0 through dense operators, one phase at a time."""
+    out = []
+    for theta in thetas:
+        point = QPoint(float(theta))
+        v = np.eye(len(path_bases(program.n)[0]), dtype=complex)[0]
+        for op in program.operators:
+            v = v @ op.matrix(point)
+        out.append(v[0])
+    return np.array(out)
+
+
+def test_batched_element_matches_per_phase_reference():
+    rng = random.Random(11)
+    for n in range(2, 7):
+        for _ in range(2):
+            text = f"strands={2 * n}; " + " ".join(
+                f"g{rng.randint(1, 2 * n - 1)}^{rng.choice([-2, -1, 1, 2, 3])}"
+                for _ in range(5)
+            )
+            program = compile_word(_resolved(text))
+            thetas = phase_grid(n, 64)
+            got = program.element(thetas)
+            assert got.shape == (64,)
+            assert np.max(np.abs(got - _element_per_phase(program, thetas))) < 1e-13
 
 
 def test_jones_trefoil_exact():

@@ -2,13 +2,14 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from platjones import fusion
 from platjones.errors import NegativeRadicand, NonAdmissibleTriple
-from platjones.evaluator import admissible_arc
+from platjones.evaluator import admissible_arc, phase_grid
 from platjones.fusion import (
     OddPath,
     duality_matrix,
@@ -123,6 +124,59 @@ def test_duality_matrix_n3_pinned():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _racah_reference(two_j, two_l, s1, s2, s3, s4, theta):
+    """Test-only scalar racah at q = e^{i theta}, one math.sin per q-number."""
+
+    def fact(k):
+        out = 1.0
+        for i in range(1, k + 1):
+            out *= math.sin(i * theta / 2) / math.sin(theta / 2)
+        return out
+
+    def tri(a, b, c):
+        return math.sqrt(
+            fact((-a + b + c) // 2) * fact((a - b + c) // 2) * fact((a + b - c) // 2)
+            / fact((a + b + c) // 2 + 1)
+        )
+
+    alphas = (s1 + s2 + two_j, s3 + s4 + two_j, s1 + s4 + two_l, s2 + s3 + two_l)
+    betas = (s1 + s2 + s3 + s4, s1 + s3 + two_j + two_l, s2 + s4 + two_j + two_l)
+    total = 0.0
+    for m in range(max(alphas) // 2, min(betas) // 2 + 1):
+        den = 1.0
+        for a in alphas:
+            den *= fact(m - a // 2)
+        for b in betas:
+            den *= fact(b // 2 - m)
+        total += (-1) ** m * fact(m + 1) / den
+    norm = math.sin((two_j + 1) * theta / 2) * math.sin((two_l + 1) * theta / 2)
+    return (
+        (-1) ** (betas[0] // 2)
+        * math.sqrt(norm) / math.sin(theta / 2)
+        * tri(s1, s2, two_j) * tri(s3, s4, two_j) * tri(s1, s4, two_l) * tri(s2, s3, two_l)
+        * total
+    )
+
+
+def test_batched_racah_matches_scalar_reference():
+    for n in (2, 4, 6):
+        thetas = phase_grid(n, 16)
+        for key in fusion._recoupling_plan(n)[0]:
+            got = racah(*key, QPoint(tuple(thetas.tolist())))
+            want = [_racah_reference(*key, t) for t in thetas]
+            assert got.shape == (16,)
+            assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_batch_past_the_arc_names_the_phase():
+    for n in (2, 3, 5):
+        grid = phase_grid(n, 8).tolist()
+        bad = admissible_arc(n)[1] + 0.03
+        point = QPoint(tuple(grid[:3] + [bad] + grid[3:]))
+        with pytest.raises(NegativeRadicand, match=re.escape(repr(bad))):
+            duality_matrix(n, point)
+
+
 def test_duality_build_calls_racah_once_per_distinct_key(monkeypatch):
     seen = []
 
@@ -131,7 +185,8 @@ def test_duality_build_calls_racah_once_per_distinct_key(monkeypatch):
         return racah(*args)
 
     monkeypatch.setattr(fusion, "racah", counting)
-    fusion._duality_entries.__wrapped__(6, QPoint(0.3))  # bypass the cache
+    # bypass the cache; one call per key serves the whole batch of phases
+    fusion._racah_values.__wrapped__(6, QPoint((0.1, 0.2, 0.3)))
     assert len(seen) == len(set(seen)) == 31
 
 

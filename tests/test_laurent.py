@@ -146,5 +146,5 @@ def test_support_window_zero_signal():
 def test_support_window_exhausted():
     vals = [(t, cmath.exp(0.4 * t) + 0j) for t in
             [0.1 + 6.0 * j / 63 for j in range(64)]]
-    with pytest.raises(ResidualTooLarge):
+    with pytest.raises(ResidualTooLarge, match=r"\[-3, 3\] explains the 64 samples"):
         find_support_window(vals, (-3, 3))
