@@ -9,10 +9,11 @@ basis of the 2n strands by one F-move per strand pair; the moves act on
 distinct nodes, so a basis-change entry is a product of one q-Racah
 coefficient per pair. In the duality matrix C_odd C_even^T each entry
 is then one product of Racah coefficients, built from a per-n plan of
-those products and the few distinct Racah arguments. A phase point may
-carry a batch of phases: the Racah values then form one (keys, phases)
-table, cached per (n, point), and the matrix a (phases, paths, paths)
-stack, rebuilt from that table on each call.
+those products and the few distinct Racah arguments; the plan groups
+the entries in blocks whose rows share their odd-move products. A
+phase point may carry a batch of phases: the Racah values then form
+one (keys, phases) table, cached per (n, point), and the matrix a
+(phases, paths, paths) stack, rebuilt from that table on each call.
 
 Labels are handled as doubled integers (twice the spin) so triangle
 arithmetic stays integral; the path dataclasses expose pair couplings
@@ -145,7 +146,7 @@ def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
         two_s2 + two_s4 + two_j + two_l,
     )
     # the triangle rules make max(triads) <= min(quads), so the table
-    # reaches every factorial below, the triangles' a+b+c+1 included
+    # reaches every factorial of the sum
     fact = factorials(min(quads) // 2 + 1, point)
     norm = q_number(2 * (two_j + 1), point) * q_number(2 * (two_l + 1), point)
     if norm.min() <= 0.0:
@@ -155,7 +156,7 @@ def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
             f"at theta={first_at(point.thetas, bad)!r}; theta too large"
         )
     pref = (-1) ** (quads[0] // 2) * np.sqrt(norm)
-    pref *= math.prod(triangle(*t, point, fact) for t in triads)
+    pref *= math.prod(triangle(*t, point) for t in triads)
     total = 0.0
     for m in range(max(map(sum, triads)) // 2, min(quads) // 2 + 1):
         den = math.prod(
@@ -183,16 +184,21 @@ def _recoupling_plan(n: int):
     b = c = 1/2, contributes one factor: the odd path's move at pair i
     takes e = r_{i-1}, the even path's move at pair i takes e = 2l_i. An
     odd path's admissible r sequences thus pick its nonzero entries, and
-    the even moves are then admissible too. Returns the distinct racah
-    keys and the (rows, cols, factors) arrays of the nonzero entries:
-    factors[t] indexes the keys whose coefficients multiply to entry t.
+    the even moves are then admissible too. The entries of one r form a
+    block, every odd path admitting r against every even path ending in
+    r; in it the odd moves depend only on the row and the even moves
+    only on the column and the row's l labels, so the keys are found
+    once per row and once per (l labels, column). Returns the distinct
+    racah keys and per block (rows, cols, odd, even): rows as a column,
+    odd[:, i] indexing the keys of row i's odd moves and even[:, i, j]
+    those of the even moves of entry (i, j).
     """
     odd, even = path_bases(n)
     by_r = {}
     for col, q in enumerate(even):
-        by_r.setdefault(q.two_r, []).append((col, q))
+        by_r.setdefault(q.two_r, []).append(col)
+    blocks = {r: ([], [], [], {}, []) for r in by_r}
     keys = {}
-    rows, cols, factors = [], [], []
 
     def index(e, f, a, d):
         return keys.setdefault((e, f, a, 1, 1, d), len(keys))
@@ -204,15 +210,25 @@ def _recoupling_plan(n: int):
             for a, d in zip(l, l[1:])
         ]
         for r in itertools.product(*choices):
+            rows, odd_block, row_l, l_index, even_block = blocks[r]
+            rows.append(row)
             moves = zip(r, p.J[1:], l, l[1:])
-            odd_factors = [index(e, 2 * J, a, d) for e, J, a, d in moves]
-            for col, q in by_r.get(r, ()):
-                rows.append(row)
-                cols.append(col)
+            odd_block.append([index(e, 2 * J, a, d) for e, J, a, d in moves])
+            if p.l not in l_index:
+                l_index[p.l] = len(even_block)
                 # r_{-1} = 1: strand 1 alone
-                moves = zip(l, q.J, (1,) + r, r)
-                factors.append(odd_factors + [index(e, 2 * J, a, d) for e, J, a, d in moves])
-    return tuple(keys), np.array(rows), np.array(cols), np.array(factors)
+                moves = [zip(l, even[col].J, (1,) + r, r) for col in by_r[r]]
+                even_block.append([[index(e, 2 * J, a, d) for e, J, a, d in m] for m in moves])
+            row_l.append(l_index[p.l])
+    return tuple(keys), tuple(
+        (
+            np.array(rows)[:, None],
+            np.array(by_r[r]),
+            np.array(odd_block).T,
+            np.moveaxis(np.array(even_block)[row_l], -1, 0),
+        )
+        for r, (rows, odd_block, row_l, _, even_block) in blocks.items()
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -235,13 +251,17 @@ def duality_matrix(n: int, point) -> DualityMatrix:
     if n < 2:
         raise ValueError("duality needs n >= 2 (no even basis on 2 strands)")
     odd, even = path_bases(n)
-    _, rows, cols, factors = _recoupling_plan(n)
     values = _racah_values(n, point)
     a = np.zeros(values.shape[1:] + (len(odd), len(even)))
-    # 128 entries at a time keep the (entries, phases) products, and the
-    # process's peak memory, small next to the stack itself
-    for lo in range(0, len(rows), 128):
-        block = slice(lo, lo + 128)
-        entries = math.prod(values[column] for column in factors[block].T)
-        a[..., rows[block], cols[block]] = np.moveaxis(entries, 0, -1)
+    for rows, cols, odd_factors, even_factors in _recoupling_plan(n)[1]:
+        odd_products = math.prod(values[k] for k in odd_factors)
+        # chunks of rows with about 8192 (entry, phase) products keep the
+        # temporaries, and the process's peak memory, small next to a
+        step = max(1, 8192 // (len(cols) * values[0].size))
+        for lo in range(0, len(rows), step):
+            part = slice(lo, lo + step)
+            entries = odd_products[part, None]
+            for k in even_factors[:, part]:
+                entries = entries * values[k]
+            a[..., rows[part], cols] = np.moveaxis(entries, (0, 1), (-2, -1))
     return DualityMatrix(n, point, a, odd, even)

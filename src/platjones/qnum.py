@@ -106,13 +106,12 @@ def is_admissible(two_a: int, two_b: int, two_c: int) -> bool:
     )
 
 
-def triangle(two_a: int, two_b: int, two_c: int, point, fact=None):
+def triangle(two_a: int, two_b: int, two_c: int, point):
     """Triangle coefficient Delta(a,b,c), doubled arguments.
 
     sqrt([-a+b+c]! [a-b+c]! [a+b-c]! / [a+b+c+1]!). The radicand must be
     strictly positive; it goes negative when theta is too large for the
-    spins involved. fact, a [k]! table from factorials() reaching
-    a+b+c+1, saves building one per call.
+    spins involved.
     """
     if not is_admissible(two_a, two_b, two_c):
         raise NonAdmissibleTriple(f"({two_a}/2, {two_b}/2, {two_c}/2)")
@@ -129,8 +128,7 @@ def triangle(two_a: int, two_b: int, two_c: int, point, fact=None):
                 f"{name} needs |theta| < 2*pi/{largest}, "
                 f"got {first_at(point.thetas, size >= limit)!r}"
             )
-    if fact is None:
-        fact = factorials(largest, point)
+    fact = factorials(largest, point)
     num = (
         fact[(-two_a + two_b + two_c) // 2]
         * fact[(two_a - two_b + two_c) // 2]

@@ -2,7 +2,8 @@
 
 The register holds 2n qubits; the compiled block of dimension
 Catalan(n) sits on computational-basis indices 0..d-1 and every
-operator acts as block plus identity on the rest. Starting from
+operator acts as block plus identity on the rest; the duality blocks
+a and a† are embedded once per evolution. Starting from
 |0...0> the final amplitude of |0...0> reproduces the evaluator's
 matrix element, and its squared modulus is the algorithm's acceptance
 probability.
@@ -17,7 +18,7 @@ import numpy as np
 
 from .braid import BraidWord, resolve_orientations
 from .errors import NonUnitaryBlock
-from .evaluator import BlockOperator, compile as compile_word
+from .evaluator import DIAGONAL, BlockOperator, compile as compile_word
 from .fusion import enumerate_odd_paths
 from .qnum import QPoint
 
@@ -96,8 +97,16 @@ def evolution(word: BraidWord, theta: float) -> Iterator[StateVector]:
     amps = np.zeros(1 << (2 * n), dtype=complex)
     amps[0] = 1.0
     yield StateVector(n=n, amplitudes=amps)
+    # a and a† recur through the program: each is embedded once
+    duality = {}
     for op in reversed(program.operators):
-        amps = embed(op, n, point).apply(amps)
+        if op.kind == DIAGONAL:
+            unitary = embed(op, n, point)
+        elif op.kind in duality:
+            unitary = duality[op.kind]
+        else:
+            unitary = duality[op.kind] = embed(op, n, point)
+        amps = unitary.apply(amps)
         yield StateVector(n=n, amplitudes=amps)
 
 

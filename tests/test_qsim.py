@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from platjones import qsim
 from platjones.braid import parse, resolve_orientations
 from platjones.cli import _random_words
 from platjones.errors import NonUnitaryBlock
@@ -122,3 +123,18 @@ def test_element_matches_qsim_amplitude_on_verify_phases():
         got = program.element(thetas)
         want = [run(w, float(t)).amplitudes[0] for t in thetas]
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_evolution_embeds_each_duality_once(monkeypatch):
+    kinds = []
+
+    def counting(op, n, point):
+        kinds.append(op.kind)
+        return embed(op, n, point)
+
+    monkeypatch.setattr(qsim, "embed", counting)
+    # three even runs: a and a† three times each, embedded once each
+    w = parse("strands=8; g2^1 g1^-1 g4^2 g3^1 g6^-1 g5^1")
+    state = run(w, 0.5)
+    assert sorted(kinds) == sorted(["duality", "duality_inverse"] + ["diagonal"] * 6)
+    assert state.amplitudes[0] == pytest.approx(evaluate(w, 0.5), abs=1e-12)
