@@ -15,7 +15,6 @@ from .errors import (
     AnnotationConflict,
     CapMismatch,
     DegenerateQ,
-    IllConditioned,
     NegativeRadicand,
     NonAdmissibleTriple,
     NonUnitaryBlock,
@@ -35,9 +34,9 @@ from .evaluator import (
     unlink_normalization,
 )
 from .fusion import DualityMatrix, duality_matrix, racah
-from .laurent import LaurentPoly, laurent_eval, laurent_fit, render_q
+from .laurent import LaurentPoly, laurent_eval, render_q
 from .oracle import PlanarDiagram, jones_exact, kauffman_bracket, plat_diagram
-from .qnum import QPoint, RealQPoint, q_factorial, q_number, triangle
+from .qnum import CirclePoint, QPoint, RealQPoint, q_factorial, q_number, triangle
 from .qsim import StateVector, p_k, run
 from .vertex import r_matrix, sigma_matrix, x_operator
 
@@ -48,9 +47,9 @@ __all__ = [
     "BraidWord",
     "CapMismatch",
     "CapReport",
+    "CirclePoint",
     "DegenerateQ",
     "DualityMatrix",
-    "IllConditioned",
     "JonesResult",
     "LaurentPoly",
     "NegativeRadicand",
@@ -76,7 +75,6 @@ __all__ = [
     "jones_exact",
     "kauffman_bracket",
     "laurent_eval",
-    "laurent_fit",
     "mirror",
     "p_k",
     "parse",

@@ -7,7 +7,8 @@ seeded random words).
 
 Exit codes: 0 success, 1 verify found a failing case, 2 usage, word
 syntax, bad flag value or unreadable input, 3 cap/orientation failure,
-4 fit failure, 5 degenerate or too-large theta, 6 crossing limit.
+4 coefficient read-out rejected, 5 degenerate or too-large theta,
+6 crossing limit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     AnnotationConflict,
     CapMismatch,
     DegenerateQ,
-    IllConditioned,
     NegativeRadicand,
     NonAdmissibleTriple,
     ResidualTooLarge,
@@ -65,7 +65,6 @@ EXIT_CODES = {
     CapMismatch: 3,
     AnnotationConflict: 3,
     ResidualTooLarge: 4,
-    IllConditioned: 4,
     NegativeRadicand: 5,
     DegenerateQ: 5,
     NonAdmissibleTriple: 5,
@@ -84,7 +83,7 @@ class RunConfig:
     flips: Optional[str] = None
 
     def validate(self) -> None:
-        # a NaN tolerance would pass every comparison in the fit checks
+        # a NaN tolerance would pass every comparison in the read-out checks
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(
                 f"tolerance must be positive and finite, got {self.tolerance!r}"
@@ -240,7 +239,7 @@ def cmd_prob(args) -> int:
             raise ValueError(f"theta must be finite, got {theta!r}")
     annotated, _ = resolve_orientations(word)
     program = compile_word(annotated)
-    state = qsim_run(word, theta)
+    state = qsim_run(program, theta)
     amp = complex(state.amplitudes[0])
     pk = abs(amp) ** 2
     report = _report(
@@ -330,18 +329,19 @@ def _verify_case(name: str, word: BraidWord, config: RunConfig) -> dict:
         return case | {"report": report}
     mirrored = compile_word(resolve_orientations(mirror(word))[0])
     thetas = phase_grid(n, 10)
-    amps = program.element(thetas)
+    point = QPoint(tuple(thetas.tolist()))
+    amps = program.element(point)
     # polynomial roots can land on sample phases; floor the relative
     # scale by the coefficient mass so a true zero does not divide out
     floor = 1e-9 * max(
         1.0, float(sum(abs(v) for v in exact.coeffs().values()))
     )
     got = abs(amps) * abs(unlink_normalization(n, thetas))
-    want = abs(laurent_eval(exact, QPoint(tuple(thetas.tolist()))))
+    want = abs(laurent_eval(exact, point))
     worst_mod = float((abs(got - want) / np.maximum(want, floor)).max())
-    worst_mirror = float(abs(mirrored.element(thetas) - amps.conj()).max())
+    worst_mirror = float(abs(mirrored.element(point) - amps.conj()).max())
     mid = len(thetas) // 2
-    qsim_dev = float(abs(qsim_p_k(word, float(thetas[mid])) - abs(amps[mid]) ** 2))
+    qsim_dev = float(abs(qsim_p_k(program, float(thetas[mid])) - abs(amps[mid]) ** 2))
     deviations = {"modulus_rel": worst_mod, "mirror": worst_mirror, "qsim": qsim_dev}
     return case | {
         "pass": worst_mod < config.tolerance

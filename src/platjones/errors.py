@@ -21,16 +21,8 @@ class NegativeRadicand(PlatJonesError):
     """
 
 
-class IllConditioned(PlatJonesError):
-    """Fit design matrix is rank-deficient."""
-
-
 class ResidualTooLarge(PlatJonesError):
-    """Fit failed: residual or rounding shift above tolerance."""
-
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual
+    """Coefficient read-out rejected: rounding shift or guard band."""
 
 
 class WordSyntaxError(PlatJonesError):

@@ -7,17 +7,19 @@ so a program reads like  a f a† g a h a† ...  with diagonal letters
 assigned in order of appearance. The plat matrix element <0|M_1...M_L|0>
 is read by pushing the row vector e_0 through the operators in order
 (CompiledProgram.element), one word compiled once and evaluated at all
-its phases in one pass: the phase axis is a numpy axis from the
-q-numbers through the duality stack to the contraction, with no loop
-over phases. The Jones polynomial is recovered by sampling it over an
-admissible arc of phases and fitting a Laurent polynomial after
-multiplying in the unlink normalization d^{n-1}.
+the phases of a point in one pass: the phase axis is a numpy axis from
+the q-numbers through the duality stack to the contraction, with no
+loop over phases. The Jones polynomial is read off samples of the
+element, times the unlink normalization d^{n-1}, on the circle
+|q^{1/2}| = RHO just outside the unit circle: an inverse FFT gives the
+Laurent coefficients (a Cauchy integral, Bornemann, Found. Comput.
+Math. 11, 2011), which are rounded to integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -33,7 +35,7 @@ from .braid import (
 )
 from .errors import ParityMismatch, UnannotatedSyllable
 from .fusion import duality_matrix, path_bases
-from .laurent import LaurentPoly, laurent_fit, find_support_window
+from .laurent import GUARD, LaurentPoly, circle_samples, laurent_eval, read_coefficients
 from .qnum import QPoint
 
 RIGHT = "right"
@@ -47,6 +49,9 @@ DUALITY = "duality"
 DUALITY_INVERSE = "duality_inverse"
 
 DAGGER = "a†"
+
+# duality entries per block of phases: at most 32 MB of stack in long double
+STACK_ENTRIES = 1 << 20
 
 
 def braiding_phase(J: int, orientation: str, handedness: str, point):
@@ -101,7 +106,8 @@ class BlockOperator:
             raise ValueError("only diagonal operators carry phases")
         odd, even = path_bases(self.n)
         couplings = np.array([p.J for p in (odd if self.basis == ODD else even)])
-        out = np.ones(np.shape(point.q) + couplings.shape[:1], dtype=complex)
+        shape = np.shape(point.q) + couplings.shape[:1]
+        out = np.ones(shape, dtype=np.result_type(point.q))
         for s in self.run:
             if s.orientation == AUTO:
                 raise UnannotatedSyllable(
@@ -133,29 +139,42 @@ class CompiledProgram:
     def operator_count(self) -> int:
         return len(self.operators)
 
-    def element(self, thetas) -> np.ndarray:
-        """Plat element <0|M_1 ... M_L|0> at q = e^{i theta}, per theta.
+    def element(self, point) -> np.ndarray:
+        """Plat element <0|M_1 ... M_L|0>, one value per phase of the point.
 
         All phases go through the operators at once as a (phases, paths)
         block of row vectors v: a diagonal letter scales it by its
         (phases, paths) table, a is the batched v @ A and a† is computed
-        as A v^T, with A the real (phases, paths, paths) duality stack
-        built once per call. The real and imaginary parts of v go through
-        A apart, so A is neither copied to complex nor transposed.
+        as A v^T, with A the (phases, paths, paths) duality stack built
+        once per call. On the unit circle A is real, and the real and
+        imaginary parts of v go through it apart, so A is neither copied
+        to complex nor transposed; off it A is complex and v goes whole.
+        A stack past STACK_ENTRIES entries is built and contracted in
+        blocks of phases under that size, which bounds its memory.
         """
-        point = QPoint(tuple(np.asarray(thetas, dtype=float).tolist()))
-        v = np.zeros((len(point.theta), len(path_bases(self.n)[0])), dtype=complex)
+        d = len(path_bases(self.n)[0])
+        step = max(1, STACK_ENTRIES // d**2)
+        if len(point.theta) > step:
+            blocks = range(0, len(point.theta), step)
+            parts = [replace(point, theta=point.theta[i : i + step]) for i in blocks]
+            return np.concatenate([self.element(part) for part in parts])
+        v = np.zeros((len(point.theta), d), dtype=complex)
         v[:, 0] = 1.0
         if any(op.kind != DIAGONAL for op in self.operators):
             a = duality_matrix(self.n, point).entries
         for op in self.operators:
             if op.kind == DIAGONAL:
                 v = v * op.phases(point)
-            elif op.kind == DUALITY:
-                v = (v.real[:, None] @ a)[:, 0] + 1j * (v.imag[:, None] @ a)[:, 0]
+            elif np.iscomplexobj(a):
+                v = _contract(v, a, op.kind)
             else:
-                v = (a @ v.real[..., None])[..., 0] + 1j * (a @ v.imag[..., None])[..., 0]
+                v = _contract(v.real, a, op.kind) + 1j * _contract(v.imag, a, op.kind)
         return v[:, 0]
+
+
+def _contract(v: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+    """v @ A for a, A v^T for a†, per phase."""
+    return (v[:, None] @ a)[:, 0] if kind == DUALITY else (a @ v[..., None])[..., 0]
 
 
 def _diagonal_letter(i: int) -> str:
@@ -195,7 +214,7 @@ def compile(word: BraidWord) -> CompiledProgram:
 def evaluate(word: BraidWord, theta: float) -> complex:
     """Plat matrix element <0| program |0> at q = e^{i theta}."""
     annotated, _ = resolve_orientations(word)
-    return complex(compile(annotated).element([theta])[0])
+    return complex(compile(annotated).element(QPoint((theta,)))[0])
 
 
 def unlink_normalization(n: int, theta):
@@ -225,10 +244,8 @@ class JonesResult:
     residual: float
     max_shift: float
     window: tuple[int, int]
-    requested_window: tuple[int, int]
     normalization: str
     program: CompiledProgram = field(repr=False)
-    samples: tuple[tuple[float, complex], ...] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -247,34 +264,40 @@ def jones(
 ) -> JonesResult:
     """Reconstruct the Jones polynomial of the plat closure.
 
-    Samples the matrix element at equispaced phases on the middle 90%
-    of the admissible arc, multiplies by the unlink normalization
-    d^{n-1}, locates the exponent support and fits. The sample count is
-    raised to window width + 8 when the requested count is too small.
-    The result matches the skein ground truth up to one unit-modulus
-    monomial convention factor; see convention_factor.
+    Samples the matrix element times the unlink normalization d^{n-1}
+    at M points x = q^{1/2} on the circle |x| = RHO and reads the
+    integer coefficients off an inverse FFT (read_coefficients), with
+    M = max(samples, window width + 2 GUARD).
+
+    The default window is [-3c - (n-1), 3c + (n-1)] for c crossings.
+    A Kauffman state of the plat closure has at most c + n loops: the
+    all-vertical smoothing leaves the n cup-cap loops and each crossing
+    smoothed the other way changes the count by one. Its bracket term
+    A^{a-b} d^{loops-1} then has A-degree within c + 2(c + n - 1), the
+    writhe factor (-A^3)^{-w} with |w| <= c adds 3c, and x = A^{-2}
+    halves the total. The result equals (-1)^{mu+n} times the standard
+    Jones polynomial (mu link components), with no power of q; see
+    convention_factor. residual is max |P(x_j) - R(x_j)| over the
+    samples, R the rounded polynomial.
     """
     annotated, _ = resolve_orientations(word)
     program = compile(annotated)
     n = word.n
     c = word.crossing_count()
-    window = tuple(degree_window) if degree_window else (-3 * c, 3 * c)
-    width = window[1] - window[0] + 1
-    m = max(samples, width + 8, 16)
-    thetas = phase_grid(n, m)
-    raw = program.element(thetas)
-    pts = list(zip(thetas.tolist(), (raw * unlink_normalization(n, thetas)).tolist()))
-    support = find_support_window(pts, window)
-    fit = laurent_fit(pts, support, tolerance=tolerance)
+    lo, hi = degree_window or (-3 * c - (n - 1), 3 * c + n - 1)
+    m = max(samples, hi - lo + 1 + 2 * GUARD)
+    point = circle_samples(m)
+    x = point.q_half
+    values = program.element(point) * (-(x + 1.0 / x)) ** (n - 1)
+    poly, shift = read_coefficients(values, m, (lo, hi), tolerance)
+    support = poly.support() or [0]
     return JonesResult(
-        polynomial=fit.poly,
-        residual=fit.residual,
-        max_shift=fit.max_shift,
-        window=fit.window,
-        requested_window=window,
+        polynomial=poly,
+        residual=float(np.max(np.abs(values - laurent_eval(poly, point)))),
+        max_shift=shift,
+        window=(support[0], support[-1]),
         normalization=f"d^{n - 1}, d = -(q^(1/2) + q^(-1/2))",
         program=program,
-        samples=tuple(zip(thetas.tolist(), raw.tolist())),
     )
 
 

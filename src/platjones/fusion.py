@@ -125,11 +125,15 @@ def path_bases(n: int) -> tuple[tuple[OddPath, ...], tuple[EvenPath, ...]]:
 def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
     """Quantum Racah recoupling coefficient, doubled spin arguments.
 
-    Prefactor (-1)^{s1+s2+s3+s4} sqrt([2j+1][2l+1]) times the four
+    Prefactor (-1)^{s1+s2+s3+s4} sqrt([2j+1]) sqrt([2l+1]) times the four
     triangle coefficients times the alternating sum over m of
     (-1)^m [m+1]! over the seven constraint factorials. The m bounds
     keep every factorial argument nonnegative. One value per phase of
-    the point, all read from one [k]! table.
+    the point, all read from one [k]! table. Each label's root is taken
+    alone: at a circle point sqrt(XY) is not sqrt(X) sqrt(Y), and only
+    roots of single labels cancel from the plat element whatever their
+    branch. On the unit circle the triangles' range check also keeps
+    [2j+1] and [2l+1] positive.
     """
     triads = (
         (two_s1, two_s2, two_j),
@@ -145,18 +149,12 @@ def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
         two_s1 + two_s3 + two_j + two_l,
         two_s2 + two_s4 + two_j + two_l,
     )
+    pref = (-1) ** (quads[0] // 2) * math.prod(triangle(*t, point) for t in triads)
+    pref = pref * np.sqrt(q_number(2 * (two_j + 1), point))
+    pref = pref * np.sqrt(q_number(2 * (two_l + 1), point))
     # the triangle rules make max(triads) <= min(quads), so the table
     # reaches every factorial of the sum
     fact = factorials(min(quads) // 2 + 1, point)
-    norm = q_number(2 * (two_j + 1), point) * q_number(2 * (two_l + 1), point)
-    if norm.min() <= 0.0:
-        bad = norm <= 0.0
-        raise NegativeRadicand(
-            f"[{two_j + 1}][{two_l + 1}] = {first_at(norm, bad)!r} not positive "
-            f"at theta={first_at(point.thetas, bad)!r}; theta too large"
-        )
-    pref = (-1) ** (quads[0] // 2) * np.sqrt(norm)
-    pref *= math.prod(triangle(*t, point) for t in triads)
     total = 0.0
     for m in range(max(map(sum, triads)) // 2, min(quads) // 2 + 1):
         den = math.prod(
@@ -252,7 +250,7 @@ def duality_matrix(n: int, point) -> DualityMatrix:
         raise ValueError("duality needs n >= 2 (no even basis on 2 strands)")
     odd, even = path_bases(n)
     values = _racah_values(n, point)
-    a = np.zeros(values.shape[1:] + (len(odd), len(even)))
+    a = np.zeros(values.shape[1:] + (len(odd), len(even)), dtype=values.dtype)
     for rows, cols, odd_factors, even_factors in _recoupling_plan(n)[1]:
         odd_products = math.prod(values[k] for k in odd_factors)
         # chunks of rows with about 8192 (entry, phase) products keep the

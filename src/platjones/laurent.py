@@ -1,24 +1,27 @@
-"""Exact Laurent polynomials in x = q^{1/2}, and reconstruction from samples.
+"""Exact Laurent polynomials in x = q^{1/2}, and their read-out from samples.
 
 Coefficients are Fractions and arithmetic never touches floating point.
 Exponents are integers in x, i.e. half-integers in q; rendering converts
-to q-exponents. Reconstruction solves a least-squares problem on
-unit-circle samples; because the target coefficients are real, the
-system is solved over the reals (stacking real and imaginary parts),
-which conditions dramatically better on a short arc than the complex
-normal equations.
+to q-exponents. A polynomial with integer coefficients is read off its
+values at M equispaced points of the circle |x| = RHO just outside the
+unit circle: an inverse FFT of the samples is the Cauchy integral for
+the coefficients (Bornemann, Found. Comput. Math. 11, 2011), which are
+then rounded.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .errors import IllConditioned, ResidualTooLarge
+from .errors import ResidualTooLarge
+from .qnum import CirclePoint
+
+RHO = 1.05  # |x| of the sampling circle
+GUARD = 8  # exponents read past each end of the window, to catch aliasing
 
 
 class LaurentPoly:
@@ -158,108 +161,54 @@ def laurent_eval(p: LaurentPoly, point) -> complex:
     return sum(complex(p.coeff(k)) * xh ** k for k in p.support())
 
 
-def _design(thetas: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    ks = np.arange(lo, hi + 1)
-    return np.exp(0.5j * np.outer(thetas, ks))
+def circle_samples(m: int) -> CirclePoint:
+    """x_j = RHO e^{2 pi i j/m} for j = 0..m//2, the upper half of m points.
 
-
-def _stacked_solve(A: np.ndarray, vals: np.ndarray):
-    """Real least squares for complex samples with real unknowns."""
-    As = np.vstack([A.real, A.imag])
-    vs = np.concatenate([vals.real, vals.imag])
-    coeffs, _, rank, sv = np.linalg.lstsq(As, vs, rcond=None)
-    resid = float(np.max(np.abs(A @ coeffs - vals))) if len(vals) else 0.0
-    return coeffs, rank, resid
-
-
-@dataclass(frozen=True)
-class FitResult:
-    poly: LaurentPoly
-    residual: float
-    max_shift: float
-    window: tuple[int, int]
-
-
-def laurent_fit(
-    samples: Iterable[tuple[float, complex]],
-    degree_window: tuple[int, int],
-    tolerance: float = 1e-6,
-    max_denominator: int = 64,
-) -> FitResult:
-    """Fit a real-coefficient Laurent polynomial to unit-circle samples.
-
-    Least squares over the window, then each coefficient is rounded to
-    the nearest rational with denominator <= max_denominator. The fit is
-    rejected if rounding shifts any coefficient by more than the
-    tolerance, or if the post-rounding residual exceeds it.
+    A polynomial with real coefficients takes conjugate values at
+    conjugate points, so these determine all m samples.
     """
-    pts = list(samples)
-    lo, hi = int(degree_window[0]), int(degree_window[1])
+    return CirclePoint(tuple((4.0 * math.pi / m * np.arange(m // 2 + 1)).tolist()), RHO)
+
+
+def read_coefficients(
+    values: np.ndarray, m: int, window: tuple[int, int], tolerance: float
+) -> tuple[LaurentPoly, float]:
+    """Integer Laurent coefficients from values at circle_samples(m).
+
+    c_k = RHO^{-k} b_{k mod m} with b the inverse DFT of all m samples,
+    read for the m consecutive exponents centred on the window; those
+    outside the window form the guard band, at least GUARD wide on each
+    side. The coefficients are rounded to integers. Rejects with
+    ResidualTooLarge when rounding moves one by more than the
+    tolerance, or when a guard coefficient rounds to nonzero (the
+    support leaves the window; coefficients past the m read ones would
+    alias silently). Returns the polynomial and the largest rounding
+    shift.
+    """
+    lo, hi = window
     if lo > hi:
         raise ValueError("degree window is empty")
-    width = hi - lo + 1
-    settings = f"window [{lo}, {hi}], {len(pts)} samples"
-    if len(pts) < width:
-        raise IllConditioned(f"{len(pts)} samples for {width} coefficients ({settings})")
-    thetas = np.array([t for t, _ in pts], dtype=float)
-    vals = np.array([v for _, v in pts], dtype=complex)
-    A = _design(thetas, lo, hi)
-    coeffs, rank, _ = _stacked_solve(A, vals)
-    if rank < width:
-        raise IllConditioned(f"design matrix rank {rank} < {width} ({settings})")
-    rounded = [Fraction(float(c)).limit_denominator(max_denominator) for c in coeffs]
-    max_shift = max(
-        (abs(float(r) - float(c)) for r, c in zip(rounded, coeffs)), default=0.0
-    )
-    if max_shift > tolerance:
-        raise ResidualTooLarge(
-            f"rounding shifted a coefficient by {max_shift:.3e} > {tolerance:.3e}"
-            f" ({settings}; window too wide for reliable rounding, or no"
-            " rational answer)",
-            residual=max_shift,
+    if m < hi - lo + 1 + 2 * GUARD:
+        raise ValueError(
+            f"M {m} leaves no guard band of {GUARD} around window [{lo}, {hi}]"
         )
-    exact = np.array([float(r) for r in rounded])
-    residual = float(np.max(np.abs(A @ exact - vals))) if pts else 0.0
-    if residual > tolerance:
+    ks = np.arange(m) + lo - (m - (hi - lo + 1)) // 2
+    b = np.fft.irfft(np.conj(values), n=m)
+    coeffs = b[ks % m] * RHO ** -ks.astype(float)
+    rounded = np.rint(coeffs)
+    shift = float(np.max(np.abs(coeffs - rounded)))
+    settings = f"rho {RHO}, M {m}, window [{lo}, {hi}]"
+    if shift > tolerance:
         raise ResidualTooLarge(
-            f"post-rounding residual {residual:.3e} > {tolerance:.3e} ({settings})",
-            residual=residual,
+            f"rounding shifted a coefficient by {shift:.3e} > {tolerance:.3e}"
+            f" ({settings})"
         )
-    poly = LaurentPoly({k: r for k, r in zip(range(lo, hi + 1), rounded)})
-    return FitResult(poly=poly, residual=residual, max_shift=max_shift, window=(lo, hi))
-
-
-def find_support_window(
-    samples: Iterable[tuple[float, complex]],
-    degree_window: tuple[int, int],
-    stage_tolerance: float = 1e-7,
-) -> tuple[int, int]:
-    """Smallest contiguous exponent window that explains the samples.
-
-    Scans windows [s, s+w] inside degree_window by increasing width and
-    accepts the first whose relative least-squares residual is tiny.
-    Conditioning depends on window width only, so trimming to the true
-    support is what makes the final fit roundable.
-    """
-    pts = list(samples)
-    lo, hi = int(degree_window[0]), int(degree_window[1])
-    thetas = np.array([t for t, _ in pts], dtype=float)
-    vals = np.array([v for _, v in pts], dtype=complex)
-    scale = max(float(np.max(np.abs(vals))) if pts else 0.0, 1.0)
-    if pts and float(np.max(np.abs(vals))) < stage_tolerance:
-        return (0, 0)
-    A_full = _design(thetas, lo, hi)
-    for w in range(0, hi - lo + 1):
-        if len(pts) < w + 1:
-            break
-        for s in range(lo, hi - w + 1):
-            sl = A_full[:, s - lo : s - lo + w + 1]
-            _, rank, resid = _stacked_solve(sl, vals)
-            if rank == w + 1 and resid / scale < stage_tolerance:
-                return (s, s + w)
-    raise ResidualTooLarge(
-        "no exponent window inside "
-        f"[{lo}, {hi}] explains the {len(pts)} samples (relative residual floor "
-        f"{stage_tolerance:.1e}); the window may be undersized or the "
-        "normalization inconsistent"
-    )
+    guard = np.flatnonzero(((ks < lo) | (ks > hi)) & (rounded != 0))
+    if guard.size:
+        worst = guard[np.argmax(np.abs(coeffs[guard]))]
+        raise ResidualTooLarge(
+            f"guard coefficient {coeffs[worst]:.3e} at x^{ks[worst]} is nonzero "
+            f"({settings}); the support leaves the window"
+        )
+    poly = LaurentPoly({int(k): int(c) for k, c in zip(ks, rounded) if c})
+    return poly, shift

@@ -1,12 +1,14 @@
 """q-arithmetic: q-numbers, q-factorials and triangle coefficients.
 
-q is given by its phase, q = e^{i theta}, or as a positive real in
-(0, 1]. Fixing the phase fixes the branch of q^{1/2} = e^{i theta/2}
-once. A phase point may carry a tuple of phases: every function here
-then returns one value per phase, computed as numpy arrays from one
-table of [k] and [k]! per call, and a range check fails if it fails at
-any phase, naming the first such theta. Spin labels are passed doubled
-(twice the spin) so triangle arithmetic stays integral.
+A point fixes x = q^{1/2}. On the unit circle q = e^{i theta} and
+x = e^{i theta/2}, which fixes the branch of q^{1/2} once; there every
+value here is real. A circle point puts x = rho e^{i theta/2} off the
+unit circle, where the values are complex; a real point takes q in
+(0, 1] and x = sqrt(q). A point may carry a tuple of phases: every
+function here then returns one value per phase, computed as numpy
+arrays from one table of [k] and [k]! per call, and a range check fails
+if it fails at any phase, naming the first such theta. Spin labels are
+passed doubled (twice the spin) so triangle arithmetic stays integral.
 """
 
 from __future__ import annotations
@@ -34,12 +36,44 @@ class QPoint:
         return np.asarray(self.theta, dtype=float)
 
     @property
+    def log_q_half(self):
+        return 0.5j * self.thetas
+
+    @property
     def q(self):
         return np.exp(1j * self.thetas)
 
     @property
     def q_half(self):
         return np.exp(0.5j * self.thetas)
+
+
+@dataclass(frozen=True)
+class CirclePoint(QPoint):
+    """A QPoint's phases moved off the unit circle: x = q^{1/2} = rho e^{i theta/2}.
+
+    Off the unit circle no q-number vanishes, so every value exists and
+    none is checked for sign; all of them are complex long doubles. Near
+    q = -1 the duality entries grow like a power of 1/(rho - 1) that
+    rises with n, and the plat element cancels most of their digits: in
+    float64 a 12-strand, 10-crossing word missed its integers by 4e-6,
+    and the extra digits of long double make that 3e-10.
+    """
+
+    rho: float
+
+    @property
+    def log_q_half(self):
+        long_theta = np.asarray(self.theta, dtype=np.longdouble)
+        return np.log(np.longdouble(self.rho)) + 0.5j * long_theta
+
+    @property
+    def q(self):
+        return np.exp(2 * self.log_q_half)
+
+    @property
+    def q_half(self):
+        return np.exp(self.log_q_half)
 
 
 @dataclass(frozen=True)
@@ -56,6 +90,10 @@ class RealQPoint:
     def q_half(self) -> float:
         return math.sqrt(self.q)
 
+    @property
+    def log_q_half(self) -> float:
+        return 0.5 * math.log(self.q)
+
 
 def first_at(values, bad) -> float:
     """The first of values (one per phase) at which the boolean array bad holds."""
@@ -65,23 +103,25 @@ def first_at(values, bad) -> float:
 def q_number(two_x, point):
     """[x] for doubled argument two_x = 2x, one value per phase.
 
-    [x] = (q^{x/2} - q^{-x/2}) / (q^{1/2} - q^{-1/2}); real for both
-    point kinds. At unit-circle q this is sin(x*theta/2)/sin(theta/2).
-    An array of arguments gives one row per argument.
+    [x] = (X^x - X^{-x}) / (X - X^{-1}) with X = q^{1/2}, computed as
+    sinh(x L) / sinh(L) from L = log X; at unit-circle q this is
+    sin(x*theta/2)/sin(theta/2). An array of arguments gives one row
+    per argument.
     """
     two_x = np.asarray(two_x, dtype=float)
     if two_x.min() < 0:
         raise ValueError("q_number argument must be nonnegative")
-    if isinstance(point, RealQPoint):
-        rh, x = point.q_half, two_x / 2.0
-        return x if point.q == 1.0 else (rh**x - rh ** (-x)) / (rh - 1.0 / rh)
-    thetas = point.thetas
-    den = np.sin(thetas / 2.0)
-    if np.abs(den).min() < 1e-12:
+    if isinstance(point, RealQPoint) and point.q == 1.0:
+        return two_x / 2.0  # classical limit
+    log_x = point.log_q_half
+    den = np.sinh(log_x)
+    small = np.abs(den) < 1e-12
+    if small.any():
         raise DegenerateQ(
-            f"sin(theta/2) vanishes at theta={first_at(thetas, np.abs(den) < 1e-12)!r}"
+            f"sin(theta/2) vanishes at theta={first_at(point.thetas, small)!r}"
         )
-    return np.sin(np.multiply.outer(two_x, thetas) / 4.0) / den
+    value = np.sinh(np.multiply.outer(two_x / 2.0, log_x)) / den
+    return value if isinstance(point, CirclePoint) else value.real
 
 
 def factorials(kmax: int, point) -> np.ndarray:
@@ -109,18 +149,20 @@ def is_admissible(two_a: int, two_b: int, two_c: int) -> bool:
 def triangle(two_a: int, two_b: int, two_c: int, point):
     """Triangle coefficient Delta(a,b,c), doubled arguments.
 
-    sqrt([-a+b+c]! [a-b+c]! [a+b-c]! / [a+b+c+1]!). The radicand must be
-    strictly positive; it goes negative when theta is too large for the
-    spins involved.
+    sqrt([-a+b+c]! [a-b+c]! [a+b-c]! / [a+b+c+1]!). On the unit circle
+    the radicand must be strictly positive; it goes negative when theta
+    is too large for the spins involved. At a circle point it is complex
+    and this takes the principal root: every triangle gets a root of its
+    own, so the branch cancels from the plat element.
     """
     if not is_admissible(two_a, two_b, two_c):
         raise NonAdmissibleTriple(f"({two_a}/2, {two_b}/2, {two_c}/2)")
     name = f"triangle({two_a}/2,{two_b}/2,{two_c}/2)"
     largest = (two_a + two_b + two_c) // 2 + 1
-    if isinstance(point, QPoint):
-        # rad > 0 iff every q-number [k] up to the largest factorial
-        # argument K is positive, i.e. |theta| < 2 pi / K; checking the
-        # bound directly avoids float noise at the q-number zeros
+    if type(point) is QPoint:
+        # on the unit circle rad > 0 iff every [k] up to the largest
+        # factorial argument K is positive, i.e. |theta| < 2 pi / K;
+        # checking the bound avoids float noise at the q-number zeros
         size = np.abs(point.thetas)
         limit = 2.0 * math.pi / largest
         if size.max() >= limit:
@@ -143,7 +185,7 @@ def triangle(two_a: int, two_b: int, two_c: int, point):
             f"theta={first_at(point.thetas, den == 0.0)!r}; theta too large"
         )
     rad = num / den
-    if rad.min() <= 0.0:
+    if np.isrealobj(rad) and rad.min() <= 0.0:
         bad = rad <= 0.0
         raise NegativeRadicand(
             f"{name} radicand {first_at(rad, bad)!r} at "

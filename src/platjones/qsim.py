@@ -16,9 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .braid import BraidWord, resolve_orientations
 from .errors import NonUnitaryBlock
-from .evaluator import DIAGONAL, BlockOperator, compile as compile_word
+from .evaluator import DIAGONAL, BlockOperator, CompiledProgram
 from .fusion import enumerate_odd_paths
 from .qnum import QPoint
 
@@ -83,17 +82,15 @@ def embed(op: BlockOperator, n: int, point: QPoint) -> EmbeddedUnitary:
     return EmbeddedUnitary(n=n, block=block)
 
 
-def evolution(word: BraidWord, theta: float) -> Iterator[StateVector]:
+def evolution(program: CompiledProgram, theta: float) -> Iterator[StateVector]:
     """Yield the register state before and after each operator.
 
     The compiled operator list is written in matrix-product order, so
     the evolution applies it right to left: the last factor hits the
     initial state first.
     """
-    annotated, _ = resolve_orientations(word)
-    program = compile_word(annotated)
     point = QPoint(theta)
-    n = annotated.n
+    n = program.n
     amps = np.zeros(1 << (2 * n), dtype=complex)
     amps[0] = 1.0
     yield StateVector(n=n, amplitudes=amps)
@@ -110,18 +107,18 @@ def evolution(word: BraidWord, theta: float) -> Iterator[StateVector]:
         yield StateVector(n=n, amplitudes=amps)
 
 
-def run(word: BraidWord, theta: float) -> StateVector:
+def run(program: CompiledProgram, theta: float) -> StateVector:
     """Evolve |0...0> through the whole compiled program."""
     state = None
-    for state in evolution(word, theta):
+    for state in evolution(program, theta):
         pass
     assert state is not None
     return state
 
 
-def p_k(word: BraidWord, theta: float) -> float:
+def p_k(program: CompiledProgram, theta: float) -> float:
     """Acceptance probability |<0...0|U|0...0>|^2."""
-    return run(word, theta).probability(0)
+    return run(program, theta).probability(0)
 
 
 def block_dimension(n: int) -> int:

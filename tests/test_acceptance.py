@@ -42,6 +42,10 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} failed: {label}{suffix}"
 
 
+def _program(word):
+    return compile_word(resolve_orientations(word)[0])
+
+
 def test_criterion_01_sigma_spectrum():
     rng = random.Random(101)
     start = time.perf_counter()
@@ -219,14 +223,14 @@ def test_criterion_10_quantum_consistency():
         theta = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
         worst_prob = max(
             worst_prob,
-            abs(p_k(word, theta) - abs(evaluate(word, theta)) ** 2),
+            abs(p_k(_program(word), theta) - abs(evaluate(word, theta)) ** 2),
         )
     # norm drift and leak along one evolution
     word = parse("strands=6; g2^-1 g4^2 g3^1 g1^-2 g5^1")
     d = block_dimension(3)
     worst_norm = 0.0
     leak_free = True
-    for state in evolution(word, 0.55):
+    for state in evolution(_program(word), 0.55):
         worst_norm = max(worst_norm, abs(state.norm() - 1.0))
         leak_free = leak_free and bool(np.all(state.amplitudes[d:] == 0))
     rng8 = random.Random(8)
@@ -236,7 +240,7 @@ def test_criterion_10_quantum_consistency():
         )
     )
     start = time.perf_counter()
-    p_k(big, 0.5)
+    p_k(_program(big), 0.5)
     elapsed = time.perf_counter() - start
     ok = (
         worst_prob < 1e-12

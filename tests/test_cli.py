@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -81,8 +82,8 @@ def test_eval_small_sample_count_rejected(tmp_path):
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_rejected(tmp_path, capsys, value):
-    # at the default tolerance this word's fit is rejected (exit 4); a NaN
-    # tolerance used to disable the rejection and print a non-integral fit
+    # a NaN tolerance would pass every comparison in the rounding check
+    # and disable the rejection
     path = _word_file(tmp_path, "strands=6; g4^-2 g2^-3 g3^-3 g4^-2 g4^-2 g4^2")
     (tmp_path / "corpus").mkdir()
     assert main(["eval", path, "--tolerance", value]) == 2
@@ -98,11 +99,14 @@ def test_eval_syntax_error_reports_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
-def test_eval_residual_failure(tmp_path):
-    # wide-support reference word cannot round to 1e-6 from 64 samples
+def test_eval_residual_failure(tmp_path, capsys):
+    # the wide-support reference word rounds at the default tolerance; a
+    # tolerance below its rounding shift must fail loudly
     path = _word_file(tmp_path, "strands=4; b2^3 h1^-2 h3^-2 b2^3")
-    assert main(["eval", path]) == 4
-    assert main(["eval", path, "--tolerance", "1e-3"]) == 0
+    assert main(["eval", path]) == 0
+    capsys.readouterr()
+    assert main(["eval", path, "--tolerance", "1e-300"]) == 4
+    assert "rounding shifted a coefficient" in capsys.readouterr().err
 
 
 def test_prob_identity(tmp_path, capsys):
@@ -242,6 +246,8 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
+    # resolves: the word, the oracle's diagram and the mirror; compiles:
+    # the word and the mirror, with qsim reusing the word's program
     resolves = _count_calls(monkeypatch, braid.resolve_orientations)
     compiles = _count_calls(monkeypatch, evaluator.compile)
     words = [w for _, w in cli._random_words(6, 5)]
@@ -251,8 +257,8 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
         resolves.clear()
         compiles.clear()
         assert cli._verify_case("w", word, config)["pass"]
-        assert len(resolves) <= 4
-        assert len(compiles) <= 3
+        assert len(resolves) == 3
+        assert len(compiles) == 2
 
 
 def test_eval_compiles_once_and_resolves_twice(tmp_path, monkeypatch, capsys):
@@ -265,12 +271,51 @@ def test_eval_compiles_once_and_resolves_twice(tmp_path, monkeypatch, capsys):
     assert len(resolves) <= 2
 
 
+def test_prob_compiles_and_resolves_once(tmp_path, monkeypatch, capsys):
+    resolves = _count_calls(monkeypatch, braid.resolve_orientations)
+    compiles = _count_calls(monkeypatch, evaluator.compile)
+    path = _word_file(tmp_path, "strands=8; g2^-1 g4^2 g3^1")
+    assert main(["prob", path, "--theta", "0.5"]) == 0
+    assert "operators (4): a f a† g" in capsys.readouterr().out
+    assert len(resolves) == 1
+    assert len(compiles) == 1
+
+
 def test_fit_rejection_names_window_and_samples(tmp_path, capsys):
+    # the reference word's support is [5, 25]: a window that stops at 20
+    # leaves x^25 in the guard band; the error names rho, M and the window
     path = _word_file(tmp_path, "strands=4; b2^3 h1^-2 h3^-2 b2^3")
-    assert main(["eval", path, "--json"]) == 4
+    assert main(["eval", path, "--window", "0", "20", "--json"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "window [5, 25], 69 samples" in captured.err
+    assert re.search(
+        r"guard coefficient -?\d\.000e\+00 at x\^2[1-5] is nonzero "
+        r"\(rho 1\.05, M 64, window \[0, 20\]\)",
+        captured.err,
+    )
+    assert main(["eval", path, "--samples", "100", "--tolerance", "1e-300"]) == 4
+    assert re.search(
+        r"rounding shifted a coefficient by \S+ > 1\.000e-300 "
+        r"\(rho 1\.05, M 100, window \[-31, 31\]\)",
+        capsys.readouterr().err,
+    )
+
+
+def test_eval_36_crossings_is_exact_and_fast(tmp_path, capsys):
+    path = _word_file(
+        tmp_path,
+        "strands=4; g2^3 g3^1 g1^-1 g3^1 g3^-2 g3^-1 g3^-2 g2^3 g3^-1 g3^3 "
+        "g2^-1 g1^-2 g1^-2 g1^2 g1^1 g1^-3 g2^3 g1^-3 g1^1",
+    )
+    start = time.perf_counter()
+    assert main(["eval", path, "--json", "--max-crossings", "40"]) == 0
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    poly = report["polynomial"]["coeffs"]
+    oracle = report["oracle_polynomial"]["coeffs"]
+    # two components on four strands: the sign (-1)^{mu+n} is +1
+    assert poly == oracle
+    assert elapsed < 1.0
 
 
 def test_verify_crossing_limit_fails_only_that_case(tmp_path, capsys):

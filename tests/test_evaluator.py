@@ -4,9 +4,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from platjones.braid import parse, resolve_orientations
-from platjones.errors import ResidualTooLarge, UnannotatedSyllable
+from platjones import evaluator
+from platjones.braid import parse, permutation, resolve_orientations
+from platjones.errors import (
+    AnnotationConflict,
+    CapMismatch,
+    ResidualTooLarge,
+    UnannotatedSyllable,
+)
 from platjones.evaluator import (
     admissible_arc,
     braiding_phase,
@@ -163,9 +171,24 @@ def test_batched_element_matches_per_phase_reference():
             )
             program = compile_word(_resolved(text))
             thetas = phase_grid(n, 64)
-            got = program.element(thetas)
+            got = program.element(QPoint(tuple(thetas.tolist())))
             assert got.shape == (64,)
             assert np.max(np.abs(got - _element_per_phase(program, thetas))) < 1e-13
+
+
+def test_element_in_blocks_of_phases(monkeypatch):
+    # a stack of at most 3 phases per block: 10 phases go in 4 blocks
+    program = compile_word(_resolved("strands=6; g2^-1 g4^2 g3^1 g1^-2"))
+    point = QPoint(tuple(phase_grid(3, 10).tolist()))
+    whole = program.element(point)
+    monkeypatch.setattr(evaluator, "STACK_ENTRIES", 3 * 5**2)
+    built = []
+    monkeypatch.setattr(
+        evaluator, "duality_matrix", lambda n, p: built.append(p) or duality_matrix(n, p)
+    )
+    assert np.array_equal(program.element(point), whole)
+    assert [len(p.theta) for p in built] == [3, 3, 3, 1]
+    assert sum((p.theta for p in built), ()) == point.theta
 
 
 def test_jones_trefoil_exact():
@@ -194,18 +217,90 @@ def test_jones_unknot():
 def test_jones_window_override():
     res = jones(parse("strands=4; g2^-3"), degree_window=(-10, 0))
     assert res.polynomial == LaurentPoly({-8: 1, -6: -1, -2: -1})
-    assert res.requested_window == (-10, 0)
+    assert res.window == (-8, -2)
+    # a window that cuts the support off is rejected, not aliased
+    with pytest.raises(ResidualTooLarge, match=r"guard coefficient .* at x\^-8"):
+        jones(parse("strands=4; g2^-3"), degree_window=(-6, 0))
 
 
-def test_jones_tolerance_failure_on_wide_support():
-    # ten crossings put 21 candidate exponents in play; rounding noise
-    # beats 1e-6 there, and the failure must be loud
+def test_jones_reference_word_exact_at_default_tolerance():
+    # ten crossings put 63 window and 16 guard exponents in play; the
+    # circle read-out rounds them at the default 1e-6 with room to spare
     w = parse("strands=4; b2^3 h1^-2 h3^-2 b2^3")
-    with pytest.raises(ResidualTooLarge):
-        jones(w)
-    res = jones(w, tolerance=1e-3)
-    exact = jones_exact(w)
-    assert convention_factor(res.polynomial, exact) == (1, 0)
+    res = jones(w)
+    assert res.max_shift < 1e-10
+    assert res.window == (5, 25)
+    assert convention_factor(res.polynomial, jones_exact(w)) == (1, 0)
+
+
+def _components(word):
+    """Link components of the plat closure, from the braid permutation.
+
+    Cups join bottom ends (2k, 2k+1); caps join the strands that the
+    braid brings to top positions (2k, 2k+1).
+    """
+    perm = permutation(word)
+    parent = list(range(word.strands))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for k in range(word.n):
+        parent[find(2 * k)] = find(2 * k + 1)
+        parent[find(perm[2 * k] - 1)] = find(perm[2 * k + 1] - 1)
+    return sum(find(a) == a for a in range(word.strands))
+
+
+def _assert_standard_sign(word):
+    """jones(word) is exactly (-1)^{mu+n} times the oracle, at the default tolerance."""
+    sign = (-1) ** (_components(word) + word.n)
+    exact = jones_exact(word, max_crossings=40)
+    assert jones(word).polynomial == exact * sign
+
+
+@st.composite
+def g_words(draw, n):
+    """Auto-oriented words on 2n strands whose plat closure exists."""
+    syllables = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=2 * n - 1),
+                st.sampled_from([-3, -2, -1, 1, 2, 3]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    word = parse(f"strands={2 * n}; " + " ".join(f"g{i}^{k}" for i, k in syllables))
+    try:
+        resolve_orientations(word)
+    except (CapMismatch, AnnotationConflict):
+        assume(False)
+    return word
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_jones_is_signed_oracle(n, data):
+    # n <= 4 up to 20 crossings, n <= 6 up to 10
+    word = data.draw(g_words(n))
+    assume(word.crossing_count() <= (20 if n <= 4 else 10))
+    _assert_standard_sign(word)
+
+
+def test_default_window_covers_support_past_3c():
+    # their Jones support leaves (-3c, 3c) by up to n - 1
+    for text in ("strands=8; g4^3", "strands=8; g2^2", "strands=12; g2^1"):
+        _assert_standard_sign(parse(text))
+
+
+def test_components_of_known_closures():
+    assert _components(parse("strands=4; g2^3")) == 1  # trefoil
+    assert _components(parse("strands=4; g2^2")) == 2  # Hopf link
+    assert _components(parse("strands=6;")) == 3  # unlink
 
 
 def test_mirror_symmetry():

@@ -17,7 +17,7 @@ from platjones.fusion import (
     enumerate_odd_paths,
     racah,
 )
-from platjones.qnum import QPoint, RealQPoint, q_number
+from platjones.qnum import CirclePoint, QPoint, RealQPoint, q_number
 
 
 def catalan(n):
@@ -205,6 +205,26 @@ def test_duality_rejects_too_large_theta():
     lo, hi = admissible_arc(3)
     with pytest.raises(NegativeRadicand):
         duality_matrix(3, QPoint(hi + 0.05))
+
+
+def test_circle_point_at_unit_radius_matches_arc():
+    # the complex path (no sign checks, a root per label) at rho = 1
+    # reproduces the real unit-circle values
+    for n in (2, 3, 4, 5):
+        thetas = tuple(phase_grid(n, 7).tolist())
+        arc, circle = QPoint(thetas), CirclePoint(thetas, 1.0)
+        args = 2 * np.arange(n + 2)
+        assert np.max(np.abs(q_number(args, circle) - q_number(args, arc))) < 1e-12
+        got = duality_matrix(n, circle).entries
+        assert np.iscomplexobj(got)
+        assert np.max(np.abs(got - duality_matrix(n, arc).entries)) < 1e-12
+
+
+def test_duality_off_the_unit_circle_is_complex_orthogonal():
+    point = CirclePoint((0.3, 1.7, 4.0), 1.05)
+    for n in (2, 3, 4):
+        a = duality_matrix(n, point).entries
+        assert np.max(np.abs(a @ np.swapaxes(a, -1, -2) - np.eye(a.shape[-1]))) < 1e-10
 
 
 def test_duality_needs_even_basis():

@@ -1,19 +1,22 @@
-"""Exact Laurent arithmetic and the unit-circle fitting pipeline."""
+"""Exact Laurent arithmetic and the read-out of coefficients from circle samples."""
 
-import cmath
 import math
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platjones.errors import IllConditioned, ResidualTooLarge
+from platjones.errors import ResidualTooLarge
 from platjones.laurent import (
+    GUARD,
+    RHO,
     LaurentPoly,
-    find_support_window,
+    circle_samples,
     laurent_eval,
-    laurent_fit,
+    read_coefficients,
     render_q,
 )
 from platjones.qnum import QPoint
@@ -89,62 +92,76 @@ def test_render():
     assert render_q(LaurentPoly({0: 3, 2: -2})) == "3 - 2*q"
 
 
-def _samples(p, thetas):
-    return [(t, laurent_eval(p, QPoint(t))) for t in thetas]
+def _read(values_of, m, window, tolerance=1e-6):
+    """read_coefficients on values_of(x) at x = circle_samples(m), or on
+    the values of a LaurentPoly there."""
+    point = circle_samples(m)
+    if isinstance(values_of, LaurentPoly):
+        values = laurent_eval(values_of, point)
+    else:
+        values = values_of(point.q_half)
+    return read_coefficients(values, m, window, tolerance)
+
+
+def test_circle_samples_are_the_upper_half_circle():
+    x = circle_samples(7).q_half
+    assert len(x) == 4
+    assert np.allclose(np.abs(x), RHO, rtol=1e-15)
+    assert np.allclose(x, RHO * np.exp(2j * math.pi * np.arange(4) / 7))
 
 
 def test_fit_roundtrip_wide_window():
     p = LaurentPoly({-20: 3, -7: -2, 0: 1, 5: 1, 20: -4})
-    thetas = [0.05 + 6.2 * j / 95 for j in range(96)]
-    fit = laurent_fit(_samples(p, thetas), (-20, 20))
-    assert fit.poly == p
-    assert fit.residual < 1e-8
-    assert fit.max_shift < 1e-8
-
-
-def test_fit_recovers_fractions():
-    p = LaurentPoly({-2: Fraction(1, 2), 3: Fraction(-3, 4)})
-    thetas = [0.1 + 5.9 * j / 40 for j in range(41)]
-    fit = laurent_fit(_samples(p, thetas), (-4, 4))
-    assert fit.poly == p
+    for m in (57, 58, 96):
+        got, shift = _read(p, m, (-20, 20))
+        assert got == p
+        assert shift < 1e-12
 
 
 def test_fit_rejects_irrational_coefficient():
-    # sqrt(2) is not a /64 rational; the rounding shift must trip
-    p_vals = [(t, math.sqrt(2) * cmath.exp(0.5j * t * 3)) for t in
-              [0.1 + 5.9 * j / 40 for j in range(41)]]
-    with pytest.raises(ResidualTooLarge):
-        laurent_fit(p_vals, (-4, 4))
+    # sqrt(2) x^3 has no integer coefficient; the rounding shift must trip
+    with pytest.raises(ResidualTooLarge, match=r"rounding shifted a coefficient by 4\.142e-01"):
+        _read(lambda x: math.sqrt(2) * x**3, 64, (-4, 4))
 
 
 def test_fit_rejects_non_laurent_samples():
-    vals = [(t, cmath.exp(0.3 * t) + 0j) for t in
-            [0.1 + 5.9 * j / 40 for j in range(41)]]
-    with pytest.raises(ResidualTooLarge):
-        laurent_fit(vals, (-4, 4))
+    # e^x has coefficients 1/k! at every k >= 0
+    with pytest.raises(ResidualTooLarge, match="rounding shifted"):
+        _read(np.exp, 64, (-4, 4))
 
 
 def test_fit_needs_enough_samples():
     p = LaurentPoly({0: 1, 1: 1})
-    with pytest.raises(IllConditioned):
-        laurent_fit(_samples(p, [0.3, 0.4]), (-4, 4))
+    m = 9 + 2 * GUARD
+    assert _read(p, m, (-4, 4))[0] == p
+    with pytest.raises(ValueError, match="no guard band"):
+        _read(p, m - 1, (-4, 4))
+    with pytest.raises(ValueError, match="empty"):
+        _read(lambda x: 0 * x, 64, (4, -4))
 
 
 def test_support_window_scan():
+    # a narrow support inside a wide window: every other coefficient,
+    # guard band included, reads as zero to round-off
     p = LaurentPoly({2: 1, 5: -2})
-    thetas = [0.1 + 6.0 * j / 63 for j in range(64)]
-    window = find_support_window(_samples(p, thetas), (-10, 10))
-    assert window == (2, 5)
+    got, shift = _read(lambda x: x**2 - 2 * x**5, 64, (-10, 10))
+    assert got == p
+    assert got.support() == [2, 5]
+    assert shift < 1e-13
 
 
 def test_support_window_zero_signal():
-    thetas = [0.1 + 6.0 * j / 63 for j in range(64)]
-    samples = [(t, 0.0 + 0.0j) for t in thetas]
-    assert find_support_window(samples, (-10, 10)) == (0, 0)
+    got, shift = _read(lambda x: 0 * x, 64, (-10, 10))
+    assert got.is_zero()
+    assert shift == 0.0
 
 
 def test_support_window_exhausted():
-    vals = [(t, cmath.exp(0.4 * t) + 0j) for t in
-            [0.1 + 6.0 * j / 63 for j in range(64)]]
-    with pytest.raises(ResidualTooLarge, match=r"\[-3, 3\] explains the 64 samples"):
-        find_support_window(vals, (-3, 3))
+    # x^6 lies in the guard band of the window [-3, 3]; the error names
+    # the coefficient, rho, M and the window
+    with pytest.raises(
+        ResidualTooLarge,
+        match=r"guard coefficient 1\.000e\+00 at x\^6 is nonzero "
+        r"\(rho 1\.05, M 64, window \[-3, 3\]\)",
+    ):
+        _read(lambda x: x**6 + x, 64, (-3, 3))

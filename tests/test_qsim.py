@@ -19,12 +19,16 @@ from platjones.qnum import QPoint, RealQPoint
 from platjones.qsim import StateVector, block_dimension, embed, evolution, p_k, run
 
 
+def _program(word):
+    return compile_word(resolve_orientations(word)[0])
+
+
 def test_identity_word_leaves_initial_state():
-    state = run(parse("strands=4;"), 0.8)
+    state = run(_program(parse("strands=4;")), 0.8)
     assert state.dimension == 16
     assert state.amplitudes[0] == 1.0
     assert np.count_nonzero(state.amplitudes) == 1
-    assert p_k(parse("strands=4;"), 0.8) == pytest.approx(1.0)
+    assert p_k(_program(parse("strands=4;")), 0.8) == pytest.approx(1.0)
 
 
 def test_single_duality_prepares_first_column():
@@ -54,8 +58,8 @@ def test_norm_preserved_and_no_leak():
     w = parse("strands=6; g2^-1 g4^2 g3^1 g1^-2")
     theta = 0.6
     d = block_dimension(3)
-    states = list(evolution(w, theta))
-    program = compile_word(resolve_orientations(w)[0])
+    program = _program(w)
+    states = list(evolution(program, theta))
     assert len(states) == program.operator_count + 1
     for s in states:
         assert abs(s.norm() - 1.0) < 1e-12
@@ -75,9 +79,9 @@ def test_final_amplitude_matches_evaluator():
         w = parse(text)
         lo, hi = admissible_arc(n)
         theta = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
-        state = run(w, theta)
+        state = run(_program(w), theta)
         assert state.amplitudes[0] == pytest.approx(evaluate(w, theta), abs=1e-12)
-        assert p_k(w, theta) == pytest.approx(abs(evaluate(w, theta)) ** 2, abs=1e-12)
+        assert p_k(_program(w), theta) == pytest.approx(abs(evaluate(w, theta)) ** 2, abs=1e-12)
 
 
 def test_non_unitary_block_rejected():
@@ -97,7 +101,7 @@ def test_twenty_syllable_word_is_fast():
     )
     w = parse(text)
     start = time.perf_counter()
-    state = run(w, 0.5)
+    state = run(_program(w), 0.5)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert state.dimension == 256
@@ -118,10 +122,10 @@ def test_element_matches_qsim_amplitude_on_verify_phases():
         parse("strands=8; g6^2 g3^1 g2^1 g4^-1"),
     ]
     for w in words:
-        program = compile_word(resolve_orientations(w)[0])
+        program = _program(w)
         thetas = phase_grid(w.n, 10)
-        got = program.element(thetas)
-        want = [run(w, float(t)).amplitudes[0] for t in thetas]
+        got = program.element(QPoint(tuple(thetas.tolist())))
+        want = [run(program, float(t)).amplitudes[0] for t in thetas]
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -135,6 +139,6 @@ def test_evolution_embeds_each_duality_once(monkeypatch):
     monkeypatch.setattr(qsim, "embed", counting)
     # three even runs: a and a† three times each, embedded once each
     w = parse("strands=8; g2^1 g1^-1 g4^2 g3^1 g6^-1 g5^1")
-    state = run(w, 0.5)
+    state = run(_program(w), 0.5)
     assert sorted(kinds) == sorted(["duality", "duality_inverse"] + ["diagonal"] * 6)
     assert state.amplitudes[0] == pytest.approx(evaluate(w, 0.5), abs=1e-12)
