@@ -19,7 +19,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -74,52 +73,17 @@ EXIT_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float = 1e-6
-    samples: int = 64
-    root_order: Optional[int] = None
-    window: Optional[tuple[int, int]] = None
-    flips: Optional[str] = None
-
-    def validate(self) -> None:
-        # a NaN tolerance would pass every comparison in the read-out checks
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(
-                f"tolerance must be positive and finite, got {self.tolerance!r}"
-            )
-        if self.samples < 16:
-            raise ValueError("samples must be at least 16")
-        if self.root_order is not None and self.root_order < 5:
-            # q-numbers up to [n+1] must stay positive; below the fifth
-            # root even the two-strand build degenerates
-            raise NegativeRadicand(
-                f"root order {self.root_order} is too small; need at least 5"
-            )
-        if self.window is not None and self.window[0] > self.window[1]:
-            raise ValueError(
-                f"window [{self.window[0]}, {self.window[1]}] is empty; "
-                "DMIN must not exceed DMAX"
-            )
+def _check_tolerance(tolerance: float) -> None:
+    # a NaN tolerance would pass every comparison in the read-out checks
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
 
 
-def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        tolerance=getattr(args, "tolerance", 1e-6),
-        samples=getattr(args, "samples", 64),
-        root_order=getattr(args, "root_order", None),
-        window=tuple(args.window) if getattr(args, "window", None) else None,
-        flips=getattr(args, "flips", None),
-    )
-    cfg.validate()
-    return cfg
-
-
-def _load_word(args, config: RunConfig) -> BraidWord:
+def _load_word(args) -> BraidWord:
     text = Path(args.word_file).read_text()
     word = parse(text)
-    if config.flips is not None:
-        bits = config.flips
+    if args.flips is not None:
+        bits = args.flips
         if len(bits) != word.n or any(ch not in "01" for ch in bits):
             raise WordSyntaxError(
                 f"flips must be a bitstring of length {word.n}", 1, 1
@@ -133,10 +97,7 @@ def _load_word(args, config: RunConfig) -> BraidWord:
 def _poly_payload(p: Optional[LaurentPoly]):
     if p is None:
         return None
-    coeffs = {}
-    for k, v in p.coeffs().items():
-        coeffs[str(k)] = int(v) if v.denominator == 1 else float(v)
-    return {"coeffs": coeffs}
+    return {"coeffs": {str(k): v for k, v in p.coeffs().items()}}
 
 
 def _report(
@@ -174,14 +135,9 @@ def _emit(args, report, lines) -> None:
 
 
 def cmd_eval(args) -> int:
-    config = _config(args)
-    word = _load_word(args, config)
-    result = jones(
-        word,
-        samples=config.samples,
-        degree_window=config.window,
-        tolerance=config.tolerance,
-    )
+    _check_tolerance(args.tolerance)
+    word = _load_word(args)
+    result = jones(word, tolerance=args.tolerance)
     annotated = result.program.word
     exact = None
     factor = None
@@ -227,11 +183,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    config = _config(args)
-    word = _load_word(args, config)
-    if config.root_order is not None:
-        theta = 2.0 * math.pi / config.root_order
-        theta_label = f"2*pi/{config.root_order}"
+    if args.root_order is not None and args.root_order < 5:
+        # q-numbers up to [n+1] must stay positive; below the fifth
+        # root even the two-strand build degenerates
+        raise NegativeRadicand(
+            f"root order {args.root_order} is too small; need at least 5"
+        )
+    word = _load_word(args)
+    if args.root_order is not None:
+        theta = 2.0 * math.pi / args.root_order
+        theta_label = f"2*pi/{args.root_order}"
     else:
         theta = args.theta
         theta_label = f"{theta!r}"
@@ -262,8 +223,7 @@ def cmd_prob(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config = _config(args)
-    word = _load_word(args, config)
+    word = _load_word(args)
     diagram = plat_diagram(word)
     bracket = kauffman_bracket(diagram, max_crossings=args.max_crossings)
     w = writhe(diagram.word)
@@ -315,7 +275,7 @@ def _corpus_words(path: Path) -> list[tuple[str, BraidWord]]:
     return [(f.name, parse(f.read_text())) for f in files]
 
 
-def _verify_case(name: str, word: BraidWord, config: RunConfig) -> dict:
+def _verify_case(name: str, word: BraidWord, tolerance: float) -> dict:
     """Check one word; past the oracle's crossing limit the case fails alone."""
     annotated, _ = resolve_orientations(word)
     program = compile_word(annotated)
@@ -344,7 +304,7 @@ def _verify_case(name: str, word: BraidWord, config: RunConfig) -> dict:
     qsim_dev = float(abs(qsim_p_k(program, float(thetas[mid])) - abs(amps[mid]) ** 2))
     deviations = {"modulus_rel": worst_mod, "mirror": worst_mirror, "qsim": qsim_dev}
     return case | {
-        "pass": worst_mod < config.tolerance
+        "pass": worst_mod < tolerance
         and worst_mirror < MIRROR_TOL
         and qsim_dev < QSIM_TOL,
         "report": _report(
@@ -358,7 +318,7 @@ def _verify_case(name: str, word: BraidWord, config: RunConfig) -> dict:
 
 
 def cmd_verify(args) -> int:
-    config = _config(args)
+    _check_tolerance(args.tolerance)
     if args.random is not None:
         seed = args.seed if args.seed is not None else 0
         cases = _random_words(args.random, seed)
@@ -370,7 +330,7 @@ def cmd_verify(args) -> int:
     else:
         print("error: verify needs a corpus directory or --random N", file=sys.stderr)
         return 2
-    results = [_verify_case(name, word, config) for name, word in cases]
+    results = [_verify_case(name, word, args.tolerance) for name, word in cases]
     all_pass = all(r["pass"] for r in results)
     checked = [r["report"]["deviations"] for r in results if r["report"]["deviations"]]
     worst = {
@@ -422,11 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="reconstruct the Jones polynomial")
     pe.add_argument("word_file", help="file containing one braid word")
-    pe.add_argument("--samples", type=int, default=64)
-    pe.add_argument(
-        "--window", nargs=2, type=int, metavar=("DMIN", "DMAX"),
-        help="exponent window override in x = q^{1/2}",
-    )
     pe.add_argument("--tolerance", type=float, default=1e-6)
     pe.add_argument("--flips", help="cup orientation bits, overrides the word")
     pe.add_argument("--max-crossings", type=int, default=20)

@@ -35,7 +35,7 @@ from .braid import (
 )
 from .errors import ParityMismatch, UnannotatedSyllable
 from .fusion import duality_matrix, path_bases
-from .laurent import GUARD, LaurentPoly, circle_samples, laurent_eval, read_coefficients
+from .laurent import LaurentPoly, circle_samples, laurent_eval, read_coefficients
 from .qnum import QPoint
 
 RIGHT = "right"
@@ -146,10 +146,9 @@ class CompiledProgram:
         block of row vectors v: a diagonal letter scales it by its
         (phases, paths) table, a is the batched v @ A and a† is computed
         as A v^T, with A the (phases, paths, paths) duality stack built
-        once per call. On the unit circle A is real, and the real and
-        imaginary parts of v go through it apart, so A is neither copied
-        to complex nor transposed; off it A is complex and v goes whole.
-        A stack past STACK_ENTRIES entries is built and contracted in
+        once per call. On the unit circle A is real and numpy promotes
+        it to complex in each product; off it A is complex already. A
+        stack past STACK_ENTRIES entries is built and contracted in
         blocks of phases under that size, which bounds its memory.
         """
         d = len(path_bases(self.n)[0])
@@ -163,17 +162,12 @@ class CompiledProgram:
         if any(op.kind != DIAGONAL for op in self.operators):
             a = duality_matrix(self.n, point).entries
         for op in self.operators:
-            if op.kind == DIAGONAL:
-                v = v * op.phases(point)
-            elif np.iscomplexobj(a):
-                v = _contract(v, a, op.kind)
-            else:
-                v = _contract(v.real, a, op.kind) + 1j * _contract(v.imag, a, op.kind)
+            v = v * op.phases(point) if op.kind == DIAGONAL else _contract(v, a, op.kind)
         return v[:, 0]
 
 
 def _contract(v: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    """v @ A for a, A v^T for a†, per phase."""
+    """v @ A for a, A v^T for a†, per phase, in the wider of their dtypes."""
     return (v[:, None] @ a)[:, 0] if kind == DUALITY else (a @ v[..., None])[..., 0]
 
 
@@ -256,21 +250,16 @@ class JonesResult:
         return self.program.operator_count
 
 
-def jones(
-    word: BraidWord,
-    samples: int = 64,
-    degree_window: Optional[tuple[int, int]] = None,
-    tolerance: float = 1e-6,
-) -> JonesResult:
+def jones(word: BraidWord, tolerance: float = 1e-6) -> JonesResult:
     """Reconstruct the Jones polynomial of the plat closure.
 
     Samples the matrix element times the unlink normalization d^{n-1}
     at M points x = q^{1/2} on the circle |x| = RHO and reads the
-    integer coefficients off an inverse FFT (read_coefficients), with
-    M = max(samples, window width + 2 GUARD).
+    integer coefficients off an inverse FFT (read_coefficients); M is
+    the window width plus a guard band on each side (circle_samples).
 
-    The default window is [-3c - (n-1), 3c + (n-1)] for c crossings.
-    A Kauffman state of the plat closure has at most c + n loops: the
+    The window is [-3c - (n-1), 3c + (n-1)] for c crossings. A Kauffman
+    state of the plat closure has at most c + n loops: the
     all-vertical smoothing leaves the n cup-cap loops and each crossing
     smoothed the other way changes the count by one. Its bracket term
     A^{a-b} d^{loops-1} then has A-degree within c + 2(c + n - 1), the
@@ -284,12 +273,11 @@ def jones(
     program = compile(annotated)
     n = word.n
     c = word.crossing_count()
-    lo, hi = degree_window or (-3 * c - (n - 1), 3 * c + n - 1)
-    m = max(samples, hi - lo + 1 + 2 * GUARD)
-    point = circle_samples(m)
+    window = (-3 * c - (n - 1), 3 * c + n - 1)
+    point = circle_samples(window)
     x = point.q_half
     values = program.element(point) * (-(x + 1.0 / x)) ** (n - 1)
-    poly, shift = read_coefficients(values, m, (lo, hi), tolerance)
+    poly, shift = read_coefficients(values, window, tolerance)
     support = poly.support() or [0]
     return JonesResult(
         polynomial=poly,

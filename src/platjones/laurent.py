@@ -1,18 +1,19 @@
 """Exact Laurent polynomials in x = q^{1/2}, and their read-out from samples.
 
-Coefficients are Fractions and arithmetic never touches floating point.
-Exponents are integers in x, i.e. half-integers in q; rendering converts
-to q-exponents. A polynomial with integer coefficients is read off its
-values at M equispaced points of the circle |x| = RHO just outside the
-unit circle: an inverse FFT of the samples is the Cauchy integral for
-the coefficients (Bornemann, Found. Comput. Math. 11, 2011), which are
-then rounded.
+Coefficients are Python ints and arithmetic never touches floating
+point. Exponents are integers in x, i.e. half-integers in q; rendering
+converts to q-exponents. A polynomial with integer coefficients is read
+off its values at M equispaced points of the circle |x| = RHO just
+outside the unit circle: an inverse FFT of the samples is the Cauchy
+integral for the coefficients (Bornemann, Found. Comput. Math. 11,
+2011), which are then rounded. M is fixed by the exponent window: its
+width plus a guard band of GUARD exponents on each side.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
 from typing import Mapping
 
 import numpy as np
@@ -25,17 +26,22 @@ GUARD = 8  # exponents read past each end of the window, to catch aliasing
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial in x = q^{1/2} over the rationals."""
+    """Immutable Laurent polynomial in x = q^{1/2} over the integers."""
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, object] | None = None):
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
         c = {}
         if coeffs:
             for k, v in coeffs.items():
-                f = v if isinstance(v, Fraction) else Fraction(v)
-                if f != 0:
-                    c[int(k)] = f
+                try:
+                    v = operator.index(v)
+                except TypeError:
+                    raise ValueError(
+                        f"coefficient {v!r} of x^{k} is not an integer"
+                    ) from None
+                if v:
+                    c[int(k)] = v
         self._c = c
 
     @classmethod
@@ -50,11 +56,11 @@ class LaurentPoly:
     def monomial(cls, exponent: int, coeff=1) -> "LaurentPoly":
         return cls({exponent: coeff})
 
-    def coeffs(self) -> dict[int, Fraction]:
+    def coeffs(self) -> dict[int, int]:
         return dict(self._c)
 
-    def coeff(self, k: int) -> Fraction:
-        return self._c.get(k, Fraction(0))
+    def coeff(self, k: int) -> int:
+        return self._c.get(k, 0)
 
     def support(self) -> list[int]:
         return sorted(self._c)
@@ -63,7 +69,8 @@ class LaurentPoly:
         return not self._c
 
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self._c.values())
+        """Always true: the constructor admits integer coefficients only."""
+        return True
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -79,7 +86,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         c = dict(self._c)
         for k, v in other._c.items():
-            c[k] = c.get(k, Fraction(0)) + v
+            c[k] = c.get(k, 0) + v
         return LaurentPoly(c)
 
     def __neg__(self) -> "LaurentPoly":
@@ -89,13 +96,13 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentPoly({k: v * other for k, v in self._c.items()})
         c = {}
         for k1, v1 in self._c.items():
             for k2, v2 in other._c.items():
                 k = k1 + k2
-                c[k] = c.get(k, Fraction(0)) + v1 * v2
+                c[k] = c.get(k, 0) + v1 * v2
         return LaurentPoly(c)
 
     __rmul__ = __mul__
@@ -161,38 +168,46 @@ def laurent_eval(p: LaurentPoly, point) -> complex:
     return sum(complex(p.coeff(k)) * xh ** k for k in p.support())
 
 
-def circle_samples(m: int) -> CirclePoint:
-    """x_j = RHO e^{2 pi i j/m} for j = 0..m//2, the upper half of m points.
+def _sample_count(window: tuple[int, int]) -> int:
+    """M for a window: its width plus GUARD exponents past each end.
 
-    A polynomial with real coefficients takes conjugate values at
-    conjugate points, so these determine all m samples.
+    A larger M only widens the guard band, where c_k = RHO^{-k} b_k
+    multiplies the round-off of b by up to RHO^{M/2}.
     """
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"degree window [{lo}, {hi}] is empty")
+    return hi - lo + 1 + 2 * GUARD
+
+
+def circle_samples(window: tuple[int, int]) -> CirclePoint:
+    """x_j = RHO e^{2 pi i j/M} for j = 0..M//2, the upper half of M points.
+
+    M = _sample_count(window). A polynomial with real coefficients takes
+    conjugate values at conjugate points, so these determine all M
+    samples.
+    """
+    m = _sample_count(window)
     return CirclePoint(tuple((4.0 * math.pi / m * np.arange(m // 2 + 1)).tolist()), RHO)
 
 
 def read_coefficients(
-    values: np.ndarray, m: int, window: tuple[int, int], tolerance: float
+    values: np.ndarray, window: tuple[int, int], tolerance: float
 ) -> tuple[LaurentPoly, float]:
-    """Integer Laurent coefficients from values at circle_samples(m).
+    """Integer Laurent coefficients from values at circle_samples(window).
 
-    c_k = RHO^{-k} b_{k mod m} with b the inverse DFT of all m samples,
-    read for the m consecutive exponents centred on the window; those
-    outside the window form the guard band, at least GUARD wide on each
-    side. The coefficients are rounded to integers. Rejects with
+    c_k = RHO^{-k} b_{k mod M} with b the inverse DFT of all M samples,
+    read for the window and GUARD exponents past each end (the guard
+    band). The coefficients are rounded to integers. Rejects with
     ResidualTooLarge when rounding moves one by more than the
     tolerance, or when a guard coefficient rounds to nonzero (the
-    support leaves the window; coefficients past the m read ones would
+    support leaves the window; coefficients past the M read ones would
     alias silently). Returns the polynomial and the largest rounding
     shift.
     """
     lo, hi = window
-    if lo > hi:
-        raise ValueError("degree window is empty")
-    if m < hi - lo + 1 + 2 * GUARD:
-        raise ValueError(
-            f"M {m} leaves no guard band of {GUARD} around window [{lo}, {hi}]"
-        )
-    ks = np.arange(m) + lo - (m - (hi - lo + 1)) // 2
+    m = _sample_count(window)
+    ks = np.arange(m) + lo - GUARD
     b = np.fft.irfft(np.conj(values), n=m)
     coeffs = b[ks % m] * RHO ** -ks.astype(float)
     rounded = np.rint(coeffs)

@@ -99,7 +99,7 @@ def kauffman_bracket(diagram: PlanarDiagram, max_crossings: int = 20) -> Bracket
 
 def writhe_correction(bracket: BracketPoly, w: int) -> LaurentPoly:
     """V = (-1)^w A^{-3w} <K>, re-expressed in x_t = t^{1/2} = A^{-2}."""
-    sign = (-1) ** w
+    sign = -1 if w % 2 else 1
     out = {}
     for e, coeff in bracket.coeffs().items():
         corrected = e - 3 * w

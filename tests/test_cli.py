@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import sys
@@ -55,13 +56,6 @@ def test_eval_json_schema_and_determinism(tmp_path, capsys):
     assert capsys.readouterr().out == first  # byte stable
 
 
-def test_eval_window_and_samples(tmp_path, capsys):
-    path = _word_file(tmp_path, "strands=4; g2^2")
-    assert main(["eval", path, "--window", "-6", "0", "--samples", "32", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["polynomial"]["coeffs"] == {"-5": -1, "-1": -1}
-
-
 def test_eval_flips_override_changes_orientation(tmp_path, capsys):
     path = _word_file(tmp_path, "strands=4; g2^1")
     assert main(["eval", path, "--flips", "01"]) == 0
@@ -73,11 +67,6 @@ def test_eval_flips_override_changes_orientation(tmp_path, capsys):
 def test_eval_bad_flips(tmp_path):
     path = _word_file(tmp_path, "strands=4; g2^1")
     assert main(["eval", path, "--flips", "012"]) == 2
-
-
-def test_eval_small_sample_count_rejected(tmp_path):
-    path = _word_file(tmp_path, "strands=4; g2^1")
-    assert main(["eval", path, "--samples", "8"]) == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -208,16 +197,6 @@ def test_verify_missing_corpus_exits_2(tmp_path, capsys):
     assert "result:" not in captured.out
 
 
-def test_eval_empty_window_rejected_before_sampling(tmp_path, monkeypatch, capsys):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("jones ran on an empty window")
-
-    monkeypatch.setattr(cli, "jones", no_sampling)
-    path = _word_file(tmp_path, "strands=4; g2^1")
-    assert main(["eval", path, "--window", "5", "3"]) == 2
-    assert "window [5, 3]" in capsys.readouterr().err
-
-
 def test_exit_codes_documented_consistently():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     table = readme.split("### Exit codes", 1)[1].split("\n## ", 1)[0]
@@ -226,6 +205,25 @@ def test_exit_codes_documented_consistently():
     doc_codes = {int(c) for c in re.findall(r"(?<![\w.^-])(\d+)(?![\w.])", doc)}
     assert readme_codes == doc_codes
     assert readme_codes == set(cli.EXIT_CODES.values()) | {0, 1}
+
+
+def test_cli_flags_documented_consistently():
+    # README's synopsis names each subcommand's flags, and only those
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    synopsis = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    documented = {
+        entry.split()[1]: set(re.findall(r"--[a-z][a-z-]*", entry))
+        for entry in re.split(r"\n(?=platjones )", synopsis.strip())
+    }
+    sub = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert documented == flags
 
 
 def _count_calls(monkeypatch, fn) -> list:
@@ -252,11 +250,10 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     compiles = _count_calls(monkeypatch, evaluator.compile)
     words = [w for _, w in cli._random_words(6, 5)]
     words.append(parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2"))
-    config = cli.RunConfig()
     for word in words:
         resolves.clear()
         compiles.clear()
-        assert cli._verify_case("w", word, config)["pass"]
+        assert cli._verify_case("w", word, 1e-6)["pass"]
         assert len(resolves) == 3
         assert len(compiles) == 2
 
@@ -282,22 +279,16 @@ def test_prob_compiles_and_resolves_once(tmp_path, monkeypatch, capsys):
 
 
 def test_fit_rejection_names_window_and_samples(tmp_path, capsys):
-    # the reference word's support is [5, 25]: a window that stops at 20
-    # leaves x^25 in the guard band; the error names rho, M and the window
+    # ten crossings on four strands: the window is [-31, 31] and
+    # M = 63 + 16; the error names rho, M and the window
     path = _word_file(tmp_path, "strands=4; b2^3 h1^-2 h3^-2 b2^3")
-    assert main(["eval", path, "--window", "0", "20", "--json"]) == 4
+    assert main(["eval", path, "--tolerance", "1e-300", "--json"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(
-        r"guard coefficient -?\d\.000e\+00 at x\^2[1-5] is nonzero "
-        r"\(rho 1\.05, M 64, window \[0, 20\]\)",
-        captured.err,
-    )
-    assert main(["eval", path, "--samples", "100", "--tolerance", "1e-300"]) == 4
-    assert re.search(
         r"rounding shifted a coefficient by \S+ > 1\.000e-300 "
-        r"\(rho 1\.05, M 100, window \[-31, 31\]\)",
-        capsys.readouterr().err,
+        r"\(rho 1\.05, M 79, window \[-31, 31\]\)",
+        captured.err,
     )
 
 

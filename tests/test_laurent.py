@@ -77,10 +77,14 @@ def test_pow():
 
 
 def test_fraction_coefficients():
-    p = LaurentPoly({0: Fraction(1, 2)})
-    assert (p + p) == LaurentPoly.one()
-    assert not p.is_integral()
-    assert LaurentPoly({1: 2}).is_integral()
+    # coefficients are integers: a fraction or a float is rejected
+    for bad in (Fraction(1, 2), 0.5, 2.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            LaurentPoly({0: bad})
+    p = LaurentPoly({1: np.int64(2), 2: -1})
+    assert p.coeffs() == {1: 2, 2: -1}
+    assert all(type(v) is int for v in p.coeffs().values())
+    assert p.is_integral()
 
 
 def test_render():
@@ -92,28 +96,30 @@ def test_render():
     assert render_q(LaurentPoly({0: 3, 2: -2})) == "3 - 2*q"
 
 
-def _read(values_of, m, window, tolerance=1e-6):
-    """read_coefficients on values_of(x) at x = circle_samples(m), or on
-    the values of a LaurentPoly there."""
-    point = circle_samples(m)
+def _read(values_of, window, tolerance=1e-6):
+    """read_coefficients on values_of(x) at x = circle_samples(window), or
+    on the values of a LaurentPoly there."""
+    point = circle_samples(window)
     if isinstance(values_of, LaurentPoly):
         values = laurent_eval(values_of, point)
     else:
         values = values_of(point.q_half)
-    return read_coefficients(values, m, window, tolerance)
+    return read_coefficients(values, window, tolerance)
 
 
 def test_circle_samples_are_the_upper_half_circle():
-    x = circle_samples(7).q_half
-    assert len(x) == 4
+    # the window [-3, 4] is 8 wide, so M = 8 + 2 GUARD = 24
+    x = circle_samples((-3, 4)).q_half
+    assert len(x) == 13
     assert np.allclose(np.abs(x), RHO, rtol=1e-15)
-    assert np.allclose(x, RHO * np.exp(2j * math.pi * np.arange(4) / 7))
+    assert np.allclose(x, RHO * np.exp(2j * math.pi * np.arange(13) / 24))
 
 
 def test_fit_roundtrip_wide_window():
+    # odd and even M: 41 + 16 = 57, 42 + 16 = 58 and 81 + 16 = 97
     p = LaurentPoly({-20: 3, -7: -2, 0: 1, 5: 1, 20: -4})
-    for m in (57, 58, 96):
-        got, shift = _read(p, m, (-20, 20))
+    for window in ((-20, 20), (-20, 21), (-40, 40)):
+        got, shift = _read(p, window)
         assert got == p
         assert shift < 1e-12
 
@@ -121,47 +127,48 @@ def test_fit_roundtrip_wide_window():
 def test_fit_rejects_irrational_coefficient():
     # sqrt(2) x^3 has no integer coefficient; the rounding shift must trip
     with pytest.raises(ResidualTooLarge, match=r"rounding shifted a coefficient by 4\.142e-01"):
-        _read(lambda x: math.sqrt(2) * x**3, 64, (-4, 4))
+        _read(lambda x: math.sqrt(2) * x**3, (-4, 4))
 
 
 def test_fit_rejects_non_laurent_samples():
     # e^x has coefficients 1/k! at every k >= 0
     with pytest.raises(ResidualTooLarge, match="rounding shifted"):
-        _read(np.exp, 64, (-4, 4))
+        _read(np.exp, (-4, 4))
 
 
 def test_fit_needs_enough_samples():
+    # M is the window width plus the guard band, and that is enough
     p = LaurentPoly({0: 1, 1: 1})
-    m = 9 + 2 * GUARD
-    assert _read(p, m, (-4, 4))[0] == p
-    with pytest.raises(ValueError, match="no guard band"):
-        _read(p, m - 1, (-4, 4))
+    assert len(circle_samples((-4, 4)).theta) == (9 + 2 * GUARD) // 2 + 1
+    assert _read(p, (-4, 4))[0] == p
     with pytest.raises(ValueError, match="empty"):
-        _read(lambda x: 0 * x, 64, (4, -4))
+        circle_samples((4, -4))
+    with pytest.raises(ValueError, match="empty"):
+        read_coefficients(np.zeros(9), (4, -4), 1e-6)
 
 
 def test_support_window_scan():
     # a narrow support inside a wide window: every other coefficient,
     # guard band included, reads as zero to round-off
     p = LaurentPoly({2: 1, 5: -2})
-    got, shift = _read(lambda x: x**2 - 2 * x**5, 64, (-10, 10))
+    got, shift = _read(lambda x: x**2 - 2 * x**5, (-10, 10))
     assert got == p
     assert got.support() == [2, 5]
     assert shift < 1e-13
 
 
 def test_support_window_zero_signal():
-    got, shift = _read(lambda x: 0 * x, 64, (-10, 10))
+    got, shift = _read(lambda x: 0 * x, (-10, 10))
     assert got.is_zero()
     assert shift == 0.0
 
 
 def test_support_window_exhausted():
     # x^6 lies in the guard band of the window [-3, 3]; the error names
-    # the coefficient, rho, M and the window
+    # the coefficient, rho, M = 7 + 16 and the window
     with pytest.raises(
         ResidualTooLarge,
         match=r"guard coefficient 1\.000e\+00 at x\^6 is nonzero "
-        r"\(rho 1\.05, M 64, window \[-3, 3\]\)",
+        r"\(rho 1\.05, M 23, window \[-3, 3\]\)",
     ):
-        _read(lambda x: x**6 + x, 64, (-3, 3))
+        _read(lambda x: x**6 + x, (-3, 3))
