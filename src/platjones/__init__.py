@@ -21,7 +21,6 @@ from .errors import (
     ParityMismatch,
     PlatJonesError,
     ResidualTooLarge,
-    TooManyCrossings,
     UnannotatedSyllable,
     WordSyntaxError,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ResidualTooLarge",
     "StateVector",
     "Syllable",
-    "TooManyCrossings",
     "UnannotatedSyllable",
     "WordSyntaxError",
     "admissible_arc",

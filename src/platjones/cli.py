@@ -7,8 +7,7 @@ seeded random words).
 
 Exit codes: 0 success, 1 verify found a failing case, 2 usage, word
 syntax, bad flag value or unreadable input, 3 cap/orientation failure,
-4 coefficient read-out rejected, 5 degenerate or too-large theta,
-6 crossing limit.
+4 coefficient read-out rejected, 5 degenerate or too-large theta.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .errors import (
     NegativeRadicand,
     NonAdmissibleTriple,
     ResidualTooLarge,
-    TooManyCrossings,
     WordSyntaxError,
 )
 from .evaluator import (
@@ -55,7 +53,6 @@ from .qsim import p_k as qsim_p_k, run as qsim_run
 
 MIRROR_TOL = 1e-10
 QSIM_TOL = 1e-12
-VERIFY_MAX_CROSSINGS = 20  # the oracle's limit on each verify case
 
 # Exception -> exit code; the first row the exception is an instance of
 # wins, so a subclass must come before its base.
@@ -67,7 +64,6 @@ EXIT_CODES = {
     NegativeRadicand: 5,
     DegenerateQ: 5,
     NonAdmissibleTriple: 5,
-    TooManyCrossings: 6,
     ValueError: 2,
     OSError: 2,
 }
@@ -139,11 +135,8 @@ def cmd_eval(args) -> int:
     word = _load_word(args)
     result = jones(word, tolerance=args.tolerance)
     annotated = result.program.word
-    exact = None
-    factor = None
-    if annotated.crossing_count() <= args.max_crossings:
-        exact = jones_exact(annotated, max_crossings=args.max_crossings)
-        factor = convention_factor(result.polynomial, exact)
+    exact = jones_exact(annotated)
+    factor = convention_factor(result.polynomial, exact)
     deviations = {"rounding_shift": result.max_shift}
     report = _report(
         word=format_word(word),
@@ -164,20 +157,16 @@ def cmd_eval(args) -> int:
         f"normalization: {result.normalization}",
         f"polynomial: {render_q(result.polynomial)}",
         f"residual: {result.residual:.3e}  rounding shift: {result.max_shift:.3e}",
+        f"oracle (t=q): {render_q(exact, 't')}",
     ]
-    if exact is not None:
-        lines.append(f"oracle (t=q): {render_q(exact, 't')}")
-        if factor is not None:
-            c, s = factor
-            sign = "+" if c > 0 else "-"
-            lines.append(
-                f"convention factor: {sign}q^{{{s}/4}} "
-                "(polynomial = factor * oracle)"
-            )
-        else:
-            lines.append("convention factor: none found")
+    if factor is not None:
+        c, s = factor
+        sign = "+" if c > 0 else "-"
+        lines.append(
+            f"convention factor: {sign}q^{{{s}/4}} (polynomial = factor * oracle)"
+        )
     else:
-        lines.append("oracle: skipped (crossing limit)")
+        lines.append("convention factor: none found")
     _emit(args, report, lines)
     return 0
 
@@ -225,7 +214,7 @@ def cmd_prob(args) -> int:
 def cmd_oracle(args) -> int:
     word = _load_word(args)
     diagram = plat_diagram(word)
-    bracket = kauffman_bracket(diagram, max_crossings=args.max_crossings)
+    bracket = kauffman_bracket(diagram)
     w = writhe(diagram.word)
     poly = writhe_correction(bracket, w)
     span = bracket_span(bracket)
@@ -276,17 +265,11 @@ def _corpus_words(path: Path) -> list[tuple[str, BraidWord]]:
 
 
 def _verify_case(name: str, word: BraidWord, tolerance: float) -> dict:
-    """Check one word; past the oracle's crossing limit the case fails alone."""
+    """Check one word against the oracle, its mirror and the simulator."""
     annotated, _ = resolve_orientations(word)
     program = compile_word(annotated)
     n = word.n
-    case = {"name": name, "pass": False, "tokens": " ".join(program.tokens())}
-    try:
-        exact = jones_exact(annotated, max_crossings=VERIFY_MAX_CROSSINGS)
-    except TooManyCrossings as e:
-        print(f"error: {name}: {e}", file=sys.stderr)
-        report = _report(format_word(word), n, operator_count=program.operator_count)
-        return case | {"report": report}
+    exact = jones_exact(annotated)
     mirrored = compile_word(resolve_orientations(mirror(word))[0])
     thetas = phase_grid(n, 10)
     point = QPoint(tuple(thetas.tolist()))
@@ -303,10 +286,12 @@ def _verify_case(name: str, word: BraidWord, tolerance: float) -> dict:
     mid = len(thetas) // 2
     qsim_dev = float(abs(qsim_p_k(program, float(thetas[mid])) - abs(amps[mid]) ** 2))
     deviations = {"modulus_rel": worst_mod, "mirror": worst_mirror, "qsim": qsim_dev}
-    return case | {
+    return {
+        "name": name,
         "pass": worst_mod < tolerance
         and worst_mirror < MIRROR_TOL
         and qsim_dev < QSIM_TOL,
+        "tokens": " ".join(program.tokens()),
         "report": _report(
             word=format_word(word),
             n=n,
@@ -319,22 +304,22 @@ def _verify_case(name: str, word: BraidWord, tolerance: float) -> dict:
 
 def cmd_verify(args) -> int:
     _check_tolerance(args.tolerance)
-    if args.random is not None:
-        seed = args.seed if args.seed is not None else 0
-        cases = _random_words(args.random, seed)
-        source = f"random({args.random}, seed={seed})"
-    elif args.corpus is not None:
+    if args.corpus is not None:
+        if args.seed is not None:
+            raise ValueError("--seed applies only to --random")
         seed = None
         cases = _corpus_words(Path(args.corpus))
         source = f"corpus({args.corpus})"
     else:
-        print("error: verify needs a corpus directory or --random N", file=sys.stderr)
-        return 2
+        if args.random < 0:
+            raise ValueError(f"--random must be at least 0, got {args.random}")
+        seed = args.seed if args.seed is not None else 0
+        cases = _random_words(args.random, seed)
+        source = f"random({args.random}, seed={seed})"
     results = [_verify_case(name, word, args.tolerance) for name, word in cases]
     all_pass = all(r["pass"] for r in results)
-    checked = [r["report"]["deviations"] for r in results if r["report"]["deviations"]]
     worst = {
-        key: max((dev[key] for dev in checked), default=0.0)
+        key: max((r["report"]["deviations"][key] for r in results), default=0.0)
         for key in ("modulus_rel", "mirror", "qsim")
     }
     if args.json:
@@ -356,13 +341,9 @@ def cmd_verify(args) -> int:
             print(
                 f"  [{i:3d}] {status} {r['report']['word']}\n"
                 f"        operators: {r['tokens']}\n"
-                + (
-                    f"        modulus {dev['modulus_rel']:.2e}"
-                    f"  mirror {dev['mirror']:.2e}"
-                    f"  qsim {dev['qsim']:.2e}"
-                    if dev
-                    else "        not checked: crossing limit"
-                )
+                f"        modulus {dev['modulus_rel']:.2e}"
+                f"  mirror {dev['mirror']:.2e}"
+                f"  qsim {dev['qsim']:.2e}"
             )
         print(
             "worst: modulus {modulus_rel:.2e}  mirror {mirror:.2e}"
@@ -384,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("word_file", help="file containing one braid word")
     pe.add_argument("--tolerance", type=float, default=1e-6)
     pe.add_argument("--flips", help="cup orientation bits, overrides the word")
-    pe.add_argument("--max-crossings", type=int, default=20)
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_eval)
 
@@ -399,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="exact Kauffman-bracket Jones polynomial")
     po.add_argument("word_file")
-    po.add_argument("--max-crossings", type=int, default=20)
     po.add_argument("--flips")
     po.add_argument("--json", action="store_true")
     po.set_defaults(func=cmd_oracle)
 
     pv = sub.add_parser("verify", help="cross-check evaluator, simulator and oracle")
-    pv.add_argument("corpus", nargs="?", help="directory of *.txt word files")
-    pv.add_argument("--random", type=int, metavar="N")
+    source = pv.add_mutually_exclusive_group(required=True)
+    source.add_argument("corpus", nargs="?", help="directory of *.txt word files")
+    source.add_argument("--random", type=int, metavar="N")
     pv.add_argument("--seed", type=int)
     pv.add_argument("--tolerance", type=float, default=1e-6)
     pv.add_argument("--json", action="store_true")

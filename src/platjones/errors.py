@@ -58,9 +58,5 @@ class UnannotatedSyllable(PlatJonesError):
     """Auto-orientation syllable reached a stage requiring annotations."""
 
 
-class TooManyCrossings(PlatJonesError):
-    """Crossing count exceeds the state-sum limit."""
-
-
 class NonUnitaryBlock(PlatJonesError):
     """Embedded block fails the unitarity check."""

@@ -26,7 +26,6 @@ import numpy as np
 
 from .braid import (
     ANTIPARALLEL,
-    AUTO,
     PARALLEL,
     BraidWord,
     Syllable,
@@ -109,10 +108,6 @@ class BlockOperator:
         shape = np.shape(point.q) + couplings.shape[:1]
         out = np.ones(shape, dtype=np.result_type(point.q))
         for s in self.run:
-            if s.orientation == AUTO:
-                raise UnannotatedSyllable(
-                    f"syllable {s.index}^{s.power} is unannotated"
-                )
             pair = _pair_of_index(s.index, self.basis)
             hand = RIGHT if s.power > 0 else LEFT
             lam = [braiding_phase(J, s.orientation, hand, point) for J in (0, 1)]

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .braid import BraidWord, resolve_orientations, writhe
-from .errors import TooManyCrossings
 from .laurent import LaurentPoly
 
 BracketPoly = LaurentPoly  # exponents are powers of A
@@ -64,7 +63,7 @@ def _cap(joined: list[int], i: int) -> bool:
     return False
 
 
-def kauffman_bracket(diagram: PlanarDiagram, max_crossings: int = 20) -> BracketPoly:
+def kauffman_bracket(diagram: PlanarDiagram) -> BracketPoly:
     """Exact bracket by a sweep over planar matchings, unknot normalized to 1.
 
     Each state is a matching of the current strand ends, partner[k]
@@ -73,9 +72,6 @@ def kauffman_bracket(diagram: PlanarDiagram, max_crossings: int = 20) -> Bracket
     partners, else joining their partners) and cups them anew; at the
     top the caps (k, k ^ 1) close every remaining loop.
     """
-    c = diagram.crossing_count
-    if c > max_crossings:
-        raise TooManyCrossings(f"{c} crossings exceeds the limit {max_crossings}")
     states = {tuple(k ^ 1 for k in range(2 * diagram.n)): LaurentPoly.one()}
     for i, eps in diagram.crossings:
         swept: dict[tuple[int, ...], LaurentPoly] = {}
@@ -111,7 +107,7 @@ def writhe_correction(bracket: BracketPoly, w: int) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def jones_exact(word: BraidWord, max_crossings: int = 20) -> LaurentPoly:
+def jones_exact(word: BraidWord) -> LaurentPoly:
     """Exact Jones polynomial of the plat closure, exponents in t^{1/2}.
 
     Uses the same deterministic orientation resolution as the
@@ -119,7 +115,7 @@ def jones_exact(word: BraidWord, max_crossings: int = 20) -> LaurentPoly:
     orientation.
     """
     diagram = plat_diagram(word)
-    bracket = kauffman_bracket(diagram, max_crossings=max_crossings)
+    bracket = kauffman_bracket(diagram)
     return writhe_correction(bracket, writhe(diagram.word))
 
 

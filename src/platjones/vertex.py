@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qnum import QPoint, RealQPoint
+from .qnum import RealQPoint
 
 UP = 0.5
 DOWN = -0.5

@@ -11,6 +11,7 @@ from platjones import braid, cli, evaluator
 from platjones.braid import parse
 from platjones.cli import main
 from platjones.errors import NonUnitaryBlock, ParityMismatch, UnannotatedSyllable
+from platjones.laurent import LaurentPoly
 
 REPORT_KEYS = {
     "word",
@@ -143,11 +144,16 @@ def test_oracle_hopf(tmp_path, capsys):
     assert report["polynomial"] is None
 
 
-def test_oracle_crossing_limit(tmp_path):
-    path = _word_file(tmp_path, "strands=4; g2^9 g1^-8 g2^8")
-    assert main(["oracle", path]) == 6
-    path2 = _word_file(tmp_path, "strands=4; g2^6", name="w2.txt")
-    assert main(["oracle", path2, "--max-crossings", "5"]) == 6
+def test_oracle_past_20_crossings(tmp_path, capsys):
+    polys = []
+    for name, text in [
+        ("w.txt", "strands=4; g2^9 g1^-8 g2^8"),
+        ("mirror.txt", "strands=4; g2^-9 g1^8 g2^-8"),
+    ]:
+        assert main(["oracle", _word_file(tmp_path, text, name), "--json"]) == 0
+        coeffs = json.loads(capsys.readouterr().out)["oracle_polynomial"]["coeffs"]
+        polys.append(LaurentPoly({int(k): v for k, v in coeffs.items()}))
+    assert polys[0] == polys[1].invert_variable()
 
 
 def test_verify_corpus(tmp_path, capsys):
@@ -171,17 +177,42 @@ def test_verify_random_deterministic(tmp_path, capsys):
     assert main(["verify", "--random", "4", "--seed", "9", "--json"]) == 0
     first = capsys.readouterr().out
     payload = json.loads(first)
+    assert set(payload) == {"source", "seed", "cases", "worst", "passed"}
     assert payload["passed"] is True
     assert payload["seed"] == 9
     assert len(payload["cases"]) == 4
     for case in payload["cases"]:
+        assert set(case) == {"name", "pass", "tokens", "report"}
         assert set(case["report"]) == REPORT_KEYS
     assert main(["verify", "--random", "4", "--seed", "9", "--json"]) == 0
     assert capsys.readouterr().out == first
 
 
 def test_verify_needs_source(capsys):
-    assert main(["verify"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+
+
+def test_verify_rejects_corpus_with_random(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(tmp_path), "--random", "2"])
+    assert exc.value.code == 2
+    assert "result:" not in capsys.readouterr().out
+
+
+def test_verify_rejects_negative_random(capsys):
+    assert main(["verify", "--random", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "result:" not in captured.out
+
+
+def test_verify_rejects_seed_without_random(tmp_path, capsys):
+    assert main(["verify", str(tmp_path), "--seed", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "result:" not in captured.out
 
 
 def test_eval_missing_file_exits_2(tmp_path, capsys):
@@ -299,7 +330,7 @@ def test_eval_36_crossings_is_exact_and_fast(tmp_path, capsys):
         "g2^-1 g1^-2 g1^-2 g1^2 g1^1 g1^-3 g2^3 g1^-3 g1^1",
     )
     start = time.perf_counter()
-    assert main(["eval", path, "--json", "--max-crossings", "40"]) == 0
+    assert main(["eval", path, "--json"]) == 0
     elapsed = time.perf_counter() - start
     report = json.loads(capsys.readouterr().out)
     poly = report["polynomial"]["coeffs"]
@@ -309,22 +340,16 @@ def test_eval_36_crossings_is_exact_and_fast(tmp_path, capsys):
     assert elapsed < 1.0
 
 
-def test_verify_crossing_limit_fails_only_that_case(tmp_path, capsys):
+def test_verify_checks_words_past_20_crossings(tmp_path, capsys):
     (tmp_path / "a.txt").write_text("strands=4; g2^3")
     (tmp_path / "b.txt").write_text("strands=4; g2^9 g1^-8 g2^4")
-    assert main(["verify", str(tmp_path), "--json"]) == 1
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    a, b = payload["cases"]
-    assert a["pass"] and not b["pass"] and not payload["passed"]
-    assert b["report"]["oracle_polynomial"] is None
-    assert b["report"]["deviations"] is None
-    assert payload["worst"] == a["report"]["deviations"]
-    assert "b.txt" in captured.err and "21 crossings" in captured.err
-    assert main(["verify", str(tmp_path)]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL strands=4; g2^9 g1^-8 g2^4" in out
-    assert "result: FAIL" in out
+    assert main(["verify", str(tmp_path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True
+    for case in payload["cases"]:
+        assert case["pass"]
+        assert case["report"]["oracle_polynomial"] is not None
+        assert case["report"]["deviations"] is not None
 
 
 def test_internal_errors_cannot_reach_the_cli(tmp_path, monkeypatch, capsys):

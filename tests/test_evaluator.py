@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from platjones import evaluator
-from platjones.braid import parse, permutation, resolve_orientations
+from platjones.braid import Syllable, parse, permutation, resolve_orientations
 from platjones.errors import (
     AnnotationConflict,
     CapMismatch,
@@ -56,6 +56,11 @@ def test_braiding_phases():
 def test_braiding_phase_rejects_auto():
     with pytest.raises(UnannotatedSyllable):
         braiding_phase(0, "auto", "right", QPoint(0.5))
+    block = evaluator.BlockOperator(
+        kind="diagonal", n=2, token="f", basis="odd", run=(Syllable(1, 1),)
+    )
+    with pytest.raises(UnannotatedSyllable):
+        block.phases(QPoint(0.5))
 
 
 def test_compile_reference_patterns():
@@ -246,7 +251,7 @@ def _components(word):
 def _assert_standard_sign(word):
     """jones(word) is exactly (-1)^{mu+n} times the oracle, at the default tolerance."""
     sign = (-1) ** (_components(word) + word.n)
-    exact = jones_exact(word, max_crossings=40)
+    exact = jones_exact(word)
     assert jones(word).polynomial == exact * sign
 
 
