@@ -14,6 +14,8 @@ the entries in blocks whose rows share their odd-move products. A
 phase point may carry a batch of phases: the Racah values then form
 one (keys, phases) table, cached per (n, point), and the matrix a
 (phases, paths, paths) stack, rebuilt from that table on each call.
+Every Racah value of one (n, point) reads its q-numbers and
+q-factorials from one qnum.q_table, built with one q_number call.
 
 Labels are handled as doubled integers (twice the spin) so triangle
 arithmetic stays integral; the path dataclasses expose pair couplings
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NegativeRadicand, NonAdmissibleTriple
-from .qnum import factorials, first_at, is_admissible, q_number, triangle
+from .qnum import check_arc, first_at, is_admissible, q_table, triangle
 
 
 @dataclass(frozen=True, order=True)
@@ -122,18 +124,54 @@ def path_bases(n: int) -> tuple[tuple[OddPath, ...], tuple[EvenPath, ...]]:
     return tuple(enumerate_odd_paths(n)), tuple(enumerate_even_paths(n))
 
 
-def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
+@functools.cache
+def pair_couplings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(paths, pairs) arrays of the pair couplings J of path_bases(n), built once per n."""
+    arrays = tuple(np.array([p.J for p in paths], dtype=int) for paths in path_bases(n))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _quads(two_j, two_l, two_s1, two_s2, two_s3, two_s4):
+    """The three sums bounding racah's m-sum from above."""
+    return (
+        two_s1 + two_s2 + two_s3 + two_s4,
+        two_s1 + two_s3 + two_j + two_l,
+        two_s2 + two_s4 + two_j + two_l,
+    )
+
+
+def _table(keys, point):
+    """One q_table of the point reaching every [k] and [k]! that racah reads for keys.
+
+    The first key's first triangle checks its phase bound before the
+    table is built, as when each triangle built a table of its own: a
+    phase at a nonzero multiple of 2 pi then fails that bound, not
+    q_number's degeneracy check.
+    """
+    two_j, _, two_s1, two_s2, _, _ = keys[0]
+    check_arc(two_s1, two_s2, two_j, point)
+    # the m-sum reads up to [min(quads)/2 + 1]!; the triangle rules make
+    # max(triads) <= min(quads) and two_j, two_l <= min(quads) // 2, so
+    # that also covers the triangles and the roots of [2j+1] and [2l+1]
+    return q_table(max(min(_quads(*k)) // 2 + 1 for k in keys), point)
+
+
+def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point, table=None):
     """Quantum Racah recoupling coefficient, doubled spin arguments.
 
     Prefactor (-1)^{s1+s2+s3+s4} sqrt([2j+1]) sqrt([2l+1]) times the four
     triangle coefficients times the alternating sum over m of
     (-1)^m [m+1]! over the seven constraint factorials. The m bounds
     keep every factorial argument nonnegative. One value per phase of
-    the point, all read from one [k]! table. Each label's root is taken
-    alone: at a circle point sqrt(XY) is not sqrt(X) sqrt(Y), and only
-    roots of single labels cancel from the plat element whatever their
-    branch. On the unit circle the triangles' range check also keeps
-    [2j+1] and [2l+1] positive.
+    the point, every [k] and [k]! read from table, a q_table of the
+    point long enough for these arguments (_table); without one it
+    builds its own. Each label's root is taken alone: at a circle point
+    sqrt(XY) is not sqrt(X) sqrt(Y), and only roots of single labels
+    cancel from the plat element whatever their branch. On the unit
+    circle the triangles' range check also keeps [2j+1] and [2l+1]
+    positive.
     """
     triads = (
         (two_s1, two_s2, two_j),
@@ -144,17 +182,14 @@ def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
     for a, b, c in triads:
         if not is_admissible(a, b, c):
             raise NonAdmissibleTriple(f"({a}/2, {b}/2, {c}/2)")
-    quads = (
-        two_s1 + two_s2 + two_s3 + two_s4,
-        two_s1 + two_s3 + two_j + two_l,
-        two_s2 + two_s4 + two_j + two_l,
-    )
-    pref = (-1) ** (quads[0] // 2) * math.prod(triangle(*t, point) for t in triads)
-    pref = pref * np.sqrt(q_number(2 * (two_j + 1), point))
-    pref = pref * np.sqrt(q_number(2 * (two_l + 1), point))
-    # the triangle rules make max(triads) <= min(quads), so the table
-    # reaches every factorial of the sum
-    fact = factorials(min(quads) // 2 + 1, point)
+    key = (two_j, two_l, two_s1, two_s2, two_s3, two_s4)
+    quads = _quads(*key)
+    if table is None:
+        table = _table([key], point)
+    numbers, fact = table
+    pref = (-1) ** (quads[0] // 2) * math.prod(triangle(*t, point, table) for t in triads)
+    pref = pref * np.sqrt(numbers[two_j + 1])
+    pref = pref * np.sqrt(numbers[two_l + 1])
     total = 0.0
     for m in range(max(map(sum, triads)) // 2, min(quads) // 2 + 1):
         den = math.prod(
@@ -231,8 +266,13 @@ def _recoupling_plan(n: int):
 
 @functools.lru_cache(maxsize=64)
 def _racah_values(n: int, point) -> np.ndarray:
-    """racah of every distinct key of the plan, one row per key, one column per phase."""
-    values = np.array([racah(*k, point) for k in _recoupling_plan(n)[0]])
+    """racah of every distinct key of the plan, one row per key, one column per phase.
+
+    Every key reads the one q_table of the point that reaches them all.
+    """
+    keys = _recoupling_plan(n)[0]
+    table = _table(keys, point)
+    values = np.array([racah(*k, point, table=table) for k in keys])
     values.setflags(write=False)
     return values
 

@@ -6,9 +6,11 @@ value here is real. A circle point puts x = rho e^{i theta/2} off the
 unit circle, where the values are complex; a real point takes q in
 (0, 1] and x = sqrt(q). A point may carry a tuple of phases: every
 function here then returns one value per phase, computed as numpy
-arrays from one table of [k] and [k]! per call, and a range check fails
-if it fails at any phase, naming the first such theta. Spin labels are
-passed doubled (twice the spin) so triangle arithmetic stays integral.
+arrays, and a range check fails if it fails at any phase, naming the
+first such theta. The q-numbers [k] and q-factorials [k]! for k = 0..K
+form one table (q_table); a caller that needs many triangles at one
+point builds it once and passes it to each. Spin labels are passed
+doubled (twice the spin) so triangle arithmetic stays integral.
 """
 
 from __future__ import annotations
@@ -124,18 +126,23 @@ def q_number(two_x, point):
     return value if isinstance(point, CirclePoint) else value.real
 
 
-def factorials(kmax: int, point) -> np.ndarray:
-    """[k]! for k = 0..kmax, one row per k: the running product of [1]..[k]."""
-    table = q_number(2 * np.arange(kmax + 1), point)
-    table[0] = 1.0
-    return np.cumprod(table, axis=0)
+def q_table(kmax: int, point) -> tuple[np.ndarray, np.ndarray]:
+    """([k], [k]!) for k = 0..kmax, one row per k, from one q_number call.
+
+    [k]! is the running product of [1]..[k]. Each row depends only on k
+    and the point, so a longer table holds a shorter one as its prefix.
+    """
+    numbers = q_number(2 * np.arange(kmax + 1), point)
+    fact = numbers.copy()
+    fact[0] = 1.0
+    return numbers, np.cumprod(fact, axis=0)
 
 
 def q_factorial(x: int, point):
     """[x]! = [1][2]...[x]; [0]! = 1."""
     if x < 0:
         raise ValueError("q_factorial argument must be nonnegative")
-    return factorials(x, point)[x]
+    return q_table(x, point)[1][x]
 
 
 def is_admissible(two_a: int, two_b: int, two_c: int) -> bool:
@@ -146,31 +153,43 @@ def is_admissible(two_a: int, two_b: int, two_c: int) -> bool:
     )
 
 
-def triangle(two_a: int, two_b: int, two_c: int, point):
+def check_arc(two_a: int, two_b: int, two_c: int, point) -> None:
+    """On the unit circle, the phase bound of Delta(a,b,c), doubled arguments.
+
+    There its radicand is positive iff every [k] up to the largest
+    factorial argument K = a+b+c+1 is, i.e. |theta| < 2 pi / K; checking
+    the bound avoids float noise at the q-number zeros. Other points
+    have no bound.
+    """
+    if type(point) is not QPoint:
+        return
+    largest = (two_a + two_b + two_c) // 2 + 1
+    size = np.abs(point.thetas)
+    limit = 2.0 * math.pi / largest
+    if size.max() >= limit:
+        raise NegativeRadicand(
+            f"triangle({two_a}/2,{two_b}/2,{two_c}/2) needs |theta| < 2*pi/{largest}, "
+            f"got {first_at(point.thetas, size >= limit)!r}"
+        )
+
+
+def triangle(two_a: int, two_b: int, two_c: int, point, table=None):
     """Triangle coefficient Delta(a,b,c), doubled arguments.
 
-    sqrt([-a+b+c]! [a-b+c]! [a+b-c]! / [a+b+c+1]!). On the unit circle
-    the radicand must be strictly positive; it goes negative when theta
-    is too large for the spins involved. At a circle point it is complex
-    and this takes the principal root: every triangle gets a root of its
-    own, so the branch cancels from the plat element.
+    sqrt([-a+b+c]! [a-b+c]! [a+b-c]! / [a+b+c+1]!), with the factorials
+    read from table, a q_table of the point reaching a+b+c+1; without
+    one it builds its own. On the unit circle the radicand must be
+    strictly positive; it goes negative when theta is too large for the
+    spins involved. At a circle point it is complex and this takes the
+    principal root: every triangle gets a root of its own, so the
+    branch cancels from the plat element.
     """
     if not is_admissible(two_a, two_b, two_c):
         raise NonAdmissibleTriple(f"({two_a}/2, {two_b}/2, {two_c}/2)")
+    check_arc(two_a, two_b, two_c, point)
     name = f"triangle({two_a}/2,{two_b}/2,{two_c}/2)"
     largest = (two_a + two_b + two_c) // 2 + 1
-    if type(point) is QPoint:
-        # on the unit circle rad > 0 iff every [k] up to the largest
-        # factorial argument K is positive, i.e. |theta| < 2 pi / K;
-        # checking the bound avoids float noise at the q-number zeros
-        size = np.abs(point.thetas)
-        limit = 2.0 * math.pi / largest
-        if size.max() >= limit:
-            raise NegativeRadicand(
-                f"{name} needs |theta| < 2*pi/{largest}, "
-                f"got {first_at(point.thetas, size >= limit)!r}"
-            )
-    fact = factorials(largest, point)
+    fact = (q_table(largest, point) if table is None else table)[1]
     num = (
         fact[(-two_a + two_b + two_c) // 2]
         * fact[(two_a - two_b + two_c) // 2]

@@ -71,10 +71,16 @@ def embed(op: BlockOperator, n: int, point: QPoint) -> EmbeddedUnitary:
     """Materialize one operator at the given phase point.
 
     Unitarity of the block is what keeps the register norm at 1, so it
-    is checked here rather than trusted.
+    is checked here rather than trusted: a diagonal block by the moduli
+    of its entries, in O(d), and a and a† by the dense product B B†.
     """
-    block = op.matrix(point)
-    deviation = np.max(np.abs(block @ block.conj().T - np.eye(len(block))))
+    if op.kind == DIAGONAL:
+        phases = op.phases(point)
+        deviation = np.max(np.abs(np.abs(phases) ** 2 - 1.0))
+        block = np.diag(phases)
+    else:
+        block = op.matrix(point)
+        deviation = np.max(np.abs(block @ block.conj().T - np.eye(len(block))))
     if deviation >= UNITARITY_TOL:
         raise NonUnitaryBlock(
             f"operator {op.token!r} deviates from unitarity by {deviation:.3e}"

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from platjones import fusion
+from platjones import fusion, qnum
 from platjones.errors import NegativeRadicand, NonAdmissibleTriple
 from platjones.evaluator import admissible_arc, phase_grid
 from platjones.fusion import (
@@ -17,6 +17,7 @@ from platjones.fusion import (
     enumerate_odd_paths,
     racah,
 )
+from platjones.laurent import circle_samples
 from platjones.qnum import CirclePoint, QPoint, RealQPoint, q_number
 
 
@@ -180,14 +181,40 @@ def test_batch_past_the_arc_names_the_phase():
 def test_duality_build_calls_racah_once_per_distinct_key(monkeypatch):
     seen = []
 
-    def counting(*args):
+    def counting(*args, table):
         seen.append(args)
-        return racah(*args)
+        return racah(*args, table=table)
 
     monkeypatch.setattr(fusion, "racah", counting)
     # bypass the cache; one call per key serves the whole batch of phases
     fusion._racah_values.__wrapped__(6, QPoint((0.1, 0.2, 0.3)))
     assert len(seen) == len(set(seen)) == 31
+
+
+def test_racah_values_equal_racah_per_key():
+    # one shared q-number table gives the same values, bit for bit, as
+    # each racah building a table of its own
+    for n in range(2, 8):
+        keys = fusion._recoupling_plan(n)[0]
+        circle = circle_samples((-3 * n, 3 * n))
+        grid = QPoint(tuple(phase_grid(n, 10).tolist()))
+        for point in (circle, grid):
+            got = fusion._racah_values.__wrapped__(n, point)
+            assert np.array_equal(got, np.array([racah(*k, point) for k in keys]))
+
+
+def test_racah_values_build_one_q_number_table(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return q_number(*args)
+
+    monkeypatch.setattr(qnum, "q_number", counting)
+    for n in (2, 6):
+        calls.clear()
+        fusion._racah_values.__wrapped__(n, circle_samples((-20, 20)))
+        assert len(calls) == 1
 
 
 def test_duality_orthogonality():

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ from platjones.evaluator import (
     evaluate,
     phase_grid,
 )
-from platjones.qnum import QPoint, RealQPoint
+from platjones.qnum import CirclePoint, QPoint, RealQPoint
 from platjones.qsim import StateVector, block_dimension, embed, evolution, p_k, run
 
 
@@ -92,6 +93,16 @@ def test_non_unitary_block_rejected():
     assert op.kind == "diagonal"
     with pytest.raises(NonUnitaryBlock):
         embed(op, 2, RealQPoint(0.5))
+
+
+def test_non_unitary_duality_rejected():
+    # off the unit circle a is complex orthogonal, a a^T = 1, not unitary
+    w = parse("strands=4; g2^1")
+    annotated, _ = resolve_orientations(w)
+    for op in compile_word(annotated).operators[::2]:
+        assert op.kind != "diagonal"
+        with pytest.raises(NonUnitaryBlock, match=re.escape(repr(op.token))):
+            embed(op, 2, CirclePoint(0.3, 1.05))
 
 
 def test_twenty_syllable_word_is_fast():
