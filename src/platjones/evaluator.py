@@ -8,18 +8,21 @@ assigned in order of appearance. The plat matrix element <0|M_1...M_L|0>
 is read by pushing the row vector e_0 through the operators in order
 (CompiledProgram.element), one word compiled once and evaluated at all
 the phases of a point in one pass: the phase axis is a numpy axis from
-the q-numbers through the duality stack to the contraction, with no
-loop over phases. The Jones polynomial is read off samples of the
-element, times the unlink normalization d^{n-1}, on the circle
-|q^{1/2}| = RHO just outside the unit circle: an inverse FFT gives the
-Laurent coefficients (a Cauchy integral, Bornemann, Found. Comput.
-Math. 11, 2011), which are rounded to integers.
+the q-numbers through the F-moves of a and a† (fusion.recouple), with
+no loop over phases and no d x d matrix. A diagonal letter is compiled
+once into an integer sign and power of q^{1/2} per path. The Jones
+polynomial is read off samples of the element, times the unlink
+normalization d^{n-1}, on the circle |q^{1/2}| = RHO just outside the
+unit circle: an inverse FFT gives the Laurent coefficients (a Cauchy
+integral, Bornemann, Found. Comput. Math. 11, 2011), which are rounded
+to integers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,7 +36,7 @@ from .braid import (
     resolve_orientations,
 )
 from .errors import ParityMismatch, UnannotatedSyllable
-from .fusion import duality_matrix, pair_couplings, path_bases
+from .fusion import duality_matrix, pair_couplings, path_bases, recouple
 from .laurent import LaurentPoly, circle_samples, laurent_eval, read_coefficients
 from .qnum import QPoint
 
@@ -49,8 +52,8 @@ DUALITY_INVERSE = "duality_inverse"
 
 DAGGER = "a†"
 
-# duality entries per block of phases: at most 32 MB of stack in long double
-STACK_ENTRIES = 1 << 20
+# right-handed braiding eigenvalues +-x^e, x = q^{1/2}: rows sign and e, columns J = 0, 1
+SPECTRUM = {PARALLEL: ((-1, 1), (3, 1)), ANTIPARALLEL: ((1, -1), (0, -2))}
 
 
 def braiding_phase(J: int, orientation: str, handedness: str, point):
@@ -61,22 +64,20 @@ def braiding_phase(J: int, orientation: str, handedness: str, point):
     """
     if J not in (0, 1):
         raise ValueError(f"pair coupling must be 0 or 1, got {J}")
-    return _eigenvalues(orientation, handedness, point.q, point.q_half)[J]
+    sign, exponent = _spectrum(orientation, handedness)[:, J]
+    return sign * point.q_half**exponent
 
 
-def _eigenvalues(orientation: str, handedness: str, q, q_half) -> tuple:
-    """braiding_phase for J = 0 and J = 1, from q and q^{1/2} given once."""
-    if orientation == PARALLEL:
-        lam = (-q * q_half, q_half)
-    elif orientation == ANTIPARALLEL:
-        lam = (np.ones_like(q), -1.0 / q)
-    else:
+@functools.cache
+def _spectrum(orientation: str, handedness: str) -> np.ndarray:
+    """Signs and x-exponents of the braiding eigenvalues, columns J = 0, 1."""
+    if orientation not in SPECTRUM:
         raise UnannotatedSyllable(f"orientation {orientation!r} is not resolved")
-    if handedness == RIGHT:
-        return lam
-    if handedness == LEFT:
-        return tuple(1.0 / x for x in lam)
-    raise ValueError(f"handedness must be {RIGHT!r} or {LEFT!r}")
+    if handedness not in (RIGHT, LEFT):
+        raise ValueError(f"handedness must be {RIGHT!r} or {LEFT!r}")
+    table = np.array(SPECTRUM[orientation]) * [[1], [1 if handedness == RIGHT else -1]]
+    table.setflags(write=False)
+    return table
 
 
 def _pair_of_index(index: int, basis: str) -> int:
@@ -99,24 +100,26 @@ class BlockOperator:
     basis: Optional[str] = None
     run: tuple[Syllable, ...] = ()
 
-    def phases(self, point) -> np.ndarray:
-        """Diagonal entries, one row per phase of the point.
-
-        Each syllable's two eigenvalues (J = 0, 1) are gathered onto the
-        paths through the (paths, pairs) array of their pair couplings J.
-        """
-        if self.kind != DIAGONAL:
-            raise ValueError("only diagonal operators carry phases")
+    @functools.cached_property
+    def _letter(self) -> tuple[np.ndarray, np.ndarray]:
+        """Integer sign and x-exponent of each path's entry, over the run's syllables."""
         odd, even = pair_couplings(self.n)
         couplings = odd if self.basis == ODD else even
-        q, q_half = point.q, point.q_half
-        out = np.ones(np.shape(q) + couplings.shape[:1], dtype=np.result_type(q))
+        sign = np.ones(len(couplings), dtype=int)
+        exponent = np.zeros(len(couplings), dtype=int)
         for s in self.run:
-            pair = _pair_of_index(s.index, self.basis)
-            hand = RIGHT if s.power > 0 else LEFT
-            lam = _eigenvalues(s.orientation, hand, q, q_half)
-            out *= (np.stack(lam, axis=-1) ** abs(s.power))[..., couplings[:, pair]]
-        return out
+            J = couplings[:, _pair_of_index(s.index, self.basis)]
+            signs, exponents = _spectrum(s.orientation, RIGHT if s.power > 0 else LEFT)
+            sign *= signs[J] ** abs(s.power)
+            exponent += exponents[J] * abs(s.power)
+        return sign, exponent
+
+    def phases(self, point) -> np.ndarray:
+        """Diagonal entries sign * x^exponent, one row per phase of the point."""
+        if self.kind != DIAGONAL:
+            raise ValueError("only diagonal operators carry phases")
+        sign, exponent = self._letter
+        return sign * np.power.outer(point.q_half, exponent)
 
     def matrix(self, point) -> np.ndarray:
         if self.kind == DIAGONAL:
@@ -143,38 +146,18 @@ class CompiledProgram:
 
         All phases go through the operators at once as a (phases, paths)
         block of row vectors v: a diagonal letter scales it by its
-        (phases, paths) table, a is the batched v @ A and a† is computed
-        as A v^T, with A the (phases, paths, paths) duality stack built
-        once per call. On the unit circle A is real and numpy promotes
-        it to complex in each product; off it A is complex already. A
-        stack past STACK_ENTRIES entries is built and contracted in
-        blocks of phases under that size, which bounds its memory.
+        (phases, paths) table, a is v @ A and a† is A v^T, both applied
+        as the 2(n - 1) F-moves of fusion.recouple. Memory stays a few
+        (phases, paths) blocks.
         """
-        d = len(path_bases(self.n)[0])
-        step = max(1, STACK_ENTRIES // d**2)
-        if len(point.theta) > step:
-            blocks = range(0, len(point.theta), step)
-            parts = [replace(point, theta=point.theta[i : i + step]) for i in blocks]
-            return np.concatenate([self.element(part) for part in parts])
-        v = np.zeros((len(point.theta), d), dtype=complex)
+        v = np.zeros((len(point.theta), len(path_bases(self.n)[0])), dtype=complex)
         v[:, 0] = 1.0
-        if any(op.kind != DIAGONAL for op in self.operators):
-            a = duality_matrix(self.n, point).entries
         for op in self.operators:
-            v = v * op.phases(point) if op.kind == DIAGONAL else _contract(v, a, op.kind)
+            if op.kind == DIAGONAL:
+                v = v * op.phases(point)
+            else:
+                v = recouple(v, self.n, point, transpose=op.kind == DUALITY_INVERSE)
         return v[:, 0]
-
-
-def _contract(v: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    """v @ A for a, A v^T for a†, per phase, in the wider of their dtypes.
-
-    complex128 goes to BLAS through matmul. Long double has no BLAS, and
-    there einsum's own loop takes about half the time of matmul's.
-    """
-    wide = np.result_type(v, a) == np.clongdouble
-    if kind == DUALITY:
-        return np.einsum("pi,pij->pj", v, a) if wide else (v[:, None] @ a)[:, 0]
-    return np.einsum("pij,pj->pi", a, v) if wide else (a @ v[..., None])[..., 0]
 
 
 def _diagonal_letter(i: int) -> str:

@@ -4,18 +4,13 @@ Strand spins are all 1/2. The odd basis pairs strands (2i-1, 2i) and
 couples the pair spins J in {0,1} down a left comb whose final label
 must be 0; the even basis couples strand 1 with the interior pairs
 (2i, 2i+1) and ends on 1/2 so the last strand can close the total to 0.
-Both bases have Catalan(n) elements. Each basis reaches the left-comb
-basis of the 2n strands by one F-move per strand pair; the moves act on
-distinct nodes, so a basis-change entry is a product of one q-Racah
-coefficient per pair. In the duality matrix C_odd C_even^T each entry
-is then one product of Racah coefficients, built from a per-n plan of
-those products and the few distinct Racah arguments; the plan groups
-the entries in blocks whose rows share their odd-move products. A
-phase point may carry a batch of phases: the Racah values then form
-one (keys, phases) table, cached per (n, point), and the matrix a
-(phases, paths, paths) stack, rebuilt from that table on each call.
-Every Racah value of one (n, point) reads its q-numbers and
-q-factorials from one qnum.q_table, built with one q_number call.
+Both bases have Catalan(n) elements. Each reaches the left-comb basis of
+the 2n strands by one F-move per strand pair, so the duality matrix
+a = C_odd C_even^T is a product of 2(n - 1) sparse moves, planned once
+per n (_move_plan). recouple applies them to a block of row vectors, at
+every phase of a point at once; duality_matrix is the moves applied to
+the identity. The racah values of all of the plan's keys at a point are
+computed in one batch from one qnum.q_table and cached per (n, point).
 
 Labels are handled as doubled integers (twice the spin) so triangle
 arithmetic stays integral; the path dataclasses expose pair couplings
@@ -25,7 +20,6 @@ as plain integers since those are integral spins.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -133,31 +127,6 @@ def pair_couplings(n: int) -> tuple[np.ndarray, np.ndarray]:
     return arrays
 
 
-def _quads(two_j, two_l, two_s1, two_s2, two_s3, two_s4):
-    """The three sums bounding racah's m-sum from above."""
-    return (
-        two_s1 + two_s2 + two_s3 + two_s4,
-        two_s1 + two_s3 + two_j + two_l,
-        two_s2 + two_s4 + two_j + two_l,
-    )
-
-
-def _table(keys, point):
-    """One q_table of the point reaching every [k] and [k]! that racah reads for keys.
-
-    The first key's first triangle checks its phase bound before the
-    table is built, as when each triangle built a table of its own: a
-    phase at a nonzero multiple of 2 pi then fails that bound, not
-    q_number's degeneracy check.
-    """
-    two_j, _, two_s1, two_s2, _, _ = keys[0]
-    check_arc(two_s1, two_s2, two_j, point)
-    # the m-sum reads up to [min(quads)/2 + 1]!; the triangle rules make
-    # max(triads) <= min(quads) and two_j, two_l <= min(quads) // 2, so
-    # that also covers the triangles and the roots of [2j+1] and [2l+1]
-    return q_table(max(min(_quads(*k)) // 2 + 1 for k in keys), point)
-
-
 def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point, table=None):
     """Quantum Racah recoupling coefficient, doubled spin arguments.
 
@@ -166,115 +135,172 @@ def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point, table=None):
     (-1)^m [m+1]! over the seven constraint factorials. The m bounds
     keep every factorial argument nonnegative. One value per phase of
     the point, every [k] and [k]! read from table, a q_table of the
-    point long enough for these arguments (_table); without one it
-    builds its own. Each label's root is taken alone: at a circle point
+    point long enough for these arguments; without one it builds its
+    own. Each label's root is taken alone: at a circle point
     sqrt(XY) is not sqrt(X) sqrt(Y), and only roots of single labels
     cancel from the plat element whatever their branch. On the unit
     circle the triangles' range check also keeps [2j+1] and [2l+1]
     positive.
     """
-    triads = (
-        (two_s1, two_s2, two_j),
-        (two_s3, two_s4, two_j),
-        (two_s1, two_s4, two_l),
-        (two_s2, two_s3, two_l),
-    )
-    for a, b, c in triads:
+    return _racah_rows([(two_j, two_l, two_s1, two_s2, two_s3, two_s4)], point, table)[0]
+
+
+def _racah_rows(keys, point, table=None):
+    """racah of each key (its six arguments), one row per key, all keys at once.
+
+    Every check of racah and triangle runs on all keys before any root
+    or division, so a failing point warns of nothing; if one fails, the
+    keys are checked again one at a time in racah's order, which raises
+    as a loop of racah calls would. Past a key's last m its factorials
+    read [0]! = 1 and its term is 0.
+    """
+    j, l, s1, s2, s3, s4 = np.array(keys).T
+    triads = np.stack([s1, s2, j, s3, s4, j, s1, s4, l, s2, s3, l], -1).reshape(-1, 4, 3)
+    quads = np.stack([s1 + s2 + s3 + s4, s1 + s3 + j + l, s2 + s4 + j + l], -1)
+    for a, b, c in triads.reshape(-1, 3):
         if not is_admissible(a, b, c):
             raise NonAdmissibleTriple(f"({a}/2, {b}/2, {c}/2)")
-    key = (two_j, two_l, two_s1, two_s2, two_s3, two_s4)
-    quads = _quads(*key)
     if table is None:
-        table = _table([key], point)
+        # As when each triangle built its own table, the first one's phase
+        # bound is checked first: a phase at a nonzero multiple of 2 pi fails
+        # it, not q_number's degeneracy check. The m-sum reads up to
+        # [min(quads)/2 + 1]!, and the triangle rules keep every other index below.
+        check_arc(*triads[0, 0], point)
+        table = q_table(quads.min(-1).max() // 2 + 1, point)
     numbers, fact = table
-    pref = (-1) ** (quads[0] // 2) * math.prod(triangle(*t, point, table) for t in triads)
-    pref = pref * np.sqrt(numbers[two_j + 1])
-    pref = pref * np.sqrt(numbers[two_l + 1])
+    column = lambda x: x.reshape(x.shape + (1,) * (fact.ndim - 1))
+    sums = triads.sum(-1)
+    lo, hi = sums.max(-1) // 2, quads.min(-1) // 2
+    terms = []
+    for m in lo + np.arange(max(hi - lo) + 1)[:, None]:
+        valid = np.clip(hi - m + 1, 0, 1)  # 1 up to a key's last m
+        args = np.concatenate([m[:, None] - sums // 2, quads // 2 - m[:, None]], 1)
+        den = math.prod(np.moveaxis(fact[args * valid[:, None]], 1, 0))
+        terms.append((column(valid * (-1) ** m) * fact[(m + 1) * valid], den))
+    tri_den = fact[sums // 2 + 1]
+    try:  # the triad of the largest sum has the tightest phase bound
+        check_arc(*triads.reshape(-1, 3)[np.argmax(sums)], point)
+        ok = min(np.abs(den).min() for den in [tri_den] + [den for _, den in terms]) > 0.0
+    except NegativeRadicand:
+        ok = False
+    if ok:
+        rad = math.prod(np.moveaxis(fact[(sums[..., None] - 2 * triads) // 2], 2, 0)) / tri_den
+        ok = not (np.isrealobj(rad) and rad.min() <= 0.0)
+    if not ok:  # this loop finds the failed check and raises
+        for key_triads, key_quads in zip(triads.tolist(), quads.tolist()):
+            for t in key_triads:
+                triangle(*t, point, table)
+            for m in range(max(map(sum, key_triads)) // 2, min(key_quads) // 2 + 1):
+                den = math.prod([fact[m - sum(t) // 2] for t in key_triads]
+                                + [fact[b // 2 - m] for b in key_quads])
+                if np.abs(den).min() == 0.0:
+                    raise NegativeRadicand(
+                        "racah sum denominator vanishes at "
+                        f"theta={first_at(point.thetas, den == 0.0)!r}; "
+                        "theta too large for these spins"
+                    )
+    pref = column((-1) ** (quads[:, 0] // 2)) * math.prod(np.moveaxis(np.sqrt(rad), 1, 0))
+    pref = pref * np.sqrt(numbers[j + 1])
+    pref = pref * np.sqrt(numbers[l + 1])
     total = 0.0
-    for m in range(max(map(sum, triads)) // 2, min(quads) // 2 + 1):
-        den = math.prod(
-            [fact[m - sum(t) // 2] for t in triads] + [fact[b // 2 - m] for b in quads]
-        )
-        if np.abs(den).min() == 0.0:
-            raise NegativeRadicand(
-                "racah sum denominator vanishes at "
-                f"theta={first_at(point.thetas, den == 0.0)!r}; "
-                "theta too large for these spins"
-            )
-        total += (-1) ** m * fact[m + 1] / den
+    for num, den in terms:
+        total += num / den
     return pref * total
 
 
 @functools.cache
-def _recoupling_plan(n: int):
-    """Phase-independent structure of the duality matrix a = C_odd C_even^T.
+def _move_plan(n: int):
+    """The F-moves whose product is the duality matrix, built once per n.
 
-    An odd path fixes the comb labels at even positions, (2l_0, ., 2l_1,
-    ..., 2l_{n-1}), and an even path those at odd positions, (., r_0, .,
-    r_1, ..., r_{n-2}, .), so each pair of paths meets in exactly one comb
-    labelling and a[odd, even] is a single product. Each F-move
-    (A (B C)_f)_d = sum_e racah(e, f, a, b, c, d) ((A B)_e C)_d, with
-    b = c = 1/2, contributes one factor: the odd path's move at pair i
-    takes e = r_{i-1}, the even path's move at pair i takes e = 2l_i. An
-    odd path's admissible r sequences thus pick its nonzero entries, and
-    the even moves are then admissible too. The entries of one r form a
-    block, every odd path admitting r against every even path ending in
-    r; in it the odd moves depend only on the row and the even moves
-    only on the column and the row's l labels, so the keys are found
-    once per row and once per (l labels, column). Returns the distinct
-    racah keys and per block (rows, cols, odd, even): rows as a column,
-    odd[:, i] indexing the keys of row i's odd moves and even[:, i, j]
-    those of the even moves of entry (i, j).
+    An odd path fixes the left-comb labels after an even number of
+    strands, l_0, ..., l_{n-1}, and an even path those after an odd
+    number, r_0, ..., r_{n-2}. Odd move k replaces the pair coupling
+    J_{k+1} of a state (l, r_0..r_{k-1}, J_{k+1}..J_{n-1}) by each
+    admissible r_k, with coefficient racah(r_k, J_{k+1}, l_k, 1/2, 1/2,
+    l_{k+1}); even move k replaces J_k of (r, l_0..l_{k-1}, J_k..J_{n-2})
+    by each admissible l_k, with racah(l_k, J_k, r_{k-1}, 1/2, 1/2, r_k)
+    and r_{-1} = 1/2. After n - 1 moves both sides reach the comb
+    labellings, so a = M_0 ... M_{n-2} E_{n-2}^T ... E_0^T; the last odd
+    move numbers its targets in the even side's comb order. A state has
+    1 or 2 neighbours through a move, so a step that writes the d states
+    of one side from the other is stored as (index, key) arrays of every
+    state's first neighbour and (state, index, key) arrays of the second
+    neighbours of the states that have one, about half. Returns the
+    distinct racah keys (doubled arguments), the steps of v @ a (the odd
+    moves target-major, then the transposed even moves, source-major)
+    and those of v @ a^T.
     """
     odd, even = path_bases(n)
-    by_r = {}
-    for col, q in enumerate(even):
-        by_r.setdefault(q.two_r, []).append(col)
-    blocks = {r: ([], [], [], {}, []) for r in by_r}
     keys = {}
+    number = lambda table, item: table.setdefault(item, len(table))
 
-    def index(e, f, a, d):
-        return keys.setdefault((e, f, a, 1, 1, d), len(keys))
+    def sweep(states):
+        """The moves from states (fixed labels, labels to replace), doubled."""
+        moves = []
+        for k in range(n - 1):
+            index, entries = {}, []
+            for source, (fixed, labels) in enumerate(states):
+                a, d = fixed[k], fixed[k + 1]
+                for e in _fuse_range(a, 1):
+                    if not is_admissible(e, 1, d):
+                        continue
+                    target = (fixed, labels[:k] + (e,) + labels[k + 1 :])
+                    key = (e, labels[k], a, 1, 1, d)
+                    entries.append((source, number(index, target), number(keys, key)))
+            states = list(index)
+            moves.append(entries)
+        return states, moves
 
-    for row, p in enumerate(odd):
-        l = [2 * x for x in p.l]
-        choices = [
-            [e for e in _fuse_range(a, 1) if is_admissible(e, 1, d)]
-            for a, d in zip(l, l[1:])
-        ]
-        for r in itertools.product(*choices):
-            rows, odd_block, row_l, l_index, even_block = blocks[r]
-            rows.append(row)
-            moves = zip(r, p.J[1:], l, l[1:])
-            odd_block.append([index(e, 2 * J, a, d) for e, J, a, d in moves])
-            if p.l not in l_index:
-                l_index[p.l] = len(even_block)
-                # r_{-1} = 1: strand 1 alone
-                moves = [zip(l, even[col].J, (1,) + r, r) for col in by_r[r]]
-                even_block.append([[index(e, 2 * J, a, d) for e, J, a, d in m] for m in moves])
-            row_l.append(l_index[p.l])
-    return tuple(keys), tuple(
-        (
-            np.array(rows)[:, None],
-            np.array(by_r[r]),
-            np.array(odd_block).T,
-            np.moveaxis(np.array(even_block)[row_l], -1, 0),
-        )
-        for r, (rows, odd_block, row_l, _, even_block) in blocks.items()
-    )
+    doubled = lambda labels: tuple(2 * x for x in labels)
+    odd_combs, odd_moves = sweep([(doubled(p.l), doubled(p.J[1:])) for p in odd])
+    even_combs, even_moves = sweep([((1,) + p.two_r, doubled(p.J)) for p in even])
+    comb = {(l, r[1:]): i for i, (r, l) in enumerate(even_combs)}
+    order = [comb[l[:-1], r] for l, r in odd_combs]
+    odd_moves[-1] = [(s, order[t], k) for s, t, k in odd_moves[-1]]
+
+    def step(entries, transpose):
+        first, second = {}, []
+        for source, target, key in entries:
+            col, other = (source, target) if transpose else (target, source)
+            if col in first:
+                second.append((col, other, key))
+            else:
+                first[col] = (other, key)
+        first = np.array([first[col] for col in range(len(odd))], dtype=np.intp).T
+        return tuple(first), tuple(np.array(second, dtype=np.intp).reshape(-1, 3).T)
+
+    forward = [step(m, False) for m in odd_moves] + [step(m, True) for m in even_moves[::-1]]
+    backward = [step(m, False) for m in even_moves] + [step(m, True) for m in odd_moves[::-1]]
+    return tuple(keys), tuple(forward), tuple(backward)
 
 
 @functools.lru_cache(maxsize=64)
 def _racah_values(n: int, point) -> np.ndarray:
-    """racah of every distinct key of the plan, one row per key, one column per phase.
+    """racah of every key of the move plan, one row per key, one column per phase.
 
     Every key reads the one q_table of the point that reaches them all.
     """
-    keys = _recoupling_plan(n)[0]
-    table = _table(keys, point)
-    values = np.array([racah(*k, point, table=table) for k in keys])
+    values = _racah_rows(_move_plan(n)[0], point)
     values.setflags(write=False)
     return values
+
+
+def recouple(v: np.ndarray, n: int, point, transpose: bool = False) -> np.ndarray:
+    """v @ a, or v @ a^T with transpose, for a the duality matrix at the point.
+
+    v holds row vectors over the odd paths (over the even paths with
+    transpose) in its last axis; the axis before it runs over the
+    phases of a batched point. Each F-move is a gather and a multiply of
+    v by the move's racah values at every phase, plus a multiply-add on
+    the states that have a second neighbour.
+    """
+    _, forward, backward = _move_plan(n)
+    values = _racah_values(n, point).T
+    for (index, key), (rows, second, second_key) in backward if transpose else forward:
+        w = v[..., index] * values[..., key]
+        w[..., rows] += v[..., second] * values[..., second_key]
+        v = w
+    return v
 
 
 def duality_matrix(n: int, point) -> DualityMatrix:
@@ -283,23 +309,13 @@ def duality_matrix(n: int, point) -> DualityMatrix:
     Rows are indexed by odd paths, columns by even paths, both in their
     frozen enumeration order. For n = 2 this is the single all-1/2
     racah matrix. At a batched point the entries are a stack with one
-    leading axis over the phases. Only the racah values are cached, per
-    (n, point); the stack is rebuilt from them on every call.
+    leading axis over the phases. The rows are the F-moves of recouple
+    applied to the identity.
     """
     if n < 2:
         raise ValueError("duality needs n >= 2 (no even basis on 2 strands)")
     odd, even = path_bases(n)
-    values = _racah_values(n, point)
-    a = np.zeros(values.shape[1:] + (len(odd), len(even)), dtype=values.dtype)
-    for rows, cols, odd_factors, even_factors in _recoupling_plan(n)[1]:
-        odd_products = math.prod(values[k] for k in odd_factors)
-        # chunks of rows with about 8192 (entry, phase) products keep the
-        # temporaries, and the process's peak memory, small next to a
-        step = max(1, 8192 // (len(cols) * values[0].size))
-        for lo in range(0, len(rows), step):
-            part = slice(lo, lo + step)
-            entries = odd_products[part, None]
-            for k in even_factors[:, part]:
-                entries = entries * values[k]
-            a[..., rows[part], cols] = np.moveaxis(entries, (0, 1), (-2, -1))
+    phases = np.ndim(_racah_values(n, point)) - 1
+    identity = np.eye(len(odd)).reshape((len(odd),) + (1,) * phases + (len(odd),))
+    a = np.moveaxis(recouple(identity, n, point), 0, -2)
     return DualityMatrix(n, point, a, odd, even)

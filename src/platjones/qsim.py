@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonUnitaryBlock
 from .evaluator import DIAGONAL, BlockOperator, CompiledProgram
-from .fusion import enumerate_odd_paths
+from .fusion import path_bases
 from .qnum import QPoint
 
 UNITARITY_TOL = 1e-10
@@ -128,4 +128,4 @@ def p_k(program: CompiledProgram, theta: float) -> float:
 
 
 def block_dimension(n: int) -> int:
-    return len(enumerate_odd_paths(n))
+    return len(path_bases(n)[0])

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from platjones.evaluator import (
     unlink_normalization,
 )
 from platjones.fusion import duality_matrix, path_bases
-from platjones.laurent import LaurentPoly, laurent_eval
+from platjones.laurent import LaurentPoly, circle_samples, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
 
@@ -180,19 +181,22 @@ def test_batched_element_matches_per_phase_reference():
             assert np.max(np.abs(got - _element_per_phase(program, thetas))) < 1e-13
 
 
-def test_element_in_blocks_of_phases(monkeypatch):
-    # a stack of at most 3 phases per block: 10 phases go in 4 blocks
-    program = compile_word(_resolved("strands=6; g2^-1 g4^2 g3^1 g1^-2"))
-    point = QPoint(tuple(phase_grid(3, 10).tolist()))
-    whole = program.element(point)
-    monkeypatch.setattr(evaluator, "STACK_ENTRIES", 3 * 5**2)
-    built = []
-    monkeypatch.setattr(
-        evaluator, "duality_matrix", lambda n, p: built.append(p) or duality_matrix(n, p)
-    )
-    assert np.array_equal(program.element(point), whole)
-    assert [len(p.theta) for p in built] == [3, 3, 3, 1]
-    assert sum((p.theta for p in built), ()) == point.theta
+def test_element_memory_is_linear_in_paths():
+    # n = 7 at 45 circle phases: one (phases, paths) block of v is 0.6 MB,
+    # where the dense (phases, paths, paths) stack took about 50 MB even
+    # when it was built in blocks of phases
+    program = compile_word(_resolved("strands=14; g4^-1 g8^1 g11^1 g2^2 g6^-1"))
+    program.element(circle_samples((-35, 35)))  # builds the move plan of n = 7
+    point = circle_samples((-36, 36))
+    tracemalloc.start()
+    try:
+        program.element(point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = len(point.theta) * len(path_bases(7)[0]) * np.dtype(np.clongdouble).itemsize
+    assert len(point.theta) == 45
+    assert peak < 8 * block
 
 
 def test_jones_trefoil_exact():
@@ -305,6 +309,27 @@ def test_n6_words_past_10_crossings_are_signed_oracle(text):
     # rounding shifts 6.3e-7 and 1.8e-7, the largest seen at n = 6 past
     # 10 crossings; both read above 1e-6 when they were first found
     _assert_standard_sign(parse(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "strands=14; g6^1 g1^-1 g6^2 g13^1 g2^-1 g11^-1 g12^3 g10^-3 g8^-3 g4^1 "
+        "g11^2 g9^1",
+        "strands=12; g8^1 g10^-2 g2^-2 g8^-2 g11^1 g4^-3 g11^-2 g2^-1 g7^1 g6^-3 "
+        "g7^1 g8^1",
+        "strands=16; g12^-2 g11^3 g10^-1 g10^-2 g4^-1 g14^-1",
+    ],
+    ids=["n7c20", "n6c20", "n8c10"],
+)
+def test_long_double_reads_words_past_the_dense_stack(text):
+    # the dense duality stack missed the integers of the first two by
+    # 2.2e-3 and 1.4e-6 (exit 4); the F-moves read them to below 1e-10
+    word = parse(text)
+    result = jones(word)
+    sign = (-1) ** (_components(word) + word.n)
+    assert convention_factor(result.polynomial, jones_exact(word)) == (sign, 0)
+    assert result.max_shift < 1e-9
 
 
 def test_components_of_known_closures():

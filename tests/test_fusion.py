@@ -162,7 +162,7 @@ def _racah_reference(two_j, two_l, s1, s2, s3, s4, theta):
 def test_batched_racah_matches_scalar_reference():
     for n in (2, 4, 6):
         thetas = phase_grid(n, 16)
-        for key in fusion._recoupling_plan(n)[0]:
+        for key in fusion._move_plan(n)[0]:
             got = racah(*key, QPoint(tuple(thetas.tolist())))
             want = [_racah_reference(*key, t) for t in thetas]
             assert got.shape == (16,)
@@ -186,16 +186,22 @@ def test_duality_build_calls_racah_once_per_distinct_key(monkeypatch):
         return racah(*args, table=table)
 
     monkeypatch.setattr(fusion, "racah", counting)
-    # bypass the cache; one call per key serves the whole batch of phases
-    fusion._racah_values.__wrapped__(6, QPoint((0.1, 0.2, 0.3)))
-    assert len(seen) == len(set(seen)) == 31
+    keys, forward, backward = fusion._move_plan(6)
+    assert len(keys) == len(set(keys)) == 31
+    # bypass the cache; one batched evaluation serves every key at every
+    # phase, with no racah call per key, and every key feeds some move
+    values = fusion._racah_values.__wrapped__(6, QPoint((0.1, 0.2, 0.3)))
+    assert values.shape == (31, 3) and seen == []
+    for steps in (forward, backward):
+        used = [np.concatenate([first[1], second[2]]) for first, second in steps]
+        assert set(np.concatenate(used)) == set(range(31))
 
 
 def test_racah_values_equal_racah_per_key():
-    # one shared q-number table gives the same values, bit for bit, as
-    # each racah building a table of its own
+    # one batched evaluation over one shared q-number table gives the
+    # same values, bit for bit, as each racah building a table of its own
     for n in range(2, 8):
-        keys = fusion._recoupling_plan(n)[0]
+        keys = fusion._move_plan(n)[0]
         circle = circle_samples((-3 * n, 3 * n))
         grid = QPoint(tuple(phase_grid(n, 10).tolist()))
         for point in (circle, grid):
@@ -215,6 +221,54 @@ def test_racah_values_build_one_q_number_table(monkeypatch):
         calls.clear()
         fusion._racah_values.__wrapped__(n, circle_samples((-20, 20)))
         assert len(calls) == 1
+
+
+def _dense_reference(n, point):
+    """Test-only duality matrix, one (paths, paths) array per phase.
+
+    Each pair of an odd and an even path meets in one comb labelling
+    (l_0, r_0, l_1, ..., r_{n-2}, l_{n-1}), admissible when every r_k
+    differs from l_k and l_{k+1} by 1/2, and the entry is the product of
+    the racah values of the odd path's moves, racah(r_k, J_{k+1}, l_k,
+    1/2, 1/2, l_{k+1}), and of the even path's, racah(l_k, J'_k, r_{k-1},
+    1/2, 1/2, r_k) with r_{-1} = 1/2; each distinct key is one racah call.
+    """
+    odd, even = fusion.path_bases(n)
+    l = 2 * np.array([p.l for p in odd])[:, None, :]
+    J = 2 * np.array([p.J for p in odd])[:, None, 1:]
+    r = np.array([p.two_r for p in even])[None, :, :]
+    J_even = 2 * np.array([p.J for p in even])[None, :, :]
+    before = np.concatenate([np.ones_like(r[..., :1]), r[..., :-1]], -1)
+    admissible = ((np.abs(l[..., :-1] - r) == 1) & (np.abs(r - l[..., 1:]) == 1)).all(-1)
+    base = 2 * n + 2
+    code = lambda e, f, a, d: ((e * base + f) * base + a) * base + d
+    codes = np.concatenate(
+        [code(r, J, l[..., :-1], l[..., 1:]), code(l[..., :-1], J_even, before, r)], -1
+    )
+    distinct, index = np.unique(codes[admissible], return_inverse=True)
+    digits = [distinct // base**p % base for p in (3, 2, 1, 0)]
+    values = np.array([racah(e, f, a, 1, 1, d, point) for e, f, a, d in zip(*digits)])
+    for phase in range(values.shape[-1]):
+        a = np.zeros(admissible.shape, dtype=values.dtype)
+        a[admissible] = values[index.reshape(-1, 2 * n - 2), phase].prod(-1)
+        yield a
+
+
+def test_f_moves_match_dense_racah_products():
+    rng = np.random.default_rng(3)
+    for n in range(2, 8):
+        d = len(fusion.path_bases(n)[0])
+        grid = QPoint(tuple(phase_grid(n, 10).tolist()))
+        for point, tol in ((grid, 1e-14), (circle_samples((-9, 9)), 5e-17)):
+            reference = list(_dense_reference(n, point))
+            v = rng.standard_normal((len(reference), d)) * np.exp(1j * rng.uniform(0, 7, d))
+            for transpose in (False, True):
+                got = fusion.recouple(v, n, point, transpose=transpose)
+                want = np.array([u @ (a.T if transpose else a) for u, a in zip(v, reference)])
+                assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want))
+            if n <= 6:
+                a = duality_matrix(n, point).entries
+                assert np.max(np.abs(a - np.array(reference))) < tol * np.max(np.abs(a))
 
 
 def test_duality_orthogonality():
