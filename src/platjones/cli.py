@@ -270,7 +270,7 @@ def _verify_case(name: str, word: BraidWord, tolerance: float) -> dict:
     program = compile_word(annotated)
     n = word.n
     exact = jones_exact(annotated)
-    mirrored = compile_word(resolve_orientations(mirror(word))[0])
+    mirrored = compile_word(mirror(annotated))
     thetas = phase_grid(n, 10)
     point = QPoint(tuple(thetas.tolist()))
     amps = program.element(point)

@@ -59,4 +59,4 @@ class UnannotatedSyllable(PlatJonesError):
 
 
 class NonUnitaryBlock(PlatJonesError):
-    """Embedded block fails the unitarity check."""
+    """A compiled operator's block fails the unitarity check."""

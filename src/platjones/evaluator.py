@@ -32,11 +32,10 @@ from .braid import (
     PARALLEL,
     BraidWord,
     Syllable,
-    mirror,
     resolve_orientations,
 )
 from .errors import ParityMismatch, UnannotatedSyllable
-from .fusion import duality_matrix, pair_couplings, path_bases, recouple
+from .fusion import pair_couplings, path_bases, recouple
 from .laurent import LaurentPoly, circle_samples, laurent_eval, read_coefficients
 from .qnum import QPoint
 
@@ -121,11 +120,18 @@ class BlockOperator:
         sign, exponent = self._letter
         return sign * np.power.outer(point.q_half, exponent)
 
-    def matrix(self, point) -> np.ndarray:
+    def act(self, v: np.ndarray, point, transpose: bool = False) -> np.ndarray:
+        """v @ M, or v @ M^T with transpose, for M this operator at the point.
+
+        v holds row vectors over the paths in its last axis, one row per
+        phase of a batched point. A diagonal letter scales v by its
+        phases. a and a† = a^T are the F-moves of fusion.recouple, run
+        backward for a†; transpose flips the direction once more.
+        """
         if self.kind == DIAGONAL:
-            return np.diag(self.phases(point))
-        a = duality_matrix(self.n, point).entries.astype(complex)
-        return a if self.kind == DUALITY else a.T
+            return v * self.phases(point)
+        backward = (self.kind == DUALITY_INVERSE) != transpose
+        return recouple(v, self.n, point, transpose=backward)
 
 
 @dataclass(frozen=True)
@@ -145,18 +151,13 @@ class CompiledProgram:
         """Plat element <0|M_1 ... M_L|0>, one value per phase of the point.
 
         All phases go through the operators at once as a (phases, paths)
-        block of row vectors v: a diagonal letter scales it by its
-        (phases, paths) table, a is v @ A and a† is A v^T, both applied
-        as the 2(n - 1) F-moves of fusion.recouple. Memory stays a few
-        (phases, paths) blocks.
+        block of row vectors v, one BlockOperator.act each. Memory stays a
+        few (phases, paths) blocks.
         """
         v = np.zeros((len(point.theta), len(path_bases(self.n)[0])), dtype=complex)
         v[:, 0] = 1.0
         for op in self.operators:
-            if op.kind == DIAGONAL:
-                v = v * op.phases(point)
-            else:
-                v = recouple(v, self.n, point, transpose=op.kind == DUALITY_INVERSE)
+            v = op.act(v, point)
         return v[:, 0]
 
 
@@ -276,11 +277,6 @@ def jones(word: BraidWord, tolerance: float = 1e-6) -> JonesResult:
         normalization=f"d^{n - 1}, d = -(q^(1/2) + q^(-1/2))",
         program=program,
     )
-
-
-def mirror_symmetry_check(word: BraidWord, theta: float) -> float:
-    """|evaluate(mirror(word)) - conj(evaluate(word))| at theta."""
-    return abs(evaluate(mirror(word), theta) - evaluate(word, theta).conjugate())
 
 
 def convention_factor(p: LaurentPoly, reference: LaurentPoly):

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeRadicand, NonAdmissibleTriple
-from .qnum import check_arc, first_at, is_admissible, q_table, triangle
+from .errors import NonAdmissibleTriple
+from .qnum import check_arc, is_admissible, q_table
 
 
 @dataclass(frozen=True, order=True)
@@ -127,32 +127,30 @@ def pair_couplings(n: int) -> tuple[np.ndarray, np.ndarray]:
     return arrays
 
 
-def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point, table=None):
+def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
     """Quantum Racah recoupling coefficient, doubled spin arguments.
 
     Prefactor (-1)^{s1+s2+s3+s4} sqrt([2j+1]) sqrt([2l+1]) times the four
     triangle coefficients times the alternating sum over m of
     (-1)^m [m+1]! over the seven constraint factorials. The m bounds
     keep every factorial argument nonnegative. One value per phase of
-    the point, every [k] and [k]! read from table, a q_table of the
-    point long enough for these arguments; without one it builds its
-    own. Each label's root is taken alone: at a circle point
+    the point. Each label's root is taken alone: at a circle point
     sqrt(XY) is not sqrt(X) sqrt(Y), and only roots of single labels
-    cancel from the plat element whatever their branch. On the unit
-    circle the triangles' range check also keeps [2j+1] and [2l+1]
-    positive.
+    cancel from the plat element whatever their branch.
     """
-    return _racah_rows([(two_j, two_l, two_s1, two_s2, two_s3, two_s4)], point, table)[0]
+    return _racah_rows([(two_j, two_l, two_s1, two_s2, two_s3, two_s4)], point)[0]
 
 
-def _racah_rows(keys, point, table=None):
+def _racah_rows(keys, point):
     """racah of each key (its six arguments), one row per key, all keys at once.
 
-    Every check of racah and triangle runs on all keys before any root
-    or division, so a failing point warns of nothing; if one fails, the
-    keys are checked again one at a time in racah's order, which raises
-    as a loop of racah calls would. Past a key's last m its factorials
-    read [0]! = 1 and its term is 0.
+    Every triad is checked for admissibility, since the keys may come
+    from outside. Then one phase check decides every failure: each
+    factorial argument of a denominator or radicand, and 2j+1 and 2l+1,
+    is at most the largest triad sum plus one, so on the unit circle
+    check_arc of the triad with the largest sum keeps every [k] read
+    there positive; other points have no zeros. Past a key's last m its
+    factorials read [0]! = 1 and its term is 0.
     """
     j, l, s1, s2, s3, s4 = np.array(keys).T
     triads = np.stack([s1, s2, j, s3, s4, j, s1, s4, l, s2, s3, l], -1).reshape(-1, 4, 3)
@@ -160,52 +158,22 @@ def _racah_rows(keys, point, table=None):
     for a, b, c in triads.reshape(-1, 3):
         if not is_admissible(a, b, c):
             raise NonAdmissibleTriple(f"({a}/2, {b}/2, {c}/2)")
-    if table is None:
-        # As when each triangle built its own table, the first one's phase
-        # bound is checked first: a phase at a nonzero multiple of 2 pi fails
-        # it, not q_number's degeneracy check. The m-sum reads up to
-        # [min(quads)/2 + 1]!, and the triangle rules keep every other index below.
-        check_arc(*triads[0, 0], point)
-        table = q_table(quads.min(-1).max() // 2 + 1, point)
-    numbers, fact = table
-    column = lambda x: x.reshape(x.shape + (1,) * (fact.ndim - 1))
     sums = triads.sum(-1)
+    check_arc(*triads.reshape(-1, 3)[np.argmax(sums)], point)
+    # the m-sum reads up to [min(quads)/2 + 1]!; every other index is below
+    numbers, fact = q_table(quads.min(-1).max() // 2 + 1, point)
+    column = lambda x: x.reshape(x.shape + (1,) * (fact.ndim - 1))
     lo, hi = sums.max(-1) // 2, quads.min(-1) // 2
-    terms = []
+    total = 0.0
     for m in lo + np.arange(max(hi - lo) + 1)[:, None]:
         valid = np.clip(hi - m + 1, 0, 1)  # 1 up to a key's last m
         args = np.concatenate([m[:, None] - sums // 2, quads // 2 - m[:, None]], 1)
         den = math.prod(np.moveaxis(fact[args * valid[:, None]], 1, 0))
-        terms.append((column(valid * (-1) ** m) * fact[(m + 1) * valid], den))
-    tri_den = fact[sums // 2 + 1]
-    try:  # the triad of the largest sum has the tightest phase bound
-        check_arc(*triads.reshape(-1, 3)[np.argmax(sums)], point)
-        ok = min(np.abs(den).min() for den in [tri_den] + [den for _, den in terms]) > 0.0
-    except NegativeRadicand:
-        ok = False
-    if ok:
-        rad = math.prod(np.moveaxis(fact[(sums[..., None] - 2 * triads) // 2], 2, 0)) / tri_den
-        ok = not (np.isrealobj(rad) and rad.min() <= 0.0)
-    if not ok:  # this loop finds the failed check and raises
-        for key_triads, key_quads in zip(triads.tolist(), quads.tolist()):
-            for t in key_triads:
-                triangle(*t, point, table)
-            for m in range(max(map(sum, key_triads)) // 2, min(key_quads) // 2 + 1):
-                den = math.prod([fact[m - sum(t) // 2] for t in key_triads]
-                                + [fact[b // 2 - m] for b in key_quads])
-                if np.abs(den).min() == 0.0:
-                    raise NegativeRadicand(
-                        "racah sum denominator vanishes at "
-                        f"theta={first_at(point.thetas, den == 0.0)!r}; "
-                        "theta too large for these spins"
-                    )
+        total = total + column(valid * (-1) ** m) * fact[(m + 1) * valid] / den
+    rad = math.prod(np.moveaxis(fact[(sums[..., None] - 2 * triads) // 2], 2, 0))
+    rad = rad / fact[sums // 2 + 1]
     pref = column((-1) ** (quads[:, 0] // 2)) * math.prod(np.moveaxis(np.sqrt(rad), 1, 0))
-    pref = pref * np.sqrt(numbers[j + 1])
-    pref = pref * np.sqrt(numbers[l + 1])
-    total = 0.0
-    for num, den in terms:
-        total += num / den
-    return pref * total
+    return pref * np.sqrt(numbers[j + 1]) * np.sqrt(numbers[l + 1]) * total
 
 
 @functools.cache

@@ -8,9 +8,10 @@ unit circle, where the values are complex; a real point takes q in
 function here then returns one value per phase, computed as numpy
 arrays, and a range check fails if it fails at any phase, naming the
 first such theta. The q-numbers [k] and q-factorials [k]! for k = 0..K
-form one table (q_table); a caller that needs many triangles at one
-point builds it once and passes it to each. Spin labels are passed
-doubled (twice the spin) so triangle arithmetic stays integral.
+form one table (q_table): fusion reads every Racah value of a point
+from one, and triangle and q_factorial each build their own. Spin
+labels are passed doubled (twice the spin) so triangle arithmetic
+stays integral.
 """
 
 from __future__ import annotations
@@ -130,7 +131,9 @@ def q_table(kmax: int, point) -> tuple[np.ndarray, np.ndarray]:
     """([k], [k]!) for k = 0..kmax, one row per k, from one q_number call.
 
     [k]! is the running product of [1]..[k]. Each row depends only on k
-    and the point, so a longer table holds a shorter one as its prefix.
+    and the point, so a longer table holds a shorter one as its prefix,
+    bit for bit: one table reaching the largest index of a batch gives
+    the same values as a table per item.
     """
     numbers = q_number(2 * np.arange(kmax + 1), point)
     fact = numbers.copy()
@@ -173,41 +176,25 @@ def check_arc(two_a: int, two_b: int, two_c: int, point) -> None:
         )
 
 
-def triangle(two_a: int, two_b: int, two_c: int, point, table=None):
+def triangle(two_a: int, two_b: int, two_c: int, point):
     """Triangle coefficient Delta(a,b,c), doubled arguments.
 
     sqrt([-a+b+c]! [a-b+c]! [a+b-c]! / [a+b+c+1]!), with the factorials
-    read from table, a q_table of the point reaching a+b+c+1; without
-    one it builds its own. On the unit circle the radicand must be
-    strictly positive; it goes negative when theta is too large for the
-    spins involved. At a circle point it is complex and this takes the
-    principal root: every triangle gets a root of its own, so the
-    branch cancels from the plat element.
+    read from a q_table of the point reaching a+b+c+1. On the unit
+    circle check_arc keeps every [k] of that table positive, so the
+    radicand is too; past the bound it raises NegativeRadicand. At a
+    circle point the radicand is complex and this takes the principal
+    root: every triangle gets a root of its own, so the branch cancels
+    from the plat element.
     """
     if not is_admissible(two_a, two_b, two_c):
         raise NonAdmissibleTriple(f"({two_a}/2, {two_b}/2, {two_c}/2)")
     check_arc(two_a, two_b, two_c, point)
-    name = f"triangle({two_a}/2,{two_b}/2,{two_c}/2)"
     largest = (two_a + two_b + two_c) // 2 + 1
-    fact = (q_table(largest, point) if table is None else table)[1]
+    fact = q_table(largest, point)[1]
     num = (
         fact[(-two_a + two_b + two_c) // 2]
         * fact[(two_a - two_b + two_c) // 2]
         * fact[(two_a + two_b - two_c) // 2]
     )
-    den = fact[largest]
-    if np.abs(den).min() == 0.0:
-        # a q-number in the denominator vanished (theta at or past the
-        # degeneracy for these spins), e.g. [2] = 0 at theta = pi
-        raise NegativeRadicand(
-            f"{name} denominator vanishes at "
-            f"theta={first_at(point.thetas, den == 0.0)!r}; theta too large"
-        )
-    rad = num / den
-    if np.isrealobj(rad) and rad.min() <= 0.0:
-        bad = rad <= 0.0
-        raise NegativeRadicand(
-            f"{name} radicand {first_at(rad, bad)!r} at "
-            f"theta={first_at(point.thetas, bad)!r}; theta too large"
-        )
-    return np.sqrt(rad)
+    return np.sqrt(num / fact[largest])

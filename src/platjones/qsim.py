@@ -2,11 +2,13 @@
 
 The register holds 2n qubits; the compiled block of dimension
 Catalan(n) sits on computational-basis indices 0..d-1 and every
-operator acts as block plus identity on the rest; the duality blocks
-a and a† are embedded once per evolution. Starting from
-|0...0> the final amplitude of |0...0> reproduces the evaluator's
-matrix element, and its squared modulus is the algorithm's acceptance
-probability.
+operator acts as block plus identity on the rest. The block step is
+the evaluator's BlockOperator.act: a diagonal letter is one phase per
+path, and a and a† are 2(n - 1) layers of two-level F-moves, so no
+d x d matrix is built except the one that checks a for unitarity.
+Starting from |0...0> the final amplitude of |0...0> reproduces the
+evaluator's matrix element, and its squared modulus is the
+algorithm's acceptance probability.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import NonUnitaryBlock
 from .evaluator import DIAGONAL, BlockOperator, CompiledProgram
-from .fusion import path_bases
+from .fusion import duality_matrix, path_bases
 from .qnum import QPoint
 
 UNITARITY_TOL = 1e-10
@@ -42,50 +44,23 @@ class StateVector:
         return float(abs(self.amplitudes[index]) ** 2)
 
 
-@dataclass(frozen=True)
-class EmbeddedUnitary:
-    """d x d block on the lowest indices, implicit identity elsewhere."""
-
-    n: int
-    block: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return 1 << (2 * self.n)
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        d = len(self.block)
-        out = amplitudes.copy()
-        out[:d] = self.block @ amplitudes[:d]
-        return out
-
-    def matrix(self) -> np.ndarray:
-        """Dense form, for small-register inspection only."""
-        full = np.eye(self.dimension, dtype=complex)
-        d = len(self.block)
-        full[:d, :d] = self.block
-        return full
-
-
-def embed(op: BlockOperator, n: int, point: QPoint) -> EmbeddedUnitary:
-    """Materialize one operator at the given phase point.
+def check_unitary(op: BlockOperator, point: QPoint) -> None:
+    """Raise NonUnitaryBlock unless the operator's block is unitary at the point.
 
     Unitarity of the block is what keeps the register norm at 1, so it
-    is checked here rather than trusted: a diagonal block by the moduli
-    of its entries, in O(d), and a and a† by the dense product B B†.
+    is checked rather than trusted: a diagonal block by the moduli of
+    its entries, in O(d), and a or a† by the dense product a a† of
+    duality_matrix (a is unitary iff a† is).
     """
     if op.kind == DIAGONAL:
-        phases = op.phases(point)
-        deviation = np.max(np.abs(np.abs(phases) ** 2 - 1.0))
-        block = np.diag(phases)
+        deviation = np.max(np.abs(np.abs(op.phases(point)) ** 2 - 1.0))
     else:
-        block = op.matrix(point)
-        deviation = np.max(np.abs(block @ block.conj().T - np.eye(len(block))))
+        a = duality_matrix(op.n, point).entries
+        deviation = np.max(np.abs(a @ a.conj().T - np.eye(len(a))))
     if deviation >= UNITARITY_TOL:
         raise NonUnitaryBlock(
             f"operator {op.token!r} deviates from unitarity by {deviation:.3e}"
         )
-    return EmbeddedUnitary(n=n, block=block)
 
 
 def evolution(program: CompiledProgram, theta: float) -> Iterator[StateVector]:
@@ -93,23 +68,22 @@ def evolution(program: CompiledProgram, theta: float) -> Iterator[StateVector]:
 
     The compiled operator list is written in matrix-product order, so
     the evolution applies it right to left: the last factor hits the
-    initial state first.
+    initial state first. Each operator M acts on the d-block u as
+    M u = u M^T, through BlockOperator.act; a is checked for
+    unitarity once per evolution, each diagonal letter once.
     """
     point = QPoint(theta)
     n = program.n
+    d = block_dimension(n)
     amps = np.zeros(1 << (2 * n), dtype=complex)
     amps[0] = 1.0
     yield StateVector(n=n, amplitudes=amps)
-    # a and a† recur through the program: each is embedded once
-    duality = {}
+    duality_checked = False
     for op in reversed(program.operators):
-        if op.kind == DIAGONAL:
-            unitary = embed(op, n, point)
-        elif op.kind in duality:
-            unitary = duality[op.kind]
-        else:
-            unitary = duality[op.kind] = embed(op, n, point)
-        amps = unitary.apply(amps)
+        if op.kind == DIAGONAL or not duality_checked:
+            check_unitary(op, point)
+            duality_checked = duality_checked or op.kind != DIAGONAL
+        amps = np.concatenate([op.act(amps[:d], point, transpose=True), amps[d:]])
         yield StateVector(n=n, amplitudes=amps)
 
 

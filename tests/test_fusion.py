@@ -181,9 +181,9 @@ def test_batch_past_the_arc_names_the_phase():
 def test_duality_build_calls_racah_once_per_distinct_key(monkeypatch):
     seen = []
 
-    def counting(*args, table):
+    def counting(*args):
         seen.append(args)
-        return racah(*args, table=table)
+        return racah(*args)
 
     monkeypatch.setattr(fusion, "racah", counting)
     keys, forward, backward = fusion._move_plan(6)
@@ -286,6 +286,31 @@ def test_duality_rejects_too_large_theta():
     lo, hi = admissible_arc(3)
     with pytest.raises(NegativeRadicand):
         duality_matrix(3, QPoint(hi + 0.05))
+
+
+def test_duality_at_the_edge_of_the_arc():
+    # one phase check at the triad of the largest sum decides every
+    # failure: the last phase below the bound builds a finite orthogonal
+    # matrix with no warning, and the bound and one ulp past it raise,
+    # naming that phase
+    for n in range(2, 8):
+        bound = admissible_arc(n)[1]
+        a = duality_matrix(n, QPoint(float(np.nextafter(bound, 0.0)))).entries
+        assert np.isfinite(a).all()
+        assert np.max(np.abs(a @ a.T - np.eye(len(a)))) < 1e-10
+        for theta in (bound, float(np.nextafter(bound, 4.0))):
+            with pytest.raises(NegativeRadicand, match=re.escape(repr(theta))):
+                duality_matrix(n, QPoint(theta))
+
+
+def test_q_numbers_stay_positive_just_below_each_bound():
+    # |theta| < 2 pi / K is all the phase check asks of a table reaching [K]
+    for K in range(2, 20):
+        thetas = [2.0 * math.pi / K]
+        for _ in range(64):
+            thetas.append(float(np.nextafter(thetas[-1], 0.0)))
+        numbers = qnum.q_table(K, QPoint(tuple(thetas[1:])))[0]
+        assert numbers[1:].min() > 0.0
 
 
 def test_circle_point_at_unit_radius_matches_arc():

@@ -11,13 +11,15 @@ from platjones.cli import _random_words
 from platjones.errors import NonUnitaryBlock
 from platjones.evaluator import (
     BlockOperator,
+    CompiledProgram,
     admissible_arc,
     compile as compile_word,
     evaluate,
     phase_grid,
 )
+from platjones.fusion import duality_matrix
 from platjones.qnum import CirclePoint, QPoint, RealQPoint
-from platjones.qsim import StateVector, block_dimension, embed, evolution, p_k, run
+from platjones.qsim import StateVector, block_dimension, check_unitary, evolution, p_k, run
 
 
 def _program(word):
@@ -33,26 +35,28 @@ def test_identity_word_leaves_initial_state():
 
 
 def test_single_duality_prepares_first_column():
-    theta = 0.9
-    pt = QPoint(theta)
+    pt = QPoint(0.9)
     op = BlockOperator(kind="duality", n=2, token="a")
-    u = embed(op, 2, pt)
-    amps = np.zeros(16, dtype=complex)
-    amps[0] = 1.0
-    out = u.apply(amps)
-    block = op.matrix(pt)
+    check_unitary(op, pt)
+    program = CompiledProgram(n=2, operators=(op,), word=parse("strands=4;"))
+    out = run(program, 0.9).amplitudes
+    block = duality_matrix(2, pt).entries
     assert np.allclose(out[:2], block[:, 0])
     assert np.all(out[2:] == 0)
 
 
-def test_embedded_matrix_shape():
-    theta = 0.7
-    op = BlockOperator(kind="duality", n=2, token="a")
-    u = embed(op, 2, QPoint(theta))
-    full = u.matrix()
-    assert full.shape == (16, 16)
-    assert np.allclose(full[2:, 2:], np.eye(14))
-    assert np.max(np.abs(full @ full.conj().T - np.eye(16))) < 1e-10
+def test_block_step_is_the_dense_block_on_the_low_indices():
+    # a and a† = a^T: act gives u M, and with transpose M u, the step
+    # that the register applies to its d-block
+    pt = QPoint(0.7)
+    a = duality_matrix(3, pt).entries
+    u = np.random.default_rng(5).normal(size=len(a)) + 0j
+    for kind, block in (("duality", a), ("duality_inverse", a.T)):
+        op = BlockOperator(kind=kind, n=3, token="a")
+        check_unitary(op, pt)
+        assert np.max(np.abs(op.act(u, pt, transpose=True) - block @ u)) < 1e-14
+        assert np.max(np.abs(op.act(u, pt) - u @ block)) < 1e-14
+    assert np.max(np.abs(a @ a.T - np.eye(len(a)))) < 1e-10
 
 
 def test_norm_preserved_and_no_leak():
@@ -91,8 +95,8 @@ def test_non_unitary_block_rejected():
     annotated, _ = resolve_orientations(w)
     op = compile_word(annotated).operators[1]
     assert op.kind == "diagonal"
-    with pytest.raises(NonUnitaryBlock):
-        embed(op, 2, RealQPoint(0.5))
+    with pytest.raises(NonUnitaryBlock, match=re.escape(repr(op.token))):
+        check_unitary(op, RealQPoint(0.5))
 
 
 def test_non_unitary_duality_rejected():
@@ -102,7 +106,7 @@ def test_non_unitary_duality_rejected():
     for op in compile_word(annotated).operators[::2]:
         assert op.kind != "diagonal"
         with pytest.raises(NonUnitaryBlock, match=re.escape(repr(op.token))):
-            embed(op, 2, CirclePoint(0.3, 1.05))
+            check_unitary(op, CirclePoint(0.3, 1.05))
 
 
 def test_twenty_syllable_word_is_fast():
@@ -131,6 +135,8 @@ def test_element_matches_qsim_amplitude_on_verify_phases():
         parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2"),
         parse("strands=8; g4^3 g1^-1 g6^-2 g7^1"),
         parse("strands=8; g6^2 g3^1 g2^1 g4^-1"),
+        parse("strands=12; g2^-3 g4^-3 g6^-2 g1^-1 g2^-1"),
+        parse("strands=14; g4^-1 g8^1 g11^1 g2^2 g6^-1"),
     ]
     for w in words:
         program = _program(w)
@@ -143,13 +149,13 @@ def test_element_matches_qsim_amplitude_on_verify_phases():
 def test_evolution_embeds_each_duality_once(monkeypatch):
     kinds = []
 
-    def counting(op, n, point):
+    def counting(op, point):
         kinds.append(op.kind)
-        return embed(op, n, point)
+        return check_unitary(op, point)
 
-    monkeypatch.setattr(qsim, "embed", counting)
-    # three even runs: a and a† three times each, embedded once each
+    monkeypatch.setattr(qsim, "check_unitary", counting)
+    # three even runs: a and a† three times each, a checked once for both
     w = parse("strands=8; g2^1 g1^-1 g4^2 g3^1 g6^-1 g5^1")
     state = run(_program(w), 0.5)
-    assert sorted(kinds) == sorted(["duality", "duality_inverse"] + ["diagonal"] * 6)
+    assert sorted(kinds) == sorted(["duality_inverse"] + ["diagonal"] * 6)
     assert state.amplitudes[0] == pytest.approx(evaluate(w, 0.5), abs=1e-12)
