@@ -37,7 +37,6 @@ from .laurent import LaurentPoly, laurent_eval, render_q
 from .oracle import PlanarDiagram, jones_exact, kauffman_bracket, plat_diagram
 from .qnum import CirclePoint, QPoint, RealQPoint, q_factorial, q_number, triangle
 from .qsim import StateVector, p_k, run
-from .vertex import r_matrix, sigma_matrix, x_operator
 
 __version__ = "0.1.0"
 
@@ -79,15 +78,12 @@ __all__ = [
     "plat_diagram",
     "q_factorial",
     "q_number",
-    "r_matrix",
     "racah",
     "render_q",
     "resolve_orientations",
     "run",
-    "sigma_matrix",
     "triangle",
     "unlink_normalization",
     "writhe",
-    "x_operator",
     "__version__",
 ]

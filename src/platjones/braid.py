@@ -30,7 +30,7 @@ AUTO = "auto"
 _LETTER_ORIENT = {"b": PARALLEL, "h": ANTIPARALLEL, "g": AUTO}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no per-syllable __dict__: words are held in bulk
 class Syllable:
     index: int
     power: int

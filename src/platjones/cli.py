@@ -36,6 +36,7 @@ from .errors import (
 from .evaluator import (
     compile as compile_word,
     convention_factor,
+    elements,
     jones,
     phase_grid,
     unlink_normalization,
@@ -218,11 +219,7 @@ def cmd_oracle(args) -> int:
     w = writhe(diagram.word)
     poly = writhe_correction(bracket, w)
     span = bracket_span(bracket)
-    report = _report(
-        word=format_word(word),
-        n=word.n,
-        oracle_polynomial=poly,
-    )
+    report = _report(format_word(word), word.n, oracle_polynomial=poly)
     lines = [
         f"word: {format_word(word)}",
         f"n: {word.n}  crossings: {diagram.crossing_count}  writhe: {w:+d}",
@@ -264,42 +261,41 @@ def _corpus_words(path: Path) -> list[tuple[str, BraidWord]]:
     return [(f.name, parse(f.read_text())) for f in files]
 
 
-def _verify_case(name: str, word: BraidWord, tolerance: float) -> dict:
-    """Check one word against the oracle, its mirror and the simulator."""
-    annotated, _ = resolve_orientations(word)
-    program = compile_word(annotated)
-    n = word.n
-    exact = jones_exact(annotated)
-    mirrored = compile_word(mirror(annotated))
-    thetas = phase_grid(n, 10)
-    point = QPoint(tuple(thetas.tolist()))
-    amps = program.element(point)
-    # polynomial roots can land on sample phases; floor the relative
-    # scale by the coefficient mass so a true zero does not divide out
-    floor = 1e-9 * max(
-        1.0, float(sum(abs(v) for v in exact.coeffs().values()))
-    )
-    got = abs(amps) * abs(unlink_normalization(n, thetas))
-    want = abs(laurent_eval(exact, point))
-    worst_mod = float((abs(got - want) / np.maximum(want, floor)).max())
-    worst_mirror = float(abs(mirrored.element(point) - amps.conj()).max())
-    mid = len(thetas) // 2
-    qsim_dev = float(abs(qsim_p_k(program, float(thetas[mid])) - abs(amps[mid]) ** 2))
-    deviations = {"modulus_rel": worst_mod, "mirror": worst_mirror, "qsim": qsim_dev}
-    return {
-        "name": name,
-        "pass": worst_mod < tolerance
-        and worst_mirror < MIRROR_TOL
-        and qsim_dev < QSIM_TOL,
-        "tokens": " ".join(program.tokens()),
-        "report": _report(
-            word=format_word(word),
-            n=n,
-            operator_count=program.operator_count,
-            oracle_polynomial=exact,
-            deviations=deviations,
-        ),
-    }
+def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[dict]:
+    """Check each word against the oracle, its mirror and the simulator.
+
+    Every word is resolved and compiled first, in corpus order, so the
+    first bad word decides the error. Then each (n, operator skeleton)
+    group in turn is evaluated, words and mirrors, in one elements call.
+    """
+    groups = {}
+    for i, (_, word) in enumerate(cases):
+        program = compile_word(resolve_orientations(word)[0])
+        groups.setdefault((program.n, program.skeleton), []).append((i, program))
+    results = [None] * len(cases)
+    for n, skeleton in list(groups):
+        group = groups.pop((n, skeleton))  # frees the group's programs once checked
+        point = QPoint(tuple(phase_grid(n, 10).tolist()))
+        programs = [program for _, program in group]
+        values = elements(programs + [compile_word(mirror(p.word)) for p in programs], point)
+        mid = len(point.theta) // 2
+        for (i, program), amps, mirrored in zip(group, values, values[len(group) :]):
+            exact = jones_exact(program.word)
+            # polynomial roots can land on sample phases; floor the relative
+            # scale by the coefficient mass so a true zero does not divide out
+            floor = 1e-9 * max(1.0, float(sum(abs(v) for v in exact.coeffs().values())))
+            got = abs(amps) * abs(unlink_normalization(n, point.thetas))
+            want = abs(laurent_eval(exact, point))
+            worst_mod = float((abs(got - want) / np.maximum(want, floor)).max())
+            worst_mirror = float(abs(mirrored - amps.conj()).max())
+            qsim_dev = float(abs(qsim_p_k(program, point.theta[mid]) - abs(amps[mid]) ** 2))
+            deviations = {"modulus_rel": worst_mod, "mirror": worst_mirror, "qsim": qsim_dev}
+            passed = worst_mod < tolerance and worst_mirror < MIRROR_TOL and qsim_dev < QSIM_TOL
+            report = _report(format_word(cases[i][1]), n, operator_count=program.operator_count,
+                             oracle_polynomial=exact, deviations=deviations)
+            results[i] = {"name": cases[i][0], "pass": passed,
+                          "tokens": " ".join(program.tokens()), "report": report}
+    return results
 
 
 def cmd_verify(args) -> int:
@@ -316,40 +312,29 @@ def cmd_verify(args) -> int:
         seed = args.seed if args.seed is not None else 0
         cases = _random_words(args.random, seed)
         source = f"random({args.random}, seed={seed})"
-    results = [_verify_case(name, word, args.tolerance) for name, word in cases]
+    results = _verify_cases(cases, args.tolerance)
     all_pass = all(r["pass"] for r in results)
     worst = {
         key: max((r["report"]["deviations"][key] for r in results), default=0.0)
         for key in ("modulus_rel", "mirror", "qsim")
     }
-    if args.json:
-        payload = {
-            "source": source,
-            "seed": seed,
-            "cases": results,
-            "worst": worst,
-            "passed": all_pass,
-        }
-        sys.stdout.write(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-    else:
-        print(f"verify {source}: {len(results)} case(s)")
+
+    def lines():  # built only for the text output
+        yield f"verify {source}: {len(results)} case(s)"
         for i, r in enumerate(results):
-            status = "PASS" if r["pass"] else "FAIL"
             dev = r["report"]["deviations"]
-            print(
-                f"  [{i:3d}] {status} {r['report']['word']}\n"
+            yield (
+                f"  [{i:3d}] {'PASS' if r['pass'] else 'FAIL'} {r['report']['word']}\n"
                 f"        operators: {r['tokens']}\n"
-                f"        modulus {dev['modulus_rel']:.2e}"
-                f"  mirror {dev['mirror']:.2e}"
+                f"        modulus {dev['modulus_rel']:.2e}  mirror {dev['mirror']:.2e}"
                 f"  qsim {dev['qsim']:.2e}"
             )
-        print(
-            "worst: modulus {modulus_rel:.2e}  mirror {mirror:.2e}"
-            "  qsim {qsim:.2e}".format(**worst)
-        )
-        print("result:", "PASS" if all_pass else "FAIL")
+        yield ("worst: modulus {modulus_rel:.2e}  mirror {mirror:.2e}"
+               "  qsim {qsim:.2e}".format(**worst))
+        yield "result: " + ("PASS" if all_pass else "FAIL")
+
+    payload = {"source": source, "seed": seed, "cases": results, "worst": worst, "passed": all_pass}
+    _emit(args, payload, lines())
     return 0 if all_pass else 1
 
 

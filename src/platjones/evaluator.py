@@ -6,16 +6,15 @@ diagonal in the even basis and appear conjugated by the duality matrix,
 so a program reads like  a f a† g a h a† ...  with diagonal letters
 assigned in order of appearance. The plat matrix element <0|M_1...M_L|0>
 is read by pushing the row vector e_0 through the operators in order
-(CompiledProgram.element), one word compiled once and evaluated at all
-the phases of a point in one pass: the phase axis is a numpy axis from
-the q-numbers through the F-moves of a and a† (fusion.recouple), with
-no loop over phases and no d x d matrix. A diagonal letter is compiled
-once into an integer sign and power of q^{1/2} per path. The Jones
-polynomial is read off samples of the element, times the unlink
-normalization d^{n-1}, on the circle |q^{1/2}| = RHO just outside the
-unit circle: an inverse FFT gives the Laurent coefficients (a Cauchy
-integral, Bornemann, Found. Comput. Math. 11, 2011), which are rounded
-to integers.
+(elements), for every program sharing n and operator skeleton and every
+phase of a point in one pass: programs and phases are numpy axes through
+the F-moves of a and a† (fusion.recouple), with no loop over either and
+no d x d matrix. A diagonal letter is compiled once into an integer
+sign and power of q^{1/2} per path. The Jones polynomial is read off
+samples of the element, times the unlink normalization d^{n-1}, on the
+circle |q^{1/2}| = RHO just outside the unit circle: an inverse FFT
+gives the Laurent coefficients (a Cauchy integral, Bornemann, Found.
+Comput. Math. 11, 2011), which are rounded to integers.
 """
 
 from __future__ import annotations
@@ -147,18 +146,37 @@ class CompiledProgram:
     def operator_count(self) -> int:
         return len(self.operators)
 
-    def element(self, point) -> np.ndarray:
-        """Plat element <0|M_1 ... M_L|0>, one value per phase of the point.
+    @property
+    def skeleton(self) -> tuple[str, ...]:
+        return tuple(op.kind for op in self.operators)
 
-        All phases go through the operators at once as a (phases, paths)
-        block of row vectors v, one BlockOperator.act each. Memory stays a
-        few (phases, paths) blocks.
-        """
-        v = np.zeros((len(point.theta), len(path_bases(self.n)[0])), dtype=complex)
-        v[:, 0] = 1.0
-        for op in self.operators:
+    def element(self, point) -> np.ndarray:
+        """Plat element <0|M_1 ... M_L|0>, one value per phase of the point."""
+        return elements([self], point)[0]
+
+
+def elements(programs, point) -> np.ndarray:
+    """Plat elements of programs sharing n and skeleton: (programs, phases).
+
+    All programs and phases go through the operators at once as one
+    (programs, phases, paths) block of row vectors: a diagonal step
+    scales each program's rows by the sign and x-exponent of its own
+    letter, and a or a† is one BlockOperator.act on the whole block.
+    """
+    if not programs:
+        raise ValueError("elements needs at least one program")
+    n, skeleton = programs[0].n, programs[0].skeleton
+    if any((p.n, p.skeleton) != (n, skeleton) for p in programs):
+        raise ValueError("elements needs programs of one n and one operator skeleton")
+    v = np.zeros((len(programs), len(point.theta), len(path_bases(n)[0])), dtype=complex)
+    v[..., 0] = 1.0
+    for step, op in enumerate(programs[0].operators):
+        if op.kind == DIAGONAL:
+            sign, exponent = np.stack([p.operators[step]._letter for p in programs], 1)
+            v = v * (sign[:, None] * np.power(point.q_half[:, None], exponent[:, None]))
+        else:
             v = op.act(v, point)
-        return v[:, 0]
+    return v[..., 0]
 
 
 def _diagonal_letter(i: int) -> str:

@@ -4,8 +4,8 @@ The register holds 2n qubits; the compiled block of dimension
 Catalan(n) sits on computational-basis indices 0..d-1 and every
 operator acts as block plus identity on the rest. The block step is
 the evaluator's BlockOperator.act: a diagonal letter is one phase per
-path, and a and a† are 2(n - 1) layers of two-level F-moves, so no
-d x d matrix is built except the one that checks a for unitarity.
+path, and a and a† are 2(n - 1) layers of two-level F-moves, so the
+only d x d matrix is the one that checks a, once per (n, point).
 Starting from |0...0> the final amplitude of |0...0> reproduces the
 evaluator's matrix element, and its squared modulus is the
 algorithm's acceptance probability.
@@ -13,6 +13,7 @@ algorithm's acceptance probability.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -50,17 +51,23 @@ def check_unitary(op: BlockOperator, point: QPoint) -> None:
     Unitarity of the block is what keeps the register norm at 1, so it
     is checked rather than trusted: a diagonal block by the moduli of
     its entries, in O(d), and a or a† by the dense product a a† of
-    duality_matrix (a is unitary iff a† is).
+    duality_matrix (a is unitary iff a† is), once per (n, point).
     """
     if op.kind == DIAGONAL:
         deviation = np.max(np.abs(np.abs(op.phases(point)) ** 2 - 1.0))
     else:
-        a = duality_matrix(op.n, point).entries
-        deviation = np.max(np.abs(a @ a.conj().T - np.eye(len(a))))
+        deviation = _duality_deviation(op.n, point)
     if deviation >= UNITARITY_TOL:
         raise NonUnitaryBlock(
             f"operator {op.token!r} deviates from unitarity by {deviation:.3e}"
         )
+
+
+@functools.lru_cache(maxsize=64)
+def _duality_deviation(n: int, point: QPoint) -> float:
+    """max |a a† - 1| of the duality matrix, over every phase of the point."""
+    a = duality_matrix(n, point).entries
+    return float(np.max(np.abs(a @ np.swapaxes(a.conj(), -1, -2) - np.eye(a.shape[-1]))))
 
 
 def evolution(program: CompiledProgram, theta: float) -> Iterator[StateVector]:
@@ -68,9 +75,8 @@ def evolution(program: CompiledProgram, theta: float) -> Iterator[StateVector]:
 
     The compiled operator list is written in matrix-product order, so
     the evolution applies it right to left: the last factor hits the
-    initial state first. Each operator M acts on the d-block u as
-    M u = u M^T, through BlockOperator.act; a is checked for
-    unitarity once per evolution, each diagonal letter once.
+    initial state first. Each operator M is checked for unitarity and
+    acts on the d-block u as M u = u M^T, through BlockOperator.act.
     """
     point = QPoint(theta)
     n = program.n
@@ -78,21 +84,16 @@ def evolution(program: CompiledProgram, theta: float) -> Iterator[StateVector]:
     amps = np.zeros(1 << (2 * n), dtype=complex)
     amps[0] = 1.0
     yield StateVector(n=n, amplitudes=amps)
-    duality_checked = False
     for op in reversed(program.operators):
-        if op.kind == DIAGONAL or not duality_checked:
-            check_unitary(op, point)
-            duality_checked = duality_checked or op.kind != DIAGONAL
+        check_unitary(op, point)
         amps = np.concatenate([op.act(amps[:d], point, transpose=True), amps[d:]])
         yield StateVector(n=n, amplitudes=amps)
 
 
 def run(program: CompiledProgram, theta: float) -> StateVector:
     """Evolve |0...0> through the whole compiled program."""
-    state = None
     for state in evolution(program, theta):
         pass
-    assert state is not None
     return state
 
 

@@ -3,11 +3,12 @@ import json
 import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from platjones import braid, cli, evaluator
+from platjones import braid, cli, evaluator, fusion, qsim
 from platjones.braid import parse
 from platjones.cli import main
 from platjones.errors import NonUnitaryBlock, ParityMismatch, UnannotatedSyllable
@@ -277,17 +278,64 @@ def _count_calls(monkeypatch, fn) -> list:
 def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     # resolves: the word and the oracle's diagram; compiles: the word and
     # its mirror (the mirror of the resolved word), with qsim reusing the
-    # word's program
+    # word's program. Each (n, operator skeleton) group of words and
+    # mirrors is one elements call, and a's dense unitarity check is
+    # built once per (n, point) over the whole corpus
+    cases = cli._random_words(40, 5)
+    cases.append(("n4", parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2")))
+    programs = [evaluator.compile(braid.resolve_orientations(w)[0]) for _, w in cases]
+    groups = Counter((p.n, p.skeleton) for p in programs)
+    assert len(groups) < len(cases)
+    qsim._duality_deviation.cache_clear()
     resolves = _count_calls(monkeypatch, braid.resolve_orientations)
     compiles = _count_calls(monkeypatch, evaluator.compile)
-    words = [w for _, w in cli._random_words(6, 5)]
-    words.append(parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2"))
-    for word in words:
-        resolves.clear()
-        compiles.clear()
-        assert cli._verify_case("w", word, 1e-6)["pass"]
-        assert len(resolves) == 2
-        assert len(compiles) == 2
+    batches = _count_calls(monkeypatch, evaluator.elements)
+    builds = _count_calls(monkeypatch, fusion.duality_matrix)
+    results = cli._verify_cases(cases, 1e-6)
+    assert [r["name"] for r in results] == [name for name, _ in cases]
+    assert [r["tokens"] for r in results] == [" ".join(p.tokens()) for p in programs]
+    assert all(r["pass"] for r in results)
+    assert len(resolves) == 2 * len(cases)
+    assert len(compiles) == 2 * len(cases)
+    keys = []
+    for batch, _ in batches:
+        (key,) = {(p.n, p.skeleton) for p in batch}
+        assert len(batch) == 2 * groups[key]
+        keys.append(key)
+    assert sorted(keys) == sorted(groups)
+    assert len(builds) == len(set(builds))
+    assert sorted(n for n, _ in builds) == sorted({n for n, s in groups if "duality" in s})
+
+
+def test_verify_random_zero_cases(capsys):
+    assert main(["verify", "--random", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("verify random(0, seed=0): 0 case(s)\n")
+    assert out.endswith("result: PASS\n")
+
+
+def test_verify_first_bad_word_decides_the_error(tmp_path, capsys):
+    # words are resolved in corpus order before any group is evaluated,
+    # so the n = 3 cap mismatch wins over the n = 2 one after it; a
+    # syntax error anywhere fails the corpus load first
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in [
+        ("a.txt", "strands=4; g2^-3"),
+        ("b.txt", "strands=6; g2^1 g4^-1"),
+        ("c.txt", "strands=6; flips=000; g4^1"),
+        ("d.txt", "strands=4; flips=00; g2^1"),
+    ]:
+        (corpus / name).write_text(text)
+    assert main(["verify", str(corpus)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cap pairs [2, 3] have equal directions\n"
+    (corpus / "e.txt").write_text("strands=6; g2^1 x")
+    assert main(["verify", str(corpus), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad syllable 'x' (line 1, column 17)\n"
 
 
 def test_eval_compiles_once_and_resolves_twice(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from platjones import evaluator
-from platjones.braid import Syllable, parse, permutation, resolve_orientations
+from platjones.braid import (
+    ANTIPARALLEL,
+    PARALLEL,
+    BraidWord,
+    Syllable,
+    parse,
+    permutation,
+    resolve_orientations,
+)
 from platjones.errors import (
     AnnotationConflict,
     CapMismatch,
@@ -186,6 +194,66 @@ def test_batched_element_matches_per_phase_reference():
             got = program.element(QPoint(tuple(thetas.tolist())))
             assert got.shape == (64,)
             assert np.max(np.abs(got - _element_per_phase(program, thetas))) < 1e-13
+
+
+def _element_by_act(program, point):
+    """Test-only reference: e_0 through each operator's act, one program at a time."""
+    v = np.zeros((len(point.theta), len(path_bases(program.n)[0])), dtype=complex)
+    v[:, 0] = 1.0
+    for op in program.operators:
+        v = op.act(v, point)
+    return v[:, 0]
+
+
+@st.composite
+def program_groups(draw):
+    """Compiled annotated words of one n and one operator skeleton.
+
+    The skeleton is a sequence of alternating run parities; each word
+    fills every run with its own syllables of that parity.
+    """
+    n = draw(st.integers(1, 5))
+    runs = draw(st.integers(0, 1 if n == 1 else 4))
+    first = 1 if n == 1 else draw(st.sampled_from([0, 1]))
+    group = []
+    for _ in range(draw(st.integers(1, 4))):
+        syllables = []
+        for r in range(runs):
+            indices = range(2 - (first + r) % 2, 2 * n, 2)
+            for _ in range(draw(st.integers(1, 3))):
+                syllables.append(Syllable(
+                    draw(st.sampled_from(indices)),
+                    draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                    draw(st.sampled_from([PARALLEL, ANTIPARALLEL])),
+                ))
+        group.append(compile_word(BraidWord(2 * n, tuple(syllables))))
+    return group
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(group=program_groups())
+def test_elements_equals_per_program_act(group):
+    n = group[0].n
+    for point in (QPoint(tuple(phase_grid(n, 10).tolist())), circle_samples((-12, 12))):
+        got = evaluator.elements(group, point)
+        want = np.array([_element_by_act(program, point) for program in group])
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(group[0].element(point), want[0])
+
+
+def test_elements_rejects_empty_and_mixed_groups():
+    point = QPoint((0.3, 0.5))
+    word = lambda n, *indices: compile_word(
+        BraidWord(2 * n, tuple(Syllable(i, 1, PARALLEL) for i in indices))
+    )
+    with pytest.raises(ValueError, match="at least one program"):
+        evaluator.elements([], point)
+    # a f a† against f a g a†, and a f a† at n = 2 against n = 3
+    for mixed in ([word(2, 2), word(2, 1, 2)], [word(2, 2), word(3, 2)]):
+        assert evaluator.elements(mixed[:1], point).shape == (1, 2)
+        with pytest.raises(ValueError, match="one n and one operator skeleton"):
+            evaluator.elements(mixed, point)
 
 
 def test_element_memory_is_linear_in_paths():

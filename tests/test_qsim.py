@@ -147,15 +147,39 @@ def test_element_matches_qsim_amplitude_on_verify_phases():
 
 
 def test_evolution_embeds_each_duality_once(monkeypatch):
-    kinds = []
+    # every operator is checked for unitarity, but a's dense check is
+    # built once per (n, point), however many evolutions read it
+    qsim._duality_deviation.cache_clear()
+    kinds, builds = [], []
 
     def counting(op, point):
         kinds.append(op.kind)
         return check_unitary(op, point)
 
+    def building(n, point):
+        builds.append((n, point))
+        return duality_matrix(n, point)
+
     monkeypatch.setattr(qsim, "check_unitary", counting)
-    # three even runs: a and a† three times each, a checked once for both
+    monkeypatch.setattr(qsim, "duality_matrix", building)
+    # three even runs: a and a† three times each
     w = parse("strands=8; g2^1 g1^-1 g4^2 g3^1 g6^-1 g5^1")
     state = run(_program(w), 0.5)
-    assert sorted(kinds) == sorted(["duality_inverse"] + ["diagonal"] * 6)
+    assert sorted(kinds) == sorted(["duality", "duality_inverse"] * 3 + ["diagonal"] * 6)
     assert state.amplitudes[0] == pytest.approx(evaluate(w, 0.5), abs=1e-12)
+    run(_program(w), 0.5)
+    assert builds == [(4, QPoint(0.5))]
+
+
+@pytest.mark.parametrize(
+    "thetas", [(0.3, 0.5, 0.7), tuple(phase_grid(3, 5).tolist())], ids=["3", "5"]
+)
+def test_check_unitary_on_batched_point(thetas):
+    # a a† of the (phases, d, d) stack must transpose the last two axes
+    # only: transposing all three raised a bare ValueError at 3 phases
+    # and, at 5 phases (as many as d at n = 3), read a unitary a as
+    # deviating by 1.6
+    point = QPoint(thetas)
+    for kind in ("duality", "duality_inverse"):
+        check_unitary(BlockOperator(kind=kind, n=3, token="a"), point)
+    assert qsim._duality_deviation(3, point) < 1e-13
