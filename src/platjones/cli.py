@@ -50,7 +50,7 @@ from .oracle import (
     writhe_correction,
 )
 from .qnum import QPoint
-from .qsim import p_k as qsim_p_k, run as qsim_run
+from .qsim import p_ks as qsim_p_ks, run as qsim_run
 
 MIRROR_TOL = 1e-10
 QSIM_TOL = 1e-12
@@ -266,7 +266,8 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
 
     Every word is resolved and compiled first, in corpus order, so the
     first bad word decides the error. Then each (n, operator skeleton)
-    group in turn is evaluated, words and mirrors, in one elements call.
+    group in turn is evaluated, words and mirrors, in one elements call,
+    and its words are simulated at the middle phase in one qsim pass.
     """
     groups = {}
     for i, (_, word) in enumerate(cases):
@@ -279,7 +280,8 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
         programs = [program for _, program in group]
         values = elements(programs + [compile_word(mirror(p.word)) for p in programs], point)
         mid = len(point.theta) // 2
-        for (i, program), amps, mirrored in zip(group, values, values[len(group) :]):
+        rows = zip(group, values, values[len(group) :], qsim_p_ks(programs, point.theta[mid]))
+        for (i, program), amps, mirrored, probability in rows:
             exact = jones_exact(program.word)
             # polynomial roots can land on sample phases; floor the relative
             # scale by the coefficient mass so a true zero does not divide out
@@ -288,7 +290,7 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
             want = abs(laurent_eval(exact, point))
             worst_mod = float((abs(got - want) / np.maximum(want, floor)).max())
             worst_mirror = float(abs(mirrored - amps.conj()).max())
-            qsim_dev = float(abs(qsim_p_k(program, point.theta[mid]) - abs(amps[mid]) ** 2))
+            qsim_dev = float(abs(probability - abs(amps[mid]) ** 2))
             deviations = {"modulus_rel": worst_mod, "mirror": worst_mirror, "qsim": qsim_dev}
             passed = worst_mod < tolerance and worst_mirror < MIRROR_TOL and qsim_dev < QSIM_TOL
             report = _report(format_word(cases[i][1]), n, operator_count=program.operator_count,

@@ -20,6 +20,7 @@ Comput. Math. 11, 2011), which are rounded to integers.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -49,6 +50,7 @@ DUALITY = "duality"
 DUALITY_INVERSE = "duality_inverse"
 
 DAGGER = "a†"
+BLOCK_ENTRIES = 1 << 16  # complex entries of one block of row vectors or registers
 
 # right-handed braiding eigenvalues +-x^e, x = q^{1/2}: rows sign and e, columns J = 0, 1
 SPECTRUM = {PARALLEL: ((-1, 1), (3, 1)), ANTIPARALLEL: ((1, -1), (0, -2))}
@@ -155,28 +157,40 @@ class CompiledProgram:
         return elements([self], point)[0]
 
 
+def group_slices(programs, width) -> list:
+    """Programs of one n and skeleton in slices of at most BLOCK_ENTRIES // width(n).
+
+    width(n) is one program's entries in a block, so a block's memory
+    stays bounded however large the group; a slice has at least one.
+    """
+    if len({(p.n, p.skeleton) for p in programs}) != 1:
+        raise ValueError("expected at least one program, all of one n and one operator skeleton")
+    step = max(1, BLOCK_ENTRIES // width(programs[0].n))
+    return [programs[i : i + step] for i in range(0, len(programs), step)]
+
+
 def elements(programs, point) -> np.ndarray:
     """Plat elements of programs sharing n and skeleton: (programs, phases).
 
-    All programs and phases go through the operators at once as one
-    (programs, phases, paths) block of row vectors: a diagonal step
-    scales each program's rows by the sign and x-exponent of its own
-    letter, and a or a† is one BlockOperator.act on the whole block.
+    A slice of programs (group_slices) and all phases go through the
+    operators at once as one (programs, phases, paths) block of row
+    vectors: a diagonal step scales each program's rows by the sign and
+    x-exponent of its own letter, and a or a† is one BlockOperator.act
+    on the whole block.
     """
-    if not programs:
-        raise ValueError("elements needs at least one program")
-    n, skeleton = programs[0].n, programs[0].skeleton
-    if any((p.n, p.skeleton) != (n, skeleton) for p in programs):
-        raise ValueError("elements needs programs of one n and one operator skeleton")
-    v = np.zeros((len(programs), len(point.theta), len(path_bases(n)[0])), dtype=complex)
-    v[..., 0] = 1.0
-    for step, op in enumerate(programs[0].operators):
-        if op.kind == DIAGONAL:
-            sign, exponent = np.stack([p.operators[step]._letter for p in programs], 1)
-            v = v * (sign[:, None] * np.power(point.q_half[:, None], exponent[:, None]))
-        else:
-            v = op.act(v, point)
-    return v[..., 0]
+    paths = lambda n: len(path_bases(n)[0])
+    out = []
+    for part in group_slices(programs, lambda n: len(point.theta) * paths(n)):
+        v = np.zeros((len(part), len(point.theta), paths(part[0].n)), dtype=complex)
+        v[..., 0] = 1.0
+        for step, op in enumerate(part[0].operators):
+            if op.kind == DIAGONAL:
+                sign, exponent = np.stack([p.operators[step]._letter for p in part], 1)
+                v = v * (sign[:, None] * np.power(point.q_half[:, None], exponent[:, None]))
+            else:
+                v = op.act(v, point)
+        out.append(v[..., 0].copy())  # a view would keep the whole block
+    return np.concatenate(out)
 
 
 def _diagonal_letter(i: int) -> str:
@@ -192,24 +206,13 @@ def compile(word: BraidWord) -> CompiledProgram:
     n = word.n
     if not word.is_annotated():
         raise UnannotatedSyllable("compile needs a fully annotated word")
-    runs: list[list[Syllable]] = []
-    for s in word.syllables:
-        parity = s.index % 2
-        if runs and runs[-1][0].index % 2 == parity:
-            runs[-1].append(s)
-        else:
-            runs.append([s])
     ops: list[BlockOperator] = []
-    for i, run in enumerate(runs):
-        basis = ODD if run[0].index % 2 == 1 else EVEN
-        token = _diagonal_letter(i)
-        diag = BlockOperator(kind=DIAGONAL, n=n, token=token, basis=basis, run=tuple(run))
-        if basis == ODD:
+    for i, (odd, run) in enumerate(itertools.groupby(word.syllables, lambda s: s.index % 2)):
+        diag = BlockOperator(DIAGONAL, n, _diagonal_letter(i), ODD if odd else EVEN, tuple(run))
+        if odd:
             ops.append(diag)
         else:
-            ops.append(BlockOperator(kind=DUALITY, n=n, token="a"))
-            ops.append(diag)
-            ops.append(BlockOperator(kind=DUALITY_INVERSE, n=n, token=DAGGER))
+            ops += [BlockOperator(DUALITY, n, "a"), diag, BlockOperator(DUALITY_INVERSE, n, DAGGER)]
     return CompiledProgram(n=n, operators=tuple(ops), word=word)
 
 

@@ -4,7 +4,8 @@ The braid is swept upward from the cups as a Temperley–Lieb transfer
 matrix: each crossing expands as A^eps * 1 + A^{-eps} * e_i (Kauffman,
 "State models and the Jones polynomial", Topology 26, 1987), and the
 states are the planar matchings of the current strand ends, each
-carrying an exact integer Laurent polynomial in A. The caps close the
+carrying its exact integer coefficients in A as a plain dict, updated
+in place; one LaurentPoly is built at the end. The caps close the
 remaining loops; the unknot is normalized to 1 and every further closed
 loop contributes d = -A^2 - A^{-2}. The Jones polynomial follows from
 the writhe correction V = (-1)^w A^{-3w} <K> with t = A^{-4}; exponents
@@ -22,7 +23,6 @@ from .laurent import LaurentPoly
 BracketPoly = LaurentPoly  # exponents are powers of A
 
 LOOP_VALUE = LaurentPoly({2: -1, -2: -1})  # d = -A^2 - A^{-2}
-ZERO = LaurentPoly.zero()
 
 
 @dataclass(frozen=True)
@@ -63,34 +63,41 @@ def _cap(joined: list[int], i: int) -> bool:
     return False
 
 
+def _add(target: dict, coeffs: dict, factor: dict) -> None:
+    """target += coeffs * factor, on {A-exponent: int} dicts, in place."""
+    for shift, scale in factor.items():
+        for e, c in coeffs.items():
+            e += shift
+            target[e] = target.get(e, 0) + scale * c
+
+
 def kauffman_bracket(diagram: PlanarDiagram) -> BracketPoly:
     """Exact bracket by a sweep over planar matchings, unknot normalized to 1.
 
     Each state is a matching of the current strand ends, partner[k]
     being the other end of the arc below end k, mapped to its
-    coefficient. e_i caps ends i and i + 1 (closing a loop if they are
-    partners, else joining their partners) and cups them anew; at the
-    top the caps (k, k ^ 1) close every remaining loop.
+    {A-exponent: int} coefficients. e_i caps ends i and i + 1 (closing
+    a loop if they are partners, else joining their partners) and cups
+    them anew; at the top the caps (k, k ^ 1) close every remaining loop.
     """
-    states = {tuple(k ^ 1 for k in range(2 * diagram.n)): LaurentPoly.one()}
+    states = {tuple(k ^ 1 for k in range(2 * diagram.n)): {0: 1}}
     for i, eps in diagram.crossings:
-        swept: dict[tuple[int, ...], LaurentPoly] = {}
-        for partner, poly in states.items():
+        swept: dict[tuple[int, ...], dict[int, int]] = {}
+        # the identity weighs A^eps, e_i A^-eps, and e_i closing a loop A^-eps d
+        kept, capped, closed = {eps: 1}, {-eps: 1}, {2 - eps: -1, -2 - eps: -1}
+        for partner, coeffs in states.items():
             joined = list(partner)
-            term = poly * LOOP_VALUE if _cap(joined, i) else poly
+            loop = _cap(joined, i)
             joined[i], joined[i + 1] = i + 1, i
-            for key, value in (
-                (partner, poly.shift(eps)),
-                (tuple(joined), term.shift(-eps)),
-            ):
-                swept[key] = swept.get(key, ZERO) + value
+            _add(swept.setdefault(partner, {}), coeffs, kept)
+            _add(swept.setdefault(tuple(joined), {}), coeffs, closed if loop else capped)
         states = swept
-    total = ZERO
-    for partner, poly in states.items():
+    total: dict[int, int] = {}
+    for partner, coeffs in states.items():
         joined = list(partner)
         loops = sum(_cap(joined, k) for k in range(0, len(joined), 2))
-        total = total + poly * LOOP_VALUE ** (loops - 1)
-    return total
+        _add(total, coeffs, (LOOP_VALUE ** (loops - 1)).coeffs())
+    return LaurentPoly(total)
 
 
 def writhe_correction(bracket: BracketPoly, w: int) -> LaurentPoly:
@@ -121,7 +128,5 @@ def jones_exact(word: BraidWord) -> LaurentPoly:
 
 def bracket_span(bracket: BracketPoly) -> tuple[int, int]:
     """Smallest and largest A-exponent; (0, 0) for constants."""
-    sup = bracket.support()
-    if not sup:
-        return (0, 0)
+    sup = bracket.support() or [0]
     return (sup[0], sup[-1])

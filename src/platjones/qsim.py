@@ -2,10 +2,11 @@
 
 The register holds 2n qubits; the compiled block of dimension
 Catalan(n) sits on computational-basis indices 0..d-1 and every
-operator acts as block plus identity on the rest. The block step is
-the evaluator's BlockOperator.act: a diagonal letter is one phase per
-path, and a and a† are 2(n - 1) layers of two-level F-moves, so the
-only d x d matrix is the one that checks a, once per (n, point).
+operator acts as block plus identity on the rest. Programs sharing n
+and operator skeleton evolve as one (programs, 2^{2n}) block of
+registers, a slice of the group at a time: a diagonal step multiplies
+each d-block by its own letter's phases in place, and a and a† are
+2(n - 1) layers of F-moves on all d-blocks at once (BlockOperator.act).
 Starting from |0...0> the final amplitude of |0...0> reproduces the
 evaluator's matrix element, and its squared modulus is the
 algorithm's acceptance probability.
@@ -20,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NonUnitaryBlock
-from .evaluator import DIAGONAL, BlockOperator, CompiledProgram
+from .evaluator import DIAGONAL, BlockOperator, CompiledProgram, group_slices
 from .fusion import duality_matrix, path_bases
 from .qnum import QPoint
 
@@ -45,16 +46,18 @@ class StateVector:
         return float(abs(self.amplitudes[index]) ** 2)
 
 
-def check_unitary(op: BlockOperator, point: QPoint) -> None:
+def check_unitary(op: BlockOperator, point: QPoint, phases=None) -> None:
     """Raise NonUnitaryBlock unless the operator's block is unitary at the point.
 
     Unitarity of the block is what keeps the register norm at 1, so it
     is checked rather than trusted: a diagonal block by the moduli of
     its entries, in O(d), and a or a† by the dense product a a† of
-    duality_matrix (a is unitary iff a† is), once per (n, point).
+    duality_matrix (a is unitary iff a† is), once per (n, point). phases,
+    if given, are a group's entries at op's step; one skeleton, one token.
     """
     if op.kind == DIAGONAL:
-        deviation = np.max(np.abs(np.abs(op.phases(point)) ** 2 - 1.0))
+        phases = op.phases(point) if phases is None else phases
+        deviation = np.max(np.abs(np.abs(phases) ** 2 - 1.0))
     else:
         deviation = _duality_deviation(op.n, point)
     if deviation >= UNITARITY_TOL:
@@ -70,31 +73,48 @@ def _duality_deviation(n: int, point: QPoint) -> float:
     return float(np.max(np.abs(a @ np.swapaxes(a.conj(), -1, -2) - np.eye(a.shape[-1]))))
 
 
-def evolution(program: CompiledProgram, theta: float) -> Iterator[StateVector]:
-    """Yield the register state before and after each operator.
+def _evolve(programs, point: QPoint) -> Iterator[np.ndarray]:
+    """Yield the (programs, 2^{2n}) registers, updated in place, before and after each operator.
 
-    The compiled operator list is written in matrix-product order, so
-    the evolution applies it right to left: the last factor hits the
-    initial state first. Each operator M is checked for unitarity and
-    acts on the d-block u as M u = u M^T, through BlockOperator.act.
+    The operators are in matrix-product order, so they apply right to
+    left, each checked and acting on every d-block u as M u = u M^T.
     """
-    point = QPoint(theta)
-    n = program.n
-    d = block_dimension(n)
-    amps = np.zeros(1 << (2 * n), dtype=complex)
-    amps[0] = 1.0
-    yield StateVector(n=n, amplitudes=amps)
-    for op in reversed(program.operators):
-        check_unitary(op, point)
-        amps = np.concatenate([op.act(amps[:d], point, transpose=True), amps[d:]])
-        yield StateVector(n=n, amplitudes=amps)
+    d = block_dimension(programs[0].n)
+    amps = np.zeros((len(programs), 1 << (2 * programs[0].n)), dtype=complex)
+    amps[:, 0] = 1.0
+    yield amps
+    for step in reversed(range(len(programs[0].operators))):
+        op = programs[0].operators[step]
+        if op.kind == DIAGONAL:
+            sign, exponent = np.stack([p.operators[step]._letter for p in programs], 1)
+            phases = sign * np.power(point.q_half, exponent)
+            check_unitary(op, point, phases)
+            amps[:, :d] *= phases
+        else:
+            check_unitary(op, point)
+            amps[:, :d] = op.act(amps[:, :d], point, transpose=True)
+        yield amps
+
+
+def evolution(program: CompiledProgram, theta: float) -> Iterator[StateVector]:
+    """Yield a copy of the register state before and after each operator."""
+    for amps in _evolve([program], QPoint(theta)):
+        yield StateVector(n=program.n, amplitudes=amps[0].copy())
 
 
 def run(program: CompiledProgram, theta: float) -> StateVector:
     """Evolve |0...0> through the whole compiled program."""
-    for state in evolution(program, theta):
-        pass
-    return state
+    *_, amps = _evolve([program], QPoint(theta))
+    return StateVector(n=program.n, amplitudes=amps[0])
+
+
+def p_ks(programs, theta: float) -> np.ndarray:
+    """|<0...0|U|0...0>|^2 of programs sharing n and skeleton, a slice at a time."""
+    out = []
+    for part in group_slices(programs, lambda n: 1 << (2 * n)):
+        *_, amps = _evolve(part, QPoint(theta))
+        out.append(np.abs(amps[:, 0]) ** 2)
+    return np.concatenate(out)
 
 
 def p_k(program: CompiledProgram, theta: float) -> float:

@@ -279,8 +279,9 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     # resolves: the word and the oracle's diagram; compiles: the word and
     # its mirror (the mirror of the resolved word), with qsim reusing the
     # word's program. Each (n, operator skeleton) group of words and
-    # mirrors is one elements call, and a's dense unitarity check is
-    # built once per (n, point) over the whole corpus
+    # mirrors is one elements call, its words one qsim pass, and a's
+    # dense unitarity check is built once per (n, point) over the whole
+    # corpus
     cases = cli._random_words(40, 5)
     cases.append(("n4", parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2")))
     programs = [evaluator.compile(braid.resolve_orientations(w)[0]) for _, w in cases]
@@ -291,6 +292,7 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     compiles = _count_calls(monkeypatch, evaluator.compile)
     batches = _count_calls(monkeypatch, evaluator.elements)
     builds = _count_calls(monkeypatch, fusion.duality_matrix)
+    passes = _count_calls(monkeypatch, qsim._evolve)
     results = cli._verify_cases(cases, 1e-6)
     assert [r["name"] for r in results] == [name for name, _ in cases]
     assert [r["tokens"] for r in results] == [" ".join(p.tokens()) for p in programs]
@@ -301,6 +303,12 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     for batch, _ in batches:
         (key,) = {(p.n, p.skeleton) for p in batch}
         assert len(batch) == 2 * groups[key]
+        keys.append(key)
+    assert sorted(keys) == sorted(groups)
+    keys = []
+    for batch, _ in passes:
+        (key,) = {(p.n, p.skeleton) for p in batch}
+        assert len(batch) == groups[key]
         keys.append(key)
     assert sorted(keys) == sorted(groups)
     assert len(builds) == len(set(builds))

@@ -274,6 +274,25 @@ def test_element_memory_is_linear_in_paths():
     assert peak < 8 * block
 
 
+def test_elements_memory_is_bounded_by_slices():
+    # 300 one-syllable n = 6 words form one a f a† group; its whole
+    # (words, phases, paths) block is 6.3 MB and each F-move makes
+    # several such arrays, while a slice of the group keeps every block
+    # under BLOCK_ENTRIES entries with the bits of one word at a time
+    words = [f"strands=12; g{i}^{p}" for i in (2, 4, 6, 8, 10) for p in (-3, -2, -1, 1, 2, 3)]
+    group = [compile_word(_resolved(w)) for w in words] * 10
+    point = QPoint(tuple(phase_grid(6, 10).tolist()))
+    want = np.array([program.element(point) for program in group[:30]])
+    tracemalloc.start()
+    try:
+        got = evaluator.elements(group, point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, np.tile(want, (10, 1)))
+    assert peak < 8 * evaluator.BLOCK_ENTRIES * np.dtype(complex).itemsize
+
+
 def test_jones_trefoil_exact():
     res = jones(parse("strands=4; g2^-3"))
     assert res.polynomial == LaurentPoly({-8: 1, -6: -1, -2: -1})

@@ -40,7 +40,7 @@ def test_monomial_and_one():
 
 
 @given(polys, polys, polys)
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True)
 def test_ring_laws(a, b, c):
     assert a + b == b + a
     assert a * b == b * a
@@ -51,7 +51,7 @@ def test_ring_laws(a, b, c):
 
 
 @given(polys, polys)
-@settings(max_examples=40)
+@settings(max_examples=40, derandomize=True)
 def test_eval_is_ring_morphism(a, b):
     pt = QPoint(0.83)
     lhs = laurent_eval(a * b, pt)
@@ -61,11 +61,13 @@ def test_eval_is_ring_morphism(a, b):
 
 
 @given(polys, st.integers(min_value=-5, max_value=5))
+@settings(derandomize=True)
 def test_shift_matches_monomial_product(a, k):
     assert a.shift(k) == a * LaurentPoly.monomial(k)
 
 
 @given(polys)
+@settings(derandomize=True)
 def test_invert_variable_involution(a):
     assert a.invert_variable().invert_variable() == a
 

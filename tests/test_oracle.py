@@ -70,7 +70,7 @@ def state_sum_bracket(diagram):
 
 @st.composite
 def small_words(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=5))
     syllables = draw(
         st.lists(
             st.tuples(
@@ -222,6 +222,53 @@ def test_forty_crossings():
     assert abs(laurent_eval(got, QPoint(0.0))) == pytest.approx(2 ** (mu - 1))
     cube_root = QPoint(2 * math.pi / 3)  # q^{1/2} = t^{1/2} = e^{i pi/3}
     assert abs(laurent_eval(got, cube_root)) == pytest.approx(1.0, rel=1e-9)
+
+
+def _components(word):
+    """Link components of the plat closure: cups and caps joined through
+    the braid permutation, where an odd power swaps two positions."""
+    at = list(range(word.strands))  # at[position] = strand now there
+    for s in word.syllables:
+        if s.power % 2:
+            at[s.index - 1], at[s.index] = at[s.index], at[s.index - 1]
+    parent = list(range(word.strands))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for k in range(0, word.strands, 2):
+        parent[find(k)] = find(k + 1)
+        parent[find(at[k])] = find(at[k + 1])
+    return sum(find(x) == x for x in range(word.strands))
+
+
+def _norm_at_cube_root(p):
+    """|V(e^{2 pi i/3})|^2 exactly: x = t^{1/2} = z = e^{i pi/3}, z^2 = z - 1,
+    so V = a + b z with integers a, b and |a + b z|^2 = a^2 + ab + b^2."""
+    powers = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]  # z^k, k mod 6
+    a = sum(c * powers[k % 6][0] for k, c in p.coeffs().items())
+    b = sum(c * powers[k % 6][1] for k, c in p.coeffs().items())
+    return a * a + a * b + b * b
+
+
+def test_hundred_twenty_crossings_at_n4():
+    # the forty-crossing word three times over; its coefficients pass
+    # 10^14, so the invariants are checked in exact integer arithmetic
+    base = (
+        "g2^3 g4^-2 g3^3 g6^2 g5^-3 g1^2 g7^-3 g2^-2 g4^3 "
+        "g3^-2 g6^-3 g5^2 g4^2 g2^3 g6^-3 g3^2 "
+    )
+    w = parse("strands=8; " + base * 3)
+    assert w.crossing_count() == 120
+    got = jones_exact(w)
+    assert max(abs(c) for c in got.coeffs().values()) > 10**14
+    assert jones_exact(mirror(w)) == got.invert_variable()
+    mu = _components(w)
+    assert mu == 2
+    assert abs(sum(got.coeffs().values())) == 2 ** (mu - 1)  # |V(1)|
+    assert _norm_at_cube_root(got) == 1
 
 
 def test_writhe_correction_shifts_exponents():

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from platjones import qsim
+from platjones import evaluator, qsim
 from platjones.braid import parse, resolve_orientations
 from platjones.cli import _random_words
 from platjones.errors import NonUnitaryBlock
@@ -19,7 +19,15 @@ from platjones.evaluator import (
 )
 from platjones.fusion import duality_matrix
 from platjones.qnum import CirclePoint, QPoint, RealQPoint
-from platjones.qsim import StateVector, block_dimension, check_unitary, evolution, p_k, run
+from platjones.qsim import (
+    StateVector,
+    block_dimension,
+    check_unitary,
+    evolution,
+    p_k,
+    p_ks,
+    run,
+)
 
 
 def _program(word):
@@ -152,9 +160,9 @@ def test_evolution_embeds_each_duality_once(monkeypatch):
     qsim._duality_deviation.cache_clear()
     kinds, builds = [], []
 
-    def counting(op, point):
+    def counting(op, point, *phases):
         kinds.append(op.kind)
-        return check_unitary(op, point)
+        return check_unitary(op, point, *phases)
 
     def building(n, point):
         builds.append((n, point))
@@ -183,3 +191,58 @@ def test_check_unitary_on_batched_point(thetas):
     for kind in ("duality", "duality_inverse"):
         check_unitary(BlockOperator(kind=kind, n=3, token="a"), point)
     assert qsim._duality_deviation(3, point) < 1e-13
+
+
+def _groups(programs):
+    groups = {}
+    for program in programs:
+        groups.setdefault((program.n, program.skeleton), []).append(program)
+    return groups
+
+
+def test_batched_p_k_matches_each_program(monkeypatch):
+    # every (n, skeleton) group of a mixed corpus in one pass, then the
+    # same groups cut into slices of three registers: the slices give
+    # the same bits, and each row its own program's p_k to round-off
+    programs = [_program(w) for _, w in _random_words(80, 7)]
+    programs += [
+        _program(parse(f"strands=8; g2^{k} g4^-1 g3^1 g6^{j}")) for k in (1, -2) for j in (1, 3)
+    ]
+    groups = [g for g in _groups(programs).values() if len(g) > 1]
+    assert any(g[0].n == 4 for g in groups) and sum(len(g) > 3 for g in groups) >= 3
+    whole = {}
+    for group in groups:
+        theta = float(phase_grid(group[0].n, 10)[5])
+        got = whole[id(group)] = p_ks(group, theta)
+        assert got.shape == (len(group),)
+        want = np.array([p_k(program, theta) for program in group])
+        assert np.max(np.abs(got - want)) <= 1e-15
+    for group in groups:
+        monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 << (2 * group[0].n))
+        assert len(evaluator.group_slices(group, lambda n: 1 << (2 * n))) == -(-len(group) // 3)
+        theta = float(phase_grid(group[0].n, 10)[5])
+        assert np.array_equal(p_ks(group, theta), whole[id(group)])
+
+
+def test_evolution_snapshots_do_not_alias():
+    # the register is updated in place; evolution copies it per yield
+    program = _program(parse("strands=6; g2^-1 g4^2 g3^1 g1^-2"))
+    states = list(evolution(program, 0.6))
+    assert states[0].amplitudes[0] == 1.0
+    assert np.count_nonzero(states[0].amplitudes) == 1
+    assert not np.array_equal(states[1].amplitudes, states[-1].amplitudes)
+    assert np.array_equal(states[-1].amplitudes, run(program, 0.6).amplitudes)
+
+
+def test_non_unitary_diagonal_in_a_group_names_its_token():
+    # f a g a† h for each word; the middle word's g gets a modulus-2
+    # entry, so the pass runs h and a† and stops at g
+    group = [_program(parse(f"strands=4; g1^{k} g2^1 g1^1")) for k in (1, 2, -1)]
+    assert len(_groups(group)) == 1
+    op = group[1].operators[2]
+    assert (op.kind, op.token) == ("diagonal", "g")
+    sign, exponent = op._letter
+    op.__dict__["_letter"] = (sign * np.array([1, 2]), exponent)
+    with pytest.raises(NonUnitaryBlock, match=r"operator 'g' deviates from unitarity by 3\.000e\+00"):
+        p_ks(group, 0.5)
+    p_ks(group[:1] + group[2:], 0.5)
