@@ -41,7 +41,7 @@ from .evaluator import (
     phase_grid,
     unlink_normalization,
 )
-from .laurent import LaurentPoly, laurent_eval, render_q
+from .laurent import LaurentPoly, render_q
 from .oracle import (
     bracket_span,
     jones_exact,
@@ -267,7 +267,8 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
     Every word is resolved and compiled first, in corpus order, so the
     first bad word decides the error. Then each (n, operator skeleton)
     group in turn is evaluated, words and mirrors, in one elements call,
-    and its words are simulated at the middle phase in one qsim pass.
+    its words are simulated at the middle phase in one qsim pass, and
+    its checks are (words, phases) arrays reduced per row.
     """
     groups = {}
     for i, (_, word) in enumerate(cases):
@@ -279,18 +280,24 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
         point = QPoint(tuple(phase_grid(n, 10).tolist()))
         programs = [program for _, program in group]
         values = elements(programs + [compile_word(mirror(p.word)) for p in programs], point)
+        amps, mirrored = values[: len(group)], values[len(group) :]
+        exacts = [jones_exact(p.word) for p in programs]
+        # laurent_eval's terms in laurent_eval's order, so each row has its bits
+        want = 0
+        for k in sorted(set().union(*(e.coeffs() for e in exacts))):
+            want = want + np.array([[complex(e.coeff(k))] for e in exacts]) * point.q_half**k
+        # polynomial roots can land on sample phases; floor the relative
+        # scale by the coefficient mass so a true zero does not divide out
+        mass = [[float(sum(map(abs, e.coeffs().values())))] for e in exacts]
+        floor = 1e-9 * np.maximum(1.0, mass)
+        got, want = abs(amps) * abs(unlink_normalization(n, point.thetas)), abs(want)
+        moduli = (abs(got - want) / np.maximum(want, floor)).max(1).tolist()
+        mirrors = abs(mirrored - amps.conj()).max(1).tolist()
         mid = len(point.theta) // 2
-        rows = zip(group, values, values[len(group) :], qsim_p_ks(programs, point.theta[mid]))
-        for (i, program), amps, mirrored, probability in rows:
-            exact = jones_exact(program.word)
-            # polynomial roots can land on sample phases; floor the relative
-            # scale by the coefficient mass so a true zero does not divide out
-            floor = 1e-9 * max(1.0, float(sum(abs(v) for v in exact.coeffs().values())))
-            got = abs(amps) * abs(unlink_normalization(n, point.thetas))
-            want = abs(laurent_eval(exact, point))
-            worst_mod = float((abs(got - want) / np.maximum(want, floor)).max())
-            worst_mirror = float(abs(mirrored - amps.conj()).max())
-            qsim_dev = float(abs(probability - abs(amps[mid]) ** 2))
+        probabilities = qsim_p_ks(programs, point.theta[mid])
+        rows = zip(group, exacts, moduli, mirrors, probabilities, amps[:, mid])
+        for (i, program), exact, worst_mod, worst_mirror, probability, amp in rows:
+            qsim_dev = float(abs(probability - abs(amp) ** 2))
             deviations = {"modulus_rel": worst_mod, "mirror": worst_mirror, "qsim": qsim_dev}
             passed = worst_mod < tolerance and worst_mirror < MIRROR_TOL and qsim_dev < QSIM_TOL
             report = _report(format_word(cases[i][1]), n, operator_count=program.operator_count,

@@ -9,12 +9,14 @@ is read by pushing the row vector e_0 through the operators in order
 (elements), for every program sharing n and operator skeleton and every
 phase of a point in one pass: programs and phases are numpy axes through
 the F-moves of a and a† (fusion.recouple), with no loop over either and
-no d x d matrix. A diagonal letter is compiled once into an integer
-sign and power of q^{1/2} per path. The Jones polynomial is read off
-samples of the element, times the unlink normalization d^{n-1}, on the
-circle |q^{1/2}| = RHO just outside the unit circle: an inverse FFT
-gives the Laurent coefficients (a Cauchy integral, Bornemann, Found.
-Comput. Math. 11, 2011), which are rounded to integers.
+no d x d matrix. A diagonal letter is compiled once into integer
+tallies per pair k and J = 0, 1 (summed power of q^{1/2}, count of -1
+signs); one gather-sum over the paths' pair couplings gives a group
+step's signs and powers per path (letters). The Jones polynomial is
+read off samples of the element, times the unlink normalization
+d^{n-1}, on the circle |q^{1/2}| = RHO just outside the unit circle:
+an inverse FFT gives the Laurent coefficients (a Cauchy integral,
+Bornemann, Found. Comput. Math. 11, 2011), rounded to integers.
 """
 
 from __future__ import annotations
@@ -64,20 +66,18 @@ def braiding_phase(J: int, orientation: str, handedness: str, point):
     """
     if J not in (0, 1):
         raise ValueError(f"pair coupling must be 0 or 1, got {J}")
-    sign, exponent = _spectrum(orientation, handedness)[:, J]
-    return sign * point.q_half**exponent
+    signs, exponents = _spectrum(orientation, handedness)
+    return signs[J] * point.q_half ** exponents[J]
 
 
-@functools.cache
-def _spectrum(orientation: str, handedness: str) -> np.ndarray:
+def _spectrum(orientation: str, handedness: str) -> tuple[tuple[int, int], tuple[int, int]]:
     """Signs and x-exponents of the braiding eigenvalues, columns J = 0, 1."""
     if orientation not in SPECTRUM:
         raise UnannotatedSyllable(f"orientation {orientation!r} is not resolved")
     if handedness not in (RIGHT, LEFT):
         raise ValueError(f"handedness must be {RIGHT!r} or {LEFT!r}")
-    table = np.array(SPECTRUM[orientation]) * [[1], [1 if handedness == RIGHT else -1]]
-    table.setflags(write=False)
-    return table
+    signs, exponents = SPECTRUM[orientation]
+    return signs, (exponents if handedness == RIGHT else (-exponents[0], -exponents[1]))
 
 
 def _pair_of_index(index: int, basis: str) -> int:
@@ -101,25 +101,24 @@ class BlockOperator:
     run: tuple[Syllable, ...] = ()
 
     @functools.cached_property
-    def _letter(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer sign and x-exponent of each path's entry, over the run's syllables."""
-        odd, even = pair_couplings(self.n)
-        couplings = odd if self.basis == ODD else even
-        sign = np.ones(len(couplings), dtype=int)
-        exponent = np.zeros(len(couplings), dtype=int)
+    def _tally(self) -> tuple[int, ...]:
+        """Minus signs, then x-exponents, of the run per pair k and J = 0, 1; flat (2, pairs, 2)."""
+        pairs = pair_couplings(self.n)[self.basis != ODD].shape[1]
+        tally = [0] * (4 * pairs)
         for s in self.run:
-            J = couplings[:, _pair_of_index(s.index, self.basis)]
+            k = _pair_of_index(s.index, self.basis)
             signs, exponents = _spectrum(s.orientation, RIGHT if s.power > 0 else LEFT)
-            sign *= signs[J] ** abs(s.power)
-            exponent += exponents[J] * abs(s.power)
-        return sign, exponent
+            for J in (0, 1):
+                tally[2 * k + J] += abs(s.power) * (signs[J] < 0)
+                tally[2 * (pairs + k) + J] += abs(s.power) * exponents[J]
+        return tuple(tally)
 
     def phases(self, point) -> np.ndarray:
         """Diagonal entries sign * x^exponent, one row per phase of the point."""
         if self.kind != DIAGONAL:
             raise ValueError("only diagonal operators carry phases")
-        sign, exponent = self._letter
-        return sign * np.power.outer(point.q_half, exponent)
+        sign, exponent = letters([self])
+        return sign[0] * np.power.outer(point.q_half, exponent[0])
 
     def act(self, v: np.ndarray, point, transpose: bool = False) -> np.ndarray:
         """v @ M, or v @ M^T with transpose, for M this operator at the point.
@@ -169,14 +168,25 @@ def group_slices(programs, width) -> list:
     return [programs[i : i + step] for i in range(0, len(programs), step)]
 
 
+def letters(ops) -> tuple[np.ndarray, np.ndarray]:
+    """Integer signs and x-exponents, (ops, paths) each, of diagonal letters of one n and basis.
+
+    One gather-sum of their per-pair tallies over the paths' pair couplings J.
+    """
+    couplings = pair_couplings(ops[0].n)[ops[0].basis != ODD]
+    tallies = np.array([op._tally for op in ops]).reshape(len(ops), 2, -1, 2)
+    minus, exponent = tallies[:, :, np.arange(couplings.shape[1]), couplings].sum(-1).swapaxes(0, 1)
+    return (-1) ** minus, exponent
+
+
 def elements(programs, point) -> np.ndarray:
     """Plat elements of programs sharing n and skeleton: (programs, phases).
 
     A slice of programs (group_slices) and all phases go through the
     operators at once as one (programs, phases, paths) block of row
-    vectors: a diagonal step scales each program's rows by the sign and
-    x-exponent of its own letter, and a or a† is one BlockOperator.act
-    on the whole block.
+    vectors: a diagonal step scales each program's rows by its own
+    letter (letters, once per step), and a or a† is one
+    BlockOperator.act on the whole block.
     """
     paths = lambda n: len(path_bases(n)[0])
     out = []
@@ -185,7 +195,7 @@ def elements(programs, point) -> np.ndarray:
         v[..., 0] = 1.0
         for step, op in enumerate(part[0].operators):
             if op.kind == DIAGONAL:
-                sign, exponent = np.stack([p.operators[step]._letter for p in part], 1)
+                sign, exponent = letters([p.operators[step] for p in part])
                 v = v * (sign[:, None] * np.power(point.q_half[:, None], exponent[:, None]))
             else:
                 v = op.act(v, point)

@@ -15,6 +15,7 @@ evaluator's.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .braid import BraidWord, resolve_orientations, writhe
@@ -71,6 +72,12 @@ def _add(target: dict, coeffs: dict, factor: dict) -> None:
             target[e] = target.get(e, 0) + scale * c
 
 
+@functools.cache
+def _loop_power(k: int) -> dict[int, int]:
+    """d^k as an {A-exponent: int} dict, built once per k; never mutated."""
+    return (LOOP_VALUE ** k).coeffs()
+
+
 def kauffman_bracket(diagram: PlanarDiagram) -> BracketPoly:
     """Exact bracket by a sweep over planar matchings, unknot normalized to 1.
 
@@ -96,7 +103,7 @@ def kauffman_bracket(diagram: PlanarDiagram) -> BracketPoly:
     for partner, coeffs in states.items():
         joined = list(partner)
         loops = sum(_cap(joined, k) for k in range(0, len(joined), 2))
-        _add(total, coeffs, (LOOP_VALUE ** (loops - 1)).coeffs())
+        _add(total, coeffs, _loop_power(loops - 1))
     return LaurentPoly(total)
 
 

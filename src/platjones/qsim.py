@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NonUnitaryBlock
-from .evaluator import DIAGONAL, BlockOperator, CompiledProgram, group_slices
+from .evaluator import DIAGONAL, BlockOperator, CompiledProgram, group_slices, letters
 from .fusion import duality_matrix, path_bases
 from .qnum import QPoint
 
@@ -86,7 +86,7 @@ def _evolve(programs, point: QPoint) -> Iterator[np.ndarray]:
     for step in reversed(range(len(programs[0].operators))):
         op = programs[0].operators[step]
         if op.kind == DIAGONAL:
-            sign, exponent = np.stack([p.operators[step]._letter for p in programs], 1)
+            sign, exponent = letters([p.operators[step] for p in programs])
             phases = sign * np.power(point.q_half, exponent)
             check_unitary(op, point, phases)
             amps[:, :d] *= phases

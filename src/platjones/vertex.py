@@ -99,14 +99,9 @@ def x_operator(u: float, mu: float, i: int, strands: int) -> np.ndarray:
 
 def yang_baxter_residual(u: float, v: float, mu: float) -> float:
     """Max-norm defect of X1(u) X2(u+v) X1(v) = X2(v) X1(u+v) X2(u)."""
-    x1u = x_operator(u, mu, 1, 3)
-    x1v = x_operator(v, mu, 1, 3)
-    x2u = x_operator(u, mu, 2, 3)
-    x2v = x_operator(v, mu, 2, 3)
-    x1m = x_operator(u + v, mu, 1, 3)
-    x2m = x_operator(u + v, mu, 2, 3)
-    lhs = x1u @ x2m @ x1v
-    rhs = x2v @ x1m @ x2u
+    x = lambda w, i: x_operator(w, mu, i, 3)
+    lhs = x(u, 1) @ x(u + v, 2) @ x(v, 1)
+    rhs = x(v, 2) @ x(u + v, 1) @ x(u, 2)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -130,11 +125,7 @@ def braid_limit_check(u_large: float, mu: float) -> float:
     scaled = r_matrix(u_large, mu).entries / scale
     target = _sigma_entries(math.exp(2 * mu), -math.exp(mu)).real
     swap = [0, 2, 1, 3]  # (n1,n2) -> (n2,n1) in pair order
-    dev = 0.0
-    for mi in range(4):
-        for ni in range(4):
-            dev = max(dev, abs(scaled[mi, swap[ni]] - target[mi, ni]))
-    return dev
+    return float(np.max(np.abs(scaled[:, swap] - target)))
 
 
 def sigma_spectrum(point) -> list[complex]:

@@ -6,13 +6,16 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from platjones import braid, cli, evaluator, fusion, qsim
 from platjones.braid import parse
 from platjones.cli import main
 from platjones.errors import NonUnitaryBlock, ParityMismatch, UnannotatedSyllable
-from platjones.laurent import LaurentPoly
+from platjones.laurent import LaurentPoly, laurent_eval
+from platjones.oracle import jones_exact
+from platjones.qnum import QPoint
 
 REPORT_KEYS = {
     "word",
@@ -273,6 +276,37 @@ def _count_calls(monkeypatch, fn) -> list:
             if value is fn:
                 monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def _scalar_deviations(program):
+    """Test-only reference: one case's deviations, by the per-case formulas of the scalar check."""
+    n = program.n
+    point = QPoint(tuple(evaluator.phase_grid(n, 10).tolist()))
+    amps = program.element(point)
+    mirrored = evaluator.compile(braid.mirror(program.word)).element(point)
+    exact = jones_exact(program.word)
+    floor = 1e-9 * max(1.0, float(sum(abs(v) for v in exact.coeffs().values())))
+    got = abs(amps) * abs(evaluator.unlink_normalization(n, point.thetas))
+    want = abs(laurent_eval(exact, point))
+    mid = len(point.theta) // 2
+    probability = qsim.p_ks([program], point.theta[mid])[0]
+    return {
+        "modulus_rel": float((abs(got - want) / np.maximum(want, floor)).max()),
+        "mirror": float(abs(mirrored - amps.conj()).max()),
+        "qsim": float(abs(probability - abs(amps[mid]) ** 2)),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_verify_group_deviations_equal_the_scalar_formulas(seed):
+    # each (n, skeleton) group's checks run as (words, phases) arrays;
+    # every case must read the same bits as its own scalar computation
+    cases = cli._random_words(200, seed)
+    programs = [evaluator.compile(braid.resolve_orientations(w)[0]) for _, w in cases]
+    assert max(Counter((p.n, p.skeleton) for p in programs).values()) > 20
+    results = cli._verify_cases(cases, 1e-6)
+    for result, program in zip(results, programs):
+        assert result["report"]["deviations"] == _scalar_deviations(program)
 
 
 def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):

@@ -33,7 +33,7 @@ from platjones.evaluator import (
     phase_grid,
     unlink_normalization,
 )
-from platjones.fusion import duality_matrix, path_bases
+from platjones.fusion import duality_matrix, pair_couplings, path_bases
 from platjones.laurent import LaurentPoly, circle_samples, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
@@ -291,6 +291,83 @@ def test_elements_memory_is_bounded_by_slices():
         tracemalloc.stop()
     assert np.array_equal(got, np.tile(want, (10, 1)))
     assert peak < 8 * evaluator.BLOCK_ENTRIES * np.dtype(complex).itemsize
+
+
+def _letter_by_syllables(op):
+    """Test-only reference: each path's sign and x-exponent, one syllable of the run at a time."""
+    odd, even = pair_couplings(op.n)
+    couplings = odd if op.basis == "odd" else even
+    sign = np.ones(len(couplings), dtype=int)
+    exponent = np.zeros(len(couplings), dtype=int)
+    for s in op.run:
+        J = couplings[:, evaluator._pair_of_index(s.index, op.basis)]
+        signs, exponents = np.array(evaluator.SPECTRUM[s.orientation]) * [[1], [np.sign(s.power)]]
+        sign *= signs[J] ** abs(s.power)
+        exponent += exponents[J] * abs(s.power)
+    return sign, exponent
+
+
+@st.composite
+def annotated_words(draw):
+    """Resolved words of b, h and g syllables with powers +-1..+-3, n <= 5, or None."""
+    n = draw(st.integers(1, 5))
+    syllables = draw(st.lists(st.tuples(
+        st.sampled_from("bhg"), st.integers(1, 2 * n - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    ), min_size=1, max_size=8))
+    text = f"strands={2 * n}; " + " ".join(f"{c}{i}^{p}" for c, i, p in syllables)
+    try:
+        return resolve_orientations(parse(text))[0]
+    except (CapMismatch, AnnotationConflict):
+        return None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(words=st.lists(annotated_words(), min_size=1, max_size=4))
+def test_letters_equal_the_per_syllable_loop(words):
+    # the letters of each (n, basis) in one call, row by row against
+    # the loop over the run's syllables that the per-pair tallies replaced
+    ops = {}
+    assume(any(words))
+    for word in filter(None, words):
+        for op in compile_word(word).operators:
+            if op.kind == "diagonal":
+                ops.setdefault((op.n, op.basis), []).append(op)
+    for group in ops.values():
+        sign, exponent = evaluator.letters(group)
+        assert sign.shape == exponent.shape == (len(group), len(path_bases(group[0].n)[0]))
+        for row, op in enumerate(group):
+            want_sign, want_exponent = _letter_by_syllables(op)
+            assert np.array_equal(sign[row], want_sign) and sign.dtype == want_sign.dtype
+            assert np.array_equal(exponent[row], want_exponent) and exponent.dtype == want_exponent.dtype
+
+
+def test_letters_run_once_per_slice_and_diagonal_step(monkeypatch):
+    # f a g a† h a g1 a†: four diagonal steps; seven words in slices of
+    # three give three slices, in elements and in qsim's evolution alike
+    from platjones import qsim
+
+    group = [compile_word(_resolved(f"strands=6; g1^{k} g4^1 g3^-1 g5^2 g2^{j}"))
+             for k in (1, -2, 3) for j in (1, 2, -1)][:7]
+    assert len({(p.n, p.skeleton) for p in group}) == 1
+    steps = sum(op.kind == "diagonal" for op in group[0].operators)
+    assert steps == 4
+    calls = []
+
+    def counted(ops):
+        calls.append(len(ops))
+        return letters(ops)
+
+    letters = evaluator.letters
+    monkeypatch.setattr(evaluator, "letters", counted)
+    monkeypatch.setattr(qsim, "letters", counted)
+    point = QPoint(tuple(phase_grid(3, 10).tolist()))
+    monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * 10 * len(path_bases(3)[0]))
+    evaluator.elements(group, point)
+    assert sorted(calls) == sorted([3, 3, 1] * steps)
+    calls.clear()
+    monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 << 6)
+    qsim.p_ks(group, 0.5)
+    assert sorted(calls) == sorted([3, 3, 1] * steps)
 
 
 def test_jones_trefoil_exact():

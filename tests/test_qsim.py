@@ -234,15 +234,23 @@ def test_evolution_snapshots_do_not_alias():
     assert np.array_equal(states[-1].amplitudes, run(program, 0.6).amplitudes)
 
 
-def test_non_unitary_diagonal_in_a_group_names_its_token():
-    # f a g a† h for each word; the middle word's g gets a modulus-2
-    # entry, so the pass runs h and a† and stops at g
+def test_non_unitary_diagonal_in_a_group_names_its_token(monkeypatch):
+    # f a g a† h for each word; the letters qsim reads give the middle
+    # word's g a modulus-2 entry, so the pass runs h and a† and stops at g
     group = [_program(parse(f"strands=4; g1^{k} g2^1 g1^1")) for k in (1, 2, -1)]
     assert len(_groups(group)) == 1
     op = group[1].operators[2]
     assert (op.kind, op.token) == ("diagonal", "g")
-    sign, exponent = op._letter
-    op.__dict__["_letter"] = (sign * np.array([1, 2]), exponent)
+    letters = qsim.letters
+
+    def injected(ops):
+        sign, exponent = letters(ops)
+        for row, other in enumerate(ops):
+            if other is op:
+                sign[row] *= np.array([1, 2])
+        return sign, exponent
+
+    monkeypatch.setattr(qsim, "letters", injected)
     with pytest.raises(NonUnitaryBlock, match=r"operator 'g' deviates from unitarity by 3\.000e\+00"):
         p_ks(group, 0.5)
     p_ks(group[:1] + group[2:], 0.5)
