@@ -32,7 +32,7 @@ from .evaluator import (
     jones,
     unlink_normalization,
 )
-from .fusion import DualityMatrix, duality_matrix, racah
+from .fusion import duality_matrix, racah
 from .laurent import LaurentPoly, laurent_eval, render_q
 from .oracle import PlanarDiagram, jones_exact, kauffman_bracket, plat_diagram
 from .qnum import CirclePoint, QPoint, RealQPoint, q_factorial, q_number, triangle
@@ -47,7 +47,6 @@ __all__ = [
     "CapReport",
     "CirclePoint",
     "DegenerateQ",
-    "DualityMatrix",
     "JonesResult",
     "LaurentPoly",
     "NegativeRadicand",

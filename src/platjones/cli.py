@@ -272,23 +272,25 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
     """
     groups = {}
     for i, (_, word) in enumerate(cases):
-        program = compile_word(resolve_orientations(word)[0])
-        groups.setdefault((program.n, program.skeleton), []).append((i, program))
+        diagram = plat_diagram(word)
+        program = compile_word(diagram.word)
+        groups.setdefault((program.n, program.skeleton), []).append((i, program, diagram))
     results = [None] * len(cases)
     for n, skeleton in list(groups):
         group = groups.pop((n, skeleton))  # frees the group's programs once checked
         point = QPoint(tuple(phase_grid(n, 10).tolist()))
-        programs = [program for _, program in group]
+        programs = [program for _, program, _ in group]
         values = elements(programs + [compile_word(mirror(p.word)) for p in programs], point)
         amps, mirrored = values[: len(group)], values[len(group) :]
-        exacts = [jones_exact(p.word) for p in programs]
+        exacts = [writhe_correction(kauffman_bracket(d), writhe(d.word)) for _, _, d in group]
+        coeffs = [e.coeffs() for e in exacts]
+        exponents = sorted(set().union(*coeffs))
+        table = np.array([[c.get(k, 0) for k in exponents] for c in coeffs], dtype=complex)
         # laurent_eval's terms in laurent_eval's order, so each row has its bits
-        want = 0
-        for k in sorted(set().union(*(e.coeffs() for e in exacts))):
-            want = want + np.array([[complex(e.coeff(k))] for e in exacts]) * point.q_half**k
+        want = sum(column[:, None] * point.q_half**k for column, k in zip(table.T, exponents))
         # polynomial roots can land on sample phases; floor the relative
         # scale by the coefficient mass so a true zero does not divide out
-        mass = [[float(sum(map(abs, e.coeffs().values())))] for e in exacts]
+        mass = [[float(sum(map(abs, c.values())))] for c in coeffs]
         floor = 1e-9 * np.maximum(1.0, mass)
         got, want = abs(amps) * abs(unlink_normalization(n, point.thetas)), abs(want)
         moduli = (abs(got - want) / np.maximum(want, floor)).max(1).tolist()
@@ -296,7 +298,7 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
         mid = len(point.theta) // 2
         probabilities = qsim_p_ks(programs, point.theta[mid])
         rows = zip(group, exacts, moduli, mirrors, probabilities, amps[:, mid])
-        for (i, program), exact, worst_mod, worst_mirror, probability, amp in rows:
+        for (i, program, _), exact, worst_mod, worst_mirror, probability, amp in rows:
             qsim_dev = float(abs(probability - abs(amp) ** 2))
             deviations = {"modulus_rel": worst_mod, "mirror": worst_mirror, "qsim": qsim_dev}
             passed = worst_mod < tolerance and worst_mirror < MIRROR_TOL and qsim_dev < QSIM_TOL

@@ -7,10 +7,11 @@ must be 0; the even basis couples strand 1 with the interior pairs
 Both bases have Catalan(n) elements. Each reaches the left-comb basis of
 the 2n strands by one F-move per strand pair, so the duality matrix
 a = C_odd C_even^T is a product of 2(n - 1) sparse moves, planned once
-per n (_move_plan). recouple applies them to a block of row vectors, at
-every phase of a point at once; duality_matrix is the moves applied to
-the identity. The racah values of all of the plan's keys at a point are
-computed in one batch from one qnum.q_table and cached per (n, point).
+per n (_move_plan), whose racah values at a point come in one batch
+from one qnum.q_table, cached per (n, point). recouple applies the
+moves at every phase of a point at once, move_deviation checks a's
+unitarity on their recoupling blocks, and duality_matrix (the moves
+applied to the identity) is the tests' dense reference.
 
 Labels are handled as doubled integers (twice the spin) so triangle
 arithmetic stays integral; the path dataclasses expose pair couplings
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,19 +48,6 @@ class EvenPath:
 
     J: tuple[int, ...]
     two_r: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class DualityMatrix:
-    n: int
-    point: object
-    entries: np.ndarray = field(repr=False)
-    odd_paths: tuple[OddPath, ...] = field(repr=False)
-    even_paths: tuple[EvenPath, ...] = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.odd_paths)
 
 
 def _fuse_range(two_a: int, two_b: int):
@@ -253,6 +241,25 @@ def _racah_values(n: int, point) -> np.ndarray:
     return values
 
 
+@functools.lru_cache(maxsize=64)
+def move_deviation(n: int, point) -> float:
+    """max |R R^H - 1| over the move plan's recoupling blocks R, at every phase.
+
+    The keys sharing outer labels (a, d) form one block, rows J and
+    columns e; every F-move is a direct sum of these blocks, so a is
+    unitary iff each block is.
+    """
+    values, blocks = _racah_values(n, point), {}
+    for key, (e, J, a, _, _, d) in enumerate(_move_plan(n)[0]):
+        blocks.setdefault((a, d), {}).setdefault(J, {})[e] = key
+    deviation = 0.0
+    for rows in blocks.values():
+        R = values[np.array([[row[e] for e in sorted(row)] for row in rows.values()])]
+        gram = np.einsum("ie...,je...->...ij", R, R.conj()) - np.eye(len(rows))
+        deviation = max(deviation, float(np.max(np.abs(gram))))
+    return deviation
+
+
 def recouple(v: np.ndarray, n: int, point, transpose: bool = False) -> np.ndarray:
     """v @ a, or v @ a^T with transpose, for a the duality matrix at the point.
 
@@ -271,7 +278,7 @@ def recouple(v: np.ndarray, n: int, point, transpose: bool = False) -> np.ndarra
     return v
 
 
-def duality_matrix(n: int, point) -> DualityMatrix:
+def duality_matrix(n: int, point) -> np.ndarray:
     """Orthogonal map from even-path coordinates to odd-path coordinates.
 
     Rows are indexed by odd paths, columns by even paths, both in their
@@ -282,8 +289,7 @@ def duality_matrix(n: int, point) -> DualityMatrix:
     """
     if n < 2:
         raise ValueError("duality needs n >= 2 (no even basis on 2 strands)")
-    odd, even = path_bases(n)
+    d = len(path_bases(n)[0])
     phases = np.ndim(_racah_values(n, point)) - 1
-    identity = np.eye(len(odd)).reshape((len(odd),) + (1,) * phases + (len(odd),))
-    a = np.moveaxis(recouple(identity, n, point), 0, -2)
-    return DualityMatrix(n, point, a, odd, even)
+    identity = np.eye(d).reshape((d,) + (1,) * phases + (d,))
+    return np.moveaxis(recouple(identity, n, point), 0, -2)

@@ -14,7 +14,6 @@ algorithm's acceptance probability.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import NonUnitaryBlock
 from .evaluator import DIAGONAL, BlockOperator, CompiledProgram, group_slices, letters
-from .fusion import duality_matrix, path_bases
+from .fusion import move_deviation, path_bases
 from .qnum import QPoint
 
 UNITARITY_TOL = 1e-10
@@ -51,26 +50,19 @@ def check_unitary(op: BlockOperator, point: QPoint, phases=None) -> None:
 
     Unitarity of the block is what keeps the register norm at 1, so it
     is checked rather than trusted: a diagonal block by the moduli of
-    its entries, in O(d), and a or a† by the dense product a a† of
-    duality_matrix (a is unitary iff a† is), once per (n, point). phases,
-    if given, are a group's entries at op's step; one skeleton, one token.
+    its entries, in O(d), and a or a† by the recoupling blocks of its
+    F-moves (fusion.move_deviation), once per (n, point). phases, if
+    given, are a group's entries at op's step; one skeleton, one token.
     """
     if op.kind == DIAGONAL:
         phases = op.phases(point) if phases is None else phases
         deviation = np.max(np.abs(np.abs(phases) ** 2 - 1.0))
     else:
-        deviation = _duality_deviation(op.n, point)
+        deviation = move_deviation(op.n, point)
     if deviation >= UNITARITY_TOL:
         raise NonUnitaryBlock(
             f"operator {op.token!r} deviates from unitarity by {deviation:.3e}"
         )
-
-
-@functools.lru_cache(maxsize=64)
-def _duality_deviation(n: int, point: QPoint) -> float:
-    """max |a a† - 1| of the duality matrix, over every phase of the point."""
-    a = duality_matrix(n, point).entries
-    return float(np.max(np.abs(a @ np.swapaxes(a.conj(), -1, -2) - np.eye(a.shape[-1]))))
 
 
 def _evolve(programs, point: QPoint) -> Iterator[np.ndarray]:

@@ -105,7 +105,7 @@ def test_criterion_04_block_dimensions():
     got = [len(enumerate_odd_paths(n)) for n in (2, 3, 4)]
     ballot = [_ballot_count(2 * n) for n in (2, 3, 4)]
     catalan = [math.comb(2 * n, n) // (n + 1) for n in (2, 3, 4)]
-    shapes = [duality_matrix(n, QPoint(0.4)).entries.shape for n in (2, 3, 4)]
+    shapes = [duality_matrix(n, QPoint(0.4)).shape for n in (2, 3, 4)]
     ok = (got == [2, 5, 14] == ballot == catalan
           and shapes == [(2, 2), (5, 5), (14, 14)])
     _verdict(4, "block dimensions 2, 5, 14", ok, f"got {got}")
@@ -119,7 +119,7 @@ def test_criterion_05_duality_orthogonality():
         lo, hi = admissible_arc(n)
         for _ in range(20):
             theta = rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo))
-            a = duality_matrix(n, QPoint(theta)).entries
+            a = duality_matrix(n, QPoint(theta))
             worst = max(worst, float(np.max(np.abs(a @ a.T - np.eye(len(a))))))
             worst_imag = max(worst_imag, float(np.max(np.abs(np.imag(a)))))
     ok = worst < 1e-10 and worst_imag < 1e-13

@@ -310,28 +310,30 @@ def test_verify_group_deviations_equal_the_scalar_formulas(seed):
 
 
 def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
-    # resolves: the word and the oracle's diagram; compiles: the word and
-    # its mirror (the mirror of the resolved word), with qsim reusing the
-    # word's program. Each (n, operator skeleton) group of words and
-    # mirrors is one elements call, its words one qsim pass, and a's
-    # dense unitarity check is built once per (n, point) over the whole
-    # corpus
+    # resolves: the word, once, for both the program and the oracle's
+    # diagram; compiles: the word and its mirror (the mirror of the
+    # resolved word), with qsim reusing the word's program. Each (n,
+    # operator skeleton) group of words and mirrors is one elements call,
+    # its words one qsim pass, and a's block unitarity check runs once
+    # per (n, point) over the whole corpus, with no dense matrix built
     cases = cli._random_words(40, 5)
     cases.append(("n4", parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2")))
     programs = [evaluator.compile(braid.resolve_orientations(w)[0]) for _, w in cases]
     groups = Counter((p.n, p.skeleton) for p in programs)
     assert len(groups) < len(cases)
-    qsim._duality_deviation.cache_clear()
+    deviation = fusion.move_deviation
+    deviation.cache_clear()
     resolves = _count_calls(monkeypatch, braid.resolve_orientations)
     compiles = _count_calls(monkeypatch, evaluator.compile)
     batches = _count_calls(monkeypatch, evaluator.elements)
     builds = _count_calls(monkeypatch, fusion.duality_matrix)
+    checks = _count_calls(monkeypatch, deviation)
     passes = _count_calls(monkeypatch, qsim._evolve)
     results = cli._verify_cases(cases, 1e-6)
     assert [r["name"] for r in results] == [name for name, _ in cases]
     assert [r["tokens"] for r in results] == [" ".join(p.tokens()) for p in programs]
     assert all(r["pass"] for r in results)
-    assert len(resolves) == 2 * len(cases)
+    assert len(resolves) == len(cases)
     assert len(compiles) == 2 * len(cases)
     keys = []
     for batch, _ in batches:
@@ -345,8 +347,10 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
         assert len(batch) == groups[key]
         keys.append(key)
     assert sorted(keys) == sorted(groups)
-    assert len(builds) == len(set(builds))
-    assert sorted(n for n, _ in builds) == sorted({n for n, s in groups if "duality" in s})
+    assert builds == []
+    with_a = {n for n, s in groups if "duality" in s}
+    assert {n for n, _ in checks} == with_a
+    assert deviation.cache_info().misses == len(with_a)
 
 
 def test_verify_random_zero_cases(capsys):

@@ -133,7 +133,7 @@ def test_evaluate_two_by_two_formula():
     # single even crossing: <0|a diag a†|0> = a00^2 lam0 + a01^2 lam1
     theta = 1.1
     pt = QPoint(theta)
-    a = duality_matrix(2, pt).entries
+    a = duality_matrix(2, pt)
     lam = [braiding_phase(J, "parallel", "right", pt) for J in (0, 1)]
     want = a[0, 0] ** 2 * lam[0] + a[0, 1] ** 2 * lam[1]
     got = evaluate(parse("strands=4; g2^1"), theta)
@@ -165,7 +165,7 @@ def _dense_operator(op, point):
     """Test-only dense d x d form of one compiled operator at one phase."""
     if op.kind == "diagonal":
         return np.diag(op.phases(point))
-    a = duality_matrix(op.n, point).entries
+    a = duality_matrix(op.n, point)
     return a if op.kind == "duality" else a.T
 
 

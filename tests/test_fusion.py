@@ -85,7 +85,7 @@ def test_racah_against_classical_6j():
 def test_duality_matrix_n2_matches_racah():
     theta = 1.1
     pt = QPoint(theta)
-    a = duality_matrix(2, pt).entries
+    a = duality_matrix(2, pt)
     for i, two_j in enumerate((0, 2)):
         for k, two_l in enumerate((0, 2)):
             assert a[i, k] == pytest.approx(
@@ -94,7 +94,7 @@ def test_duality_matrix_n2_matches_racah():
 
 
 def test_duality_matrix_classical():
-    a = duality_matrix(2, RealQPoint(1.0)).entries
+    a = duality_matrix(2, RealQPoint(1.0))
     want = np.array([[-0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, 0.5]])
     assert np.allclose(a, want, atol=1e-13)
 
@@ -102,8 +102,8 @@ def test_duality_matrix_classical():
 def test_duality_dimensions():
     for n, d in ((2, 2), (3, 5), (4, 14)):
         m = duality_matrix(n, QPoint(0.5))
-        assert m.entries.shape == (d, d)
-        assert m.dimension == d
+        assert m.shape == (d, d)
+        assert len(m) == d
 
 
 def test_duality_matrix_n3_pinned():
@@ -121,7 +121,7 @@ def test_duality_matrix_n3_pinned():
         [0.585603640212689, 0.352801117066291, 0.352801117066291,
          0.212547565718711, 0.602457178951544],
     ])
-    got = duality_matrix(3, QPoint(0.5)).entries
+    got = duality_matrix(3, QPoint(0.5))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -267,7 +267,7 @@ def test_f_moves_match_dense_racah_products():
                 want = np.array([u @ (a.T if transpose else a) for u, a in zip(v, reference)])
                 assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want))
             if n <= 6:
-                a = duality_matrix(n, point).entries
+                a = duality_matrix(n, point)
                 assert np.max(np.abs(a - np.array(reference))) < tol * np.max(np.abs(a))
 
 
@@ -277,7 +277,7 @@ def test_duality_orthogonality():
         lo, hi = admissible_arc(n)
         for _ in range(6):
             theta = rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
-            a = duality_matrix(n, QPoint(theta)).entries
+            a = duality_matrix(n, QPoint(theta))
             assert np.max(np.abs(a @ a.T - np.eye(len(a)))) < 1e-10
             assert np.isrealobj(a)
 
@@ -295,7 +295,7 @@ def test_duality_at_the_edge_of_the_arc():
     # naming that phase
     for n in range(2, 8):
         bound = admissible_arc(n)[1]
-        a = duality_matrix(n, QPoint(float(np.nextafter(bound, 0.0)))).entries
+        a = duality_matrix(n, QPoint(float(np.nextafter(bound, 0.0))))
         assert np.isfinite(a).all()
         assert np.max(np.abs(a @ a.T - np.eye(len(a)))) < 1e-10
         for theta in (bound, float(np.nextafter(bound, 4.0))):
@@ -321,16 +321,29 @@ def test_circle_point_at_unit_radius_matches_arc():
         arc, circle = QPoint(thetas), CirclePoint(thetas, 1.0)
         args = 2 * np.arange(n + 2)
         assert np.max(np.abs(q_number(args, circle) - q_number(args, arc))) < 1e-12
-        got = duality_matrix(n, circle).entries
+        got = duality_matrix(n, circle)
         assert np.iscomplexobj(got)
-        assert np.max(np.abs(got - duality_matrix(n, arc).entries)) < 1e-12
+        assert np.max(np.abs(got - duality_matrix(n, arc))) < 1e-12
 
 
 def test_duality_off_the_unit_circle_is_complex_orthogonal():
     point = CirclePoint((0.3, 1.7, 4.0), 1.05)
     for n in (2, 3, 4):
-        a = duality_matrix(n, point).entries
+        a = duality_matrix(n, point)
         assert np.max(np.abs(a @ np.swapaxes(a, -1, -2) - np.eye(a.shape[-1]))) < 1e-10
+
+
+def test_move_deviation_sees_a_unitary_on_the_arc():
+    for n in range(2, 8):
+        for point in (QPoint(0.5), QPoint(tuple(phase_grid(n, 10).tolist()))):
+            assert fusion.move_deviation(n, point) < 1e-13
+
+
+def test_move_deviation_sees_a_not_unitary_off_the_circle():
+    # off the unit circle a is complex orthogonal but not unitary, and so
+    # is at least one of its recoupling blocks
+    for n in range(2, 8):
+        assert fusion.move_deviation(n, CirclePoint(0.3, 1.05)) >= 1e-3
 
 
 def test_duality_needs_even_basis():
@@ -345,7 +358,7 @@ def _braid_blocks(n, pt):
 
     odd = enumerate_odd_paths(n)
     even = enumerate_even_paths(n)
-    a = duality_matrix(n, pt).entries.astype(complex)
+    a = duality_matrix(n, pt).astype(complex)
     blocks = {}
     for i in range(1, 2 * n):
         if i % 2 == 1:

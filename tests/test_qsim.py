@@ -1,11 +1,13 @@
 import random
 import re
 import time
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from platjones import evaluator, qsim
+from platjones import evaluator, fusion, qsim
 from platjones.braid import parse, resolve_orientations
 from platjones.cli import _random_words
 from platjones.errors import NonUnitaryBlock
@@ -48,7 +50,7 @@ def test_single_duality_prepares_first_column():
     check_unitary(op, pt)
     program = CompiledProgram(n=2, operators=(op,), word=parse("strands=4;"))
     out = run(program, 0.9).amplitudes
-    block = duality_matrix(2, pt).entries
+    block = duality_matrix(2, pt)
     assert np.allclose(out[:2], block[:, 0])
     assert np.all(out[2:] == 0)
 
@@ -57,7 +59,7 @@ def test_block_step_is_the_dense_block_on_the_low_indices():
     # a and a† = a^T: act gives u M, and with transpose M u, the step
     # that the register applies to its d-block
     pt = QPoint(0.7)
-    a = duality_matrix(3, pt).entries
+    a = duality_matrix(3, pt)
     u = np.random.default_rng(5).normal(size=len(a)) + 0j
     for kind, block in (("duality", a), ("duality_inverse", a.T)):
         op = BlockOperator(kind=kind, n=3, token="a")
@@ -155,9 +157,10 @@ def test_element_matches_qsim_amplitude_on_verify_phases():
 
 
 def test_evolution_embeds_each_duality_once(monkeypatch):
-    # every operator is checked for unitarity, but a's dense check is
-    # built once per (n, point), however many evolutions read it
-    qsim._duality_deviation.cache_clear()
+    # every operator is checked for unitarity, but a's block check runs
+    # once per (n, point), however many evolutions read it, and the
+    # dense matrix is never built
+    fusion.move_deviation.cache_clear()
     kinds, builds = [], []
 
     def counting(op, point, *phases):
@@ -169,28 +172,78 @@ def test_evolution_embeds_each_duality_once(monkeypatch):
         return duality_matrix(n, point)
 
     monkeypatch.setattr(qsim, "check_unitary", counting)
-    monkeypatch.setattr(qsim, "duality_matrix", building)
+    for module in (fusion, qsim):
+        monkeypatch.setattr(module, "duality_matrix", building, raising=False)
     # three even runs: a and a† three times each
     w = parse("strands=8; g2^1 g1^-1 g4^2 g3^1 g6^-1 g5^1")
     state = run(_program(w), 0.5)
     assert sorted(kinds) == sorted(["duality", "duality_inverse"] * 3 + ["diagonal"] * 6)
     assert state.amplitudes[0] == pytest.approx(evaluate(w, 0.5), abs=1e-12)
     run(_program(w), 0.5)
-    assert builds == [(4, QPoint(0.5))]
+    info = fusion.move_deviation.cache_info()
+    assert (info.misses, info.hits) == (1, 11)
+    assert builds == []
 
 
 @pytest.mark.parametrize(
     "thetas", [(0.3, 0.5, 0.7), tuple(phase_grid(3, 5).tolist())], ids=["3", "5"]
 )
 def test_check_unitary_on_batched_point(thetas):
-    # a a† of the (phases, d, d) stack must transpose the last two axes
-    # only: transposing all three raised a bare ValueError at 3 phases
-    # and, at 5 phases (as many as d at n = 3), read a unitary a as
-    # deviating by 1.6
+    # R R† of each recoupling block must contract over its columns at
+    # each phase alone: a dense check that transposed all three axes of
+    # the (phases, d, d) stack raised a bare ValueError at 3 phases and,
+    # at 5 phases (as many as d at n = 3), read a unitary a as deviating
+    # by 1.6
     point = QPoint(thetas)
     for kind in ("duality", "duality_inverse"):
         check_unitary(BlockOperator(kind=kind, n=3, token="a"), point)
-    assert qsim._duality_deviation(3, point) < 1e-13
+    assert fusion.move_deviation(3, point) < 1e-13
+
+
+def test_sign_flip_in_a_recoupling_block_is_rejected(monkeypatch):
+    # one entry of a 2 x 2 block of the move plan flipped: a is no longer
+    # unitary, which the block check must see without the dense matrix,
+    # and a run through a flipped a† or a must stop rather than evolve
+    n, point = 3, QPoint(0.5)
+    keys = fusion._move_plan(n)[0]
+    outer = Counter((a, d) for _, _, a, _, _, d in keys)
+    flip = next(i for i, (_, _, a, _, _, d) in enumerate(keys) if outer[a, d] == 4)
+    values = fusion._racah_values
+
+    def flipped(m, p):
+        v = values(m, p).copy()
+        if m == n:
+            v[flip] = -v[flip]
+        return v
+
+    program = _program(parse("strands=6; g2^1 g3^1 g4^-1 g1^2"))
+    fusion.move_deviation.cache_clear()
+    monkeypatch.setattr(fusion, "_racah_values", flipped)
+    try:
+        with pytest.raises(NonUnitaryBlock, match=r"operator 'a' deviates from unitarity by") as info:
+            check_unitary(BlockOperator(kind="duality", n=n, token="a"), point)
+        assert float(str(info.value).split()[-1]) > 0.1
+        with pytest.raises(NonUnitaryBlock):
+            p_k(program, 0.5)
+    finally:
+        fusion.move_deviation.cache_clear()
+    monkeypatch.undo()
+    assert abs(run(program, 0.5).norm() - 1.0) < 1e-12
+
+
+def test_p_k_memory_stays_below_one_dense_matrix():
+    # a dense d x d complex a at n = 8 (d = 1430) is 31 MiB; the run holds
+    # the 2^16-amplitude register (1 MiB) and the move plan's values
+    program = _program(parse("strands=16; g2^1 g4^-1 g6^2 g9^1 g8^-1 g12^1 g14^-2 g3^1 g10^1"))
+    fusion._move_plan(8)
+    fusion.move_deviation.cache_clear()
+    tracemalloc.start()
+    try:
+        p_k(program, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _groups(programs):
