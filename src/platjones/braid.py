@@ -173,7 +173,7 @@ def mirror(word: BraidWord) -> BraidWord:
     """Negate every power; annotations and flips are kept."""
     return replace(
         word,
-        syllables=tuple(replace(s, power=-s.power) for s in word.syllables),
+        syllables=tuple(Syllable(s.index, -s.power, s.orientation) for s in word.syllables),
     )
 
 

@@ -5,9 +5,9 @@ probability at a root of unity), oracle (exact skein computation),
 verify (cross-check the pipeline against the oracle on a corpus or on
 seeded random words).
 
-Exit codes: 0 success, 1 verify found a failing case, 2 usage, word
-syntax, bad flag value or unreadable input, 3 cap/orientation failure,
-4 coefficient read-out rejected, 5 degenerate or too-large theta.
+Exit codes: 0 success, 1 verify found a failing case, 2 usage, word syntax,
+bad flag value or unreadable input, 3 cap/orientation failure, 4 coefficient
+read-out rejected, 5 degenerate or too-large theta, 6 out of memory.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ EXIT_CODES = {
     NonAdmissibleTriple: 5,
     ValueError: 2,
     OSError: 2,
+    MemoryError: 6,
 }
 
 
@@ -265,19 +266,19 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
     """Check each word against the oracle, its mirror and the simulator.
 
     Every word is resolved and compiled first, in corpus order, so the
-    first bad word decides the error. Then each (n, operator skeleton)
-    group in turn is evaluated, words and mirrors, in one elements call,
-    its words are simulated at the middle phase in one qsim pass, and
-    its checks are (words, phases) arrays reduced per row.
+    first bad word decides the error. Then the words of each n in turn,
+    whatever their operators, are evaluated with their mirrors in one
+    elements call, simulated at the middle phase in one qsim pass, and
+    checked as (words, phases) arrays reduced per row.
     """
     groups = {}
     for i, (_, word) in enumerate(cases):
         diagram = plat_diagram(word)
         program = compile_word(diagram.word)
-        groups.setdefault((program.n, program.skeleton), []).append((i, program, diagram))
+        groups.setdefault(program.n, []).append((i, program, diagram))
     results = [None] * len(cases)
-    for n, skeleton in list(groups):
-        group = groups.pop((n, skeleton))  # frees the group's programs once checked
+    for n in list(groups):
+        group = groups.pop(n)  # frees the group's programs once checked
         point = QPoint(tuple(phase_grid(n, 10).tolist()))
         programs = [program for _, program, _ in group]
         values = elements(programs + [compile_word(mirror(p.word)) for p in programs], point)
@@ -397,7 +398,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)  # MemoryError() has no text
         return next(code for cls, code in EXIT_CODES.items() if isinstance(e, cls))
 
 

@@ -6,17 +6,17 @@ diagonal in the even basis and appear conjugated by the duality matrix,
 so a program reads like  a f a† g a h a† ...  with diagonal letters
 assigned in order of appearance. The plat matrix element <0|M_1...M_L|0>
 is read by pushing the row vector e_0 through the operators in order
-(elements), for every program sharing n and operator skeleton and every
-phase of a point in one pass: programs and phases are numpy axes through
-the F-moves of a and a† (fusion.recouple), with no loop over either and
+(elements), for every program of one n and every phase of a point in
+one pass along their shared schedule (schedule): programs and phases
+are numpy axes through the F-moves of a and a† (fusion.recouple), with
 no d x d matrix. A diagonal letter is compiled once into integer
 tallies per pair k and J = 0, 1 (summed power of q^{1/2}, count of -1
-signs); one gather-sum over the paths' pair couplings gives a group
-step's signs and powers per path (letters). The Jones polynomial is
-read off samples of the element, times the unlink normalization
-d^{n-1}, on the circle |q^{1/2}| = RHO just outside the unit circle:
-an inverse FFT gives the Laurent coefficients (a Cauchy integral,
-Bornemann, Found. Comput. Math. 11, 2011), rounded to integers.
+signs); one gather-sum over the paths' pair couplings gives a step's
+signs and powers per path (letters). The Jones polynomial is read off
+samples of the element, times the unlink normalization d^{n-1}, on the
+circle |q^{1/2}| = RHO just outside the unit circle: an inverse FFT
+gives the Laurent coefficients (a Cauchy integral, Bornemann, Found.
+Comput. Math. 11, 2011), rounded to integers.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ DUALITY = "duality"
 DUALITY_INVERSE = "duality_inverse"
 
 DAGGER = "a†"
-BLOCK_ENTRIES = 1 << 16  # complex entries of one block of row vectors or registers
+BLOCK_ENTRIES = 1 << 12  # complex entries (64 KiB) of one block of row vectors or registers
 
 # right-handed braiding eigenvalues +-x^e, x = q^{1/2}: rows sign and e, columns J = 0, 1
 SPECTRUM = {PARALLEL: ((-1, 1), (3, 1)), ANTIPARALLEL: ((1, -1), (0, -2))}
@@ -147,25 +147,34 @@ class CompiledProgram:
     def operator_count(self) -> int:
         return len(self.operators)
 
-    @property
-    def skeleton(self) -> tuple[str, ...]:
-        return tuple(op.kind for op in self.operators)
-
     def element(self, point) -> np.ndarray:
         """Plat element <0|M_1 ... M_L|0>, one value per phase of the point."""
         return elements([self], point)[0]
 
 
 def group_slices(programs, width) -> list:
-    """Programs of one n and skeleton in slices of at most BLOCK_ENTRIES // width(n).
+    """Programs of one n in slices of at most BLOCK_ENTRIES // width(n).
 
     width(n) is one program's entries in a block, so a block's memory
     stays bounded however large the group; a slice has at least one.
     """
-    if len({(p.n, p.skeleton) for p in programs}) != 1:
-        raise ValueError("expected at least one program, all of one n and one operator skeleton")
+    if len({p.n for p in programs}) != 1:
+        raise ValueError("expected at least one program, all of one n")
     step = max(1, BLOCK_ENTRIES // width(programs[0].n))
     return [programs[i : i + step] for i in range(0, len(programs), step)]
+
+
+def schedule(programs) -> list:
+    """(rows, operators) of each step of D, a, E, a†, D, ... (D, E diagonal) that programs cover.
+
+    A program's operators cover consecutive steps, from 0 if its first run is odd, else from 1.
+    """
+    steps = {}
+    for row, p in enumerate(programs):
+        first = int(bool(p.operators) and p.operators[0].kind == DUALITY)
+        for step, op in enumerate(p.operators, first):
+            steps.setdefault(step, []).append((row, op))
+    return [([row for row, _ in steps[s]], [op for _, op in steps[s]]) for s in sorted(steps)]
 
 
 def letters(ops) -> tuple[np.ndarray, np.ndarray]:
@@ -180,25 +189,26 @@ def letters(ops) -> tuple[np.ndarray, np.ndarray]:
 
 
 def elements(programs, point) -> np.ndarray:
-    """Plat elements of programs sharing n and skeleton: (programs, phases).
+    """Plat elements of programs of one n: (programs, phases).
 
     A slice of programs (group_slices) and all phases go through the
-    operators at once as one (programs, phases, paths) block of row
-    vectors: a diagonal step scales each program's rows by its own
-    letter (letters, once per step), and a or a† is one
-    BlockOperator.act on the whole block.
+    schedule as one (programs, phases, paths) block of row vectors: a
+    step acts on the rows that cover it, a diagonal one by each row's
+    own letter (letters, once per step), a or a† by one BlockOperator.act,
+    so a row keeps the bits it has when evaluated alone.
     """
     paths = lambda n: len(path_bases(n)[0])
     out = []
     for part in group_slices(programs, lambda n: len(point.theta) * paths(n)):
-        v = np.zeros((len(part), len(point.theta), paths(part[0].n)), dtype=complex)
+        # in the point's precision from the start, as v[rows] = ... cannot promote v
+        v = np.zeros((len(part), len(point.theta), paths(part[0].n)), dtype=point.q_half.dtype)
         v[..., 0] = 1.0
-        for step, op in enumerate(part[0].operators):
-            if op.kind == DIAGONAL:
-                sign, exponent = letters([p.operators[step] for p in part])
-                v = v * (sign[:, None] * np.power(point.q_half[:, None], exponent[:, None]))
+        for rows, ops in schedule(part):
+            if ops[0].kind == DIAGONAL:
+                sign, exponent = letters(ops)
+                v[rows] *= sign[:, None] * np.power(point.q_half[:, None], exponent[:, None])
             else:
-                v = op.act(v, point)
+                v[rows] = ops[0].act(v[rows], point)
         out.append(v[..., 0].copy())  # a view would keep the whole block
     return np.concatenate(out)
 

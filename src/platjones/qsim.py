@@ -2,11 +2,11 @@
 
 The register holds 2n qubits; the compiled block of dimension
 Catalan(n) sits on computational-basis indices 0..d-1 and every
-operator acts as block plus identity on the rest. Programs sharing n
-and operator skeleton evolve as one (programs, 2^{2n}) block of
-registers, a slice of the group at a time: a diagonal step multiplies
-each d-block by its own letter's phases in place, and a and a† are
-2(n - 1) layers of F-moves on all d-blocks at once (BlockOperator.act).
+operator acts as block plus identity on the rest. Programs of one n
+evolve as one (programs, 2^{2n}) block of registers, a slice at a time,
+along evaluator.schedule reversed: a diagonal step multiplies each
+covering d-block by its own letter's phases in place, and a and a† are
+2(n - 1) layers of F-moves on the covering d-blocks (BlockOperator.act).
 Starting from |0...0> the final amplitude of |0...0> reproduces the
 evaluator's matrix element, and its squared modulus is the
 algorithm's acceptance probability.
@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NonUnitaryBlock
-from .evaluator import DIAGONAL, BlockOperator, CompiledProgram, group_slices, letters
+from .evaluator import DIAGONAL, BlockOperator, CompiledProgram, group_slices, letters, schedule
 from .fusion import move_deviation, path_bases
 from .qnum import QPoint
 
@@ -52,7 +52,7 @@ def check_unitary(op: BlockOperator, point: QPoint, phases=None) -> None:
     is checked rather than trusted: a diagonal block by the moduli of
     its entries, in O(d), and a or a† by the recoupling blocks of its
     F-moves (fusion.move_deviation), once per (n, point). phases, if
-    given, are a group's entries at op's step; one skeleton, one token.
+    given, are a schedule step's rows, and op is the worst row's operator.
     """
     if op.kind == DIAGONAL:
         phases = op.phases(point) if phases is None else phases
@@ -68,23 +68,22 @@ def check_unitary(op: BlockOperator, point: QPoint, phases=None) -> None:
 def _evolve(programs, point: QPoint) -> Iterator[np.ndarray]:
     """Yield the (programs, 2^{2n}) registers, updated in place, before and after each operator.
 
-    The operators are in matrix-product order, so they apply right to
-    left, each checked and acting on every d-block u as M u = u M^T.
+    The operators are in matrix-product order, so the schedule runs
+    reversed, each step checked and acting on its d-blocks u as M u = u M^T.
     """
     d = block_dimension(programs[0].n)
     amps = np.zeros((len(programs), 1 << (2 * programs[0].n)), dtype=complex)
     amps[:, 0] = 1.0
     yield amps
-    for step in reversed(range(len(programs[0].operators))):
-        op = programs[0].operators[step]
-        if op.kind == DIAGONAL:
-            sign, exponent = letters([p.operators[step] for p in programs])
+    for rows, ops in reversed(schedule(programs)):
+        if ops[0].kind == DIAGONAL:
+            sign, exponent = letters(ops)
             phases = sign * np.power(point.q_half, exponent)
-            check_unitary(op, point, phases)
-            amps[:, :d] *= phases
+            check_unitary(ops[np.abs(np.abs(phases) ** 2 - 1.0).max(1).argmax()], point, phases)
+            amps[rows, :d] *= phases
         else:
-            check_unitary(op, point)
-            amps[:, :d] = op.act(amps[:, :d], point, transpose=True)
+            check_unitary(ops[0], point)
+            amps[rows, :d] = ops[0].act(amps[rows, :d], point, transpose=True)
         yield amps
 
 
@@ -101,7 +100,7 @@ def run(program: CompiledProgram, theta: float) -> StateVector:
 
 
 def p_ks(programs, theta: float) -> np.ndarray:
-    """|<0...0|U|0...0>|^2 of programs sharing n and skeleton, a slice at a time."""
+    """|<0...0|U|0...0>|^2 of programs of one n, a slice at a time."""
     out = []
     for part in group_slices(programs, lambda n: 1 << (2 * n)):
         *_, amps = _evolve(part, QPoint(theta))
@@ -110,8 +109,8 @@ def p_ks(programs, theta: float) -> np.ndarray:
 
 
 def p_k(program: CompiledProgram, theta: float) -> float:
-    """Acceptance probability |<0...0|U|0...0>|^2."""
-    return run(program, theta).probability(0)
+    """Acceptance probability |<0...0|U|0...0>|^2, p_ks of the one program."""
+    return float(p_ks([program], theta)[0])
 
 
 def block_dimension(n: int) -> int:

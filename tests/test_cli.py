@@ -232,6 +232,21 @@ def test_verify_missing_corpus_exits_2(tmp_path, capsys):
     assert "result:" not in captured.out
 
 
+def test_failed_allocation_exits_6_without_traceback(tmp_path, capsys, monkeypatch):
+    # a MemoryError from the evaluator or the simulator is exit 6 with a
+    # one-line message; the stubs raise it without allocating anything
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "jones", fail)
+    monkeypatch.setattr(cli, "qsim_p_ks", fail)
+    for argv in (["eval", _word_file(tmp_path, "strands=4; g2^-3")], ["verify", "--random", "3"]):
+        assert main(argv) == 6
+        captured = capsys.readouterr()
+        assert captured.err == "error: MemoryError\n"
+        assert captured.out == ""
+
+
 def test_exit_codes_documented_consistently():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     table = readme.split("### Exit codes", 1)[1].split("\n## ", 1)[0]
@@ -278,6 +293,10 @@ def _count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def _skeleton(program):
+    return tuple(op.kind for op in program.operators)
+
+
 def _scalar_deviations(program):
     """Test-only reference: one case's deviations, by the per-case formulas of the scalar check."""
     n = program.n
@@ -299,28 +318,46 @@ def _scalar_deviations(program):
 
 @pytest.mark.parametrize("seed", [0, 4])
 def test_verify_group_deviations_equal_the_scalar_formulas(seed):
-    # each (n, skeleton) group's checks run as (words, phases) arrays;
-    # every case must read the same bits as its own scalar computation
+    # each n's checks run as (words, phases) arrays over words of many
+    # skeletons; every case must read the same bits as its own scalar
+    # computation
     cases = cli._random_words(200, seed)
     programs = [evaluator.compile(braid.resolve_orientations(w)[0]) for _, w in cases]
-    assert max(Counter((p.n, p.skeleton) for p in programs).values()) > 20
+    assert min(Counter(p.n for p in programs).values()) > 20
+    assert len({(p.n, _skeleton(p)) for p in programs}) > 10
     results = cli._verify_cases(cases, 1e-6)
     for result, program in zip(results, programs):
         assert result["report"]["deviations"] == _scalar_deviations(program)
 
 
+def test_verify_batching_leaves_each_report_unchanged():
+    # words of n = 2, 3 and 4 with many skeletons, and the empty word,
+    # in one corpus: every case reads the same report as when verified
+    # alone
+    cases = cli._random_words(200, 2)
+    cases += [("n4-odd", parse("strands=8; g3^1 g2^-1 g4^2 g5^1")),
+              ("n4-even", parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2")),
+              ("empty", parse("strands=4;"))]
+    results = cli._verify_cases(cases, 1e-6)
+    assert results[-1]["tokens"] == "" and results[-1]["pass"]
+    assert all(r["pass"] for r in results)
+    for case, result in zip(cases, results):
+        assert cli._verify_cases([case], 1e-6) == [result]
+
+
 def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     # resolves: the word, once, for both the program and the oracle's
     # diagram; compiles: the word and its mirror (the mirror of the
-    # resolved word), with qsim reusing the word's program. Each (n,
-    # operator skeleton) group of words and mirrors is one elements call,
-    # its words one qsim pass, and a's block unitarity check runs once
-    # per (n, point) over the whole corpus, with no dense matrix built
+    # resolved word), with qsim reusing the word's program. The words
+    # of each n and their mirrors, whatever their skeletons, are one
+    # elements call and the words one qsim pass, and a's block unitarity
+    # check runs once per (n, point) over the whole corpus, with no
+    # dense matrix built
     cases = cli._random_words(40, 5)
     cases.append(("n4", parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2")))
     programs = [evaluator.compile(braid.resolve_orientations(w)[0]) for _, w in cases]
-    groups = Counter((p.n, p.skeleton) for p in programs)
-    assert len(groups) < len(cases)
+    groups = Counter(p.n for p in programs)
+    assert len({(p.n, _skeleton(p)) for p in programs}) > len(groups) + 5
     deviation = fusion.move_deviation
     deviation.cache_clear()
     resolves = _count_calls(monkeypatch, braid.resolve_orientations)
@@ -337,18 +374,18 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     assert len(compiles) == 2 * len(cases)
     keys = []
     for batch, _ in batches:
-        (key,) = {(p.n, p.skeleton) for p in batch}
-        assert len(batch) == 2 * groups[key]
-        keys.append(key)
+        (n,) = {p.n for p in batch}
+        assert len(batch) == 2 * groups[n]
+        keys.append(n)
     assert sorted(keys) == sorted(groups)
     keys = []
     for batch, _ in passes:
-        (key,) = {(p.n, p.skeleton) for p in batch}
-        assert len(batch) == groups[key]
-        keys.append(key)
+        (n,) = {p.n for p in batch}
+        assert len(batch) == groups[n]
+        keys.append(n)
     assert sorted(keys) == sorted(groups)
     assert builds == []
-    with_a = {n for n, s in groups if "duality" in s}
+    with_a = {p.n for p in programs if "duality" in _skeleton(p)}
     assert {n for n, _ in checks} == with_a
     assert deviation.cache_info().misses == len(with_a)
 

@@ -249,32 +249,43 @@ def test_p_k_memory_stays_below_one_dense_matrix():
 def _groups(programs):
     groups = {}
     for program in programs:
-        groups.setdefault((program.n, program.skeleton), []).append(program)
+        groups.setdefault(program.n, []).append(program)
     return groups
 
 
 def test_batched_p_k_matches_each_program(monkeypatch):
-    # every (n, skeleton) group of a mixed corpus in one pass, then the
-    # same groups cut into slices of three registers: the slices give
-    # the same bits, and each row its own program's p_k to round-off
+    # the words of each n of a mixed corpus, whatever their skeletons,
+    # in one pass, then cut into slices of three registers, one pass per
+    # slice: the slices give the same bits, and each row its own
+    # program's p_k
     programs = [_program(w) for _, w in _random_words(80, 7)]
     programs += [
         _program(parse(f"strands=8; g2^{k} g4^-1 g3^1 g6^{j}")) for k in (1, -2) for j in (1, 3)
     ]
-    groups = [g for g in _groups(programs).values() if len(g) > 1]
-    assert any(g[0].n == 4 for g in groups) and sum(len(g) > 3 for g in groups) >= 3
+    programs.append(_program(parse("strands=8; g3^1 g2^-1 g4^2")))
+    groups = list(_groups(programs).values())
+    assert sorted(g[0].n for g in groups) == [2, 3, 4]
+    assert all(len({tuple(op.kind for op in p.operators) for p in g}) > 1 for g in groups)
+    passes = []
+    evolve = qsim._evolve
+    monkeypatch.setattr(qsim, "_evolve", lambda part, point: passes.append(len(part)) or evolve(part, point))
     whole = {}
     for group in groups:
         theta = float(phase_grid(group[0].n, 10)[5])
         got = whole[id(group)] = p_ks(group, theta)
         assert got.shape == (len(group),)
+        assert passes == [len(group)]
+        passes.clear()
         want = np.array([p_k(program, theta) for program in group])
-        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.array_equal(got, want)
+        passes.clear()
     for group in groups:
         monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 << (2 * group[0].n))
         assert len(evaluator.group_slices(group, lambda n: 1 << (2 * n))) == -(-len(group) // 3)
         theta = float(phase_grid(group[0].n, 10)[5])
         assert np.array_equal(p_ks(group, theta), whole[id(group)])
+        assert passes == [3] * (len(group) // 3) + [len(group) % 3] * (len(group) % 3 > 0)
+        passes.clear()
 
 
 def test_evolution_snapshots_do_not_alias():
@@ -288,11 +299,15 @@ def test_evolution_snapshots_do_not_alias():
 
 
 def test_non_unitary_diagonal_in_a_group_names_its_token(monkeypatch):
-    # f a g a† h for each word; the letters qsim reads give the middle
-    # word's g a modulus-2 entry, so the pass runs h and a† and stops at g
-    group = [_program(parse(f"strands=4; g1^{k} g2^1 g1^1")) for k in (1, 2, -1)]
+    # a f a† g, then f a g a† h three times: the letters qsim reads give
+    # the third word's g a modulus-2 entry, so the pass runs h (g for
+    # the first word) and a† and stops at g, the step where the first
+    # word has its f
+    group = [_program(parse("strands=4; g2^1 g1^1"))]
+    group += [_program(parse(f"strands=4; g1^{k} g2^1 g1^1")) for k in (1, 2, -1)]
     assert len(_groups(group)) == 1
-    op = group[1].operators[2]
+    assert group[0].operators[1].token == "f"
+    op = group[2].operators[2]
     assert (op.kind, op.token) == ("diagonal", "g")
     letters = qsim.letters
 
@@ -306,4 +321,4 @@ def test_non_unitary_diagonal_in_a_group_names_its_token(monkeypatch):
     monkeypatch.setattr(qsim, "letters", injected)
     with pytest.raises(NonUnitaryBlock, match=r"operator 'g' deviates from unitarity by 3\.000e\+00"):
         p_ks(group, 0.5)
-    p_ks(group[:1] + group[2:], 0.5)
+    p_ks(group[:2] + group[3:], 0.5)
