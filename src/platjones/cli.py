@@ -182,7 +182,10 @@ def cmd_prob(args) -> int:
         )
     word = _load_word(args)
     if args.root_order is not None:
-        theta = 2.0 * math.pi / args.root_order
+        try:
+            theta = 2.0 * math.pi / args.root_order
+        except OverflowError:  # r past the float range: 2*pi/r underflows to 0
+            theta = 0.0
         theta_label = f"2*pi/{args.root_order}"
     else:
         theta = args.theta

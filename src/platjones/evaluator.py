@@ -37,7 +37,7 @@ from .braid import (
     resolve_orientations,
 )
 from .errors import ParityMismatch, UnannotatedSyllable
-from .fusion import pair_couplings, path_bases, recouple
+from .fusion import block_dimension, pair_couplings, recouple
 from .laurent import LaurentPoly, circle_samples, laurent_eval, read_coefficients
 from .qnum import QPoint
 
@@ -197,11 +197,10 @@ def elements(programs, point) -> np.ndarray:
     own letter (letters, once per step), a or a† by one BlockOperator.act,
     so a row keeps the bits it has when evaluated alone.
     """
-    paths = lambda n: len(path_bases(n)[0])
     out = []
-    for part in group_slices(programs, lambda n: len(point.theta) * paths(n)):
+    for part in group_slices(programs, lambda n: len(point.theta) * block_dimension(n)):
         # in the point's precision from the start, as v[rows] = ... cannot promote v
-        v = np.zeros((len(part), len(point.theta), paths(part[0].n)), dtype=point.q_half.dtype)
+        v = np.zeros((len(part), len(point.theta), block_dimension(part[0].n)), point.q_half.dtype)
         v[..., 0] = 1.0
         for rows, ops in schedule(part):
             if ops[0].kind == DIAGONAL:

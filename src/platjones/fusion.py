@@ -1,11 +1,13 @@
 """Total-spin-0 fusion path bases and the odd/even duality matrix.
 
-Strand spins are all 1/2. The odd basis pairs strands (2i-1, 2i) and
-couples the pair spins J in {0,1} down a left comb whose final label
-must be 0; the even basis couples strand 1 with the interior pairs
-(2i, 2i+1) and ends on 1/2 so the last strand can close the total to 0.
-Both bases have Catalan(n) elements. Each reaches the left-comb basis of
-the 2n strands by one F-move per strand pair, so the duality matrix
+Strand spins are all 1/2. One builder (_chains) gives both bases as
+chains that fuse a running spin with one pair spin J in {0, 1} at a
+time. The odd basis pairs strands (2i-1, 2i) and runs its n pair spins
+down a left comb from spin 0 back to 0; the even basis starts from
+strand 1's spin 1/2, fuses the n - 1 interior pairs (2i, 2i+1) and ends
+on 1/2 so the last strand can close the total to 0. Each basis has
+d = Catalan(n) paths (block_dimension) and reaches the left-comb basis
+of the 2n strands by one F-move per strand pair, so the duality matrix
 a = C_odd C_even^T is a product of 2(n - 1) sparse moves, planned once
 per n (_move_plan), whose racah values at a point come in one batch
 from one qnum.q_table, cached per (n, point). recouple applies the
@@ -13,9 +15,8 @@ moves at every phase of a point at once, move_deviation checks a's
 unitarity on their recoupling blocks, and duality_matrix (the moves
 applied to the identity) is the tests' dense reference.
 
-Labels are handled as doubled integers (twice the spin) so triangle
-arithmetic stays integral; the path dataclasses expose pair couplings
-as plain integers since those are integral spins.
+Labels are doubled integers (twice the spin) so triangle arithmetic
+stays integral; the paths' pair couplings J are plain integer spins.
 """
 
 from __future__ import annotations
@@ -54,56 +55,41 @@ def _fuse_range(two_a: int, two_b: int):
     return range(abs(two_a - two_b), two_a + two_b + 1, 2)
 
 
+def _chains(two_start: int, pairs: int, two_end: int):
+    """Sorted (J, labels) chains of pairs spins J in {0, 1} from doubled two_start to two_end.
+
+    A pair moves a label by at most 2, so one farther than 2 * (pairs left) from two_end is dropped.
+    """
+    chains = [((), (two_start,))]
+    for left in range(pairs - 1, -1, -1):
+        chains = [(J + (j,), labels + (e,)) for J, labels in chains for j in (0, 1)
+                  for e in _fuse_range(labels[-1], 2 * j) if abs(e - two_end) <= 2 * left]
+    return sorted((J, labels[1:]) for J, labels in chains)
+
+
 def enumerate_odd_paths(n: int) -> list[OddPath]:
-    """All admissible odd paths, lexicographic; all-zero path first."""
+    """Chains from spin 0 over n pairs back to 0, lexicographic; all-zero path first."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-
-    def rec(i, J, l):
-        if i == n:
-            if l[-1] == 0:
-                out.append(OddPath(tuple(J), tuple(l)))
-            return
-        for Ji in (0, 1):
-            if i == 0:
-                rec(1, [Ji], [Ji])
-            else:
-                for li in _fuse_range(2 * l[-1], 2 * Ji):
-                    rec(i + 1, J + [Ji], l + [li // 2])
-
-    rec(0, [], [])
-    out.sort()
-    return out
+    return [OddPath(J, tuple(e // 2 for e in labels)) for J, labels in _chains(0, n, 0)]
 
 
 def enumerate_even_paths(n: int) -> list[EvenPath]:
-    """All admissible even paths; empty for n = 1 (no interior pairs)."""
+    """Chains from spin 1/2 over n - 1 pairs back to 1/2; empty for n = 1 (no interior pairs)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return []
-    out = []
-
-    def rec(i, J, inter):
-        if i == n - 1:
-            if inter[-1] == 1:
-                out.append(EvenPath(tuple(J), tuple(inter)))
-            return
-        cur = inter[-1] if inter else 1  # start from strand 1, spin 1/2
-        for Ji in (0, 1):
-            for ri in _fuse_range(cur, 2 * Ji):
-                rec(i + 1, J + [Ji], inter + [ri])
-
-    rec(0, [], [])
-    out.sort()
-    return out
+    return [EvenPath(J, labels) for J, labels in _chains(1, n - 1, 1)] if n > 1 else []
 
 
 @functools.cache
 def path_bases(n: int) -> tuple[tuple[OddPath, ...], tuple[EvenPath, ...]]:
-    """Odd and even path lists for n caps, enumerated once per n."""
+    """Odd and even path lists for n caps, built once per n by the one chain builder."""
     return tuple(enumerate_odd_paths(n)), tuple(enumerate_even_paths(n))
+
+
+def block_dimension(n: int) -> int:
+    """d = Catalan(n), the number of paths in each basis (the odd one at n = 1)."""
+    return len(path_bases(n)[0])
 
 
 @functools.cache
@@ -289,7 +275,7 @@ def duality_matrix(n: int, point) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("duality needs n >= 2 (no even basis on 2 strands)")
-    d = len(path_bases(n)[0])
+    d = block_dimension(n)
     phases = np.ndim(_racah_values(n, point)) - 1
     identity = np.eye(d).reshape((d,) + (1,) * phases + (d,))
     return np.moveaxis(recouple(identity, n, point), 0, -2)

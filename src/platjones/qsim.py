@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonUnitaryBlock
 from .evaluator import DIAGONAL, BlockOperator, CompiledProgram, group_slices, letters, schedule
-from .fusion import move_deviation, path_bases
+from .fusion import block_dimension, move_deviation
 from .qnum import QPoint
 
 UNITARITY_TOL = 1e-10
@@ -112,6 +112,3 @@ def p_k(program: CompiledProgram, theta: float) -> float:
     """Acceptance probability |<0...0|U|0...0>|^2, p_ks of the one program."""
     return float(p_ks([program], theta)[0])
 
-
-def block_dimension(n: int) -> int:
-    return len(path_bases(n)[0])

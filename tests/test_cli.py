@@ -120,6 +120,12 @@ def test_prob_trefoil(tmp_path, capsys):
     assert "P_K:" in out
     assert main(["prob", path, "--root-order", "2"]) == 5
     assert main(["prob", path, "--root-order", "4"]) == 5
+    capsys.readouterr()
+    # 2*pi/r underflows past the float range: the same one-line error, no traceback
+    assert main(["prob", path, "--root-order", str(10**400)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sin(theta/2) vanishes at theta=0.0\n"
     assert main(["prob", path, "--theta", "0"]) == 5
 
 

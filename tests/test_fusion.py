@@ -11,6 +11,7 @@ from platjones import fusion, qnum
 from platjones.errors import NegativeRadicand, NonAdmissibleTriple
 from platjones.evaluator import admissible_arc, phase_grid
 from platjones.fusion import (
+    EvenPath,
     OddPath,
     duality_matrix,
     enumerate_even_paths,
@@ -25,16 +26,69 @@ def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
 
 
+def _recursive_odd_paths(n):
+    """The odd paths by the earlier depth-first recursion, sorted as it sorted them."""
+    out = []
+
+    def rec(i, J, l):
+        if i == n:
+            if l[-1] == 0:
+                out.append(OddPath(tuple(J), tuple(l)))
+            return
+        for Ji in (0, 1):
+            if i == 0:
+                rec(1, [Ji], [Ji])
+            else:
+                for li in fusion._fuse_range(2 * l[-1], 2 * Ji):
+                    rec(i + 1, J + [Ji], l + [li // 2])
+
+    rec(0, [], [])
+    return sorted(out)
+
+
+def _recursive_even_paths(n):
+    """The even paths by the earlier depth-first recursion; empty for n = 1."""
+    out = []
+
+    def rec(i, J, inter):
+        if i == n - 1:
+            if inter[-1] == 1:
+                out.append(EvenPath(tuple(J), tuple(inter)))
+            return
+        cur = inter[-1] if inter else 1
+        for Ji in (0, 1):
+            for ri in fusion._fuse_range(cur, 2 * Ji):
+                rec(i + 1, J + [Ji], inter + [ri])
+
+    if n > 1:
+        rec(0, [], [])
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_chain_builder_equals_the_recursive_enumeration(n):
+    # same paths in the same order: elements, qsim and the move plan index by position
+    assert fusion.path_bases(n) == (tuple(_recursive_odd_paths(n)), tuple(_recursive_even_paths(n)))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerators_reject_n_below_one(n):
+    for enumerate_paths in (enumerate_odd_paths, enumerate_even_paths):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            enumerate_paths(n)
+
+
 def test_path_counts_are_catalan():
-    for n in range(1, 7):
-        assert len(enumerate_odd_paths(n)) == catalan(n)
-    for n in range(2, 7):
+    for n in range(1, 10):
+        assert len(enumerate_odd_paths(n)) == catalan(n) == fusion.block_dimension(n)
+    for n in range(2, 10):
         assert len(enumerate_even_paths(n)) == catalan(n)
     assert enumerate_even_paths(1) == []
 
 
 def test_zero_path_is_first():
-    for n in (2, 3, 4):
+    # elements and qsim read index 0 as |0...0>
+    for n in range(1, 10):
         first = enumerate_odd_paths(n)[0]
         assert first == OddPath(J=(0,) * n, l=(0,) * n)
 
