@@ -35,7 +35,7 @@ from .evaluator import (
 from .fusion import duality_matrix, racah
 from .laurent import LaurentPoly, laurent_eval, render_q
 from .oracle import PlanarDiagram, jones_exact, kauffman_bracket, plat_diagram
-from .qnum import CirclePoint, QPoint, RealQPoint, q_factorial, q_number, triangle
+from .qnum import CirclePoint, QPoint, RealQPoint, q_number
 from .qsim import StateVector, p_k, run
 
 __version__ = "0.1.0"
@@ -75,13 +75,11 @@ __all__ = [
     "p_k",
     "parse",
     "plat_diagram",
-    "q_factorial",
     "q_number",
     "racah",
     "render_q",
     "resolve_orientations",
     "run",
-    "triangle",
     "unlink_normalization",
     "writhe",
     "__version__",

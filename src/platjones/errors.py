@@ -14,7 +14,7 @@ class NonAdmissibleTriple(PlatJonesError):
 
 
 class NegativeRadicand(PlatJonesError):
-    """A triangle-coefficient radicand is not positive.
+    """A q-number that a recoupling value needs is not positive.
 
     Signals that theta is too large for the spins involved; pick a
     smaller theta (larger root order).

@@ -247,10 +247,10 @@ def unlink_normalization(n: int, theta):
 
 
 def admissible_arc(n: int) -> tuple[float, float]:
-    """Open phase interval where every needed q-factorial stays positive.
+    """Open phase interval where every needed q-number stays positive.
 
-    The largest q-factorial argument reaching the duality build is n+1,
-    so theta must stay below 2 pi / (n+1).
+    The duality build reads q-numbers [k] with k <= n+1, so theta must
+    stay below 2 pi / (n+1).
     """
     return (0.0, 2.0 * math.pi / (n + 1))
 

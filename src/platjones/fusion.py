@@ -9,20 +9,21 @@ on 1/2 so the last strand can close the total to 0. Each basis has
 d = Catalan(n) paths (block_dimension) and reaches the left-comb basis
 of the 2n strands by one F-move per strand pair, so the duality matrix
 a = C_odd C_even^T is a product of 2(n - 1) sparse moves, planned once
-per n (_move_plan), whose racah values at a point come in one batch
+per n (_move_plan). Each move recouples two spin-1/2 strands, so its
+racah values are the closed-form 2 x 2 rotations and 1 x 1 blocks of
+spin-1/2 recoupling (_racah_rows); those of a point come in one batch
 from one qnum.q_table, cached per (n, point). recouple applies the
 moves at every phase of a point at once, move_deviation checks a's
 unitarity on their recoupling blocks, and duality_matrix (the moves
 applied to the identity) is the tests' dense reference.
 
-Labels are doubled integers (twice the spin) so triangle arithmetic
+Labels are doubled integers (twice the spin) so triad arithmetic
 stays integral; the paths' pair couplings J are plain integer spins.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,52 +103,45 @@ def pair_couplings(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
-    """Quantum Racah recoupling coefficient, doubled spin arguments.
+    """Racah recoupling coefficient of two spin-1/2 strands, doubled spin arguments.
 
-    Prefactor (-1)^{s1+s2+s3+s4} sqrt([2j+1]) sqrt([2l+1]) times the four
-    triangle coefficients times the alternating sum over m of
-    (-1)^m [m+1]! over the seven constraint factorials. The m bounds
-    keep every factorial argument nonnegative. One value per phase of
-    the point. Each label's root is taken alone: at a circle point
-    sqrt(XY) is not sqrt(X) sqrt(Y), and only roots of single labels
-    cancel from the plat element whatever their branch.
+    The strands are s2 = s3 = 1/2 (ValueError otherwise); one value per
+    phase of the point, from the closed form of _racah_rows.
     """
     return _racah_rows([(two_j, two_l, two_s1, two_s2, two_s3, two_s4)], point)[0]
 
 
 def _racah_rows(keys, point):
-    """racah of each key (its six arguments), one row per key, all keys at once.
+    """racah of each key (e, 2J, a, 1, 1, d), doubled, one row per key, all keys at once.
 
-    Every triad is checked for admissibility, since the keys may come
-    from outside. Then one phase check decides every failure: each
-    factorial argument of a denominator or radicand, and 2j+1 and 2l+1,
-    is at most the largest triad sum plus one, so on the unit circle
-    check_arc of the triad with the largest sum keeps every [k] read
-    there positive; other points have no zeros. Past a key's last m its
-    factorials read [0]! = 1 and its term is 0.
+    With [k] = q_number(2k) of doubled labels, the keys sharing outer
+    labels (a, d) form one recoupling block, rows J and columns e. It is
+    1 x 1 with value 1 unless d = a > 0; then rows J = 0, 1 and columns
+    e = a - 1, a + 1 hold the rotation
+    [[-sqrt[a], sqrt[a+2]], [sqrt[a+2], sqrt[a]]] / (sqrt[2] sqrt[a+1]),
+    orthogonal since [a] + [a+2] = [2][a+1]. Every triad is checked for
+    admissibility, since the keys may come from outside; then one phase
+    check of the triad with the largest sum keeps every [k] read here
+    positive on the unit circle; other points have no zeros. Each
+    q-number's root is taken alone: at a circle point sqrt(XY) is not
+    sqrt(X) sqrt(Y), and only roots of single q-numbers cancel from the
+    plat element whatever their branch.
     """
-    j, l, s1, s2, s3, s4 = np.array(keys).T
-    triads = np.stack([s1, s2, j, s3, s4, j, s1, s4, l, s2, s3, l], -1).reshape(-1, 4, 3)
-    quads = np.stack([s1 + s2 + s3 + s4, s1 + s3 + j + l, s2 + s4 + j + l], -1)
-    for a, b, c in triads.reshape(-1, 3):
-        if not is_admissible(a, b, c):
-            raise NonAdmissibleTriple(f"({a}/2, {b}/2, {c}/2)")
-    sums = triads.sum(-1)
-    check_arc(*triads.reshape(-1, 3)[np.argmax(sums)], point)
-    # the m-sum reads up to [min(quads)/2 + 1]!; every other index is below
-    numbers, fact = q_table(quads.min(-1).max() // 2 + 1, point)
-    column = lambda x: x.reshape(x.shape + (1,) * (fact.ndim - 1))
-    lo, hi = sums.max(-1) // 2, quads.min(-1) // 2
-    total = 0.0
-    for m in lo + np.arange(max(hi - lo) + 1)[:, None]:
-        valid = np.clip(hi - m + 1, 0, 1)  # 1 up to a key's last m
-        args = np.concatenate([m[:, None] - sums // 2, quads // 2 - m[:, None]], 1)
-        den = math.prod(np.moveaxis(fact[args * valid[:, None]], 1, 0))
-        total = total + column(valid * (-1) ** m) * fact[(m + 1) * valid] / den
-    rad = math.prod(np.moveaxis(fact[(sums[..., None] - 2 * triads) // 2], 2, 0))
-    rad = rad / fact[sums // 2 + 1]
-    pref = column((-1) ** (quads[:, 0] // 2)) * math.prod(np.moveaxis(np.sqrt(rad), 1, 0))
-    return pref * np.sqrt(numbers[j + 1]) * np.sqrt(numbers[l + 1]) * total
+    e, J, a, s2, s3, d = np.array(keys).T
+    triads = np.stack([a, s2, e, s3, d, e, a, d, J, s2, s3, J], -1).reshape(-1, 3)
+    for x, y, z in triads:
+        if not is_admissible(x, y, z):
+            raise NonAdmissibleTriple(f"({x}/2, {y}/2, {z}/2)")
+    if (s2 != 1).any() or (s3 != 1).any():
+        raise ValueError("racah recouples two spin-1/2 strands: s2 = s3 = 1/2")
+    check_arc(*triads[np.argmax(triads.sum(-1))], point)
+    a = np.where((d == a) & (a > 0), a, 0)  # 0 marks a 1 x 1 block
+    roots = np.sqrt(q_table(a.max() + 2, point))
+    top = np.where((e < a) == (J == 0), a, a + 2)
+    sign = np.where((e < a) & (J == 0), -1.0, 1.0)
+    column = lambda x: x.reshape(x.shape + (1,) * (roots.ndim - 1))
+    rotation = column(sign) * roots[top] / (roots[2] * roots[a + 1])
+    return np.where(column(a > 0), rotation, 1.0)
 
 
 @functools.cache

@@ -1,4 +1,4 @@
-"""q-arithmetic: q-numbers, q-factorials and triangle coefficients.
+"""q-arithmetic: q-numbers, evaluation points and the arc's phase bound.
 
 A point fixes x = q^{1/2}. On the unit circle q = e^{i theta} and
 x = e^{i theta/2}, which fixes the branch of q^{1/2} once; there every
@@ -7,10 +7,9 @@ unit circle, where the values are complex; a real point takes q in
 (0, 1] and x = sqrt(q). A point may carry a tuple of phases: every
 function here then returns one value per phase, computed as numpy
 arrays, and a range check fails if it fails at any phase, naming the
-first such theta. The q-numbers [k] and q-factorials [k]! for k = 0..K
-form one table (q_table): fusion reads every Racah value of a point
-from one, and triangle and q_factorial each build their own. Spin
-labels are passed doubled (twice the spin) so triangle arithmetic
+first such theta. The q-numbers [k] for k = 0..K form one table
+(q_table): fusion reads every recoupling value of a point from one.
+Spin labels are passed doubled (twice the spin) so triad arithmetic
 stays integral.
 """
 
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQ, NegativeRadicand, NonAdmissibleTriple
+from .errors import DegenerateQ, NegativeRadicand
 
 
 @dataclass(frozen=True)
@@ -127,25 +126,14 @@ def q_number(two_x, point):
     return value if isinstance(point, CirclePoint) else value.real
 
 
-def q_table(kmax: int, point) -> tuple[np.ndarray, np.ndarray]:
-    """([k], [k]!) for k = 0..kmax, one row per k, from one q_number call.
+def q_table(kmax: int, point) -> np.ndarray:
+    """[k] for k = 0..kmax, one row per k, from one q_number call.
 
-    [k]! is the running product of [1]..[k]. Each row depends only on k
-    and the point, so a longer table holds a shorter one as its prefix,
-    bit for bit: one table reaching the largest index of a batch gives
-    the same values as a table per item.
+    Each row depends only on k and the point, so a longer table holds a
+    shorter one as its prefix, bit for bit: one table reaching the
+    largest index of a batch gives the same values as a table per item.
     """
-    numbers = q_number(2 * np.arange(kmax + 1), point)
-    fact = numbers.copy()
-    fact[0] = 1.0
-    return numbers, np.cumprod(fact, axis=0)
-
-
-def q_factorial(x: int, point):
-    """[x]! = [1][2]...[x]; [0]! = 1."""
-    if x < 0:
-        raise ValueError("q_factorial argument must be nonnegative")
-    return q_table(x, point)[1][x]
+    return q_number(2 * np.arange(kmax + 1), point)
 
 
 def is_admissible(two_a: int, two_b: int, two_c: int) -> bool:
@@ -157,12 +145,13 @@ def is_admissible(two_a: int, two_b: int, two_c: int) -> bool:
 
 
 def check_arc(two_a: int, two_b: int, two_c: int, point) -> None:
-    """On the unit circle, the phase bound of Delta(a,b,c), doubled arguments.
+    """On the unit circle, the phase bound of the triad (a, b, c), doubled arguments.
 
-    There its radicand is positive iff every [k] up to the largest
-    factorial argument K = a+b+c+1 is, i.e. |theta| < 2 pi / K; checking
-    the bound avoids float noise at the q-number zeros. Other points
-    have no bound.
+    Every q-number [k] up to K = (a+b+c)/2 + 1 is positive iff
+    |theta| < 2 pi / K, so a batch of recoupling values reading no [k]
+    past the K of its largest triad is checked once, by the bound rather
+    than by the sign of values near their zeros. Other points have no
+    bound.
     """
     if type(point) is not QPoint:
         return
@@ -174,27 +163,3 @@ def check_arc(two_a: int, two_b: int, two_c: int, point) -> None:
             f"triangle({two_a}/2,{two_b}/2,{two_c}/2) needs |theta| < 2*pi/{largest}, "
             f"got {first_at(point.thetas, size >= limit)!r}"
         )
-
-
-def triangle(two_a: int, two_b: int, two_c: int, point):
-    """Triangle coefficient Delta(a,b,c), doubled arguments.
-
-    sqrt([-a+b+c]! [a-b+c]! [a+b-c]! / [a+b+c+1]!), with the factorials
-    read from a q_table of the point reaching a+b+c+1. On the unit
-    circle check_arc keeps every [k] of that table positive, so the
-    radicand is too; past the bound it raises NegativeRadicand. At a
-    circle point the radicand is complex and this takes the principal
-    root: every triangle gets a root of its own, so the branch cancels
-    from the plat element.
-    """
-    if not is_admissible(two_a, two_b, two_c):
-        raise NonAdmissibleTriple(f"({two_a}/2, {two_b}/2, {two_c}/2)")
-    check_arc(two_a, two_b, two_c, point)
-    largest = (two_a + two_b + two_c) // 2 + 1
-    fact = q_table(largest, point)[1]
-    num = (
-        fact[(-two_a + two_b + two_c) // 2]
-        * fact[(two_a - two_b + two_c) // 2]
-        * fact[(two_a + two_b - two_c) // 2]
-    )
-    return np.sqrt(num / fact[largest])

@@ -2,15 +2,8 @@ import math
 
 import pytest
 
-from platjones.errors import DegenerateQ, NegativeRadicand, NonAdmissibleTriple
-from platjones.qnum import (
-    QPoint,
-    RealQPoint,
-    is_admissible,
-    q_factorial,
-    q_number,
-    triangle,
-)
+from platjones.errors import DegenerateQ
+from platjones.qnum import QPoint, RealQPoint, is_admissible, q_number
 
 
 def test_q_number_basics():
@@ -62,45 +55,9 @@ def test_real_point_domain():
     assert RealQPoint(1.0).q_half == 1.0
 
 
-def test_q_factorial():
-    pt = QPoint(0.9)
-    assert q_factorial(0, pt) == 1.0
-    want = q_number(2, pt) * q_number(4, pt) * q_number(6, pt)
-    assert q_factorial(3, pt) == pytest.approx(want)
-    with pytest.raises(ValueError):
-        q_factorial(-1, pt)
-
-
 def test_admissibility():
     assert is_admissible(1, 1, 2)
     assert is_admissible(1, 1, 0)
     assert not is_admissible(1, 1, 1)  # half-integer total
     assert not is_admissible(1, 1, 4)  # triangle violated
     assert is_admissible(2, 2, 2)
-
-
-def test_triangle_value():
-    # Delta(1/2, 1/2, 1)^2 = 1 / ([2] [3])
-    theta = math.pi / 3.0
-    pt = QPoint(theta)
-    want = math.sqrt(1.0 / (q_number(4, pt) * q_number(6, pt)))
-    assert triangle(1, 1, 2, pt) == pytest.approx(want, rel=1e-14)
-
-
-def test_triangle_rejects_bad_triple():
-    with pytest.raises(NonAdmissibleTriple):
-        triangle(1, 1, 1, QPoint(0.5))
-    with pytest.raises(NonAdmissibleTriple):
-        triangle(1, 1, 6, QPoint(0.5))
-
-
-def test_triangle_negative_radicand_at_large_theta():
-    # at theta = 2pi/3 the q-factorial [5]! turns negative for spin-2
-    with pytest.raises(NegativeRadicand):
-        triangle(2, 2, 4, QPoint(2.0 * math.pi / 3.0))
-
-
-def test_triangle_classical_value():
-    # Delta(1/2,1/2,1)^2 = 1/(2*3) classically
-    pt = RealQPoint(1.0)
-    assert triangle(1, 1, 2, pt) == pytest.approx(1.0 / math.sqrt(6.0))
