@@ -83,9 +83,7 @@ def _load_word(args) -> BraidWord:
     if args.flips is not None:
         bits = args.flips
         if len(bits) != word.n or any(ch not in "01" for ch in bits):
-            raise WordSyntaxError(
-                f"flips must be a bitstring of length {word.n}", 1, 1
-            )
+            raise ValueError(f"--flips must be a bitstring of length {word.n}, got {bits!r}")
         word = dataclasses.replace(
             word, flips=tuple(ch == "1" for ch in bits)
         )
@@ -270,7 +268,7 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
 
     Every word is resolved and compiled first, in corpus order, so the
     first bad word decides the error. Then the words of each n in turn,
-    whatever their operators, are evaluated with their mirrors in one
+    whatever their letters, are evaluated with their mirrors in one
     elements call, simulated at the middle phase in one qsim pass, and
     checked as (words, phases) arrays reduced per row.
     """

@@ -1,22 +1,25 @@
-"""Compile annotated words into block operators and evaluate the plat element.
+"""Compile annotated words into diagonal letters and evaluate the plat element.
 
-A word splits into maximal runs of same-parity generator indices.
-Odd-index runs are diagonal in the odd path basis; even-index runs are
-diagonal in the even basis and appear conjugated by the duality matrix,
-so a program reads like  a f a† g a h a† ...  with diagonal letters
-assigned in order of appearance. The plat matrix element <0|M_1...M_L|0>
-is read by pushing the row vector e_0 through the operators in order
-(elements), for every program of one n and every phase of a point in
-one pass along their shared schedule (schedule): programs and phases
-are numpy axes through the F-moves of a and a† (fusion.recouple), with
-no d x d matrix. A diagonal letter is compiled once into integer
-tallies per pair k and J = 0, 1 (summed power of q^{1/2}, count of -1
-signs); one gather-sum over the paths' pair couplings gives a step's
-signs and powers per path (letters). The Jones polynomial is read off
-samples of the element, times the unlink normalization d^{n-1}, on the
-circle |q^{1/2}| = RHO just outside the unit circle: an inverse FFT
-gives the Laurent coefficients (a Cauchy integral, Bornemann, Found.
-Comput. Math. 11, 2011), rounded to integers.
+A word splits into maximal runs of same-parity generator indices, one
+diagonal letter per run, named in order of appearance. An odd letter
+is diagonal in the odd path basis, D; an even letter is diagonal in
+the even basis and acts conjugated by the duality matrix, a E a†
+with a† = a^T, so a program reads like  a f a† g a h a† ...  Both
+kinds are symmetric d x d matrices S, u S = S u, so one in-place step
+(apply_letters) serves the row vectors here and qsim's d-blocks. The
+plat matrix element <0|S_1...S_L|0> is read by pushing the row vector
+e_0 through the letters in order (elements), for every program of one
+n and every phase of a point in one pass along their shared schedule
+(schedule): programs and phases are numpy axes through the F-moves of
+a and a^T (fusion.recouple), with no d x d matrix. A letter is
+compiled once into integer tallies per pair k and J = 0, 1 (summed
+power of q^{1/2}, count of -1 signs); one gather-sum over the paths'
+pair couplings gives a step's signs and powers per path (letters).
+The Jones polynomial is read off samples of the element, times the
+unlink normalization d^{n-1}, on the circle |q^{1/2}| = RHO just
+outside the unit circle: an inverse FFT gives the Laurent
+coefficients (a Cauchy integral, Bornemann, Found. Comput. Math. 11,
+2011), rounded to integers.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -47,12 +49,8 @@ LEFT = "left"
 ODD = "odd"
 EVEN = "even"
 
-DIAGONAL = "diagonal"
-DUALITY = "duality"
-DUALITY_INVERSE = "duality_inverse"
-
 DAGGER = "a†"
-BLOCK_ENTRIES = 1 << 12  # complex entries (64 KiB) of one block of row vectors or registers
+BLOCK_ENTRIES = 1 << 12  # complex entries (64 KiB) of one block of d-vectors
 
 # right-handed braiding eigenvalues +-x^e, x = q^{1/2}: rows sign and e, columns J = 0, 1
 SPECTRUM = {PARALLEL: ((-1, 1), (3, 1)), ANTIPARALLEL: ((1, -1), (0, -2))}
@@ -92,12 +90,11 @@ def _pair_of_index(index: int, basis: str) -> int:
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """One factor of a compiled program, materialized per phase point."""
+    """One diagonal letter of a compiled program: a run's braiding phases in its basis."""
 
-    kind: str
     n: int
     token: str
-    basis: Optional[str] = None
+    basis: str
     run: tuple[Syllable, ...] = ()
 
     @functools.cached_property
@@ -115,64 +112,51 @@ class BlockOperator:
 
     def phases(self, point) -> np.ndarray:
         """Diagonal entries sign * x^exponent, one row per phase of the point."""
-        if self.kind != DIAGONAL:
-            raise ValueError("only diagonal operators carry phases")
         sign, exponent = letters([self])
         return sign[0] * np.power.outer(point.q_half, exponent[0])
-
-    def act(self, v: np.ndarray, point, transpose: bool = False) -> np.ndarray:
-        """v @ M, or v @ M^T with transpose, for M this operator at the point.
-
-        v holds row vectors over the paths in its last axis, one row per
-        phase of a batched point. A diagonal letter scales v by its
-        phases. a and a† = a^T are the F-moves of fusion.recouple, run
-        backward for a†; transpose flips the direction once more.
-        """
-        if self.kind == DIAGONAL:
-            return v * self.phases(point)
-        backward = (self.kind == DUALITY_INVERSE) != transpose
-        return recouple(v, self.n, point, transpose=backward)
 
 
 @dataclass(frozen=True)
 class CompiledProgram:
     n: int
-    operators: tuple[BlockOperator, ...]
+    letters: tuple[BlockOperator, ...]
     word: BraidWord = field(repr=False)
 
     def tokens(self) -> list[str]:
-        return [op.token for op in self.operators]
+        """The paper's operator list: an even letter E reads a, E, a†."""
+        spelled = ([op.token] if op.basis == ODD else ["a", op.token, DAGGER] for op in self.letters)
+        return [token for tokens in spelled for token in tokens]
 
     @property
     def operator_count(self) -> int:
-        return len(self.operators)
+        return len(self.tokens())
 
     def element(self, point) -> np.ndarray:
-        """Plat element <0|M_1 ... M_L|0>, one value per phase of the point."""
+        """Plat element <0|S_1 ... S_L|0>, one value per phase of the point."""
         return elements([self], point)[0]
 
 
-def group_slices(programs, width) -> list:
-    """Programs of one n in slices of at most BLOCK_ENTRIES // width(n).
+def group_slices(programs, phases: int) -> list:
+    """Programs of one n in slices of at most BLOCK_ENTRIES // (phases * d).
 
-    width(n) is one program's entries in a block, so a block's memory
+    A program holds phases d-vectors of a block, so a block's memory
     stays bounded however large the group; a slice has at least one.
     """
     if len({p.n for p in programs}) != 1:
         raise ValueError("expected at least one program, all of one n")
-    step = max(1, BLOCK_ENTRIES // width(programs[0].n))
+    step = max(1, BLOCK_ENTRIES // (phases * block_dimension(programs[0].n)))
     return [programs[i : i + step] for i in range(0, len(programs), step)]
 
 
 def schedule(programs) -> list:
-    """(rows, operators) of each step of D, a, E, a†, D, ... (D, E diagonal) that programs cover.
+    """(rows, letters) of each step D, E, D, E, ... (D odd, E even) that programs cover.
 
-    A program's operators cover consecutive steps, from 0 if its first run is odd, else from 1.
+    A program's letters cover consecutive steps, from 0 if its first letter is odd, else from 1.
     """
     steps = {}
     for row, p in enumerate(programs):
-        first = int(bool(p.operators) and p.operators[0].kind == DUALITY)
-        for step, op in enumerate(p.operators, first):
+        first = int(bool(p.letters) and p.letters[0].basis == EVEN)
+        for step, op in enumerate(p.letters, first):
             steps.setdefault(step, []).append((row, op))
     return [([row for row, _ in steps[s]], [op for _, op in steps[s]]) for s in sorted(steps)]
 
@@ -188,26 +172,40 @@ def letters(ops) -> tuple[np.ndarray, np.ndarray]:
     return (-1) ** minus, exponent
 
 
+def apply_letters(v: np.ndarray, rows, ops, point, phases) -> None:
+    """v[rows] = v[rows] S in place, S each row's letter at the point (phases, its diagonal).
+
+    v holds d-vectors in its last axis, per phase of a batched point
+    before it. An even letter's S = a E a^T runs the F-moves of a, scales by
+    E and runs them back (fusion.recouple). S is symmetric, so this is
+    also S u for column vectors u, the step of qsim's d-blocks.
+    """
+    even = ops[0].basis == EVEN
+    if even:
+        v[rows] = recouple(v[rows], ops[0].n, point)
+    v[rows] *= phases
+    if even:
+        v[rows] = recouple(v[rows], ops[0].n, point, transpose=True)
+
+
 def elements(programs, point) -> np.ndarray:
     """Plat elements of programs of one n: (programs, phases).
 
     A slice of programs (group_slices) and all phases go through the
     schedule as one (programs, phases, paths) block of row vectors: a
-    step acts on the rows that cover it, a diagonal one by each row's
-    own letter (letters, once per step), a or a† by one BlockOperator.act,
-    so a row keeps the bits it has when evaluated alone.
+    step applies each covering row's own letter (apply_letters, with
+    letters once per step), so a row keeps the bits it has when
+    evaluated alone.
     """
     out = []
-    for part in group_slices(programs, lambda n: len(point.theta) * block_dimension(n)):
+    for part in group_slices(programs, len(point.theta)):
         # in the point's precision from the start, as v[rows] = ... cannot promote v
         v = np.zeros((len(part), len(point.theta), block_dimension(part[0].n)), point.q_half.dtype)
         v[..., 0] = 1.0
         for rows, ops in schedule(part):
-            if ops[0].kind == DIAGONAL:
-                sign, exponent = letters(ops)
-                v[rows] *= sign[:, None] * np.power(point.q_half[:, None], exponent[:, None])
-            else:
-                v[rows] = ops[0].act(v[rows], point)
+            sign, exponent = letters(ops)
+            phases = sign[:, None] * np.power(point.q_half[:, None], exponent[:, None])
+            apply_letters(v, rows, ops, point, phases)
         out.append(v[..., 0].copy())  # a view would keep the whole block
     return np.concatenate(out)
 
@@ -218,21 +216,14 @@ def _diagonal_letter(i: int) -> str:
 
 
 def compile(word: BraidWord) -> CompiledProgram:
-    """Split into maximal same-parity runs and emit the operator list.
-
-    Odd runs become bare diagonals; even runs become a, diagonal, a†.
-    """
-    n = word.n
+    """Split into maximal same-parity runs, one diagonal letter each, in its run's basis."""
     if not word.is_annotated():
         raise UnannotatedSyllable("compile needs a fully annotated word")
-    ops: list[BlockOperator] = []
-    for i, (odd, run) in enumerate(itertools.groupby(word.syllables, lambda s: s.index % 2)):
-        diag = BlockOperator(DIAGONAL, n, _diagonal_letter(i), ODD if odd else EVEN, tuple(run))
-        if odd:
-            ops.append(diag)
-        else:
-            ops += [BlockOperator(DUALITY, n, "a"), diag, BlockOperator(DUALITY_INVERSE, n, DAGGER)]
-    return CompiledProgram(n=n, operators=tuple(ops), word=word)
+    runs = itertools.groupby(word.syllables, lambda s: s.index % 2)
+    return CompiledProgram(n=word.n, word=word, letters=tuple(
+        BlockOperator(word.n, _diagonal_letter(i), ODD if odd else EVEN, tuple(run))
+        for i, (odd, run) in enumerate(runs)
+    ))
 
 
 def evaluate(word: BraidWord, theta: float) -> complex:

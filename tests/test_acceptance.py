@@ -133,7 +133,7 @@ def test_criterion_06_compilation_fidelity():
     program = compile_word(annotated)
     tokens_ok = program.tokens() == ["a", "f", "a†", "g", "a", "h", "a†"]
     pt = QPoint(0.7)
-    f, g, h = program.operators[1], program.operators[3], program.operators[5]
+    f, g, h = program.letters
     lam_par = [braiding_phase(J, "parallel", "right", pt) for J in (0, 1)]
     f_want = np.array([lam_par[0] ** 3, lam_par[1] ** 3])
     lam_anti = [braiding_phase(J, "antiparallel", "right", pt) for J in (0, 1)]

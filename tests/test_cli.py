@@ -69,9 +69,18 @@ def test_eval_flips_override_changes_orientation(tmp_path, capsys):
     assert main(["eval", path, "--flips", "00"]) == 3  # caps cannot close
 
 
-def test_eval_bad_flips(tmp_path):
+def test_eval_bad_flips(tmp_path, capsys):
+    # a bad flag value is not a word-file position: the error names the
+    # flag, the expected length and the value, with no line or column
     path = _word_file(tmp_path, "strands=4; g2^1")
     assert main(["eval", path, "--flips", "012"]) == 2
+    assert capsys.readouterr().err == "error: --flips must be a bitstring of length 2, got '012'\n"
+    path = _word_file(tmp_path, "strands=4; g2^3")
+    for command in (["eval"], ["prob", "--theta", "0.3"], ["oracle"]):
+        for bits in ("1", "3"):
+            assert main(command + [path, "--flips", bits]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --flips must be a bitstring of length 2, got '{bits}'\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -300,7 +309,7 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def _skeleton(program):
-    return tuple(op.kind for op in program.operators)
+    return tuple(op.basis for op in program.letters)
 
 
 def _scalar_deviations(program):
@@ -391,7 +400,7 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
         keys.append(n)
     assert sorted(keys) == sorted(groups)
     assert builds == []
-    with_a = {p.n for p in programs if "duality" in _skeleton(p)}
+    with_a = {p.n for p in programs if "even" in _skeleton(p)}
     assert {n for n, _ in checks} == with_a
     assert deviation.cache_info().misses == len(with_a)
 

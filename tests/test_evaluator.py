@@ -33,7 +33,7 @@ from platjones.evaluator import (
     phase_grid,
     unlink_normalization,
 )
-from platjones.fusion import duality_matrix, pair_couplings, path_bases
+from platjones.fusion import duality_matrix, pair_couplings, path_bases, recouple
 from platjones.laurent import LaurentPoly, circle_samples, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
@@ -64,9 +64,7 @@ def test_braiding_phases():
 def test_braiding_phase_rejects_auto():
     with pytest.raises(UnannotatedSyllable):
         braiding_phase(0, "auto", "right", QPoint(0.5))
-    block = evaluator.BlockOperator(
-        kind="diagonal", n=2, token="f", basis="odd", run=(Syllable(1, 1),)
-    )
+    block = evaluator.BlockOperator(n=2, token="f", basis="odd", run=(Syllable(1, 1),))
     with pytest.raises(UnannotatedSyllable):
         block.phases(QPoint(0.5))
 
@@ -107,7 +105,7 @@ def test_reference_diagonal_content():
     theta = 0.8
     pt = QPoint(theta)
     ba = compile_word(_resolved("strands=4; b2^3 h1^-2 h3^-2 b2^3"))
-    f, g, h = ba.operators[1], ba.operators[3], ba.operators[5]
+    f, g, h = ba.letters
     assert f.basis == "even" and g.basis == "odd" and h.basis == "even"
     lam_anti = [braiding_phase(J, "antiparallel", "left", pt) for J in (0, 1)]
     assert g.phases(pt) == pytest.approx(
@@ -162,11 +160,11 @@ def test_evaluate_matches_oracle_modulus():
 
 
 def _dense_operator(op, point):
-    """Test-only dense d x d form of one compiled operator at one phase."""
-    if op.kind == "diagonal":
+    """Test-only dense d x d form of one compiled letter at one phase: D, or a E a^T."""
+    if op.basis == "odd":
         return np.diag(op.phases(point))
     a = duality_matrix(op.n, point)
-    return a if op.kind == "duality" else a.T
+    return a @ np.diag(op.phases(point)) @ a.T
 
 
 def _element_per_phase(program, thetas):
@@ -175,7 +173,7 @@ def _element_per_phase(program, thetas):
     for theta in thetas:
         point = QPoint(float(theta))
         v = np.eye(len(path_bases(program.n)[0]), dtype=complex)[0]
-        for op in program.operators:
+        for op in program.letters:
             v = v @ _dense_operator(op, point)
         out.append(v[0])
     return np.array(out)
@@ -197,11 +195,15 @@ def test_batched_element_matches_per_phase_reference():
 
 
 def _element_by_act(program, point):
-    """Test-only reference: e_0 through each operator's act, one program at a time."""
+    """Test-only reference: e_0 through each letter, a E a^T by F-moves, one program at a time."""
     v = np.zeros((len(point.theta), len(path_bases(program.n)[0])), dtype=complex)
     v[:, 0] = 1.0
-    for op in program.operators:
-        v = op.act(v, point)
+    for op in program.letters:
+        if op.basis == "even":
+            v = recouple(v, program.n, point)
+        v = v * op.phases(point)
+        if op.basis == "even":
+            v = recouple(v, program.n, point, transpose=True)
     return v[:, 0]
 
 
@@ -344,9 +346,8 @@ def test_letters_equal_the_per_syllable_loop(words):
     ops = {}
     assume(any(words))
     for word in filter(None, words):
-        for op in compile_word(word).operators:
-            if op.kind == "diagonal":
-                ops.setdefault((op.n, op.basis), []).append(op)
+        for op in compile_word(word).letters:
+            ops.setdefault((op.n, op.basis), []).append(op)
     for group in ops.values():
         sign, exponent = evaluator.letters(group)
         assert sign.shape == exponent.shape == (len(group), len(path_bases(group[0].n)[0]))
@@ -357,14 +358,14 @@ def test_letters_equal_the_per_syllable_loop(words):
 
 
 def test_letters_run_once_per_slice_and_diagonal_step(monkeypatch):
-    # f a g a† h a g1 a†: four diagonal steps; seven words in slices of
+    # f a g a† h a g1 a†: four steps, one per letter; seven words in slices of
     # three give three slices, in elements and in qsim's evolution alike
     from platjones import qsim
 
     group = [compile_word(_resolved(f"strands=6; g1^{k} g4^1 g3^-1 g5^2 g2^{j}"))
              for k in (1, -2, 3) for j in (1, 2, -1)][:7]
-    assert len({tuple(op.kind for op in p.operators) for p in group}) == 1
-    steps = sum(op.kind == "diagonal" for op in group[0].operators)
+    assert len({tuple(op.basis for op in p.letters) for p in group}) == 1
+    steps = len(group[0].letters)
     assert steps == 4
     calls = []
 
@@ -380,9 +381,38 @@ def test_letters_run_once_per_slice_and_diagonal_step(monkeypatch):
     evaluator.elements(group, point)
     assert sorted(calls) == sorted([3, 3, 1] * steps)
     calls.clear()
-    monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 << 6)
+    monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * len(path_bases(3)[0]))
     qsim.p_ks(group, 0.5)
     assert sorted(calls) == sorted([3, 3, 1] * steps)
+
+
+def test_even_step_is_symmetric_and_its_dense_form():
+    # an even letter's S = a E a^T equals its transpose, so qsim's
+    # column step S u can reuse the evaluator's row step u S; the
+    # in-place step on random rows is v S, at unit-circle phases and at
+    # the long-double circle samples alike. Both are relative to the
+    # size of the terms, |a| |a|^T: near q = -1 the entries of a grow
+    # (to 1e5 at n = 6) and S cancels most of their digits
+    rng = np.random.default_rng(7)
+    for n in range(2, 7):
+        r = random.Random(n)
+        text = f"strands={2 * n}; " + " ".join(
+            f"g{r.randint(1, 2 * n - 1)}^{r.choice([-2, -1, 1, 2, 3])}" for _ in range(8)
+        )
+        even = [op for op in compile_word(_resolved(text)).letters if op.basis == "even"]
+        assert even
+        for point in (QPoint(tuple(phase_grid(n, 10).tolist())), circle_samples((-9, 9))):
+            a = duality_matrix(n, point)
+            for op in even:
+                phases = op.phases(point)
+                S = a * phases[:, None, :] @ a.swapaxes(-1, -2)
+                scale = np.max(np.abs(a) @ np.abs(a).swapaxes(-1, -2))
+                assert np.max(np.abs(S - S.swapaxes(-1, -2))) < 1e-14 * scale
+                shape = (3,) + phases.shape
+                v = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(phases.dtype)
+                want, size = np.einsum("rpi,pij->rpj", v, S), np.max(np.abs(v)) * scale
+                evaluator.apply_letters(v, [0, 1, 2], [op] * 3, point, np.stack([phases] * 3))
+                assert np.max(np.abs(v - want)) < 1e-13 * size
 
 
 def test_jones_trefoil_exact():

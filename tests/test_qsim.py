@@ -13,7 +13,6 @@ from platjones.cli import _random_words
 from platjones.errors import NonUnitaryBlock
 from platjones.evaluator import (
     BlockOperator,
-    CompiledProgram,
     admissible_arc,
     compile as compile_word,
     evaluate,
@@ -45,27 +44,33 @@ def test_identity_word_leaves_initial_state():
 
 
 def test_single_duality_prepares_first_column():
+    # a|0> is a's first column, and one even letter a E a^T leaves its
+    # first column in the register's d-block
     pt = QPoint(0.9)
-    op = BlockOperator(kind="duality", n=2, token="a")
-    check_unitary(op, pt)
-    program = CompiledProgram(n=2, operators=(op,), word=parse("strands=4;"))
-    out = run(program, 0.9).amplitudes
+    program = _program(parse("strands=4; g2^1"))
+    (letter,) = program.letters
+    check_unitary(letter, pt)
     block = duality_matrix(2, pt)
-    assert np.allclose(out[:2], block[:, 0])
+    assert np.allclose(fusion.recouple(np.eye(2, dtype=complex)[0], 2, pt, transpose=True), block[:, 0])
+    out = run(program, 0.9).amplitudes
+    assert np.allclose(out[:2], (block @ np.diag(letter.phases(pt)) @ block.T)[:, 0])
     assert np.all(out[2:] == 0)
 
 
 def test_block_step_is_the_dense_block_on_the_low_indices():
-    # a and a† = a^T: act gives u M, and with transpose M u, the step
-    # that the register applies to its d-block
+    # a and a† = a^T: recouple gives u a, and with transpose a u; an
+    # even letter's step gives S u for S = a E a^T, the step that the
+    # register applies to its d-block
     pt = QPoint(0.7)
     a = duality_matrix(3, pt)
     u = np.random.default_rng(5).normal(size=len(a)) + 0j
-    for kind, block in (("duality", a), ("duality_inverse", a.T)):
-        op = BlockOperator(kind=kind, n=3, token="a")
-        check_unitary(op, pt)
-        assert np.max(np.abs(op.act(u, pt, transpose=True) - block @ u)) < 1e-14
-        assert np.max(np.abs(op.act(u, pt) - u @ block)) < 1e-14
+    assert np.max(np.abs(fusion.recouple(u, 3, pt, transpose=True) - a @ u)) < 1e-14
+    assert np.max(np.abs(fusion.recouple(u, 3, pt) - u @ a)) < 1e-14
+    letter = _program(parse("strands=6; g2^1 g4^-2")).letters[0]
+    check_unitary(letter, pt)
+    v = u[None].copy()
+    evaluator.apply_letters(v, [0], [letter], pt, letter.phases(pt)[None])
+    assert np.max(np.abs(v[0] - a @ np.diag(letter.phases(pt)) @ a.T @ u)) < 1e-14
     assert np.max(np.abs(a @ a.T - np.eye(len(a)))) < 1e-10
 
 
@@ -75,7 +80,7 @@ def test_norm_preserved_and_no_leak():
     d = block_dimension(3)
     program = _program(w)
     states = list(evolution(program, theta))
-    assert len(states) == program.operator_count + 1
+    assert len(states) == len(program.letters) + 1
     for s in states:
         assert abs(s.norm() - 1.0) < 1e-12
         # the identity part must never be touched
@@ -103,8 +108,8 @@ def test_non_unitary_block_rejected():
     # off the unit circle the braiding phases have |lambda| != 1
     w = parse("strands=4; g2^1")
     annotated, _ = resolve_orientations(w)
-    op = compile_word(annotated).operators[1]
-    assert op.kind == "diagonal"
+    (op,) = compile_word(annotated).letters
+    assert op.token == "f"
     with pytest.raises(NonUnitaryBlock, match=re.escape(repr(op.token))):
         check_unitary(op, RealQPoint(0.5))
 
@@ -113,10 +118,10 @@ def test_non_unitary_duality_rejected():
     # off the unit circle a is complex orthogonal, a a^T = 1, not unitary
     w = parse("strands=4; g2^1")
     annotated, _ = resolve_orientations(w)
-    for op in compile_word(annotated).operators[::2]:
-        assert op.kind != "diagonal"
-        with pytest.raises(NonUnitaryBlock, match=re.escape(repr(op.token))):
-            check_unitary(op, CirclePoint(0.3, 1.05))
+    (op,) = compile_word(annotated).letters
+    assert op.basis == "even"
+    with pytest.raises(NonUnitaryBlock, match=re.escape(repr("a"))):
+        check_unitary(op, CirclePoint(0.3, 1.05))
 
 
 def test_twenty_syllable_word_is_fast():
@@ -157,14 +162,14 @@ def test_element_matches_qsim_amplitude_on_verify_phases():
 
 
 def test_evolution_embeds_each_duality_once(monkeypatch):
-    # every operator is checked for unitarity, but a's block check runs
+    # every letter is checked for unitarity, but a's block check runs
     # once per (n, point), however many evolutions read it, and the
     # dense matrix is never built
     fusion.move_deviation.cache_clear()
-    kinds, builds = [], []
+    bases, builds = [], []
 
     def counting(op, point, *phases):
-        kinds.append(op.kind)
+        bases.append(op.basis)
         return check_unitary(op, point, *phases)
 
     def building(n, point):
@@ -174,14 +179,14 @@ def test_evolution_embeds_each_duality_once(monkeypatch):
     monkeypatch.setattr(qsim, "check_unitary", counting)
     for module in (fusion, qsim):
         monkeypatch.setattr(module, "duality_matrix", building, raising=False)
-    # three even runs: a and a† three times each
+    # three even runs, each one a E a† letter, and three odd ones
     w = parse("strands=8; g2^1 g1^-1 g4^2 g3^1 g6^-1 g5^1")
     state = run(_program(w), 0.5)
-    assert sorted(kinds) == sorted(["duality", "duality_inverse"] * 3 + ["diagonal"] * 6)
+    assert sorted(bases) == sorted(["even"] * 3 + ["odd"] * 3)
     assert state.amplitudes[0] == pytest.approx(evaluate(w, 0.5), abs=1e-12)
     run(_program(w), 0.5)
     info = fusion.move_deviation.cache_info()
-    assert (info.misses, info.hits) == (1, 11)
+    assert (info.misses, info.hits) == (1, 5)
     assert builds == []
 
 
@@ -195,8 +200,7 @@ def test_check_unitary_on_batched_point(thetas):
     # at 5 phases (as many as d at n = 3), read a unitary a as deviating
     # by 1.6
     point = QPoint(thetas)
-    for kind in ("duality", "duality_inverse"):
-        check_unitary(BlockOperator(kind=kind, n=3, token="a"), point)
+    check_unitary(BlockOperator(n=3, token="f", basis="even"), point)
     assert fusion.move_deviation(3, point) < 1e-13
 
 
@@ -221,7 +225,7 @@ def test_sign_flip_in_a_recoupling_block_is_rejected(monkeypatch):
     monkeypatch.setattr(fusion, "_racah_values", flipped)
     try:
         with pytest.raises(NonUnitaryBlock, match=r"operator 'a' deviates from unitarity by") as info:
-            check_unitary(BlockOperator(kind="duality", n=n, token="a"), point)
+            check_unitary(BlockOperator(n=n, token="f", basis="even"), point)
         assert float(str(info.value).split()[-1]) > 0.1
         with pytest.raises(NonUnitaryBlock):
             p_k(program, 0.5)
@@ -255,7 +259,7 @@ def _groups(programs):
 
 def test_batched_p_k_matches_each_program(monkeypatch):
     # the words of each n of a mixed corpus, whatever their skeletons,
-    # in one pass, then cut into slices of three registers, one pass per
+    # in one pass, then cut into slices of three d-blocks, one pass per
     # slice: the slices give the same bits, and each row its own
     # program's p_k
     programs = [_program(w) for _, w in _random_words(80, 7)]
@@ -265,7 +269,7 @@ def test_batched_p_k_matches_each_program(monkeypatch):
     programs.append(_program(parse("strands=8; g3^1 g2^-1 g4^2")))
     groups = list(_groups(programs).values())
     assert sorted(g[0].n for g in groups) == [2, 3, 4]
-    assert all(len({tuple(op.kind for op in p.operators) for p in g}) > 1 for g in groups)
+    assert all(len({tuple(op.basis for op in p.letters) for p in g}) > 1 for g in groups)
     passes = []
     evolve = qsim._evolve
     monkeypatch.setattr(qsim, "_evolve", lambda part, point: passes.append(len(part)) or evolve(part, point))
@@ -280,12 +284,30 @@ def test_batched_p_k_matches_each_program(monkeypatch):
         assert np.array_equal(got, want)
         passes.clear()
     for group in groups:
-        monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 << (2 * group[0].n))
-        assert len(evaluator.group_slices(group, lambda n: 1 << (2 * n))) == -(-len(group) // 3)
+        monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * block_dimension(group[0].n))
+        assert len(evaluator.group_slices(group, 1)) == -(-len(group) // 3)
         theta = float(phase_grid(group[0].n, 10)[5])
         assert np.array_equal(p_ks(group, theta), whole[id(group)])
         assert passes == [3] * (len(group) // 3) + [len(group) % 3] * (len(group) % 3 > 0)
         passes.clear()
+
+
+def test_p_ks_slices_by_the_fusion_block(monkeypatch):
+    # a slice holds BLOCK_ENTRIES // d programs' d-blocks: 60 n = 6
+    # programs (d = 132) make two passes, where whole 2^12-amplitude
+    # registers made one pass per program
+    rng = random.Random(6)
+    programs = [_program(parse("strands=12; " + " ".join(
+        f"g{rng.randint(1, 11)}^{rng.choice([-2, -1, 1, 2])}" for _ in range(3)
+    ))) for _ in range(60)]
+    passes = []
+    evolve = qsim._evolve
+    monkeypatch.setattr(qsim, "_evolve", lambda part, point: passes.append(len(part)) or evolve(part, point))
+    theta = float(phase_grid(6, 10)[5])
+    got = p_ks(programs, theta)
+    assert block_dimension(6) == 132
+    assert passes == [31, 29] and len(passes) == -(-60 // (evaluator.BLOCK_ENTRIES // 132))
+    assert np.array_equal(got, [p_k(program, theta) for program in programs])
 
 
 def test_evolution_snapshots_do_not_alias():
@@ -301,14 +323,14 @@ def test_evolution_snapshots_do_not_alias():
 def test_non_unitary_diagonal_in_a_group_names_its_token(monkeypatch):
     # a f a† g, then f a g a† h three times: the letters qsim reads give
     # the third word's g a modulus-2 entry, so the pass runs h (g for
-    # the first word) and a† and stops at g, the step where the first
-    # word has its f
+    # the first word) and stops at a g a†, the step where the first
+    # word has its a f a†
     group = [_program(parse("strands=4; g2^1 g1^1"))]
     group += [_program(parse(f"strands=4; g1^{k} g2^1 g1^1")) for k in (1, 2, -1)]
     assert len(_groups(group)) == 1
-    assert group[0].operators[1].token == "f"
-    op = group[2].operators[2]
-    assert (op.kind, op.token) == ("diagonal", "g")
+    assert group[0].letters[0].token == "f"
+    op = group[2].letters[1]
+    assert (op.basis, op.token) == ("even", "g")
     letters = qsim.letters
 
     def injected(ops):
