@@ -288,3 +288,32 @@ def writhe(word: BraidWord) -> int:
             sign = -sign
         total += sign * abs(s.power)
     return total
+
+
+def cap(joined: list[int], i: int) -> bool:
+    """Cap ends i and i + 1 of a matching in place; True if that closes a loop.
+
+    joined[k] is the other end of the arc below end k; otherwise the
+    cap joins the two partners.
+    """
+    a, b = joined[i], joined[i + 1]
+    if a == i + 1:
+        return True
+    joined[a], joined[b] = b, a
+    return False
+
+
+def state_loops(word: BraidWord, sign: int) -> int:
+    """Loops of the Kauffman state of the plat closure that smooths the crossings of power sign `sign` by e_i.
+
+    The other crossings keep their strands, and e_i caps ends i and
+    i + 1 (cap) and cups them anew; the caps (k, k ^ 1) close the rest.
+    """
+    joined = [k ^ 1 for k in range(word.strands)]
+    loops = 0
+    for s in word.syllables:
+        if (s.power > 0) == (sign > 0):
+            for _ in range(abs(s.power)):
+                loops += cap(joined, s.index - 1)
+                joined[s.index - 1], joined[s.index] = s.index, s.index - 1
+    return loops + sum(cap(joined, k) for k in range(0, word.strands, 2))

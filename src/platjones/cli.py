@@ -50,7 +50,7 @@ from .oracle import (
     writhe_correction,
 )
 from .qnum import QPoint
-from .qsim import p_ks as qsim_p_ks, run as qsim_run
+from .qsim import amplitudes as qsim_amplitudes, p_ks as qsim_p_ks
 
 MIRROR_TOL = 1e-10
 QSIM_TOL = 1e-12
@@ -192,8 +192,7 @@ def cmd_prob(args) -> int:
             raise ValueError(f"theta must be finite, got {theta!r}")
     annotated, _ = resolve_orientations(word)
     program = compile_word(annotated)
-    state = qsim_run(program, theta)
-    amp = complex(state.amplitudes[0])
+    amp = complex(qsim_amplitudes([program], theta)[0])
     pk = abs(amp) ** 2
     report = _report(
         word=format_word(word),

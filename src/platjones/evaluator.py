@@ -37,6 +37,8 @@ from .braid import (
     BraidWord,
     Syllable,
     resolve_orientations,
+    state_loops,
+    writhe,
 )
 from .errors import ParityMismatch, UnannotatedSyllable
 from .fusion import block_dimension, pair_couplings, recouple
@@ -271,6 +273,21 @@ class JonesResult:
         return self.program.operator_count
 
 
+def support_window(word: BraidWord) -> tuple[int, int]:
+    """Exponents [lo, hi] of x = q^{1/2} that hold the Jones polynomial of an annotated word.
+
+    Kauffman's state bounds (Topology 26, 1987): with c crossings, the
+    bracket's A-degrees lie in [-c - 2(|s_B| - 1), c + 2(|s_A| - 1)],
+    |s| the loops of a state (braid.state_loops), s_A smoothing the
+    negative crossings by e_i and s_B the positive ones. The writhe
+    factor (-A^3)^{-w} and x = A^{-2} take an A-degree k to (3w - k)/2.
+    """
+    c, w = word.crossing_count(), writhe(word)
+    top = c + 2 * (state_loops(word, -1) - 1)
+    bottom = -c - 2 * (state_loops(word, 1) - 1)
+    return (3 * w - top) // 2, (3 * w - bottom) // 2
+
+
 def jones(word: BraidWord, tolerance: float = 1e-6) -> JonesResult:
     """Reconstruct the Jones polynomial of the plat closure.
 
@@ -279,22 +296,18 @@ def jones(word: BraidWord, tolerance: float = 1e-6) -> JonesResult:
     integer coefficients off an inverse FFT (read_coefficients); M is
     the window width plus a guard band on each side (circle_samples).
 
-    The window is [-3c - (n-1), 3c + (n-1)] for c crossings. A Kauffman
-    state of the plat closure has at most c + n loops: the
-    all-vertical smoothing leaves the n cup-cap loops and each crossing
-    smoothed the other way changes the count by one. Its bracket term
-    A^{a-b} d^{loops-1} then has A-degree within c + 2(c + n - 1), the
-    writhe factor (-A^3)^{-w} with |w| <= c adds 3c, and x = A^{-2}
-    halves the total. The result equals (-1)^{mu+n} times the standard
-    Jones polynomial (mu link components), with no power of q; see
-    convention_factor. residual is max |P(x_j) - R(x_j)| over the
-    samples, R the rounded polynomial.
+    The window is support_window of the resolved word: Kauffman's
+    bounds on the degrees of the bracket, from the loops of the two
+    states that smooth every crossing one way, shifted by the writhe.
+    The result equals (-1)^{mu+n} times the standard Jones polynomial
+    (mu link components), with no power of q; see convention_factor.
+    residual is max |P(x_j) - R(x_j)| over the samples, R the rounded
+    polynomial.
     """
     annotated, _ = resolve_orientations(word)
     program = compile(annotated)
     n = word.n
-    c = word.crossing_count()
-    window = (-3 * c - (n - 1), 3 * c + n - 1)
+    window = support_window(annotated)
     point = circle_samples(window)
     x = point.q_half
     values = program.element(point) * (-(x + 1.0 / x)) ** (n - 1)

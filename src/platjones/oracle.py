@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .braid import BraidWord, resolve_orientations, writhe
+from .braid import BraidWord, cap, resolve_orientations, writhe
 from .laurent import LaurentPoly
 
 BracketPoly = LaurentPoly  # exponents are powers of A
@@ -55,15 +55,6 @@ def plat_diagram(word: BraidWord) -> PlanarDiagram:
     return PlanarDiagram(n=annotated.n, crossings=crossings, word=annotated)
 
 
-def _cap(joined: list[int], i: int) -> bool:
-    """Cap ends i and i + 1 in place; True if that closes a loop."""
-    a, b = joined[i], joined[i + 1]
-    if a == i + 1:
-        return True
-    joined[a], joined[b] = b, a
-    return False
-
-
 def _add(target: dict, coeffs: dict, factor: dict) -> None:
     """target += coeffs * factor, on {A-exponent: int} dicts, in place."""
     for shift, scale in factor.items():
@@ -94,7 +85,7 @@ def kauffman_bracket(diagram: PlanarDiagram) -> BracketPoly:
         kept, capped, closed = {eps: 1}, {-eps: 1}, {2 - eps: -1, -2 - eps: -1}
         for partner, coeffs in states.items():
             joined = list(partner)
-            loop = _cap(joined, i)
+            loop = cap(joined, i)
             joined[i], joined[i + 1] = i + 1, i
             _add(swept.setdefault(partner, {}), coeffs, kept)
             _add(swept.setdefault(tuple(joined), {}), coeffs, closed if loop else capped)
@@ -102,7 +93,7 @@ def kauffman_bracket(diagram: PlanarDiagram) -> BracketPoly:
     total: dict[int, int] = {}
     for partner, coeffs in states.items():
         joined = list(partner)
-        loops = sum(_cap(joined, k) for k in range(0, len(joined), 2))
+        loops = sum(cap(joined, k) for k in range(0, len(joined), 2))
         _add(total, coeffs, _loop_power(loops - 1))
     return LaurentPoly(total)
 

@@ -136,11 +136,12 @@ def q_table(kmax: int, point) -> np.ndarray:
     return q_number(2 * np.arange(kmax + 1), point)
 
 
-def is_admissible(two_a: int, two_b: int, two_c: int) -> bool:
-    """Triangle rule with integral total, doubled labels."""
+def is_admissible(two_a, two_b, two_c):
+    """Triangle rule with integral total, doubled labels; elementwise on arrays."""
     return (
-        abs(two_a - two_b) <= two_c <= two_a + two_b
-        and (two_a + two_b + two_c) % 2 == 0
+        (abs(two_a - two_b) <= two_c)
+        & (two_c <= two_a + two_b)
+        & ((two_a + two_b + two_c) % 2 == 0)
     )
 
 

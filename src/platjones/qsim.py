@@ -7,7 +7,8 @@ ever changes. Programs of one n evolve as one (programs, d) block, a
 slice at a time, along evaluator.schedule reversed: each step applies
 each covering row's own letter S in place by the evaluator's step
 (evaluator.apply_letters), as S u = u S for the symmetric S = D or
-a E a^T. The 2^{2n} register is built only for a returned StateVector.
+a E a^T. The 2^{2n} register is built only for a returned StateVector
+(run, evolution); amplitudes and p_ks read the d-block alone.
 Starting from |0...0> the final amplitude of |0...0> reproduces the
 evaluator's matrix element, and its squared modulus is the
 algorithm's acceptance probability.
@@ -106,13 +107,18 @@ def run(program: CompiledProgram, theta: float) -> StateVector:
     return _register(program.n, block[0])
 
 
-def p_ks(programs, theta: float) -> np.ndarray:
-    """|<0...0|U|0...0>|^2 of programs of one n, a slice at a time."""
+def amplitudes(programs, theta: float) -> np.ndarray:
+    """<0...0|U|0...0> of programs of one n, read off each slice's evolved d-block."""
     out = []
     for part in group_slices(programs, 1):
         *_, block = _evolve(part, QPoint(theta))
-        out.append(np.abs(block[:, 0]) ** 2)
+        out.append(block[:, 0].copy())  # a view would keep the whole block
     return np.concatenate(out)
+
+
+def p_ks(programs, theta: float) -> np.ndarray:
+    """|<0...0|U|0...0>|^2 of programs of one n."""
+    return np.abs(amplitudes(programs, theta)) ** 2
 
 
 def p_k(program: CompiledProgram, theta: float) -> float:

@@ -456,16 +456,36 @@ def test_prob_compiles_and_resolves_once(tmp_path, monkeypatch, capsys):
     assert len(compiles) == 1
 
 
+def test_prob_reads_amplitude_zero_off_the_d_block(tmp_path, monkeypatch, capsys):
+    # prob prints the register's amplitude 0 without building the 2^{2n} register
+    text = "strands=8; g2^-1 g4^2 g3^1"
+    path = _word_file(tmp_path, text)
+    program = evaluator.compile(braid.resolve_orientations(parse(text))[0])
+    amp = complex(qsim.run(program, 0.5).amplitudes[0])
+
+    def fail(*args):
+        raise AssertionError("prob built the register")
+
+    monkeypatch.setattr(qsim, "_register", fail)
+    assert main(["prob", path, "--theta", "0.5", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["p_k"], report["im_amplitude"]) == (abs(amp) ** 2, amp.imag)
+    assert main(["prob", path, "--theta", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert f"amplitude: {amp.real:.15g} {amp.imag:+.15g}i\n" in out
+    assert f"P_K: {abs(amp) ** 2:.15g}\n" in out
+
+
 def test_fit_rejection_names_window_and_samples(tmp_path, capsys):
-    # ten crossings on four strands: the window is [-31, 31] and
-    # M = 63 + 16; the error names rho, M and the window
+    # ten crossings on four strands: Kauffman's state bounds give the
+    # window [5, 25] and M = 21 + 16; the error names rho, M and the window
     path = _word_file(tmp_path, "strands=4; b2^3 h1^-2 h3^-2 b2^3")
     assert main(["eval", path, "--tolerance", "1e-300", "--json"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(
         r"rounding shifted a coefficient by \S+ > 1\.000e-300 "
-        r"\(rho 1\.05, M 79, window \[-31, 31\]\)",
+        r"\(rho 1\.05, M 37, window \[5, 25\]\)",
         captured.err,
     )
 

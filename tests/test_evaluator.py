@@ -31,6 +31,7 @@ from platjones.evaluator import (
     evaluate,
     jones,
     phase_grid,
+    support_window,
     unlink_normalization,
 )
 from platjones.fusion import duality_matrix, pair_couplings, path_bases, recouple
@@ -504,6 +505,33 @@ def test_jones_is_signed_oracle(n, data):
     word = data.draw(g_words(n))
     assume(word.crossing_count() <= (20 if n <= 4 else 10))
     _assert_standard_sign(word)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_support_window_holds_the_oracle_support(data):
+    # Kauffman's state bounds, n <= 6 and up to 60 crossings
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    syllables = data.draw(st.lists(
+        st.tuples(st.integers(min_value=1, max_value=2 * n - 1), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+        max_size=30,
+    ))
+    word = parse(f"strands={2 * n}; " + " ".join(f"g{i}^{k}" for i, k in syllables))
+    assume(word.crossing_count() <= 60)
+    try:
+        annotated, _ = resolve_orientations(word)
+    except (CapMismatch, AnnotationConflict):
+        assume(False)
+    lo, hi = support_window(annotated)
+    support = jones_exact(annotated).support()
+    assert lo <= support[0] and support[-1] <= hi
+
+
+def test_support_window_is_tight_on_the_trefoil_and_the_unlink():
+    # the trefoil's support is its window; the unlink of n components reaches -(n-1) and n-1
+    trefoil, _ = resolve_orientations(parse("strands=4; g2^-3"))
+    assert support_window(trefoil) == (-8, -2)
+    assert support_window(parse("strands=6;")) == (-2, 2)
 
 
 def test_default_window_covers_support_past_3c():

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,90 @@ def test_chain_builder_equals_the_recursive_enumeration(n):
     assert fusion.path_bases(n) == (tuple(_recursive_odd_paths(n)), tuple(_recursive_even_paths(n)))
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pair_couplings_are_the_paths_couplings(n):
+    # the (paths, pairs) arrays that letters gathers from, in the paths' order
+    want = [_recursive_odd_paths(n), _recursive_even_paths(n)]
+    for got, paths in zip(fusion.pair_couplings(n), want):
+        assert got.dtype == np.array([0]).dtype and not got.flags.writeable
+        assert got.tolist() == [list(p.J) for p in paths]
+
+
+def _dict_move_plan(n):
+    """Test-only move plan by the earlier builder: tuple states numbered in dicts, one at a time.
+
+    Each move sweeps the states of one side in order, and numbers its
+    targets and racah keys by first appearance; the last odd move
+    renumbers its targets in the even side's comb order.
+    """
+    odd, even = _recursive_odd_paths(n), _recursive_even_paths(n)
+    keys = {}
+    number = lambda table, item: table.setdefault(item, len(table))
+
+    def sweep(states):
+        moves = []
+        for k in range(n - 1):
+            index, entries = {}, []
+            for source, (fixed, labels) in enumerate(states):
+                a, d = fixed[k], fixed[k + 1]
+                for e in fusion._fuse_range(a, 1):
+                    if not qnum.is_admissible(e, 1, d):
+                        continue
+                    target = (fixed, labels[:k] + (e,) + labels[k + 1 :])
+                    key = (e, labels[k], a, 1, 1, d)
+                    entries.append((source, number(index, target), number(keys, key)))
+            states = list(index)
+            moves.append(entries)
+        return states, moves
+
+    doubled = lambda labels: tuple(2 * x for x in labels)
+    odd_combs, odd_moves = sweep([(doubled(p.l), doubled(p.J[1:])) for p in odd])
+    even_combs, even_moves = sweep([((1,) + p.two_r, doubled(p.J)) for p in even])
+    comb = {(l, r[1:]): i for i, (r, l) in enumerate(even_combs)}
+    order = [comb[l[:-1], r] for l, r in odd_combs]
+    odd_moves[-1] = [(s, order[t], k) for s, t, k in odd_moves[-1]]
+
+    def step(entries, transpose):
+        first, second = {}, []
+        for source, target, key in entries:
+            col, other = (source, target) if transpose else (target, source)
+            if col in first:
+                second.append((col, other, key))
+            else:
+                first[col] = (other, key)
+        first = np.array([first[col] for col in range(len(odd))], dtype=np.intp).T
+        return tuple(first), tuple(np.array(second, dtype=np.intp).reshape(-1, 3).T)
+
+    forward = [step(m, False) for m in odd_moves] + [step(m, True) for m in even_moves[::-1]]
+    backward = [step(m, False) for m in even_moves] + [step(m, True) for m in odd_moves[::-1]]
+    return tuple(keys), tuple(forward), tuple(backward)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_move_plan_equals_the_dict_builder(n):
+    keys, forward, backward = fusion._move_plan(n)
+    want_keys, want_forward, want_backward = _dict_move_plan(n)
+    assert keys == want_keys
+    assert all(type(x) is int for key in keys for x in key)
+    for got, want in zip(forward + backward, want_forward + want_backward, strict=True):
+        for got_array, want_array in zip(got[0] + got[1], want[0] + want[1], strict=True):
+            assert got_array.dtype == want_array.dtype
+            assert np.array_equal(got_array, want_array)
+
+
+def test_cold_move_plan_memory(monkeypatch):
+    # n = 9, d = 4862: the plan holds about 5 MiB of index arrays; the
+    # tuple states and dicts of the earlier builder peaked at 23 MiB
+    monkeypatch.setattr(fusion, "_bases", fusion._bases.__wrapped__)
+    tracemalloc.start()
+    try:
+        fusion._move_plan.__wrapped__(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerators_reject_n_below_one(n):
     for enumerate_paths in (enumerate_odd_paths, enumerate_even_paths):
@@ -117,6 +202,11 @@ def test_racah_anchor_value():
 def test_racah_rejects_bad_triads():
     with pytest.raises(NonAdmissibleTriple):
         racah(1, 0, 1, 1, 1, 1, QPoint(0.5))
+    # the first bad triad is named, key by key and in each key (a, 1/2, e), (1/2, d, e),
+    # (a, d, J), (1/2, 1/2, J): the second key's (a, d, J), though the third key's first fails too
+    keys = [(1, 0, 0, 1, 1, 0), (2, 0, 1, 1, 1, 3), (3, 0, 0, 1, 1, 0)]
+    with pytest.raises(NonAdmissibleTriple, match=re.escape("(1/2, 3/2, 0/2)")):
+        fusion._racah_rows(keys, QPoint(0.5))
 
 
 def test_racah_rejects_strands_other_than_spin_half():
