@@ -211,7 +211,7 @@ def _stages(n: int, base: int):
     digits = 3 ** np.arange(n - 1, -1, -1) @ (steps // 2 + 1)
     codes = np.empty(fixed.shape, dtype=np.int64)
     codes[:, 0] = ((fixed[:, 0].astype(np.int64) << n - 1 | bit @ J) * 3**n + digits) << n - 1
-    codes[:, 1:] = codes[:, :1] + ((((a != d) - J) * (3**n << n - 1) + b) * bit[:, None]).cumsum(1)
+    codes[:, 1:] = codes[:, :1] + ((((a != d) - J) * (np.int64(3**n) << n - 1) + b) * bit[:, None]).cumsum(1)
     order = codes.argsort(-1)
     rank = order.argsort(-1)
     odd_combs, even_combs = _comb_code(fixed[0, :-1], e[0]).argsort(), _comb_code(e[1], fixed[1, 1:]).argsort()
