@@ -12,15 +12,17 @@ from them only on demand. Each basis has d = Catalan(n) paths
 (block_dimension) and reaches the left-comb basis of the 2n strands by
 one F-move per strand pair, so the duality matrix a = C_odd C_even^T is
 a product of 2(n - 1) sparse moves, planned once per n from the bases'
-arrays (_move_plan): every stage of the moves holds one state per path,
-numbered by one sort of an integer code (_stages). Each move recouples
-two spin-1/2 strands, so its racah values are the closed-form 2 x 2
-rotations and 1 x 1 blocks of spin-1/2 recoupling (_racah_rows); those
-of a point come in one batch from one qnum.q_table, cached per
-(n, point). recouple applies the moves at every phase of a point at
-once, move_deviation checks a's unitarity on their recoupling blocks,
-and duality_matrix (the moves applied to the identity) is the tests'
-dense reference.
+arrays (_move_plan). Each move recouples two spin-1/2 strands, so it
+is the identity on its 1 x 1 blocks and a symmetric 2 x 2 rotation of
+spin-1/2 recoupling (_racah_rows) on each pair of paths that differ
+only in the pair spin it replaces: every stage of the moves holds one
+state per basis path and is numbered by it, and one permutation joins
+the two sides at the comb labellings. The rotations of a point come in
+one batch from one qnum.q_table, cached per (n, point). recouple
+applies the moves in place at every phase of a point at once,
+move_deviation checks a's unitarity on the rotations, and
+duality_matrix (the moves applied to the identity) is the tests' dense
+reference.
 
 Labels are doubled integers (twice the spin) so triad arithmetic
 stays integral; the paths' pair couplings J are plain integer spins.
@@ -172,84 +174,6 @@ def _racah_rows(keys, point):
     return np.where(column(a > 0), rotation, 1.0)
 
 
-def _stages(n: int, base: int):
-    """Each stage's numbering of the states of the F-move sweeps, a side a leading row.
-
-    From the bases' arrays, fixed (sides, n, paths) holds the doubled
-    labels that every move keeps, l for the odd side and (1/2, r) for
-    the even one, and J (sides, n - 1, paths) the pair spins that the
-    moves replace, one basis path a column. Move k replaces J_k by each
-    e with (a, 1/2, e) and (e, 1/2, d) admissible, a and d = fixed[k]
-    and fixed[k + 1]: e = a - 1 + 2b, for both b where a = d > 0 (a
-    2 x 2 block, where b = J maps its states to the paths) and for the
-    one admissible b otherwise. So every stage k = 0..n-1 holds one state per path, and
-    the plan needs only each stage's numbering of them: the order in
-    which move k - 1, running through its sources in order and e
-    ascending, first reaches them. A target is first reached from its
-    source of least J, [a != d], so by induction stage k sorts by
-    fixed[0], then [a != d] before position k and J from it, then
-    fixed, then b before k: one int64 code per (stage, path), with one
-    bit per J or b and one base-3 digit per step of fixed (room to
-    n = 17). Returns the (stage, position) paths and (stage, path)
-    positions; per (move, path) the 2 x 2 flag, that flag at J = 1, and
-    the racah keys (e, 2J, a, d) as base-`base` numbers: of the entry
-    that first reaches the target the path stands for, and of the path
-    as a source to e's b = 0 (its one e in a 1 x 1 block) and to b = 1;
-    and the even side's last-stage position of each odd position, the
-    same comb labelling looked up by sorting a code of each comb.
-    """
-    (odd_J, odd_l), (even_J, even_r) = _bases(n)
-    fixed, J = np.empty((2, n, len(odd_J)), dtype=np.int32), np.empty((2, n - 1, len(odd_J)), dtype=np.int32)
-    fixed[0], fixed[1, 0], fixed[1, 1:], J[0], J[1] = odd_l.T, 1, even_r.T, odd_J[:, 1:].T, even_J.T
-    a, d = fixed[:, :-1], fixed[:, 1:]
-    pair = (a == d) & (a > 0)
-    b = np.where(pair, J, d >= a)
-    e = a - 1 + 2 * b
-    bit = 1 << np.arange(n - 2, -1, -1)
-    steps = fixed.copy()
-    steps[:, 1:] -= fixed[:, :-1]
-    digits = 3 ** np.arange(n - 1, -1, -1) @ (steps // 2 + 1)
-    codes = np.empty(fixed.shape, dtype=np.int64)
-    codes[:, 0] = ((fixed[:, 0].astype(np.int64) << n - 1 | bit @ J) * 3**n + digits) << n - 1
-    codes[:, 1:] = codes[:, :1] + ((((a != d) - J) * (np.int64(3**n) << n - 1) + b) * bit[:, None]).cumsum(1)
-    order = codes.argsort(-1)
-    rank = order.argsort(-1)
-    odd_combs, even_combs = _comb_code(fixed[0, :-1], e[0]).argsort(), _comb_code(e[1], fixed[1, 1:]).argsort()
-    comb = np.empty_like(odd_combs)
-    comb[odd_combs] = rank[1, -1, even_combs]
-    outer = a * base + d
-    key = lambda e, J: (e * base + 2 * J) * base**2 + outer
-    keys = key(e, J & ~pair), key(np.where(pair, a - 1, e), J), key(a + 1, J)
-    return order, rank, pair, pair & (J == 1), keys, comb[order[0, -1]]
-
-
-def _comb_code(l: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Comb labellings 1/2, l_0, r_0, ..., l_{n-2}, r_{n-2} (doubled) down the columns, a bit per step: each is +-1/2."""
-    path = np.empty((2 * len(l) + 1, l.shape[1]), dtype=l.dtype)
-    path[0], path[1::2], path[2::2] = 1, l, r
-    return (1 << np.arange(len(path) - 1)) @ (path[1:] > path[:-1])
-
-
-def _numbered(ends: np.ndarray, two: np.ndarray, base: int):
-    """The distinct racah keys in order of first appearance, and a table numbering them.
-
-    ends (..., 2) holds each source's key codes (base-`base` numbers of
-    (e, 2J, a, d)) to b = 0 and b = 1, the second an entry only where
-    two is set, and the entries run in C order.
-    """
-    entries = np.ones(ends.shape, dtype=bool)
-    entries[..., 1] = two
-    entries = ends[entries]
-    seen = np.full(base**4, len(entries))
-    np.minimum.at(seen, entries, np.arange(len(entries)))
-    distinct = np.flatnonzero(seen < len(entries))
-    distinct = distinct[seen[distinct].argsort()]
-    number = np.empty(base**4, dtype=np.intp)
-    number[distinct] = np.arange(len(distinct))
-    keys = tuple((c // base**3, c // base**2 % base, c // base % base, 1, 1, c % base) for c in distinct.tolist())
-    return keys, number
-
-
 @functools.cache
 def _move_plan(n: int):
     """The F-moves whose product is the duality matrix, built once per n.
@@ -257,75 +181,50 @@ def _move_plan(n: int):
     An odd path fixes the left-comb labels after an even number of
     strands, l_0, ..., l_{n-1}, and an even path those after an odd
     number, r_0, ..., r_{n-2}. Odd move k replaces the pair coupling
-    J_{k+1} of a state (l, r_0..r_{k-1}, J_{k+1}..J_{n-1}) by each
-    admissible r_k, with coefficient racah(r_k, J_{k+1}, l_k, 1/2, 1/2,
-    l_{k+1}); even move k replaces J_k of (r, l_0..l_{k-1}, J_k..J_{n-2})
-    by each admissible l_k, with racah(l_k, J_k, r_{k-1}, 1/2, 1/2, r_k)
-    and r_{-1} = 1/2. After n - 1 moves both sides reach the comb
-    labellings, so a = M_0 ... M_{n-2} E_{n-2}^T ... E_0^T; the last
-    odd move numbers its targets in the even side's comb order (found
-    by _stages from a code of each comb). Each stage numbers its
-    states by first appearance (_stages, on the bases' arrays): a
-    2 x 2 block's two targets are neighbours there, J = 0 first, and
-    its J = 0 source comes before its J = 1 source. A state has 1 or 2
-    neighbours through a move, so a step that writes the d states of
-    one side from the other is stored as (index, key) arrays of every
-    state's first neighbour and (state, index, key) arrays of the
-    second neighbours of the states that have one, about half. Returns
-    the distinct racah keys (doubled arguments, numbered by first
-    appearance over the odd moves, then the even ones, each source by
-    source, e ascending), the steps of v @ a (the odd moves
-    target-major, then the transposed even moves, source-major) and
-    those of v @ a^T.
+    J_{k+1} by r_k, with coefficient racah(r_k, J_{k+1}, l_k, 1/2, 1/2,
+    l_{k+1}); even move k replaces J_k by l_k, with racah(l_k, J_k,
+    r_{k-1}, 1/2, 1/2, r_k) and r_{-1} = 1/2. With a and d the labels a
+    move keeps, the new label is e = a - 1 + 2J in a 2 x 2 block (a = d
+    > 0) and the one admissible e otherwise, so every stage of a side
+    holds one state per basis path and is numbered by the path. A move
+    is then the identity on its 1 x 1 blocks (value 1) and a symmetric
+    rotation on each 2 x 2 block, whose two paths differ only in J: the
+    i-th J = 0 and the i-th J = 1 path of the move's blocks, in basis
+    order. After n - 1 moves both sides reach the comb labellings, and
+    sorting them gives the permutation P that matches them, so
+    a = M_0 ... M_{n-2} P E_{n-2} ... E_0, as every M_k^T = M_k.
+
+    Every a = 1..n-1 has blocks, the even ones on the odd side and the
+    odd ones on the even side. Returns the racah keys (doubled
+    arguments) of each a's rotation, rows J = 0, 1 and columns
+    e = a - 1, a + 1, four per a; per side (odd, even) and move, the
+    paths p of its 2 x 2 blocks, their partners q and the keys of p's
+    diagonal entry and of its off-diagonal one; and P as two gathers,
+    the odd path of each even path and the even path of each odd one.
     """
-    d, width, base = block_dimension(n), n - 1, 2 * n + 2  # base is past every doubled label
-    order, rank, pair, upper, (reached, first, second), comb = _stages(n, base)
-    cell = np.arange(2 * width).reshape(2, width, 1)  # the (side, move) rows
+    (odd_J, odd_l), (even_J, even_r) = _bases(n)
+    keys = tuple((e, 2 * j, a, 1, 1, a) for a in range(1, n) for j in (0, 1) for e in (a - 1, a + 1))
 
-    def gather(x, at, ahead=0):
-        """x per (side, move or stage, path) at each entry of at, a (side, move, ...) array, stages ahead."""
-        rows = cell + ahead + (cell // width if x.shape[1] > width else 0)
-        return x.reshape(-1)[rows * d + at]
+    def side(J, fixed):
+        """Per move of one side, (p, q, own key, other key), and the label e that it gives each path."""
+        moves, reached = [], []
+        for k in range(n - 1):
+            a, d, j = fixed[k], fixed[k + 1], J[:, k]
+            two = (a == d) & (a > 0)
+            zero, one = np.flatnonzero(two & (j == 0)), np.flatnonzero(two & (j == 1))
+            p, q = np.concatenate([zero, one]), np.concatenate([one, zero])
+            block, j_p = 4 * (a[p] - 1), j[p]
+            moves.append((p, q, block + 3 * j_p, block + 2 - j_p))
+            reached.append(a - 1 + 2 * np.where(two, j, d >= a))
+        return tuple(moves), reached
 
-    source = gather(order, np.arange(d))
-    back, two = gather(upper, source), gather(pair, source)  # the J = 1 and all 2 x 2 sources
-    ends = np.stack([gather(first, source), gather(second, source)], -1)  # a source's keys to b = 0, 1
-    del first, second  # each array goes once read: they would be most of the peak memory at n = 11
-    keys, number = _numbered(ends, two, base)
-
-    # target-major: a target's first source is its own path or, J = 1 in a 2 x 2 block, the one before;
-    # a J = 1 source (entry) also reaches both targets of its block second, J = 0 first
-    t_index = gather(rank, gather(order, np.arange(d) - gather(upper, order[:, 1:]), 1))
-    t_key = number[gather(reached, order[:, 1:])]
-    del order, reached, upper
-    entry = np.flatnonzero(back)
-    t1 = rank.reshape(-1)[(entry // d + entry // (width * d) + 1) * d + source.reshape(-1)[entry]]
-    t_rows, t_second = (t1[:, None] + (-1, 0)).reshape(-1), np.repeat(entry % d, 2)
-    t_keys = number[ends.reshape(-1, 2)[entry]].reshape(-1)
-    # source-major: a source's first target has b = 0 (or its one b), a 2 x 2 source's second is next
-    s_index = gather(rank, source, 1) - back
-    del rank, source
-    s_key = number[ends[..., 0]]
-    entry = np.flatnonzero(two)
-    s_rows, s_second, s_keys = entry % d, s_index.reshape(-1)[entry] + 1, number[ends[..., 1].reshape(-1)[entry]]
-
-    # the odd side's last move reaches the comb labellings: its targets in the even side's comb order
-    t_index[0, -1, comb], t_key[0, -1, comb] = t_index[0, -1].copy(), t_key[0, -1].copy()
-    last = slice(2 * back[0, :-1].sum(), 2 * back[0].sum())
-    t_rows[last] = comb[t_rows[last]]
-    s_index[0, -1] = comb[s_index[0, -1]]
-    last = slice(two[0, :-1].sum(), two[0].sum())
-    s_second[last] = comb[s_second[last]]
-
-    def split(index, key, rows, second, keys, counts):
-        """Per side, per move, ((index, key), (rows, second, keys)), the seconds cut by their counts."""
-        bounds = [0, *counts.reshape(-1).cumsum().tolist()]
-        parts = [tuple(x[i:j] for x in (rows, second, keys)) for i, j in zip(bounds, bounds[1:])]
-        return [[((index[i, k], key[i, k]), parts[i * width + k]) for k in range(width)] for i in (0, 1)]
-
-    (odd, even), (odd_t, even_t) = (split(t_index, t_key, t_rows, t_second, t_keys, 2 * back.sum(-1)),
-                                    split(s_index, s_key, s_rows, s_second, s_keys, two.sum(-1)))
-    return keys, tuple(odd + even_t[::-1]), tuple(even + odd_t[::-1])
+    odd_moves, r = side(odd_J[:, 1:], list(odd_l.T))
+    even_moves, l = side(even_J, [np.ones_like(even_r[:, 0]), *even_r.T])
+    # each side's comb labellings (l_0..l_{n-2}, r_0..r_{n-2}), matched by one sort of each
+    odd, even = np.lexsort([*odd_l[:, :-1].T, *r]), np.lexsort([*l, *even_r.T])
+    from_odd, from_even = np.empty_like(odd), np.empty_like(even)
+    from_odd[even], from_even[odd] = odd, even
+    return keys, (odd_moves, even_moves), (from_odd, from_even)
 
 
 @functools.lru_cache(maxsize=64)
@@ -341,21 +240,15 @@ def _racah_values(n: int, point) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def move_deviation(n: int, point) -> float:
-    """max |R R^H - 1| over the move plan's recoupling blocks R, at every phase.
+    """max |R R^H - 1| over the 2 x 2 rotations R of the move plan, at every phase.
 
-    The keys sharing outer labels (a, d) form one block, rows J and
-    columns e; every F-move is a direct sum of these blocks, so a is
-    unitary iff each block is.
+    Every F-move is a direct sum of these rotations and 1 x 1 blocks of
+    value 1, so a is unitary iff each rotation is.
     """
-    values, blocks = _racah_values(n, point), {}
-    for key, (e, J, a, _, _, d) in enumerate(_move_plan(n)[0]):
-        blocks.setdefault((a, d), {}).setdefault(J, {})[e] = key
-    deviation = 0.0
-    for rows in blocks.values():
-        R = values[np.array([[row[e] for e in sorted(row)] for row in rows.values()])]
-        gram = np.einsum("ie...,je...->...ij", R, R.conj()) - np.eye(len(rows))
-        deviation = max(deviation, float(np.max(np.abs(gram))))
-    return deviation
+    values = _racah_values(n, point)
+    R = values.reshape((-1, 2, 2) + values.shape[1:])
+    gram = np.einsum("bie...,bje...->b...ij", R, R.conj()) - np.eye(2)
+    return float(np.max(np.abs(gram)))
 
 
 def recouple(v: np.ndarray, n: int, point, transpose: bool = False) -> np.ndarray:
@@ -363,17 +256,25 @@ def recouple(v: np.ndarray, n: int, point, transpose: bool = False) -> np.ndarra
 
     v holds row vectors over the odd paths (over the even paths with
     transpose) in its last axis; the axis before it runs over the
-    phases of a batched point. Each F-move is a gather and a multiply of
-    v by the move's racah values at every phase, plus a multiply-add on
-    the states that have a second neighbour.
+    phases of a batched point. a = M_0 ... M_{n-2} P E_{n-2} ... E_0
+    with symmetric moves (_move_plan), so v @ a runs the odd moves in
+    order on one copy of v, broadcast over the phases, then gathers
+    through the comb permutation and runs the even moves in reverse;
+    v @ a^T swaps the sides and gathers the other way. Each move
+    rewrites only the paths of its 2 x 2 blocks, in place.
     """
-    _, forward, backward = _move_plan(n)
+    _, sides, combs = _move_plan(n)
     values = _racah_values(n, point).T
-    for (index, key), (rows, second, second_key) in backward if transpose else forward:
-        w = v[..., index] * values[..., key]
-        w[..., rows] += v[..., second] * values[..., second_key]
-        v = w
-    return v
+    shape = np.broadcast_shapes(v.shape, values.shape[:-1] + v.shape[-1:])
+    v = np.broadcast_to(v, shape).astype(np.result_type(v, values), order="C")
+    first, last = sides[::-1] if transpose else sides
+
+    def run(v, moves):
+        for p, q, own, other in moves:
+            v[..., p] = v[..., p] * values[..., own] + v[..., q] * values[..., other]
+        return v
+
+    return run(run(v, first)[..., combs[transpose]], last[::-1])
 
 
 def duality_matrix(n: int, point) -> np.ndarray:

@@ -68,10 +68,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_integral(self) -> bool:
-        """Always true: the constructor admits integer coefficients only."""
-        return True
-
     def __bool__(self) -> bool:
         return bool(self._c)
 

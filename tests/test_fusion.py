@@ -1,5 +1,6 @@
 """Fusion paths, Racah coefficients and the duality change of basis."""
 
+import functools
 import math
 import random
 import re
@@ -81,6 +82,7 @@ def test_pair_couplings_are_the_paths_couplings(n):
         assert got.tolist() == [list(p.J) for p in paths]
 
 
+@functools.cache
 def _dict_move_plan(n):
     """Test-only move plan by the earlier builder: tuple states numbered in dicts, one at a time.
 
@@ -131,21 +133,43 @@ def _dict_move_plan(n):
     return tuple(keys), tuple(forward), tuple(backward)
 
 
+def _reference_recouple(v, n, point, transpose=False):
+    """Test-only recouple through the dict builder's steps: a gather-multiply, then a multiply-add."""
+    keys, forward, backward = _dict_move_plan(n)
+    values = fusion._racah_rows(keys, point).T
+    for (index, key), (rows, second, second_key) in backward if transpose else forward:
+        w = v[..., index] * values[..., key]
+        w[..., rows] += v[..., second] * values[..., second_key]
+        v = w
+    return v
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_move_plan_equals_the_dict_builder(n):
-    keys, forward, backward = fusion._move_plan(n)
-    want_keys, want_forward, want_backward = _dict_move_plan(n)
-    assert keys == want_keys
-    assert all(type(x) is int for key in keys for x in key)
-    for got, want in zip(forward + backward, want_forward + want_backward, strict=True):
-        for got_array, want_array in zip(got[0] + got[1], want[0] + want[1], strict=True):
-            assert got_array.dtype == want_array.dtype
-            assert np.array_equal(got_array, want_array)
+    # the in-place 2 x 2 rotations and the comb permutation give the
+    # bits, dtype included, of every state the dict builder's steps
+    # write, both ways, on real and complex rows and on the (d, 1, d)
+    # identity that duality_matrix broadcasts over the phases
+    assert all(type(x) is int for key in fusion._move_plan(n)[0] for x in key)
+    rng = np.random.default_rng(n)
+    d = fusion.block_dimension(n)
+    grid = QPoint(tuple(phase_grid(n, 10).tolist()))
+    for point in (grid, circle_samples((-3 * n, 3 * n)), QPoint(0.4)):
+        v = rng.standard_normal((2,) + np.shape(fusion._racah_values(n, point))[1:] + (d,))
+        rows = [v, v * np.exp(1j * rng.uniform(0, 7, d))]
+        if n <= 6 and point is grid:
+            rows.append(np.eye(d).reshape(d, 1, d))
+        for u in rows:
+            for transpose in (False, True):
+                got = fusion.recouple(u, n, point, transpose)
+                want = _reference_recouple(u, n, point, transpose)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
 
 
 def test_cold_move_plan_memory(monkeypatch):
-    # n = 9, d = 4862: the plan holds about 5 MiB of index arrays; the
-    # tuple states and dicts of the earlier builder peaked at 23 MiB
+    # n = 9, d = 4862: the bases peak near 3 MiB while they are built,
+    # and the plan keeps about 1.3 MiB of index arrays
     monkeypatch.setattr(fusion, "_bases", fusion._bases.__wrapped__)
     tracemalloc.start()
     try:
@@ -153,7 +177,18 @@ def test_cold_move_plan_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
+
+
+def test_plan_keys_reach_the_arcs_bound(monkeypatch):
+    # the phase check reads the largest triad of the plan's keys, from
+    # 2 x 2 blocks only: its K = n + 1 is admissible_arc's bound (no
+    # cache keeps the plans of large n)
+    monkeypatch.setattr(fusion, "_bases", fusion._bases.__wrapped__)
+    for n in range(2, 13):
+        e, J, a, s2, s3, d = np.array(fusion._move_plan.__wrapped__(n)[0]).T
+        largest = np.stack([a + s2 + e, s3 + d + e, a + d + J, s2 + s3 + J]).max() // 2 + 1
+        assert largest == n + 1 and 2 * math.pi / largest == admissible_arc(n)[1]
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -321,14 +356,14 @@ def test_batched_racah_matches_scalar_reference():
 
 
 def test_one_by_one_blocks_read_exactly_one():
-    # keys whose outer labels differ, or are both 0, are alone in their block
-    for n in range(2, 11):
-        keys = fusion._move_plan(n)[0]
-        alone = [k for k, (_, _, a, _, _, d) in enumerate(keys) if d != a or a == 0]
+    # the moves skip their 1 x 1 blocks: racah reads exactly 1 at every
+    # key of the dict builder whose outer labels differ, or are both 0
+    for n in range(2, 10):
+        alone = [k for k in _dict_move_plan(n)[0] if k[2] != k[5] or k[2] == 0]
         assert alone
         for point in (QPoint(tuple(phase_grid(n, 10).tolist())), CirclePoint(0.3, 1.05),
                       RealQPoint(1.0)):
-            assert (fusion._racah_values.__wrapped__(n, point)[alone] == 1.0).all()
+            assert all((racah(*key, point) == 1.0).all() for key in alone)
 
 
 def test_batch_past_the_arc_names_the_phase():
@@ -348,15 +383,14 @@ def test_duality_build_calls_racah_once_per_distinct_key(monkeypatch):
         return racah(*args)
 
     monkeypatch.setattr(fusion, "racah", counting)
-    keys, forward, backward = fusion._move_plan(6)
-    assert len(keys) == len(set(keys)) == 31
+    keys, sides, _ = fusion._move_plan(6)
+    assert len(keys) == len(set(keys)) == 20
     # bypass the cache; one batched evaluation serves every key at every
     # phase, with no racah call per key, and every key feeds some move
     values = fusion._racah_values.__wrapped__(6, QPoint((0.1, 0.2, 0.3)))
-    assert values.shape == (31, 3) and seen == []
-    for steps in (forward, backward):
-        used = [np.concatenate([first[1], second[2]]) for first, second in steps]
-        assert set(np.concatenate(used)) == set(range(31))
+    assert values.shape == (20, 3) and seen == []
+    used = [np.concatenate([own, other]) for moves in sides for _, _, own, other in moves]
+    assert set(np.concatenate(used).tolist()) == set(range(20))
 
 
 def test_racah_values_equal_racah_per_key():

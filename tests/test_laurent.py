@@ -86,7 +86,6 @@ def test_fraction_coefficients():
     p = LaurentPoly({1: np.int64(2), 2: -1})
     assert p.coeffs() == {1: 2, 2: -1}
     assert all(type(v) is int for v in p.coeffs().values())
-    assert p.is_integral()
 
 
 def test_render():
