@@ -174,6 +174,11 @@ def _racah_rows(keys, point):
     return np.where(column(a > 0), rotation, 1.0)
 
 
+def _move_keys(n: int) -> tuple:
+    """The racah keys (doubled) of each a = 1..n-1's rotation: rows J = 0, 1, columns e = a - 1, a + 1."""
+    return tuple((e, 2 * j, a, 1, 1, a) for a in range(1, n) for j in (0, 1) for e in (a - 1, a + 1))
+
+
 @functools.cache
 def _move_plan(n: int):
     """The F-moves whose product is the duality matrix, built once per n.
@@ -195,15 +200,13 @@ def _move_plan(n: int):
     a = M_0 ... M_{n-2} P E_{n-2} ... E_0, as every M_k^T = M_k.
 
     Every a = 1..n-1 has blocks, the even ones on the odd side and the
-    odd ones on the even side. Returns the racah keys (doubled
-    arguments) of each a's rotation, rows J = 0, 1 and columns
-    e = a - 1, a + 1, four per a; per side (odd, even) and move, the
+    odd ones on the even side. Returns the racah keys of each a's
+    rotation, four per a (_move_keys); per side (odd, even) and move, the
     paths p of its 2 x 2 blocks, their partners q and the keys of p's
     diagonal entry and of its off-diagonal one; and P as two gathers,
     the odd path of each even path and the even path of each odd one.
     """
     (odd_J, odd_l), (even_J, even_r) = _bases(n)
-    keys = tuple((e, 2 * j, a, 1, 1, a) for a in range(1, n) for j in (0, 1) for e in (a - 1, a + 1))
 
     def side(J, fixed):
         """Per move of one side, (p, q, own key, other key), and the label e that it gives each path."""
@@ -224,7 +227,7 @@ def _move_plan(n: int):
     odd, even = np.lexsort([*odd_l[:, :-1].T, *r]), np.lexsort([*l, *even_r.T])
     from_odd, from_even = np.empty_like(odd), np.empty_like(even)
     from_odd[even], from_even[odd] = odd, even
-    return keys, (odd_moves, even_moves), (from_odd, from_even)
+    return _move_keys(n), (odd_moves, even_moves), (from_odd, from_even)
 
 
 @functools.lru_cache(maxsize=64)

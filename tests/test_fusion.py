@@ -180,13 +180,11 @@ def test_cold_move_plan_memory(monkeypatch):
     assert peak < 4 * 2**20
 
 
-def test_plan_keys_reach_the_arcs_bound(monkeypatch):
+def test_plan_keys_reach_the_arcs_bound():
     # the phase check reads the largest triad of the plan's keys, from
-    # 2 x 2 blocks only: its K = n + 1 is admissible_arc's bound (no
-    # cache keeps the plans of large n)
-    monkeypatch.setattr(fusion, "_bases", fusion._bases.__wrapped__)
+    # 2 x 2 blocks only: its K = n + 1 is admissible_arc's bound
     for n in range(2, 13):
-        e, J, a, s2, s3, d = np.array(fusion._move_plan.__wrapped__(n)[0]).T
+        e, J, a, s2, s3, d = np.array(fusion._move_keys(n)).T
         largest = np.stack([a + s2 + e, s3 + d + e, a + d + J, s2 + s3 + J]).max() // 2 + 1
         assert largest == n + 1 and 2 * math.pi / largest == admissible_arc(n)[1]
 
@@ -344,11 +342,30 @@ def _racah_reference(two_j, two_l, s1, s2, s3, s4, theta):
     )
 
 
+def _one_by_one_keys(n):
+    """The keys (e, 2J, a, 1, 1, d) of the moves' 1 x 1 blocks, a != d or a = d = 0, from the bases' labels.
+
+    There the one admissible e is (a + d) / 2, or 1 at a = d = 0.
+    """
+    (odd_J, odd_l), (even_J, even_r) = fusion._bases(n)
+    sides = (odd_J[:, 1:], odd_l), (even_J, np.hstack([np.ones_like(even_r[:, :1]), even_r]))
+    keys = set()
+    for J, fixed in sides:
+        for k in range(n - 1):
+            a, d, j = fixed[:, k], fixed[:, k + 1], J[:, k]
+            alone = (a != d) | (a == 0)
+            e = (a + d) // 2 + (a == d)
+            ones = np.ones_like(a)
+            keys |= set(map(tuple, np.stack([e, 2 * j, a, ones, ones, d], 1)[alone].tolist()))
+    return sorted(keys)
+
+
 def test_batched_racah_matches_scalar_reference():
     # the general quantum 6j formula, test-local, checks the closed form
+    # on the plan's 2 x 2 keys and on the value 1 of the 1 x 1 keys
     for n in range(2, 11):
         thetas = phase_grid(n, 16)
-        for key in fusion._move_plan(n)[0]:
+        for key in fusion._move_keys(n) + tuple(_one_by_one_keys(n)):
             got = racah(*key, QPoint(tuple(thetas.tolist())))
             want = [_racah_reference(*key, t) for t in thetas]
             assert got.shape == (16,)
@@ -358,9 +375,12 @@ def test_batched_racah_matches_scalar_reference():
 def test_one_by_one_blocks_read_exactly_one():
     # the moves skip their 1 x 1 blocks: racah reads exactly 1 at every
     # key of the dict builder whose outer labels differ, or are both 0
-    for n in range(2, 10):
-        alone = [k for k in _dict_move_plan(n)[0] if k[2] != k[5] or k[2] == 0]
+    # (listed from the bases past n = 9, where the dict builder is slow)
+    for n in range(2, 11):
+        alone = _one_by_one_keys(n)
         assert alone
+        if n < 10:
+            assert alone == sorted(k for k in _dict_move_plan(n)[0] if k[2] != k[5] or k[2] == 0)
         for point in (QPoint(tuple(phase_grid(n, 10).tolist())), CirclePoint(0.3, 1.05),
                       RealQPoint(1.0)):
             assert all((racah(*key, point) == 1.0).all() for key in alone)
