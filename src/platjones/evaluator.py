@@ -5,13 +5,14 @@ diagonal letter per run, named in order of appearance. An odd letter
 is diagonal in the odd path basis, D; an even letter is diagonal in
 the even basis and acts conjugated by the duality matrix, a E a†
 with a† = a^T, so a program reads like  a f a† g a h a† ...  Both
-kinds are symmetric d x d matrices S, u S = S u, so one in-place step
-(apply_letters) serves the row vectors here and qsim's d-blocks. The
-plat matrix element <0|S_1...S_L|0> is read by pushing the row vector
-e_0 through the letters in order (elements), for every program of one
-n and every phase of a point in one pass along their shared schedule
-(schedule): programs and phases are numpy axes through the F-moves of
-a and a^T (fusion.recouple), with no d x d matrix. A letter is
+kinds are symmetric d x d matrices S, u S = S u, so one loop (evolve)
+serves the row vectors here and qsim's d-blocks: it pushes e_0 through
+the letters of every program of one n, at every phase of a point, in
+one pass along their shared schedule (schedule), one in-place step
+(apply_letters) each. Forwards it reads the plat matrix element
+<0|S_1...S_L|0> (elements); reversed, with each step checked, it is
+qsim's evolution. Programs and phases are numpy axes through the
+F-moves of a and a^T (fusion.recouple), with no d x d matrix. A letter is
 compiled once into integer tallies per pair k and J = 0, 1 (summed
 power of q^{1/2}, count of -1 signs); one gather-sum over the paths'
 pair couplings gives a step's signs and powers per path (letters).
@@ -27,7 +28,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -190,26 +193,41 @@ def apply_letters(v: np.ndarray, rows, ops, point, phases) -> None:
         v[rows] = recouple(v[rows], ops[0].n, point, transpose=True)
 
 
-def elements(programs, point) -> np.ndarray:
+def evolve(part, point, reverse=False, check=None) -> Iterator[np.ndarray]:
+    """Yield the (programs, phases, paths) block of a slice, updated in place, before and after each step.
+
+    The block starts as e_0 per program and phase, and goes through
+    the schedule, reversed with reverse: a step applies each covering
+    row's own letter (apply_letters, with letters once per step), so a
+    row keeps the bits it has when evolved alone. check, if given, sees
+    each step's (ops, point, phases) before it is applied.
+    """
+    # in the point's precision from the start, as v[rows] = ... cannot promote v
+    v = np.zeros((len(part), len(point.theta), block_dimension(part[0].n)), point.q_half.dtype)
+    v[..., 0] = 1.0
+    yield v
+    steps = schedule(part)
+    for rows, ops in reversed(steps) if reverse else steps:
+        sign, exponent = letters(ops)
+        phases = sign[:, None] * np.power(point.q_half[:, None], exponent[:, None])
+        if check is not None:
+            check(ops, point, phases)
+        apply_letters(v, rows, ops, point, phases)
+        yield v
+
+
+def elements(programs, point, reverse=False, check=None) -> np.ndarray:
     """Plat elements of programs of one n: (programs, phases).
 
-    A slice of programs (group_slices) and all phases go through the
-    schedule as one (programs, phases, paths) block of row vectors: a
-    step applies each covering row's own letter (apply_letters, with
-    letters once per step), so a row keeps the bits it has when
-    evaluated alone.
+    <0|S_1 ... S_L|0> of each program, one slice of programs
+    (group_slices) and all phases at a time through evolve: row vectors
+    S_1 first, or with reverse column vectors S_L first, the step order
+    of qsim's register.
     """
-    out = []
-    for part in group_slices(programs, len(point.theta)):
-        # in the point's precision from the start, as v[rows] = ... cannot promote v
-        v = np.zeros((len(part), len(point.theta), block_dimension(part[0].n)), point.q_half.dtype)
-        v[..., 0] = 1.0
-        for rows, ops in schedule(part):
-            sign, exponent = letters(ops)
-            phases = sign[:, None] * np.power(point.q_half[:, None], exponent[:, None])
-            apply_letters(v, rows, ops, point, phases)
-        out.append(v[..., 0].copy())  # a view would keep the whole block
-    return np.concatenate(out)
+    return np.concatenate([  # a slice's block is dropped once its column 0 is copied
+        deque(evolve(part, point, reverse, check), maxlen=1).pop()[..., 0].copy()
+        for part in group_slices(programs, len(point.theta))
+    ])
 
 
 def _diagonal_letter(i: int) -> str:

@@ -7,8 +7,7 @@ down a left comb from spin 0 back to 0; the even basis starts from
 strand 1's spin 1/2, fuses the n - 1 interior pairs (2i, 2i+1) and ends
 on 1/2 so the last strand can close the total to 0. A basis is a pair
 of integer arrays (_bases), (paths, pairs) of the pair spins J and of
-the doubled labels; OddPath and EvenPath lists (path_bases) are made
-from them only on demand. Each basis has d = Catalan(n) paths
+the doubled labels, with no other form. Each basis has d = Catalan(n) paths
 (block_dimension) and reaches the left-comb basis of the 2n strands by
 one F-move per strand pair, so the duality matrix a = C_odd C_even^T is
 a product of 2(n - 1) sparse moves, planned once per n from the bases'
@@ -31,36 +30,11 @@ stays integral; the paths' pair couplings J are plain integer spins.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonAdmissibleTriple
 from .qnum import check_arc, is_admissible, q_table
-
-
-@dataclass(frozen=True, order=True)
-class OddPath:
-    """Pair couplings J_{2i+1} and comb intermediates l_i (l_{n-1} = 0)."""
-
-    J: tuple[int, ...]
-    l: tuple[int, ...]
-
-
-@dataclass(frozen=True, order=True)
-class EvenPath:
-    """Pair couplings J_{2i} and doubled half-integer intermediates.
-
-    two_r[-1] == 1 always: the chain must reach spin 1/2 before fusing
-    with the last strand to reach total spin 0.
-    """
-
-    J: tuple[int, ...]
-    two_r: tuple[int, ...]
-
-
-def _fuse_range(two_a: int, two_b: int):
-    return range(abs(two_a - two_b), two_a + two_b + 1, 2)
 
 
 TWO_J = np.array([0, 2, 2, 2])  # doubled pair spin 2J of each way to extend a chain
@@ -70,8 +44,8 @@ STEPS = np.array([0, -2, 0, 2])  # and the step it moves the last label by, doub
 def _chains(two_start: int, pairs: int, two_end: int) -> tuple[np.ndarray, np.ndarray]:
     """(J, labels) arrays, (chains, pairs) each, of pair spins J in {0, 1} from doubled two_start to two_end.
 
-    A pair fuses J with the last label, to a label in _fuse_range of the
-    two; a step of at most 2J keeps the parity and the upper bound, so
+    A pair fuses J with the last label, to a label from |2J - last| to
+    2J + last; a step of at most 2J keeps the parity and the upper bound, so
     only the lower bound is checked. A label farther than 2 * (pairs
     left) from two_end is dropped. Rows are in the order of sorted
     (J, labels) tuples.
@@ -101,24 +75,6 @@ def _bases(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.
     for array in (*bases[0], *bases[1]):
         array.setflags(write=False)
     return bases
-
-
-def enumerate_odd_paths(n: int) -> list[OddPath]:
-    """Chains from spin 0 over n pairs back to 0, lexicographic; all-zero path first."""
-    J, labels = _bases(n)[0]
-    return [OddPath(*path) for path in zip(map(tuple, J.tolist()), map(tuple, (labels // 2).tolist()))]
-
-
-def enumerate_even_paths(n: int) -> list[EvenPath]:
-    """Chains from spin 1/2 over n - 1 pairs back to 1/2; empty for n = 1 (no interior pairs)."""
-    J, labels = _bases(n)[1]
-    return [EvenPath(*path) for path in zip(map(tuple, J.tolist()), map(tuple, labels.tolist()))]
-
-
-@functools.cache
-def path_bases(n: int) -> tuple[tuple[OddPath, ...], tuple[EvenPath, ...]]:
-    """Odd and even path lists for n caps, as path objects made from the arrays of _bases."""
-    return tuple(enumerate_odd_paths(n)), tuple(enumerate_even_paths(n))
 
 
 def block_dimension(n: int) -> int:

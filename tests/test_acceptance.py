@@ -22,11 +22,11 @@ from platjones.evaluator import (
     jones,
     unlink_normalization,
 )
-from platjones.fusion import duality_matrix, enumerate_odd_paths
+from platjones.fusion import block_dimension, duality_matrix, pair_couplings
 from platjones.laurent import LaurentPoly, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
-from platjones.qsim import block_dimension, evolution, p_k
+from platjones.qsim import evolution, p_k
 from platjones.vertex import (
     braid_limit_check,
     far_commutation_residual,
@@ -102,7 +102,7 @@ def _ballot_count(steps: int) -> int:
 
 
 def test_criterion_04_block_dimensions():
-    got = [len(enumerate_odd_paths(n)) for n in (2, 3, 4)]
+    got = [len(pair_couplings(n)[0]) for n in (2, 3, 4)]
     ballot = [_ballot_count(2 * n) for n in (2, 3, 4)]
     catalan = [math.comb(2 * n, n) // (n + 1) for n in (2, 3, 4)]
     shapes = [duality_matrix(n, QPoint(0.4)).shape for n in (2, 3, 4)]

@@ -380,8 +380,13 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     batches = _count_calls(monkeypatch, evaluator.elements)
     builds = _count_calls(monkeypatch, fusion.duality_matrix)
     checks = _count_calls(monkeypatch, deviation)
-    passes = _count_calls(monkeypatch, qsim._evolve)
+    passes = _count_calls(monkeypatch, evaluator.evolve)
     results = cli._verify_cases(cases, 1e-6)
+    # qsim runs the evaluator's loop reversed, its third argument
+    simulated = [args for args in batches if args[2:3] == (True,)]
+    batches = [args for args in batches if args[2:3] != (True,)]
+    passes = [args for args in passes if args[2]]
+    assert len(simulated) == len(groups)
     assert [r["name"] for r in results] == [name for name, _ in cases]
     assert [r["tokens"] for r in results] == [" ".join(p.tokens()) for p in programs]
     assert all(r["pass"] for r in results)
@@ -394,7 +399,7 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
         keys.append(n)
     assert sorted(keys) == sorted(groups)
     keys = []
-    for batch, _ in passes:
+    for batch, *_ in passes:
         (n,) = {p.n for p in batch}
         assert len(batch) == groups[n]
         keys.append(n)

@@ -34,7 +34,7 @@ from platjones.evaluator import (
     support_window,
     unlink_normalization,
 )
-from platjones.fusion import duality_matrix, pair_couplings, path_bases, recouple
+from platjones.fusion import block_dimension, duality_matrix, pair_couplings, recouple
 from platjones.laurent import LaurentPoly, circle_samples, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
@@ -173,7 +173,7 @@ def _element_per_phase(program, thetas):
     out = []
     for theta in thetas:
         point = QPoint(float(theta))
-        v = np.eye(len(path_bases(program.n)[0]), dtype=complex)[0]
+        v = np.eye(block_dimension(program.n), dtype=complex)[0]
         for op in program.letters:
             v = v @ _dense_operator(op, point)
         out.append(v[0])
@@ -197,7 +197,7 @@ def test_batched_element_matches_per_phase_reference():
 
 def _element_by_act(program, point):
     """Test-only reference: e_0 through each letter, a E a^T by F-moves, one program at a time."""
-    v = np.zeros((len(point.theta), len(path_bases(program.n)[0])), dtype=complex)
+    v = np.zeros((len(point.theta), block_dimension(program.n)), dtype=complex)
     v[:, 0] = 1.0
     for op in program.letters:
         if op.basis == "even":
@@ -287,7 +287,7 @@ def test_element_memory_is_linear_in_paths():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = len(point.theta) * len(path_bases(7)[0]) * np.dtype(np.clongdouble).itemsize
+    block = len(point.theta) * block_dimension(7) * np.dtype(np.clongdouble).itemsize
     assert len(point.theta) == 45
     assert peak < 8 * block
 
@@ -351,7 +351,7 @@ def test_letters_equal_the_per_syllable_loop(words):
             ops.setdefault((op.n, op.basis), []).append(op)
     for group in ops.values():
         sign, exponent = evaluator.letters(group)
-        assert sign.shape == exponent.shape == (len(group), len(path_bases(group[0].n)[0]))
+        assert sign.shape == exponent.shape == (len(group), block_dimension(group[0].n))
         for row, op in enumerate(group):
             want_sign, want_exponent = _letter_by_syllables(op)
             assert np.array_equal(sign[row], want_sign) and sign.dtype == want_sign.dtype
@@ -376,13 +376,12 @@ def test_letters_run_once_per_slice_and_diagonal_step(monkeypatch):
 
     letters = evaluator.letters
     monkeypatch.setattr(evaluator, "letters", counted)
-    monkeypatch.setattr(qsim, "letters", counted)
     point = QPoint(tuple(phase_grid(3, 10).tolist()))
-    monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * 10 * len(path_bases(3)[0]))
+    monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * 10 * block_dimension(3))
     evaluator.elements(group, point)
     assert sorted(calls) == sorted([3, 3, 1] * steps)
     calls.clear()
-    monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * len(path_bases(3)[0]))
+    monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * block_dimension(3))
     qsim.p_ks(group, 0.5)
     assert sorted(calls) == sorted([3, 3, 1] * steps)
 

@@ -12,14 +12,7 @@ import pytest
 from platjones import fusion, qnum
 from platjones.errors import NegativeRadicand, NonAdmissibleTriple
 from platjones.evaluator import admissible_arc, phase_grid
-from platjones.fusion import (
-    EvenPath,
-    OddPath,
-    duality_matrix,
-    enumerate_even_paths,
-    enumerate_odd_paths,
-    racah,
-)
+from platjones.fusion import duality_matrix, racah
 from platjones.laurent import circle_samples
 from platjones.qnum import CirclePoint, QPoint, RealQPoint, q_number
 
@@ -28,38 +21,42 @@ def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
 
 
+def _fuse_range(two_a, two_b):
+    return range(abs(two_a - two_b), two_a + two_b + 1, 2)
+
+
 def _recursive_odd_paths(n):
-    """The odd paths by the earlier depth-first recursion, sorted as it sorted them."""
+    """The odd paths (J, doubled l) by the earlier depth-first recursion, sorted as it sorted them."""
     out = []
 
     def rec(i, J, l):
         if i == n:
             if l[-1] == 0:
-                out.append(OddPath(tuple(J), tuple(l)))
+                out.append((tuple(J), tuple(l)))
             return
         for Ji in (0, 1):
             if i == 0:
-                rec(1, [Ji], [Ji])
+                rec(1, [Ji], [2 * Ji])
             else:
-                for li in fusion._fuse_range(2 * l[-1], 2 * Ji):
-                    rec(i + 1, J + [Ji], l + [li // 2])
+                for li in _fuse_range(l[-1], 2 * Ji):
+                    rec(i + 1, J + [Ji], l + [li])
 
     rec(0, [], [])
     return sorted(out)
 
 
 def _recursive_even_paths(n):
-    """The even paths by the earlier depth-first recursion; empty for n = 1."""
+    """The even paths (J, doubled r) by the earlier depth-first recursion; empty for n = 1."""
     out = []
 
     def rec(i, J, inter):
         if i == n - 1:
             if inter[-1] == 1:
-                out.append(EvenPath(tuple(J), tuple(inter)))
+                out.append((tuple(J), tuple(inter)))
             return
         cur = inter[-1] if inter else 1
         for Ji in (0, 1):
-            for ri in fusion._fuse_range(cur, 2 * Ji):
+            for ri in _fuse_range(cur, 2 * Ji):
                 rec(i + 1, J + [Ji], inter + [ri])
 
     if n > 1:
@@ -70,7 +67,9 @@ def _recursive_even_paths(n):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_chain_builder_equals_the_recursive_enumeration(n):
     # same paths in the same order: elements, qsim and the move plan index by position
-    assert fusion.path_bases(n) == (tuple(_recursive_odd_paths(n)), tuple(_recursive_even_paths(n)))
+    want = _recursive_odd_paths(n), _recursive_even_paths(n)
+    for (J, labels), paths in zip(fusion._bases(n), want):
+        assert [J.tolist(), labels.tolist()] == [[list(J) for J, _ in paths], [list(l) for _, l in paths]]
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -79,7 +78,7 @@ def test_pair_couplings_are_the_paths_couplings(n):
     want = [_recursive_odd_paths(n), _recursive_even_paths(n)]
     for got, paths in zip(fusion.pair_couplings(n), want):
         assert got.dtype == np.array([0]).dtype and not got.flags.writeable
-        assert got.tolist() == [list(p.J) for p in paths]
+        assert got.tolist() == [list(J) for J, _ in paths]
 
 
 @functools.cache
@@ -100,7 +99,7 @@ def _dict_move_plan(n):
             index, entries = {}, []
             for source, (fixed, labels) in enumerate(states):
                 a, d = fixed[k], fixed[k + 1]
-                for e in fusion._fuse_range(a, 1):
+                for e in _fuse_range(a, 1):
                     if not qnum.is_admissible(e, 1, d):
                         continue
                     target = (fixed, labels[:k] + (e,) + labels[k + 1 :])
@@ -111,8 +110,8 @@ def _dict_move_plan(n):
         return states, moves
 
     doubled = lambda labels: tuple(2 * x for x in labels)
-    odd_combs, odd_moves = sweep([(doubled(p.l), doubled(p.J[1:])) for p in odd])
-    even_combs, even_moves = sweep([((1,) + p.two_r, doubled(p.J)) for p in even])
+    odd_combs, odd_moves = sweep([(l, doubled(J[1:])) for J, l in odd])
+    even_combs, even_moves = sweep([((1,) + r, doubled(J)) for J, r in even])
     comb = {(l, r[1:]): i for i, (r, l) in enumerate(even_combs)}
     order = [comb[l[:-1], r] for l, r in odd_combs]
     odd_moves[-1] = [(s, order[t], k) for s, t, k in odd_moves[-1]]
@@ -191,37 +190,34 @@ def test_plan_keys_reach_the_arcs_bound():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerators_reject_n_below_one(n):
-    for enumerate_paths in (enumerate_odd_paths, enumerate_even_paths):
+    for build in (fusion._bases, fusion.pair_couplings, fusion.block_dimension):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            enumerate_paths(n)
+            build(n)
 
 
 def test_path_counts_are_catalan():
     for n in range(1, 10):
-        assert len(enumerate_odd_paths(n)) == catalan(n) == fusion.block_dimension(n)
+        assert len(fusion.pair_couplings(n)[0]) == catalan(n) == fusion.block_dimension(n)
     for n in range(2, 10):
-        assert len(enumerate_even_paths(n)) == catalan(n)
-    assert enumerate_even_paths(1) == []
+        assert len(fusion.pair_couplings(n)[1]) == catalan(n)
+    assert [array.size for array in fusion._bases(1)[1]] == [0, 0]
 
 
 def test_zero_path_is_first():
     # elements and qsim read index 0 as |0...0>
     for n in range(1, 10):
-        first = enumerate_odd_paths(n)[0]
-        assert first == OddPath(J=(0,) * n, l=(0,) * n)
+        J, labels = fusion._bases(n)[0]
+        assert (J[0].tolist(), labels[0].tolist()) == ([0] * n, [0] * n)
 
 
 def test_odd_paths_n2():
-    assert enumerate_odd_paths(2) == [
-        OddPath(J=(0, 0), l=(0, 0)),
-        OddPath(J=(1, 1), l=(1, 0)),
-    ]
+    J, labels = fusion._bases(2)[0]
+    assert (J.tolist(), labels.tolist()) == ([[0, 0], [1, 1]], [[0, 0], [2, 0]])
 
 
 def test_even_paths_close_on_half():
     for n in (2, 3, 4):
-        for p in enumerate_even_paths(n):
-            assert p.two_r[-1] == 1
+        assert (fusion._bases(n)[1][1][:, -1] == 1).all()
 
 
 def test_racah_anchor_value():
@@ -449,11 +445,11 @@ def _dense_reference(n, point):
     1/2, 1/2, l_{k+1}), and of the even path's, racah(l_k, J'_k, r_{k-1},
     1/2, 1/2, r_k) with r_{-1} = 1/2; each distinct key is one racah call.
     """
-    odd, even = fusion.path_bases(n)
-    l = 2 * np.array([p.l for p in odd])[:, None, :]
-    J = 2 * np.array([p.J for p in odd])[:, None, 1:]
-    r = np.array([p.two_r for p in even])[None, :, :]
-    J_even = 2 * np.array([p.J for p in even])[None, :, :]
+    (odd_J, odd_l), (even_J, even_r) = ([x.astype(int) for x in basis] for basis in fusion._bases(n))
+    l = odd_l[:, None, :]
+    J = 2 * odd_J[:, None, 1:]
+    r = even_r[None, :, :]
+    J_even = 2 * even_J[None, :, :]
     before = np.concatenate([np.ones_like(r[..., :1]), r[..., :-1]], -1)
     admissible = ((np.abs(l[..., :-1] - r) == 1) & (np.abs(r - l[..., 1:]) == 1)).all(-1)
     base = 2 * n + 2
@@ -473,7 +469,7 @@ def _dense_reference(n, point):
 def test_f_moves_match_dense_racah_products():
     rng = np.random.default_rng(3)
     for n in range(2, 8):
-        d = len(fusion.path_bases(n)[0])
+        d = fusion.block_dimension(n)
         grid = QPoint(tuple(phase_grid(n, 10).tolist()))
         for point, tol in ((grid, 1e-14), (circle_samples((-9, 9)), 5e-17)):
             reference = list(_dense_reference(n, point))
@@ -572,21 +568,20 @@ def _braid_blocks(n, pt):
     even generators conjugate by the duality matrix."""
     from platjones.evaluator import braiding_phase
 
-    odd = enumerate_odd_paths(n)
-    even = enumerate_even_paths(n)
+    odd, even = (J.tolist() for J in fusion.pair_couplings(n))
     a = duality_matrix(n, pt).astype(complex)
     blocks = {}
     for i in range(1, 2 * n):
         if i % 2 == 1:
             pair = (i - 1) // 2
             d = np.diag([
-                braiding_phase(p.J[pair], "parallel", "right", pt) for p in odd
+                braiding_phase(J[pair], "parallel", "right", pt) for J in odd
             ])
             blocks[i] = d
         else:
             pair = i // 2 - 1
             d = np.diag([
-                braiding_phase(p.J[pair], "parallel", "right", pt) for p in even
+                braiding_phase(J[pair], "parallel", "right", pt) for J in even
             ])
             blocks[i] = a @ d @ a.T
     return blocks

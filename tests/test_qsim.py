@@ -18,11 +18,10 @@ from platjones.evaluator import (
     evaluate,
     phase_grid,
 )
-from platjones.fusion import duality_matrix
+from platjones.fusion import block_dimension, duality_matrix
 from platjones.qnum import CirclePoint, QPoint, RealQPoint
 from platjones.qsim import (
     StateVector,
-    block_dimension,
     check_unitary,
     evolution,
     p_k,
@@ -33,6 +32,11 @@ from platjones.qsim import (
 
 def _program(word):
     return compile_word(resolve_orientations(word)[0])
+
+
+def _check_letter(letter, point):
+    """check_unitary of a schedule step that holds the one letter."""
+    check_unitary([letter], point, letter.phases(point)[None])
 
 
 def test_identity_word_leaves_initial_state():
@@ -49,7 +53,7 @@ def test_single_duality_prepares_first_column():
     pt = QPoint(0.9)
     program = _program(parse("strands=4; g2^1"))
     (letter,) = program.letters
-    check_unitary(letter, pt)
+    _check_letter(letter, pt)
     block = duality_matrix(2, pt)
     assert np.allclose(fusion.recouple(np.eye(2, dtype=complex)[0], 2, pt, transpose=True), block[:, 0])
     out = run(program, 0.9).amplitudes
@@ -67,7 +71,7 @@ def test_block_step_is_the_dense_block_on_the_low_indices():
     assert np.max(np.abs(fusion.recouple(u, 3, pt, transpose=True) - a @ u)) < 1e-14
     assert np.max(np.abs(fusion.recouple(u, 3, pt) - u @ a)) < 1e-14
     letter = _program(parse("strands=6; g2^1 g4^-2")).letters[0]
-    check_unitary(letter, pt)
+    _check_letter(letter, pt)
     v = u[None].copy()
     evaluator.apply_letters(v, [0], [letter], pt, letter.phases(pt)[None])
     assert np.max(np.abs(v[0] - a @ np.diag(letter.phases(pt)) @ a.T @ u)) < 1e-14
@@ -111,7 +115,7 @@ def test_non_unitary_block_rejected():
     (op,) = compile_word(annotated).letters
     assert op.token == "f"
     with pytest.raises(NonUnitaryBlock, match=re.escape(repr(op.token))):
-        check_unitary(op, RealQPoint(0.5))
+        _check_letter(op, RealQPoint(0.5))
 
 
 def test_non_unitary_duality_rejected():
@@ -121,7 +125,7 @@ def test_non_unitary_duality_rejected():
     (op,) = compile_word(annotated).letters
     assert op.basis == "even"
     with pytest.raises(NonUnitaryBlock, match=re.escape(repr("a"))):
-        check_unitary(op, CirclePoint(0.3, 1.05))
+        _check_letter(op, CirclePoint(0.3, 1.05))
 
 
 def test_twenty_syllable_word_is_fast():
@@ -168,9 +172,9 @@ def test_evolution_embeds_each_duality_once(monkeypatch):
     fusion.move_deviation.cache_clear()
     bases, builds = [], []
 
-    def counting(op, point, *phases):
-        bases.append(op.basis)
-        return check_unitary(op, point, *phases)
+    def counting(ops, point, phases):
+        bases.append(ops[0].basis)
+        return check_unitary(ops, point, phases)
 
     def building(n, point):
         builds.append((n, point))
@@ -200,7 +204,7 @@ def test_check_unitary_on_batched_point(thetas):
     # at 5 phases (as many as d at n = 3), read a unitary a as deviating
     # by 1.6
     point = QPoint(thetas)
-    check_unitary(BlockOperator(n=3, token="f", basis="even"), point)
+    _check_letter(BlockOperator(n=3, token="f", basis="even"), point)
     assert fusion.move_deviation(3, point) < 1e-13
 
 
@@ -225,7 +229,7 @@ def test_sign_flip_in_a_recoupling_block_is_rejected(monkeypatch):
     monkeypatch.setattr(fusion, "_racah_values", flipped)
     try:
         with pytest.raises(NonUnitaryBlock, match=r"operator 'a' deviates from unitarity by") as info:
-            check_unitary(BlockOperator(n=n, token="f", basis="even"), point)
+            _check_letter(BlockOperator(n=n, token="f", basis="even"), point)
         assert float(str(info.value).split()[-1]) > 0.1
         with pytest.raises(NonUnitaryBlock):
             p_k(program, 0.5)
@@ -271,8 +275,8 @@ def test_batched_p_k_matches_each_program(monkeypatch):
     assert sorted(g[0].n for g in groups) == [2, 3, 4]
     assert all(len({tuple(op.basis for op in p.letters) for p in g}) > 1 for g in groups)
     passes = []
-    evolve = qsim._evolve
-    monkeypatch.setattr(qsim, "_evolve", lambda part, point: passes.append(len(part)) or evolve(part, point))
+    evolve = evaluator.evolve
+    monkeypatch.setattr(evaluator, "evolve", lambda part, *args: passes.append(len(part)) or evolve(part, *args))
     whole = {}
     for group in groups:
         theta = float(phase_grid(group[0].n, 10)[5])
@@ -301,8 +305,8 @@ def test_p_ks_slices_by_the_fusion_block(monkeypatch):
         f"g{rng.randint(1, 11)}^{rng.choice([-2, -1, 1, 2])}" for _ in range(3)
     ))) for _ in range(60)]
     passes = []
-    evolve = qsim._evolve
-    monkeypatch.setattr(qsim, "_evolve", lambda part, point: passes.append(len(part)) or evolve(part, point))
+    evolve = evaluator.evolve
+    monkeypatch.setattr(evaluator, "evolve", lambda part, *args: passes.append(len(part)) or evolve(part, *args))
     theta = float(phase_grid(6, 10)[5])
     got = p_ks(programs, theta)
     assert block_dimension(6) == 132
@@ -321,7 +325,7 @@ def test_evolution_snapshots_do_not_alias():
 
 
 def test_non_unitary_diagonal_in_a_group_names_its_token(monkeypatch):
-    # a f a† g, then f a g a† h three times: the letters qsim reads give
+    # a f a† g, then f a g a† h three times: the letters the shared loop reads give
     # the third word's g a modulus-2 entry, so the pass runs h (g for
     # the first word) and stops at a g a†, the step where the first
     # word has its a f a†
@@ -331,7 +335,7 @@ def test_non_unitary_diagonal_in_a_group_names_its_token(monkeypatch):
     assert group[0].letters[0].token == "f"
     op = group[2].letters[1]
     assert (op.basis, op.token) == ("even", "g")
-    letters = qsim.letters
+    letters = evaluator.letters
 
     def injected(ops):
         sign, exponent = letters(ops)
@@ -340,7 +344,7 @@ def test_non_unitary_diagonal_in_a_group_names_its_token(monkeypatch):
                 sign[row] *= np.array([1, 2])
         return sign, exponent
 
-    monkeypatch.setattr(qsim, "letters", injected)
+    monkeypatch.setattr(evaluator, "letters", injected)
     with pytest.raises(NonUnitaryBlock, match=r"operator 'g' deviates from unitarity by 3\.000e\+00"):
         p_ks(group, 0.5)
     p_ks(group[:2] + group[3:], 0.5)
