@@ -5,21 +5,21 @@ chains that fuse a running spin with one pair spin J in {0, 1} at a
 time. The odd basis pairs strands (2i-1, 2i) and runs its n pair spins
 down a left comb from spin 0 back to 0; the even basis starts from
 strand 1's spin 1/2, fuses the n - 1 interior pairs (2i, 2i+1) and ends
-on 1/2 so the last strand can close the total to 0. A basis is a pair
-of integer arrays (_bases), (paths, pairs) of the pair spins J and of
-the doubled labels, with no other form. Each basis has d = Catalan(n) paths
+on 1/2 so the last strand can close the total to 0. A basis is a pair of
+int8 arrays (_bases), (paths, pairs) of the pair spins J and of the
+doubled labels, with no other form. Each basis has d = Catalan(n) paths
 (block_dimension) and reaches the left-comb basis of the 2n strands by
 one F-move per strand pair, so the duality matrix a = C_odd C_even^T is
 a product of 2(n - 1) sparse moves, planned once per n from the bases'
-arrays (_move_plan). Each move recouples two spin-1/2 strands, so it
-is the identity on its 1 x 1 blocks and a symmetric 2 x 2 rotation of
-spin-1/2 recoupling (_racah_rows) on each pair of paths that differ
-only in the pair spin it replaces: every stage of the moves holds one
-state per basis path and is numbered by it, and one permutation joins
-the two sides at the comb labellings. The rotations of a point come in
-one batch from one qnum.q_table, cached per (n, point). recouple
-applies the moves in place at every phase of a point at once,
-move_deviation checks a's unitarity on the rotations, and
+arrays (_move_plan). Each move recouples two spin-1/2 strands, so it is
+the identity on its 1 x 1 blocks and a symmetric 2 x 2 rotation of
+spin-1/2 recoupling (_racah_rows) on each pair of paths that differ only
+in the pair spin it replaces: every stage of the moves holds one state
+per basis path and is numbered by it, and one permutation joins the two
+sides at the comb labellings; the plan's indices are int32. The
+rotations of a point come in one batch from one qnum.q_table, cached per
+(n, point). recouple applies the moves in place at every phase of a
+point at once, move_deviation checks a's unitarity on the rotations, and
 duality_matrix (the moves applied to the identity) is the tests' dense
 reference.
 
@@ -37,20 +37,20 @@ from .errors import NonAdmissibleTriple
 from .qnum import check_arc, is_admissible, q_table
 
 
-TWO_J = np.array([0, 2, 2, 2])  # doubled pair spin 2J of each way to extend a chain
-STEPS = np.array([0, -2, 0, 2])  # and the step it moves the last label by, doubled
+TWO_J = np.array([0, 2, 2, 2], dtype=np.int8)  # doubled pair spin 2J of each way to extend a chain
+STEPS = np.array([0, -2, 0, 2], dtype=np.int8)  # and the step it moves the last label by, doubled
 
 
 def _chains(two_start: int, pairs: int, two_end: int) -> tuple[np.ndarray, np.ndarray]:
     """(J, labels) arrays, (chains, pairs) each, of pair spins J in {0, 1} from doubled two_start to two_end.
 
     A pair fuses J with the last label, to a label from |2J - last| to
-    2J + last; a step of at most 2J keeps the parity and the upper bound, so
-    only the lower bound is checked. A label farther than 2 * (pairs
-    left) from two_end is dropped. Rows are in the order of sorted
-    (J, labels) tuples.
+    2J + last; a step of at most 2J keeps the parity and the upper
+    bound, so only the lower bound is checked. A label farther than 2 *
+    (pairs left) from two_end is dropped. Rows are in the order of
+    sorted (J, labels) tuples.
     """
-    rows = np.array([[two_start]])  # the start, then 2J and the label of each pair
+    rows = np.array([[two_start]], dtype=np.int8)  # the start, then 2J and the label of each pair
     for left in range(pairs - 1, -1, -1):
         last = rows[:, -1:]
         e = last + STEPS
@@ -63,14 +63,14 @@ def _chains(two_start: int, pairs: int, two_end: int) -> tuple[np.ndarray, np.nd
 
 @functools.cache
 def _bases(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(J, doubled labels) arrays of the odd basis, then of the even one, built once per n.
+    """(J, doubled labels) int8 arrays of the odd basis, then of the even one, built once per n.
 
     The odd labels are l_0..l_{n-1}, the even ones r_0..r_{n-2}; the
     even arrays have no rows at n = 1 (no interior pairs).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    empty = np.zeros((0, 0), dtype=int)
+    empty = np.zeros((0, 0), dtype=np.int8)
     bases = _chains(0, n, 0), (_chains(1, n - 1, 1) if n > 1 else (empty, empty))
     for array in (*bases[0], *bases[1]):
         array.setflags(write=False)
@@ -160,7 +160,8 @@ def _move_plan(n: int):
     rotation, four per a (_move_keys); per side (odd, even) and move, the
     paths p of its 2 x 2 blocks, their partners q and the keys of p's
     diagonal entry and of its off-diagonal one; and P as two gathers,
-    the odd path of each even path and the even path of each odd one.
+    the odd path of each even path and the even path of each odd one;
+    every index array is int32.
     """
     (odd_J, odd_l), (even_J, even_r) = _bases(n)
 
@@ -171,8 +172,8 @@ def _move_plan(n: int):
             a, d, j = fixed[k], fixed[k + 1], J[:, k]
             two = (a == d) & (a > 0)
             zero, one = np.flatnonzero(two & (j == 0)), np.flatnonzero(two & (j == 1))
-            p, q = np.concatenate([zero, one]), np.concatenate([one, zero])
-            block, j_p = 4 * (a[p] - 1), j[p]
+            p, q = (np.concatenate(x).astype(np.int32) for x in ([zero, one], [one, zero]))
+            block, j_p = 4 * (a[p].astype(np.int32) - 1), j[p]
             moves.append((p, q, block + 3 * j_p, block + 2 - j_p))
             reached.append(a - 1 + 2 * np.where(two, j, d >= a))
         return tuple(moves), reached
@@ -180,7 +181,7 @@ def _move_plan(n: int):
     odd_moves, r = side(odd_J[:, 1:], list(odd_l.T))
     even_moves, l = side(even_J, [np.ones_like(even_r[:, 0]), *even_r.T])
     # each side's comb labellings (l_0..l_{n-2}, r_0..r_{n-2}), matched by one sort of each
-    odd, even = np.lexsort([*odd_l[:, :-1].T, *r]), np.lexsort([*l, *even_r.T])
+    odd, even = (np.lexsort(keys).astype(np.int32) for keys in ([*odd_l[:, :-1].T, *r], [*l, *even_r.T]))
     from_odd, from_even = np.empty_like(odd), np.empty_like(even)
     from_odd[even], from_even[odd] = odd, even
     return _move_keys(n), (odd_moves, even_moves), (from_odd, from_even)
