@@ -260,19 +260,6 @@ def resolve_orientations(word: BraidWord) -> tuple[BraidWord, CapReport]:
     )
 
 
-def consistent_flip_vectors(word: BraidWord) -> list[tuple[bool, ...]]:
-    """All flip vectors that propagate without conflict and cap validly."""
-    out = []
-    for bits in itertools.product([False, True], repeat=word.n):
-        try:
-            _, report = _propagate(word, bits)
-        except AnnotationConflict:
-            continue
-        if report.valid:
-            out.append(bits)
-    return out
-
-
 def writhe(word: BraidWord) -> int:
     """Signed crossing count of the annotated word.
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from platjones.braid import (
@@ -6,7 +8,6 @@ from platjones.braid import (
     PARALLEL,
     BraidWord,
     Syllable,
-    consistent_flip_vectors,
     format_word,
     mirror,
     parse,
@@ -112,10 +113,22 @@ def test_resolve_auto_trefoil():
     assert writhe(annotated) == 3
 
 
+def _consistent_flip_vectors(word):
+    """Every flip vector, in lexicographic order, that propagates without conflict and closes the caps."""
+    vectors = []
+    for bits in itertools.product([False, True], repeat=word.n):
+        try:
+            propagate_orientations(word, bits)
+        except (AnnotationConflict, CapMismatch):
+            continue
+        vectors.append(bits)
+    return vectors
+
+
 def test_resolve_prefers_lexicographic_flips():
     # both (0,1) and (1,0) close the trefoil; the scan returns the first
     w = parse("strands=4; g2^3")
-    vectors = consistent_flip_vectors(w)
+    vectors = _consistent_flip_vectors(w)
     assert vectors == [(False, True), (True, False)]
     _, report = resolve_orientations(w)
     assert report.flips == vectors[0]
