@@ -3,24 +3,24 @@
 A word splits into maximal runs of same-parity generator indices, one
 diagonal letter per run, named in order of appearance. An odd letter
 is diagonal in the odd path basis, D; an even letter is diagonal in
-the even basis and acts conjugated by the duality matrix, a E a†
-with a† = a^T, so a program reads like  a f a† g a h a† ...  Both
-kinds are symmetric d x d matrices S, u S = S u, so one loop (evolve)
-serves the row vectors here and qsim's d-blocks: it pushes e_0 through
-the letters of every program of one n, at every phase of a point, in
-one pass along their shared schedule (schedule), one in-place step
+the even basis and acts conjugated by the duality matrix, a E a† with
+a† = a^T, so a program reads like a f a† g a h a† ... Both kinds are
+symmetric d x d matrices S, u S = S u, so one loop (evolve) serves the
+row vectors here and qsim's d-blocks: it pushes e_0 through the
+letters of every program of one n, at every phase of a point, in one
+pass along their shared schedule (schedule), one in-place step
 (apply_letters) each. Forwards it reads the plat matrix element
 <0|S_1...S_L|0> (elements); reversed, with each step checked, it is
 qsim's evolution. Programs and phases are numpy axes through the
-F-moves of a and a^T (fusion.recouple), with no d x d matrix. A letter is
-compiled once into integer tallies per pair k and J = 0, 1 (summed
+F-moves of a and a^T (fusion.recouple), with no d x d matrix. A letter
+is compiled once into integer tallies per pair k and J = 0, 1 (summed
 power of q^{1/2}, count of -1 signs); one gather-sum over the paths'
-pair couplings gives a step's signs and powers per path (letters).
-The Jones polynomial is read off samples of the element, times the
-unlink normalization d^{n-1}, on the circle |q^{1/2}| = RHO just
-outside the unit circle: an inverse FFT gives the Laurent
-coefficients (a Cauchy integral, Bornemann, Found. Comput. Math. 11,
-2011), rounded to integers.
+pair couplings gives a step's signs and powers per path (letters). The
+Jones polynomial is read off samples of the element, times the unlink
+normalization d^{n-1}, on the circle |q^{1/2}| = RHO just outside the
+unit circle: an inverse FFT gives the Laurent coefficients (a Cauchy
+integral, Bornemann, Found. Comput. Math. 11, 2011), rounded to
+integers.
 """
 
 from __future__ import annotations
