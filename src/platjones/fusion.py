@@ -172,9 +172,9 @@ def _move_plan(n: int):
             a, d, j = fixed[k], fixed[k + 1], J[:, k]
             two = (a == d) & (a > 0)
             zero, one = np.flatnonzero(two & (j == 0)), np.flatnonzero(two & (j == 1))
-            p, q = (np.concatenate(x).astype(np.int32) for x in ([zero, one], [one, zero]))
-            block, j_p = 4 * (a[p].astype(np.int32) - 1), j[p]
-            moves.append((p, q, block + 3 * j_p, block + 2 - j_p))
+            p, q = np.concatenate([zero, one]), np.concatenate([one, zero])
+            block, j_p = 4 * (a[p].astype(int) - 1), j[p]
+            moves.append(tuple(x.astype(np.int32) for x in (p, q, block + 3 * j_p, block + 2 - j_p)))
             reached.append(a - 1 + 2 * np.where(two, j, d >= a))
         return tuple(moves), reached
 

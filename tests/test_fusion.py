@@ -182,7 +182,7 @@ def test_cold_move_plan_memory(monkeypatch):
 def test_bases_and_move_plan_memory_at_n11(monkeypatch):
     # n = 11, d = 58786: the bases keep (paths, pairs) int8 arrays of J
     # and the doubled labels, and the plan int32 paths, partners, keys
-    # and comb gathers, 11.8 MiB in all (37.7 MiB when all were int64)
+    # and comb gathers, 11.8 MiB in all
     monkeypatch.setattr(fusion, "_bases", functools.cache(fusion._bases.__wrapped__))
     tracemalloc.start()
     try:
