@@ -159,16 +159,6 @@ def format_word(word: BraidWord) -> str:
     return "; ".join(parts) + ";" + (f" {body}" if body else "")
 
 
-def permutation(word: BraidWord) -> tuple[int, ...]:
-    """Strand occupying each final position; odd powers transpose."""
-    perm = list(range(1, word.strands + 1))
-    for s in word.syllables:
-        if s.power % 2 != 0:
-            i = s.index - 1
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return tuple(perm)
-
-
 def mirror(word: BraidWord) -> BraidWord:
     """Negate every power; annotations and flips are kept."""
     return replace(

@@ -5,6 +5,9 @@ probability at a root of unity), oracle (exact skein computation),
 verify (cross-check the pipeline against the oracle on a corpus or on
 seeded random words).
 
+main parses a canonically spelled argv straight from COMMANDS; argparse,
+built from the same table, is imported only for --help and usage errors.
+
 Exit codes: 0 success, 1 verify found a failing case, 2 usage, word syntax,
 bad flag value or unreadable input, 3 cap/orientation failure, 4 coefficient
 read-out rejected, 5 degenerate or too-large theta, 6 out of memory.
@@ -12,13 +15,13 @@ read-out rejected, 5 degenerate or too-large theta, 6 out of memory.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -350,51 +353,91 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+SWITCH = {"action": "store_true", "default": False}
+# subcommand: (help, command, arguments in --help order); an argument is (name,
+# add_argument keywords), a bare name the positional, a list the required one-of group
+COMMANDS = {
+    "eval": ("reconstruct the Jones polynomial", cmd_eval, [
+        ("word_file", {"help": "file containing one braid word"}),
+        ("--tolerance", {"type": float, "default": 1e-6}),
+        ("--flips", {"help": "cup orientation bits, overrides the word"}), ("--json", SWITCH)]),
+    "prob": ("acceptance probability at one phase", cmd_prob, [
+        ("word_file", {}),
+        [("--root-order", {"type": int, "help": "theta = 2*pi/r"}), ("--theta", {"type": float})],
+        ("--flips", {}), ("--json", SWITCH)]),
+    "oracle": ("exact Kauffman-bracket Jones polynomial", cmd_oracle, [
+        ("word_file", {}), ("--flips", {}), ("--json", SWITCH)]),
+    "verify": ("cross-check evaluator, simulator and oracle", cmd_verify, [
+        [("corpus", {"nargs": "?", "help": "directory of *.txt word files"}),
+         ("--random", {"type": int, "metavar": "N"})],
+        ("--seed", {"type": int}), ("--tolerance", {"type": float, "default": 1e-6}),
+        ("--json", SWITCH)]),
+}
+
+
+def build_parser():
+    """argparse's parser of COMMANDS, for --help and every argv that _parse declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="platjones",
         description="Jones polynomials of plat closures via a unitary "
         "braid representation, with an exact skein oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pe = sub.add_parser("eval", help="reconstruct the Jones polynomial")
-    pe.add_argument("word_file", help="file containing one braid word")
-    pe.add_argument("--tolerance", type=float, default=1e-6)
-    pe.add_argument("--flips", help="cup orientation bits, overrides the word")
-    pe.add_argument("--json", action="store_true")
-    pe.set_defaults(func=cmd_eval)
-
-    pp = sub.add_parser("prob", help="acceptance probability at one phase")
-    pp.add_argument("word_file")
-    grp = pp.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--root-order", type=int, help="theta = 2*pi/r")
-    grp.add_argument("--theta", type=float)
-    pp.add_argument("--flips")
-    pp.add_argument("--json", action="store_true")
-    pp.set_defaults(func=cmd_prob)
-
-    po = sub.add_parser("oracle", help="exact Kauffman-bracket Jones polynomial")
-    po.add_argument("word_file")
-    po.add_argument("--flips")
-    po.add_argument("--json", action="store_true")
-    po.set_defaults(func=cmd_oracle)
-
-    pv = sub.add_parser("verify", help="cross-check evaluator, simulator and oracle")
-    source = pv.add_mutually_exclusive_group(required=True)
-    source.add_argument("corpus", nargs="?", help="directory of *.txt word files")
-    source.add_argument("--random", type=int, metavar="N")
-    pv.add_argument("--seed", type=int)
-    pv.add_argument("--tolerance", type=float, default=1e-6)
-    pv.add_argument("--json", action="store_true")
-    pv.set_defaults(func=cmd_verify)
-
+    for command, (summary, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(func=func)
+        for entry in arguments:
+            grouped = isinstance(entry, list)
+            group = p.add_mutually_exclusive_group(required=True) if grouped else p
+            for name, keywords in entry if grouped else [entry]:
+                group.add_argument(name, **keywords)
     return parser
 
 
+def _parse(argv: list[str]) -> Optional[SimpleNamespace]:
+    """build_parser().parse_args(argv) if argv is canonical, else None, for argparse.
+
+    Canonical: the subcommand, its positional next, then full flag names, each once
+    and each value its own token not starting with "-", and one side of the one-of group.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    groups = [entry if isinstance(entry, list) else [entry] for entry in arguments]
+    declared = {name: keywords for group in groups for name, keywords in group}
+    values = {name: keywords.get("default") for name, keywords in declared.items()}
+    positional = [name for name in declared if not name.startswith("-")]  # at most one
+    given = set(positional if argv[1:2] and not argv[1].startswith("-") else ())
+    for name in given:
+        values[name] = argv[1]
+    tokens = iter(argv[1 + len(given) :])
+    for token in tokens:
+        if not token.startswith("--") or token not in declared or token in given:
+            return None
+        given.add(token)
+        if declared[token] is SWITCH:
+            values[token] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            values[token] = declared[token].get("type", str)(value)
+        except ValueError:
+            return None
+    # the lone positional, and one side of the one-of group, must be given
+    required = [group for group in groups if len(group) > 1 or group[0][0] in positional]
+    if any(len({name for name, _ in group} & given) != 1 for group in required):
+        return None
+    dests = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(**dests, command=argv[0], func=func)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as e:

@@ -18,7 +18,8 @@ power of q^{1/2}, count of -1 signs); one gather-sum over the paths'
 pair couplings gives a step's signs and powers per path (letters). The
 Jones polynomial is read off samples of the element, times the unlink
 normalization d^{n-1}, on the circle |q^{1/2}| = RHO just outside the
-unit circle: an inverse FFT gives the Laurent coefficients (a Cauchy
+unit circle: an inverse DFT, one product with a table of roots of
+unity (laurent.inverse_dft), gives the Laurent coefficients (a Cauchy
 integral, Bornemann, Found. Comput. Math. 11, 2011), rounded to
 integers.
 """
@@ -311,7 +312,7 @@ def jones(word: BraidWord, tolerance: float = 1e-6) -> JonesResult:
 
     Samples the matrix element times the unlink normalization d^{n-1}
     at M points x = q^{1/2} on the circle |x| = RHO and reads the
-    integer coefficients off an inverse FFT (read_coefficients); M is
+    integer coefficients off an inverse DFT (read_coefficients); M is
     the window width plus a guard band on each side (circle_samples).
 
     The window is support_window of the resolved word: Kauffman's

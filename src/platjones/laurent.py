@@ -4,7 +4,8 @@ Coefficients are Python ints and arithmetic never touches floating
 point. Exponents are integers in x, i.e. half-integers in q; rendering
 converts to q-exponents. A polynomial with integer coefficients is read
 off its values at M equispaced points of the circle |x| = RHO just
-outside the unit circle: an inverse FFT of the samples is the Cauchy
+outside the unit circle: an inverse DFT of the samples, written out as
+one product with a table of the M-th roots of unity, is the Cauchy
 integral for the coefficients (Bornemann, Found. Comput. Math. 11,
 2011), which are then rounded. M is fixed by the exponent window: its
 width plus a guard band of GUARD exponents on each side.
@@ -187,16 +188,30 @@ def circle_samples(window: tuple[int, int]) -> CirclePoint:
     return CirclePoint(tuple((4.0 * math.pi / m * np.arange(m // 2 + 1)).tolist()), RHO)
 
 
+def inverse_dft(values: np.ndarray, m: int, ts: np.ndarray) -> np.ndarray:
+    """b_t = Re sum_j w_j conj(v_j) e^{2 pi i jt/M} / M over values v_j, j = 0..M//2.
+
+    As in an inverse real FFT, w_j = 1 at j = 0 and M/2 and 2 between. One
+    product with the M roots of unity, a table in the values' precision
+    gathered at (j t) mod M.
+    """
+    j = np.arange(len(values))
+    weights = np.where((j == 0) | (2 * j == m), 1, 2)
+    pi = np.arccos(np.asarray(-1, dtype=np.real(values).dtype))
+    roots = np.exp(2j * pi / m * np.arange(m))
+    return ((weights * np.conj(values)) @ roots[np.outer(j, ts) % m]).real / m
+
+
 def read_coefficients(
     values: np.ndarray, window: tuple[int, int], tolerance: float
 ) -> tuple[LaurentPoly, float]:
     """Integer Laurent coefficients from values at circle_samples(window).
 
-    c_k = RHO^{-k} b_{k mod M} with b the inverse DFT of all M samples,
-    read for the window and GUARD exponents past each end (the guard
-    band). The coefficients are rounded to integers. Rejects with
-    ResidualTooLarge when rounding moves one by more than the
-    tolerance, or when a guard coefficient rounds to nonzero (the
+    c_k = RHO^{-k} b_{k mod M} with b the inverse DFT of all M samples
+    (inverse_dft), read for the window and GUARD exponents past each
+    end (the guard band). The coefficients are rounded to integers.
+    Rejects with ResidualTooLarge when rounding moves one by more than
+    the tolerance, or when a guard coefficient rounds to nonzero (the
     support leaves the window; coefficients past the M read ones would
     alias silently). Returns the polynomial and the largest rounding
     shift.
@@ -204,8 +219,7 @@ def read_coefficients(
     lo, hi = window
     m = _sample_count(window)
     ks = np.arange(m) + lo - GUARD
-    b = np.fft.irfft(np.conj(values), n=m)
-    coeffs = b[ks % m] * RHO ** -ks.astype(float)
+    coeffs = inverse_dft(values, m, ks) * RHO ** -ks.astype(float)
     rounded = np.rint(coeffs)
     shift = float(np.max(np.abs(coeffs - rounded)))
     settings = f"rho {RHO}, M {m}, window [{lo}, {hi}]"

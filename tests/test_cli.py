@@ -1,6 +1,10 @@
 import argparse
+import contextlib
+import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -8,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platjones import braid, cli, evaluator, fusion, qsim
 from platjones.braid import parse
@@ -289,6 +295,146 @@ def test_cli_flags_documented_consistently():
         for name, p in sub.choices.items()
     }
     assert documented == flags
+    # the table the direct parse reads declares the same flags, and the
+    # same positional as the parser and the synopsis
+    table = {command: _table_names(command) for command in cli.COMMANDS}
+    assert {command: {n for n in names if n.startswith("-")} for command, names in table.items()} == flags
+    positionals = {
+        name: [a.dest for a in p._actions if not a.option_strings] for name, p in sub.choices.items()
+    }
+    assert {command: [n for n in names if not n.startswith("-")] for command, names in table.items()} == positionals
+    for entry in re.split(r"\n(?=platjones )", synopsis.strip()):
+        bare = re.findall(r"[A-Z][A-Z_]+", re.sub(r"--[a-z-]+( [A-Z]+)?", "", entry))
+        assert len(bare) == len(positionals[entry.split()[1]]), entry
+
+
+def _table_names(command):
+    """Every argument name cli.COMMANDS declares for a subcommand, in order."""
+    entries = cli.COMMANDS[command][2]
+    return [name for e in entries for name, _ in (e if isinstance(e, list) else [e])]
+
+
+VALUES = ["7", "01", "0.3", "nan", "-1", "-0.5", "-", "-x", "x", ""]
+JUNK = ["-h", "--help", "--", "--bogus", "-j", "--json=1", "w.txt", "corpus", "word_file"]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv from cli.COMMANDS: the subcommand, mostly a positional, and
+    distinct flags each with a value that converts, in any order (so
+    both or neither side of a one-of group), and up to two bad chunks:
+    an abbreviation, --flag=value, a value starting with "-", a repeated
+    flag, a missing value, or junk with or without a value."""
+    command = draw(st.sampled_from([*cli.COMMANDS] * 3 + ["ev", "help"]))
+    names = _table_names(command) if command in cli.COMMANDS else ["--json"]
+    flags = st.sampled_from([n for n in names if n.startswith("-")])
+    value = st.sampled_from(VALUES)
+    good = st.tuples(flags, st.sampled_from(["7", "01"])).map(
+        lambda pair: pair[:1] if pair[0] == "--json" else pair)
+    bad = st.one_of(
+        st.tuples(flags.map(lambda f: f[:5]), value),
+        st.tuples(st.builds("{}={}".format, flags, value)),
+        st.tuples(flags, value),
+        st.tuples(flags),
+        st.tuples(st.sampled_from(JUNK + VALUES)),
+        st.tuples(st.sampled_from(JUNK), value),
+    )
+    chunks = draw(st.lists(good, max_size=4, unique_by=lambda chunk: chunk[0]))
+    for _ in range(draw(st.integers(0, 2))):
+        chunks.insert(draw(st.integers(0, len(chunks))), draw(bad))
+    head = draw(st.sampled_from([["w.txt"]] * 4 + [[], ["-w"]]))
+    return [command, *head, *(token for chunk in chunks for token in chunk)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_argvs())
+def test_direct_parse_agrees_with_argparse(argv):
+    # the direct parse declines an argv, or gives argparse's namespace;
+    # every argv that makes argparse exit (a usage error, --help) is declined
+    direct = cli._parse(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            want = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            want = None
+    if direct is not None:
+        assert vars(direct) == want
+
+
+def test_direct_parse_takes_canonical_argv_and_declines_the_rest():
+    # every flag of the table, with a value, in one canonical argv per
+    # side of each one-of group; each other spelling goes to argparse
+    for argv in (
+        ["eval"], ["eval", "-h"], ["eval", "w.txt", "--tol", "1e-3"], ["eval", "w.txt", "--json=1"],
+        ["eval", "w.txt", "--tolerance", "-1"], ["eval", "w.txt", "--flips", "-x"],
+        ["eval", "w.txt", "--flips", "--json"], ["eval", "w.txt", "--flips"],
+        ["eval", "w.txt", "--json", "--json"], ["eval", "--json", "w.txt"],
+        ["eval", "--json", "word_file", "x"], ["eval", "w.txt", "x"], ["oracle", "w.txt", "--tolerance", "1"],
+        ["prob", "w.txt"], ["prob", "w.txt", "--theta", "1", "--root-order", "7"],
+        ["prob", "w.txt", "--root-order", "0.3"],
+        ["verify"], ["verify", "corpus", "--random", "3"], ["verify", "--random", "3", "corpus", "x"],
+    ):
+        assert cli._parse(argv) is None, argv
+    for argv in (
+        ["eval", "w.txt", "--tolerance", "1e-3", "--flips", "01", "--json"],
+        ["prob", "w.txt", "--root-order", "7", "--flips", "01", "--json"],
+        ["prob", "w.txt", "--json", "--theta", "0.3"],
+        ["oracle", "w.txt", "--flips", "01", "--json"],
+        ["verify", "corpus", "--tolerance", "1e-3", "--json"],
+        ["verify", "--random", "3", "--seed", "2", "--json"],
+    ):
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def _run_python(code, *args, cwd):
+    """Run code in a fresh interpreter on the package in src/: (exit code, stdout, stderr)."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    done = subprocess.run([sys.executable, "-B", *code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+FOOTPRINT = """
+import contextlib, io, json, sys
+from platjones import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as e:
+            codes.append(e.code)
+front = ("argparse", "gettext", "locale", "numpy.fft")
+print(json.dumps([codes, [m for m in front if m in sys.modules]]))
+"""
+
+
+def test_canonical_calls_load_no_argparse_and_no_fft(tmp_path):
+    # a canonical call parses straight from the table and reads its
+    # coefficients without numpy.fft; --help and a usage error still
+    # reach argparse, which answers with exit 0 and exit 2
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "w.txt").write_text("strands=4; g2^-3")
+    (tmp_path / "corpus" / "a.txt").write_text("strands=4; g2^2")
+    canonical = [["eval", "w.txt", "--json"], ["oracle", "w.txt"], ["verify", "corpus", "--json"]]
+    code, out, err = _run_python(["-c", FOOTPRINT], json.dumps(canonical), cwd=tmp_path)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [[0, 0, 0], []]
+    code, out, err = _run_python(["-c", FOOTPRINT], json.dumps([["--help"], ["eval"]]), cwd=tmp_path)
+    codes, loaded = json.loads(out)
+    assert codes == [0, 2] and "argparse" in loaded
+
+
+def test_console_script_reads_sys_argv(tmp_path):
+    # the platjones entry point is main(None), which reads sys.argv
+    (tmp_path / "w.txt").write_text("strands=4; g2^2")
+    code, out, err = _run_python(["-m", "platjones.cli"], "oracle", "w.txt", cwd=tmp_path)
+    assert (code, err) == (0, "")
+    assert "jones (t): -t^{-5/2} - t^{-1/2}" in out
+    code, out, err = _run_python(["-m", "platjones.cli"], "oracle", cwd=tmp_path)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: the following arguments are required: word_file\n")
 
 
 def _count_calls(monkeypatch, fn) -> list:

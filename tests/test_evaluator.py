@@ -15,7 +15,6 @@ from platjones.braid import (
     BraidWord,
     Syllable,
     parse,
-    permutation,
     resolve_orientations,
 )
 from platjones.errors import (
@@ -451,9 +450,13 @@ def _components(word):
     """Link components of the plat closure, from the braid permutation.
 
     Cups join bottom ends (2k, 2k+1); caps join the strands that the
-    braid brings to top positions (2k, 2k+1).
+    braid brings to top positions (2k, 2k+1). perm[i] is the strand at
+    final position i; an odd power transposes two positions.
     """
-    perm = permutation(word)
+    perm = list(range(1, word.strands + 1))
+    for s in word.syllables:
+        if s.power % 2:
+            perm[s.index - 1], perm[s.index] = perm[s.index], perm[s.index - 1]
     parent = list(range(word.strands))
 
     def find(a):

@@ -15,6 +15,7 @@ from platjones.laurent import (
     RHO,
     LaurentPoly,
     circle_samples,
+    inverse_dft,
     laurent_eval,
     read_coefficients,
     render_q,
@@ -114,6 +115,23 @@ def test_circle_samples_are_the_upper_half_circle():
     assert len(x) == 13
     assert np.allclose(np.abs(x), RHO, rtol=1e-15)
     assert np.allclose(x, RHO * np.exp(2j * math.pi * np.arange(13) / 24))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_inverse_dft_matches_irfft(dtype):
+    # the direct sum against numpy's inverse real FFT, for odd and even M
+    # and for t below 0 and past M; round-off stays under M eps of the
+    # largest output, in the samples' own precision
+    rng = np.random.default_rng(0)
+    eps = np.finfo(np.real(np.zeros(1, dtype)).dtype).eps
+    for m in [*range(17, 250, 3), 250]:
+        half = rng.standard_normal((2, m // 2 + 1))
+        values = (half[0] + 1j * half[1]).astype(dtype)
+        want = np.fft.irfft(np.conj(values), n=m)
+        ts = np.arange(-m, 2 * m)
+        got = inverse_dft(values, m, ts)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want[ts % m])) <= m * eps * np.max(np.abs(want)), m
 
 
 def test_fit_roundtrip_wide_window():
