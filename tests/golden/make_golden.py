@@ -87,6 +87,14 @@ def calls() -> list[dict]:
     add("oracle-hopf", ["oracle", w], word(HOPF))
     add("oracle-hopf-json", ["oracle", w, "--json"], word(HOPF))
     add("oracle-deep-json", ["oracle", w, "--json"], word("strands=4; g2^9 g1^-8 g2^8"))
+    # test_oracle's 120-crossing word, and a seeded word whose largest
+    # coefficient needs 76 bits
+    forty = ("g2^3 g4^-2 g3^3 g6^2 g5^-3 g1^2 g7^-3 g2^-2 g4^3 "
+             "g3^-2 g6^-3 g5^2 g4^2 g2^3 g6^-3 g3^2")
+    for name, text in (("120", "strands=8; " + " ".join([forty] * 3)),
+                       ("n3-c300", seeded_word(3, 300, 0))):
+        add(f"oracle-{name}", ["oracle", w], word(text))
+        add(f"oracle-{name}-json", ["oracle", w, "--json"], word(text))
     add("verify-corpus", ["verify", f"{TMP}/corpus"], SMALL_CORPUS)
     add("verify-corpus-json", ["verify", f"{TMP}/corpus", "--json"], SMALL_CORPUS)
     add("verify-random", ["verify", "--random", "30"])
