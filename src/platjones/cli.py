@@ -47,9 +47,9 @@ from .evaluator import (
 from .laurent import LaurentPoly, render_q
 from .oracle import (
     bracket_span,
-    jones_exact,
     kauffman_bracket,
     plat_diagram,
+    resolved_diagram,
     writhe_correction,
 )
 from .qnum import QPoint
@@ -138,7 +138,7 @@ def cmd_eval(args) -> int:
     word = _load_word(args)
     result = jones(word, tolerance=args.tolerance)
     annotated = result.program.word
-    exact = jones_exact(annotated)
+    exact = writhe_correction(kauffman_bracket(resolved_diagram(annotated)), writhe(annotated))
     factor = convention_factor(result.polynomial, exact)
     deviations = {"rounding_shift": result.max_shift}
     report = _report(

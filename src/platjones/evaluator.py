@@ -62,18 +62,6 @@ BLOCK_ENTRIES = 1 << 12  # complex entries (64 KiB) of one block of d-vectors
 SPECTRUM = {PARALLEL: ((-1, 1), (3, 1)), ANTIPARALLEL: ((1, -1), (0, -2))}
 
 
-def braiding_phase(J: int, orientation: str, handedness: str, point):
-    """Markov-corrected braiding eigenvalue for pair coupling J, per phase.
-
-    Right-handed: parallel strands give (-q^{3/2}, q^{1/2}) for J=0,1;
-    antiparallel give (1, -q^{-1}). Left-handed is the complex inverse.
-    """
-    if J not in (0, 1):
-        raise ValueError(f"pair coupling must be 0 or 1, got {J}")
-    signs, exponents = _spectrum(orientation, handedness)
-    return signs[J] * point.q_half ** exponents[J]
-
-
 def _spectrum(orientation: str, handedness: str) -> tuple[tuple[int, int], tuple[int, int]]:
     """Signs and x-exponents of the braiding eigenvalues, columns J = 0, 1."""
     if orientation not in SPECTRUM:
@@ -115,11 +103,6 @@ class BlockOperator:
                 tally[2 * k + J] += abs(s.power) * (signs[J] < 0)
                 tally[2 * (pairs + k) + J] += abs(s.power) * exponents[J]
         return tuple(tally)
-
-    def phases(self, point) -> np.ndarray:
-        """Diagonal entries sign * x^exponent, one row per phase of the point."""
-        sign, exponent = letters([self])
-        return sign[0] * np.power.outer(point.q_half, exponent[0])
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .qnum import CirclePoint
 
 RHO = 1.05  # |x| of the sampling circle
 GUARD = 8  # exponents read past each end of the window, to catch aliasing
+DFT_CHUNK = 64  # outputs of inverse_dft per product
 
 
 class LaurentPoly:
@@ -191,15 +192,19 @@ def circle_samples(window: tuple[int, int]) -> CirclePoint:
 def inverse_dft(values: np.ndarray, m: int, ts: np.ndarray) -> np.ndarray:
     """b_t = Re sum_j w_j conj(v_j) e^{2 pi i jt/M} / M over values v_j, j = 0..M//2.
 
-    As in an inverse real FFT, w_j = 1 at j = 0 and M/2 and 2 between. One
+    As in an inverse real FFT, w_j = 1 at j = 0 and M/2 and 2 between. A
     product with the M roots of unity, a table in the values' precision
-    gathered at (j t) mod M.
+    gathered at (j t) mod M, for DFT_CHUNK outputs t at a time, so memory
+    stays O(M) and each b_t sums over j as in one whole product.
     """
     j = np.arange(len(values))
-    weights = np.where((j == 0) | (2 * j == m), 1, 2)
+    weighted = np.where((j == 0) | (2 * j == m), 1, 2) * np.conj(values)
     pi = np.arccos(np.asarray(-1, dtype=np.real(values).dtype))
     roots = np.exp(2j * pi / m * np.arange(m))
-    return ((weights * np.conj(values)) @ roots[np.outer(j, ts) % m]).real / m
+    # a last chunk of one output would take another BLAS path than one product
+    edges = [*range(0, max(len(ts) - 1, 1), DFT_CHUNK), len(ts)]
+    parts = [(weighted @ roots[np.outer(j, ts[a:b]) % m]).real for a, b in zip(edges, edges[1:])]
+    return np.concatenate(parts) / m
 
 
 def read_coefficients(

@@ -597,6 +597,25 @@ def test_eval_compiles_once_and_resolves_twice(tmp_path, monkeypatch, capsys):
     assert len(resolves) <= 2
 
 
+def test_eval_resolves_the_word_once(tmp_path, monkeypatch, capsys):
+    # the oracle's diagram is built from the evaluator's resolved word
+    text = "strands=8; g2^-1 g4^2 g3^1"
+    propagate, walks = braid._propagate, []
+
+    def counted(*args):
+        walks.append(args[1])
+        return propagate(*args)
+
+    monkeypatch.setattr(braid, "_propagate", counted)
+    braid.resolve_orientations(parse(text))
+    alone = list(walks)
+    assert len(alone) > 1  # the auto resolution tries more than one flip vector
+    walks.clear()
+    assert main(["eval", _word_file(tmp_path, text)]) == 0
+    assert "oracle (t=q)" in capsys.readouterr().out
+    assert walks == alone
+
+
 def test_prob_compiles_and_resolves_once(tmp_path, monkeypatch, capsys):
     resolves = _count_calls(monkeypatch, braid.resolve_orientations)
     compiles = _count_calls(monkeypatch, evaluator.compile)

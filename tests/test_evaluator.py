@@ -24,7 +24,6 @@ from platjones.errors import (
 )
 from platjones.evaluator import (
     admissible_arc,
-    braiding_phase,
     compile as compile_word,
     convention_factor,
     evaluate,
@@ -37,6 +36,8 @@ from platjones.fusion import block_dimension, duality_matrix, pair_couplings, re
 from platjones.laurent import LaurentPoly, circle_samples, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
+
+from phase_helpers import braiding_phase, letter_phases
 
 
 def _resolved(text):
@@ -66,7 +67,7 @@ def test_braiding_phase_rejects_auto():
         braiding_phase(0, "auto", "right", QPoint(0.5))
     block = evaluator.BlockOperator(n=2, token="f", basis="odd", run=(Syllable(1, 1),))
     with pytest.raises(UnannotatedSyllable):
-        block.phases(QPoint(0.5))
+        letter_phases(block, QPoint(0.5))
 
 
 def test_compile_reference_patterns():
@@ -108,12 +109,12 @@ def test_reference_diagonal_content():
     f, g, h = ba.letters
     assert f.basis == "even" and g.basis == "odd" and h.basis == "even"
     lam_anti = [braiding_phase(J, "antiparallel", "left", pt) for J in (0, 1)]
-    assert g.phases(pt) == pytest.approx(
+    assert letter_phases(g, pt) == pytest.approx(
         [lam_anti[0] ** 4, lam_anti[1] ** 4]
     )
     lam_par = [braiding_phase(J, "parallel", "right", pt) for J in (0, 1)]
-    assert f.phases(pt) == pytest.approx([lam_par[0] ** 3, lam_par[1] ** 3])
-    assert h.phases(pt) == pytest.approx(f.phases(pt))
+    assert letter_phases(f, pt) == pytest.approx([lam_par[0] ** 3, lam_par[1] ** 3])
+    assert letter_phases(h, pt) == pytest.approx(letter_phases(f, pt))
 
 
 def test_evaluate_identity_word():
@@ -162,9 +163,9 @@ def test_evaluate_matches_oracle_modulus():
 def _dense_operator(op, point):
     """Test-only dense d x d form of one compiled letter at one phase: D, or a E a^T."""
     if op.basis == "odd":
-        return np.diag(op.phases(point))
+        return np.diag(letter_phases(op, point))
     a = duality_matrix(op.n, point)
-    return a @ np.diag(op.phases(point)) @ a.T
+    return a @ np.diag(letter_phases(op, point)) @ a.T
 
 
 def _element_per_phase(program, thetas):
@@ -201,7 +202,7 @@ def _element_by_act(program, point):
     for op in program.letters:
         if op.basis == "even":
             v = recouple(v, program.n, point)
-        v = v * op.phases(point)
+        v = v * letter_phases(op, point)
         if op.basis == "even":
             v = recouple(v, program.n, point, transpose=True)
     return v[:, 0]
@@ -403,7 +404,7 @@ def test_even_step_is_symmetric_and_its_dense_form():
         for point in (QPoint(tuple(phase_grid(n, 10).tolist())), circle_samples((-9, 9))):
             a = duality_matrix(n, point)
             for op in even:
-                phases = op.phases(point)
+                phases = letter_phases(op, point)
                 S = a * phases[:, None, :] @ a.swapaxes(-1, -2)
                 scale = np.max(np.abs(a) @ np.abs(a).swapaxes(-1, -2))
                 assert np.max(np.abs(S - S.swapaxes(-1, -2))) < 1e-14 * scale

@@ -16,6 +16,8 @@ from platjones.fusion import duality_matrix, racah
 from platjones.laurent import circle_samples
 from platjones.qnum import CirclePoint, QPoint, RealQPoint, q_number
 
+from phase_helpers import braiding_phase
+
 
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
@@ -584,8 +586,6 @@ def test_duality_needs_even_basis():
 def _braid_blocks(n, pt):
     """Elementary braid blocks: odd generators are diagonal on odd paths,
     even generators conjugate by the duality matrix."""
-    from platjones.evaluator import braiding_phase
-
     odd, even = (J.tolist() for J in fusion.pair_couplings(n))
     a = duality_matrix(n, pt).astype(complex)
     blocks = {}

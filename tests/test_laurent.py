@@ -1,7 +1,13 @@
 """Exact Laurent arithmetic and the read-out of coefficients from circle samples."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -9,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from platjones import laurent
 from platjones.errors import ResidualTooLarge
 from platjones.laurent import (
     GUARD,
@@ -132,6 +139,52 @@ def test_inverse_dft_matches_irfft(dtype):
         got = inverse_dft(values, m, ts)
         assert got.dtype == want.dtype
         assert np.max(np.abs(got - want[ts % m])) <= m * eps * np.max(np.abs(want)), m
+
+
+def test_inverse_dft_memory_is_linear_in_m():
+    # the product runs over chunks of outputs: no M x M table at M = 1619
+    m = 1619
+    half = np.random.default_rng(1).standard_normal((2, m // 2 + 1))
+    values = half[0] + 1j * half[1]
+    tracemalloc.start()
+    try:
+        inverse_dft(values, m, np.arange(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+ONE_PRODUCT = """
+import numpy as np
+from platjones.laurent import inverse_dft
+
+def one_product(values, m, ts):
+    j = np.arange(len(values))
+    weights = np.where((j == 0) | (2 * j == m), 1, 2)
+    pi = np.arccos(np.asarray(-1, dtype=np.real(values).dtype))
+    roots = np.exp(2j * pi / m * np.arange(m))
+    return ((weights * np.conj(values)) @ roots[np.outer(j, ts) % m]).real / m
+
+rng = np.random.default_rng(2)
+for dtype in (np.complex128, np.clongdouble):
+    for m in (41, 65, 127, 128, 129, 257, 1619):
+        half = rng.standard_normal((2, m // 2 + 1))
+        values = (half[0] + 1j * half[1]).astype(dtype)
+        ts = np.arange(m) - m // 3
+        assert np.array_equal(inverse_dft(values, m, ts), one_product(values, m, ts)), (dtype, m)
+"""
+
+
+def test_inverse_dft_chunks_equal_one_product():
+    # bit for bit, with one BLAS thread: a threaded BLAS splits the sums
+    # of a product that wide, and so of the one product, its own way
+    src = str(Path(laurent.__file__).resolve().parent.parent)
+    threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    done = subprocess.run([sys.executable, "-B", "-c", textwrap.dedent(ONE_PRODUCT)],
+                          env={**os.environ, **threads, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_fit_roundtrip_wide_window():

@@ -1,22 +1,26 @@
 """Exact skein oracle: the Temperley–Lieb sweep against known values and
 against a brute-force 2^c state sum kept here as the reference."""
 
+import functools
 import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from platjones.braid import mirror, parse, resolve_orientations, writhe
+from platjones.braid import cap, mirror, parse, resolve_orientations, writhe
 from platjones.errors import AnnotationConflict, CapMismatch
 from platjones.laurent import LaurentPoly, laurent_eval
 from platjones.oracle import (
     LOOP_VALUE,
+    _digits,
     bracket_span,
     jones_exact,
     kauffman_bracket,
     plat_diagram,
+    resolved_diagram,
     writhe_correction,
 )
 from platjones.qnum import QPoint
@@ -66,6 +70,96 @@ def state_sum_bracket(diagram):
         ),
         LaurentPoly.zero(),
     )
+
+
+def _add(target, coeffs, factor):
+    """target += coeffs * factor, on {A-exponent: int} dicts, in place."""
+    for shift, scale in factor.items():
+        for e, c in coeffs.items():
+            e += shift
+            target[e] = target.get(e, 0) + scale * c
+
+
+@functools.cache
+def _loop_power(k):
+    return (LOOP_VALUE**k).coeffs()
+
+
+def dict_sweep_bracket(diagram):
+    """The planar-matching sweep with each state's coefficients in an
+    {A-exponent: int} dict: the reference past the state sum's reach."""
+    states = {tuple(k ^ 1 for k in range(2 * diagram.n)): {0: 1}}
+    for i, eps in diagram.crossings:
+        swept = {}
+        kept, capped, closed = {eps: 1}, {-eps: 1}, {2 - eps: -1, -2 - eps: -1}
+        for partner, coeffs in states.items():
+            joined = list(partner)
+            loop = cap(joined, i)
+            joined[i], joined[i + 1] = i + 1, i
+            _add(swept.setdefault(partner, {}), coeffs, kept)
+            _add(swept.setdefault(tuple(joined), {}), coeffs, closed if loop else capped)
+        states = swept
+    total = {}
+    for partner, coeffs in states.items():
+        joined = list(partner)
+        loops = sum(cap(joined, k) for k in range(0, len(joined), 2))
+        _add(total, coeffs, _loop_power(loops - 1))
+    return LaurentPoly(total)
+
+
+def _diagram(text):
+    """The bracket needs no orientation: list the crossings of the word as written."""
+    return resolved_diagram(parse(text))
+
+
+@st.composite
+def long_words(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    c = draw(st.integers(min_value=0, max_value=60))
+    crossings = draw(
+        st.lists(st.tuples(st.integers(1, 2 * n - 1), st.sampled_from([-1, 1])), min_size=c, max_size=c)
+    )
+    return _diagram(f"strands={2 * n}; " + " ".join(f"g{i}^{k}" for i, k in crossings))
+
+
+@given(long_words())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_packed_sweep_matches_dict_sweep(diagram):
+    # past 32 crossings the packed sweep also trims the states' low digits
+    assert kauffman_bracket(diagram) == dict_sweep_bracket(diagram)
+
+
+def test_packed_sweep_without_crossings_is_a_loop_power():
+    for n in range(1, 5):
+        assert kauffman_bracket(_diagram(f"strands={2 * n};")) == LOOP_VALUE ** (n - 1)
+
+
+def test_packed_sweep_with_crossings_of_one_sign():
+    # every crossing kept or capped the same way, past one and two trims
+    for text in (
+        "strands=2; g1^40", "strands=2; g1^-40", "strands=4; g2^70", "strands=4; g2^-70",
+        "strands=6; g1^3 g2^5 g3^7 g4^9 g5^11 g2^3", "strands=6; g1^-3 g2^-5 g3^-7 g4^-9 g5^-11",
+        "strands=8; g4^-2 g3^-2 g5^-2 g2^-2 g6^-2 g1^-2 g7^-2",
+    ):
+        diagram = _diagram(text)
+        want = dict_sweep_bracket(diagram)
+        assert kauffman_bracket(diagram) == want, text
+        if diagram.crossing_count <= 10:
+            assert want == state_sum_bracket(diagram), text
+
+
+def test_digits_reads_signed_digits():
+    rng = random.Random(5)
+    assert _digits(0, 8) == {}
+    for b in (8, 16, 64, 200):
+        top = (1 << b - 1) - 1
+        for _ in range(20):
+            digits = [rng.randint(-top, top) for _ in range(rng.randint(1, 12))]
+            digits += [0] * rng.randint(0, 3) + [rng.choice((-top, top, 1, -1))]
+            digits = [0] * rng.randint(0, 3) + digits + [0] * rng.randint(0, 3)
+            digits[rng.randrange(len(digits))] = 0
+            value = sum(d << b * k for k, d in enumerate(digits))
+            assert _digits(value, b) == {k: d for k, d in enumerate(digits) if d}
 
 
 @st.composite
