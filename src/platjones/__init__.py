@@ -3,7 +3,6 @@ representation, cross-checked by an exact Kauffman-bracket oracle."""
 
 from .braid import (
     BraidWord,
-    CapReport,
     Syllable,
     format_word,
     mirror,
@@ -18,7 +17,6 @@ from .errors import (
     NegativeRadicand,
     NonAdmissibleTriple,
     NonUnitaryBlock,
-    ParityMismatch,
     PlatJonesError,
     ResidualTooLarge,
     UnannotatedSyllable,
@@ -44,7 +42,6 @@ __all__ = [
     "AnnotationConflict",
     "BraidWord",
     "CapMismatch",
-    "CapReport",
     "CirclePoint",
     "DegenerateQ",
     "JonesResult",
@@ -52,7 +49,6 @@ __all__ = [
     "NegativeRadicand",
     "NonAdmissibleTriple",
     "NonUnitaryBlock",
-    "ParityMismatch",
     "PlanarDiagram",
     "PlatJonesError",
     "QPoint",

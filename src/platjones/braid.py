@@ -57,17 +57,6 @@ class BraidWord:
         return all(s.orientation != AUTO for s in self.syllables)
 
 
-@dataclass(frozen=True)
-class CapReport:
-    flips: tuple[bool, ...]
-    pair_valid: tuple[bool, ...]
-    top_directions: tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return all(self.pair_valid)
-
-
 _TOKEN = re.compile(r"[^\s;]+|;")
 _HEADER = re.compile(r"strands=(\d+)$")
 _FLIPS = re.compile(r"flips=([01]+)$")
@@ -167,25 +156,24 @@ def mirror(word: BraidWord) -> BraidWord:
     )
 
 
-def propagate_orientations(word: BraidWord, cup_flips) -> tuple[BraidWord, CapReport]:
+def propagate_orientations(word: BraidWord, cup_flips) -> BraidWord:
     """Walk the word from the given cup orientation and annotate it.
 
     Each syllable is labeled by whether the two current directions at
-    (i, i+1) agree; explicit labels that disagree with propagation raise
-    AnnotationConflict. Antiparallel syllables with |power| > 1 are
-    split into unit-power syllables (a crossing swaps the directions,
-    so labels cannot actually alternate, but the evaluator consumes
-    per-crossing choices). Raises CapMismatch unless every top pair
-    ends with opposite directions.
+    (i, i+1) agree, and keeps its power: a crossing swaps the two
+    directions, which leaves their agreement, so every crossing of a
+    syllable has the same label. Explicit labels that disagree with
+    propagation raise AnnotationConflict. Raises CapMismatch unless
+    every top pair ends with opposite directions.
     """
-    annotated, report = _propagate(word, tuple(cup_flips))
-    if not report.valid:
-        bad = [i + 1 for i, ok in enumerate(report.pair_valid) if not ok]
+    annotated, bad = _propagate(word, tuple(cup_flips))
+    if bad:
         raise CapMismatch(f"cap pairs {bad} have equal directions")
-    return annotated, report
+    return annotated
 
 
-def _propagate(word: BraidWord, flips: tuple[bool, ...]) -> tuple[BraidWord, CapReport]:
+def _propagate(word: BraidWord, flips: tuple[bool, ...]) -> tuple[BraidWord, list[int]]:
+    """The annotated word and its cap pairs (1-based) whose two directions are equal."""
     n = word.n
     if len(flips) != n:
         raise ValueError(f"need {n} cup flips")
@@ -202,26 +190,15 @@ def _propagate(word: BraidWord, flips: tuple[bool, ...]) -> tuple[BraidWord, Cap
                 f"syllable {s.index}^{s.power} marked {s.orientation}, "
                 f"propagation gives {orient}"
             )
-        if orient == ANTIPARALLEL and abs(s.power) > 1:
-            unit = 1 if s.power > 0 else -1
-            for _ in range(abs(s.power)):
-                out.append(Syllable(s.index, unit, orient))
-                up[i], up[i + 1] = up[i + 1], up[i]
-        else:
-            out.append(Syllable(s.index, s.power, orient))
-            if s.power % 2 != 0:
-                up[i], up[i + 1] = up[i + 1], up[i]
-    pair_valid = tuple(up[2 * i] != up[2 * i + 1] for i in range(n))
-    report = CapReport(
-        flips=flips,
-        pair_valid=pair_valid,
-        top_directions=tuple("up" if d else "down" for d in up),
-    )
-    return replace(word, syllables=tuple(out), flips=flips), report
+        out.append(Syllable(s.index, s.power, orient))
+        if s.power % 2 != 0:
+            up[i], up[i + 1] = up[i + 1], up[i]
+    bad = [i + 1 for i in range(n) if up[2 * i] == up[2 * i + 1]]
+    return replace(word, syllables=tuple(out), flips=flips), bad
 
 
-def resolve_orientations(word: BraidWord) -> tuple[BraidWord, CapReport]:
-    """Find cup flips consistent with annotations and valid caps.
+def resolve_orientations(word: BraidWord) -> BraidWord:
+    """Find cup flips consistent with annotations and valid caps; the annotated word.
 
     Uses the word's own flips when present; otherwise scans all 2^n
     vectors in lexicographic order and takes the first that works, so
@@ -233,13 +210,13 @@ def resolve_orientations(word: BraidWord) -> tuple[BraidWord, CapReport]:
     last_conflict = None
     for bits in itertools.product([False, True], repeat=word.n):
         try:
-            annotated, report = _propagate(word, bits)
+            annotated, bad = _propagate(word, bits)
         except AnnotationConflict as e:
             last_conflict = e
             continue
         conflict_free += 1
-        if report.valid:
-            return annotated, report
+        if not bad:
+            return annotated
     if conflict_free:
         raise CapMismatch(
             "no cup orientation closes the caps "

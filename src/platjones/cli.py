@@ -193,7 +193,7 @@ def cmd_prob(args) -> int:
         theta_label = f"{theta!r}"
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta!r}")
-    annotated, _ = resolve_orientations(word)
+    annotated = resolve_orientations(word)
     program = compile_word(annotated)
     amp = complex(qsim_amplitudes([program], theta)[0])
     pk = abs(amp) ** 2

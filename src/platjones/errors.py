@@ -50,10 +50,6 @@ class AnnotationConflict(PlatJonesError):
     """Explicit orientation annotation contradicts propagation."""
 
 
-class ParityMismatch(PlatJonesError):
-    """Syllable run mixes generator-index parities."""
-
-
 class UnannotatedSyllable(PlatJonesError):
     """Auto-orientation syllable reached a stage requiring annotations."""
 

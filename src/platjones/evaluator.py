@@ -44,7 +44,7 @@ from .braid import (
     state_loops,
     writhe,
 )
-from .errors import ParityMismatch, UnannotatedSyllable
+from .errors import UnannotatedSyllable
 from .fusion import block_dimension, pair_couplings, recouple
 from .laurent import LaurentPoly, circle_samples, laurent_eval, read_coefficients
 from .qnum import QPoint
@@ -72,16 +72,6 @@ def _spectrum(orientation: str, handedness: str) -> tuple[tuple[int, int], tuple
     return signs, (exponents if handedness == RIGHT else (-exponents[0], -exponents[1]))
 
 
-def _pair_of_index(index: int, basis: str) -> int:
-    if basis == ODD:
-        if index % 2 == 0:
-            raise ParityMismatch(f"even generator {index} in an odd-basis run")
-        return (index - 1) // 2
-    if index % 2 != 0:
-        raise ParityMismatch(f"odd generator {index} in an even-basis run")
-    return index // 2 - 1
-
-
 @dataclass(frozen=True)
 class BlockOperator:
     """One diagonal letter of a compiled program: a run's braiding phases in its basis."""
@@ -97,7 +87,7 @@ class BlockOperator:
         pairs = pair_couplings(self.n)[self.basis != ODD].shape[1]
         tally = [0] * (4 * pairs)
         for s in self.run:
-            k = _pair_of_index(s.index, self.basis)
+            k = (s.index - 1) // 2  # sigma_i's pair in either basis: compile splits runs by parity
             signs, exponents = _spectrum(s.orientation, RIGHT if s.power > 0 else LEFT)
             for J in (0, 1):
                 tally[2 * k + J] += abs(s.power) * (signs[J] < 0)
@@ -232,8 +222,7 @@ def compile(word: BraidWord) -> CompiledProgram:
 
 def evaluate(word: BraidWord, theta: float) -> complex:
     """Plat matrix element <0| program |0> at q = e^{i theta}."""
-    annotated, _ = resolve_orientations(word)
-    return complex(compile(annotated).element(QPoint((theta,)))[0])
+    return complex(compile(resolve_orientations(word)).element(QPoint((theta,)))[0])
 
 
 def unlink_normalization(n: int, theta):
@@ -306,7 +295,7 @@ def jones(word: BraidWord, tolerance: float = 1e-6) -> JonesResult:
     residual is max |P(x_j) - R(x_j)| over the samples, R the rounded
     polynomial.
     """
-    annotated, _ = resolve_orientations(word)
+    annotated = resolve_orientations(word)
     program = compile(annotated)
     n = word.n
     window = support_window(annotated)

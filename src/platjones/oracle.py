@@ -65,7 +65,7 @@ class PlanarDiagram:
 
 def plat_diagram(word: BraidWord) -> PlanarDiagram:
     """List the crossings bottom to top; orientation resolution validates caps."""
-    return resolved_diagram(resolve_orientations(word)[0])
+    return resolved_diagram(resolve_orientations(word))
 
 
 def resolved_diagram(annotated: BraidWord) -> PlanarDiagram:

@@ -118,7 +118,8 @@ def q_number(two_x, point):
     log_x = point.log_q_half
     den = np.sinh(log_x)
     small = np.abs(den) < 1e-12
-    if small.any():
+    # a real point's den vanishes only at q = 1, returned above; near it the ratio is accurate
+    if small.any() and not isinstance(point, RealQPoint):
         raise DegenerateQ(
             f"sin(theta/2) vanishes at theta={first_at(point.thetas, small)!r}"
         )

@@ -9,50 +9,23 @@ zero (charge conservation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .qnum import RealQPoint
 
-UP = 0.5
-DOWN = -0.5
-PAIRS = ((UP, UP), (UP, DOWN), (DOWN, UP), (DOWN, DOWN))
-_PAIR_INDEX = {p: i for i, p in enumerate(PAIRS)}
+SWAP = [0, 2, 1, 3]  # pair order of (n2, n1) for each (n1, n2)
 
 
-def _pair_index(pair) -> int:
-    return _PAIR_INDEX[(float(pair[0]), float(pair[1]))]
-
-
-@dataclass(frozen=True)
-class RMatrix:
-    u: float
-    mu: float
-    entries: np.ndarray = field(repr=False)
-
-    def entry(self, m_pair, n_pair) -> float:
-        return float(self.entries[_pair_index(m_pair), _pair_index(n_pair)])
-
-
-@dataclass(frozen=True)
-class SigmaMatrix:
-    point: object
-    entries: np.ndarray = field(repr=False)
-
-    def entry(self, m_pair, n_pair) -> complex:
-        return complex(self.entries[_pair_index(m_pair), _pair_index(n_pair)])
-
-
-def r_matrix(u: float, mu: float) -> RMatrix:
-    """Six-vertex R-matrix at spectral parameter u and anisotropy mu."""
+def r_matrix(u: float, mu: float) -> np.ndarray:
+    """Six-vertex R-matrix at spectral parameter u and anisotropy mu, read-only."""
     e = np.zeros((4, 4))
     e[0, 0] = e[3, 3] = math.sinh(mu - u)
     e[1, 1] = e[2, 2] = -math.sinh(u)
     e[1, 2] = math.exp(-u) * math.sinh(mu)
     e[2, 1] = math.exp(u) * math.sinh(mu)
     e.setflags(write=False)
-    return RMatrix(u=u, mu=mu, entries=e)
+    return e
 
 
 def _sigma_entries(q, q_half) -> np.ndarray:
@@ -63,38 +36,24 @@ def _sigma_entries(q, q_half) -> np.ndarray:
     return e
 
 
-def sigma_matrix(point) -> SigmaMatrix:
-    """Braid-limit matrix: corners 1, middle [[0, -q^{1/2}], [-q^{1/2}, 1-q]]."""
+def sigma_matrix(point) -> np.ndarray:
+    """Braid-limit matrix, read-only: corners 1, middle [[0, -q^{1/2}], [-q^{1/2}, 1-q]]."""
     e = _sigma_entries(point.q, point.q_half)
     e.setflags(write=False)
-    return SigmaMatrix(point=point, entries=e)
+    return e
 
 
 def x_operator(u: float, mu: float, i: int, strands: int) -> np.ndarray:
     """Yang-Baxter operator X_i(u) on the 2^strands spin space.
 
     Site i carries |n2><m1| and site i+1 carries |n1><m2|, weighted by
-    the R entry for (m1 m2) -> (n1 n2). Strands are 1-based.
+    the R entry for (m1 m2) -> (n1 n2): the local factor's row is the
+    ket (n2, n1), its column the bra (m1, m2). Strands are 1-based.
     """
     if not 1 <= i < strands:
         raise ValueError(f"site {i} out of range for {strands} strands")
-    R = r_matrix(u, mu).entries
-    dim = 2 ** strands
-    out = np.zeros((dim, dim))
-    eye_l = np.eye(2 ** (i - 1))
-    eye_r = np.eye(2 ** (strands - i - 1))
-    for mi, (m1, m2) in enumerate(PAIRS):
-        for ni, (n1, n2) in enumerate(PAIRS):
-            w = R[mi, ni]
-            if w == 0.0:
-                continue
-            local = np.zeros((4, 4))
-            # row = ket (n2, n1) on sites (i, i+1), column = bra (m1, m2)
-            r = 2 * (n2 < 0) + (n1 < 0)
-            c = 2 * (m1 < 0) + (m2 < 0)
-            local[r, c] = w
-            out += np.kron(eye_l, np.kron(local, eye_r))
-    return out
+    local = r_matrix(u, mu)[:, SWAP].T
+    return np.kron(np.eye(2 ** (i - 1)), np.kron(local, np.eye(2 ** (strands - i - 1))))
 
 
 def yang_baxter_residual(u: float, v: float, mu: float) -> float:
@@ -122,15 +81,14 @@ def braid_limit_check(u_large: float, mu: float) -> float:
     the branch q^{1/2} = -e^{mu} for q = e^{2mu}.
     """
     scale = -math.exp(u_large - mu) / 2.0
-    scaled = r_matrix(u_large, mu).entries / scale
+    scaled = r_matrix(u_large, mu) / scale
     target = _sigma_entries(math.exp(2 * mu), -math.exp(mu)).real
-    swap = [0, 2, 1, 3]  # (n1,n2) -> (n2,n1) in pair order
-    return float(np.max(np.abs(scaled[:, swap] - target)))
+    return float(np.max(np.abs(scaled[:, SWAP] - target)))
 
 
 def sigma_spectrum(point) -> list[complex]:
     """Eigenvalues of sigma, deterministically ordered; {1, 1, 1, -q}."""
-    vals = np.linalg.eigvals(sigma_matrix(point).entries)
+    vals = np.linalg.eigvals(sigma_matrix(point))
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 

@@ -44,7 +44,7 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def _program(word):
-    return compile_word(resolve_orientations(word)[0])
+    return compile_word(resolve_orientations(word))
 
 
 def test_criterion_01_sigma_spectrum():
@@ -130,7 +130,7 @@ def test_criterion_05_duality_orthogonality():
 
 def test_criterion_06_compilation_fidelity():
     word = parse("strands=4; b2^3 h1^-2 h3^-2 b2^3")
-    annotated, _ = resolve_orientations(word)
+    annotated = resolve_orientations(word)
     program = compile_word(annotated)
     tokens_ok = program.tokens() == ["a", "f", "a†", "g", "a", "h", "a†"]
     pt = QPoint(0.7)
@@ -264,7 +264,7 @@ def test_criterion_11_operator_count_bound():
             for _ in range(length)
         )
         word = parse(text)
-        annotated, _ = resolve_orientations(word)
+        annotated = resolve_orientations(word)
         count = compile_word(annotated).operator_count
         ok = ok and count <= 2 * length + 1
         worst_ratio = max(worst_ratio, count / length)

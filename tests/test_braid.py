@@ -23,6 +23,9 @@ from platjones.errors import (
     WordSyntaxError,
     ZeroPower,
 )
+from platjones.evaluator import compile as compile_word
+from platjones.evaluator import support_window
+from platjones.oracle import kauffman_bracket, resolved_diagram
 
 
 def test_parse_basic():
@@ -116,9 +119,9 @@ def test_mirror():
 
 def test_resolve_auto_trefoil():
     w = parse("strands=4; g2^3")
-    annotated, report = resolve_orientations(w)
+    annotated = resolve_orientations(w)
     assert [s.orientation for s in annotated.syllables] == [PARALLEL]
-    assert report.flips == (False, True)
+    assert annotated.flips == (False, True)
     assert writhe(annotated) == 3
 
 
@@ -139,24 +142,37 @@ def test_resolve_prefers_lexicographic_flips():
     w = parse("strands=4; g2^3")
     vectors = _consistent_flip_vectors(w)
     assert vectors == [(False, True), (True, False)]
-    _, report = resolve_orientations(w)
-    assert report.flips == vectors[0]
+    assert resolve_orientations(w).flips == vectors[0]
 
 
 def test_resolve_honors_explicit_flips():
     w = parse("strands=4; flips=10; g2^3")
-    annotated, report = resolve_orientations(w)
-    assert report.flips == (True, False)
+    annotated = resolve_orientations(w)
+    assert annotated.flips == (True, False)
     assert [s.orientation for s in annotated.syllables] == [PARALLEL]
 
 
-def test_antiparallel_split():
-    w = parse("strands=4; h1^-2")
-    annotated, _ = resolve_orientations(w)
-    assert [s.power for s in annotated.syllables] == [-1, -1]
-    assert all(s.orientation == ANTIPARALLEL for s in annotated.syllables)
+@pytest.mark.parametrize("joined, split, annotated", [
+    ("strands=4; h1^-2", "strands=4; h1^-1 h1^-1", [(1, -2, ANTIPARALLEL)]),
+    (
+        "strands=4; g2^3 h1^-3 g2^-2",
+        "strands=4; g2^3 h1^-1 h1^-1 h1^-1 g2^-2",
+        [(2, 3, PARALLEL), (1, -3, ANTIPARALLEL), (2, -2, ANTIPARALLEL)],
+    ),
+], ids=["alone", "between"])
+def test_antiparallel_powers_act_as_unit_syllables(joined, split, annotated):
+    # an antiparallel syllable keeps its power, and every reader of the
+    # annotated word takes it as that many unit crossings
+    a, b = resolve_orientations(parse(joined)), resolve_orientations(parse(split))
+    assert [(s.index, s.power, s.orientation) for s in a.syllables] == annotated
+    assert a.flips == b.flips
+    pa, pb = compile_word(a), compile_word(b)
+    assert [op._tally for op in pa.letters] == [op._tally for op in pb.letters]
+    assert pa.tokens() == pb.tokens()
     # antiparallel crossings count against the raw sign
-    assert writhe(annotated) == 2
+    assert writhe(a) == writhe(b)
+    assert support_window(a) == support_window(b)
+    assert kauffman_bracket(resolved_diagram(a)) == kauffman_bracket(resolved_diagram(b))
 
 
 def test_cap_mismatch():
@@ -181,16 +197,19 @@ def test_auto_words_always_resolve():
         "strands=4; g2^2 g1^-1 g2^1",
         "strands=6; g3^-3 g2 g4^2",
     ):
-        annotated, report = resolve_orientations(parse(text))
-        assert report.valid
+        annotated = resolve_orientations(parse(text))
+        assert propagate_orientations(annotated, annotated.flips) == annotated
         assert all(s.orientation != AUTO for s in annotated.syllables)
 
 
-def test_propagate_reports_top_directions():
-    w = parse("strands=4;")
-    _, report = propagate_orientations(w, (False, False))
-    assert report.top_directions == ("up", "down", "up", "down")
-    assert report.valid
+def test_propagate_returns_the_annotated_word():
+    w = parse("strands=4; g2^3 g1^-2")
+    assert propagate_orientations(w, [False, True]) == BraidWord(
+        4, (Syllable(2, 3, PARALLEL), Syllable(1, -2, ANTIPARALLEL)), (False, True)
+    )
+    # cups up-down, up-down: sigma_2 leaves both cap pairs co-oriented
+    with pytest.raises(CapMismatch, match=r"^cap pairs \[1, 2\] have equal directions$"):
+        propagate_orientations(parse("strands=4; g2"), (False, False))
 
 
 def test_writhe_requires_annotations():
@@ -201,7 +220,7 @@ def test_writhe_requires_annotations():
 
 def test_writhe_reference_word():
     w = parse("strands=4; b2^3 h1^-2 h3^-2 b2^3")
-    annotated, _ = resolve_orientations(w)
+    annotated = resolve_orientations(w)
     assert writhe(annotated) == 10
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import platjones
 from platjones import braid, cli, evaluator, fusion, qsim
 from platjones.braid import parse
 from platjones.cli import main
-from platjones.errors import NonUnitaryBlock, ParityMismatch, UnannotatedSyllable
+from platjones.errors import NonUnitaryBlock, UnannotatedSyllable
 from platjones.laurent import LaurentPoly, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
@@ -483,7 +485,7 @@ def test_verify_group_deviations_equal_the_scalar_formulas(seed):
     # skeletons; every case must read the same bits as its own scalar
     # computation
     cases = cli._random_words(200, seed)
-    programs = [evaluator.compile(braid.resolve_orientations(w)[0]) for _, w in cases]
+    programs = [evaluator.compile(braid.resolve_orientations(w)) for _, w in cases]
     assert min(Counter(p.n for p in programs).values()) > 20
     assert len({(p.n, _skeleton(p)) for p in programs}) > 10
     results = cli._verify_cases(cases, 1e-6)
@@ -516,7 +518,7 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     # dense matrix built
     cases = cli._random_words(40, 5)
     cases.append(("n4", parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2")))
-    programs = [evaluator.compile(braid.resolve_orientations(w)[0]) for _, w in cases]
+    programs = [evaluator.compile(braid.resolve_orientations(w)) for _, w in cases]
     groups = Counter(p.n for p in programs)
     assert len({(p.n, _skeleton(p)) for p in programs}) > len(groups) + 5
     deviation = fusion.move_deviation
@@ -630,7 +632,7 @@ def test_prob_reads_amplitude_zero_off_the_d_block(tmp_path, monkeypatch, capsys
     # prob prints the register's amplitude 0 without building the 2^{2n} register
     text = "strands=8; g2^-1 g4^2 g3^1"
     path = _word_file(tmp_path, text)
-    program = evaluator.compile(braid.resolve_orientations(parse(text))[0])
+    program = evaluator.compile(braid.resolve_orientations(parse(text)))
     amp = complex(qsim.run(program, 0.5).amplitudes[0])
 
     def fail(*args):
@@ -690,13 +692,13 @@ def test_verify_checks_words_past_20_crossings(tmp_path, capsys):
 
 
 def test_internal_errors_cannot_reach_the_cli(tmp_path, monkeypatch, capsys):
-    """ParityMismatch, UnannotatedSyllable and NonUnitaryBlock have no exit code.
+    """UnannotatedSyllable and NonUnitaryBlock have no exit code.
 
-    Every subcommand resolves orientations before it compiles, compile
-    splits runs by parity, and the blocks are unitary on the admissible
-    arc, so none of them can reach main; an escaped one fails this test.
+    Every subcommand resolves orientations before it compiles, and the
+    blocks are unitary on the admissible arc, so neither can reach main;
+    an escaped one fails this test.
     """
-    internal = (ParityMismatch, UnannotatedSyllable, NonUnitaryBlock)
+    internal = (UnannotatedSyllable, NonUnitaryBlock)
     assert not any(issubclass(e, tuple(cli.EXIT_CODES)) for e in internal)
     compile_word = evaluator.compile
     compiled = []
@@ -732,3 +734,13 @@ def test_internal_errors_cannot_reach_the_cli(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert compiled
     assert set(codes) <= set(cli.EXIT_CODES.values()) | {0, 1}
+
+
+def test_all_names_the_public_attributes():
+    # every export resolves, and every public non-module attribute is exported
+    public = {
+        name for name, value in vars(platjones).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(platjones.__all__) == sorted(public | {"__version__"})
+    assert all(hasattr(platjones, name) for name in platjones.__all__)

@@ -41,8 +41,7 @@ from phase_helpers import braiding_phase, letter_phases
 
 
 def _resolved(text):
-    annotated, _ = resolve_orientations(parse(text))
-    return annotated
+    return resolve_orientations(parse(text))
 
 
 def test_braiding_phases():
@@ -318,7 +317,7 @@ def _letter_by_syllables(op):
     sign = np.ones(len(couplings), dtype=int)
     exponent = np.zeros(len(couplings), dtype=int)
     for s in op.run:
-        J = couplings[:, evaluator._pair_of_index(s.index, op.basis)]
+        J = couplings[:, (s.index - 1) // 2]
         signs, exponents = np.array(evaluator.SPECTRUM[s.orientation]) * [[1], [np.sign(s.power)]]
         sign *= signs[J] ** abs(s.power)
         exponent += exponents[J] * abs(s.power)
@@ -334,7 +333,7 @@ def annotated_words(draw):
     ), min_size=1, max_size=8))
     text = f"strands={2 * n}; " + " ".join(f"{c}{i}^{p}" for c, i, p in syllables)
     try:
-        return resolve_orientations(parse(text))[0]
+        return resolve_orientations(parse(text))
     except (CapMismatch, AnnotationConflict):
         return None
 
@@ -521,7 +520,7 @@ def test_support_window_holds_the_oracle_support(data):
     word = parse(f"strands={2 * n}; " + " ".join(f"g{i}^{k}" for i, k in syllables))
     assume(word.crossing_count() <= 60)
     try:
-        annotated, _ = resolve_orientations(word)
+        annotated = resolve_orientations(word)
     except (CapMismatch, AnnotationConflict):
         assume(False)
     lo, hi = support_window(annotated)
@@ -531,7 +530,7 @@ def test_support_window_holds_the_oracle_support(data):
 
 def test_support_window_is_tight_on_the_trefoil_and_the_unlink():
     # the trefoil's support is its window; the unlink of n components reaches -(n-1) and n-1
-    trefoil, _ = resolve_orientations(parse("strands=4; g2^-3"))
+    trefoil = resolve_orientations(parse("strands=4; g2^-3"))
     assert support_window(trefoil) == (-8, -2)
     assert support_window(parse("strands=6;")) == (-2, 2)
 

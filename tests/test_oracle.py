@@ -290,7 +290,7 @@ def test_reference_word_value():
     got = jones_exact(w)
     assert got.support()[0] == 5
     assert got.support()[-1] == 25
-    annotated, _ = resolve_orientations(w)
+    annotated = resolve_orientations(w)
     assert writhe(annotated) == 10
     # component count is even, so every exponent is odd (half-integer t)
     assert all(k % 2 == 1 for k in got.support())

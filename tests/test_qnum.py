@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from platjones.errors import DegenerateQ
+from platjones.fusion import duality_matrix
 from platjones.qnum import QPoint, RealQPoint, is_admissible, q_number
 
 
@@ -33,6 +35,15 @@ def test_q_number_real_point_matches_formula():
     rh = math.sqrt(0.3)
     got = q_number(4, pt)
     assert got == pytest.approx((rh**2 - rh**-2) / (rh - 1 / rh))
+
+
+def test_q_number_near_real_one_is_the_sinh_ratio():
+    # sinh(L) is tiny there but not zero, and the ratio keeps its digits
+    got = q_number([4, 3, 2], RealQPoint(1 - 2.2e-16))
+    assert got.tolist() == pytest.approx([2.0, 1.5, 1.0], abs=1e-12)
+    assert q_number(4, RealQPoint(1 - 1e-13)) == pytest.approx(2.0, abs=1e-12)
+    near = duality_matrix(2, RealQPoint(1 - 1e-13))
+    assert np.allclose(near, duality_matrix(2, RealQPoint(1.0)), rtol=0, atol=1e-12)
 
 
 def test_q_number_rejects_negative_argument():

@@ -33,7 +33,7 @@ from phase_helpers import letter_phases
 
 
 def _program(word):
-    return compile_word(resolve_orientations(word)[0])
+    return compile_word(resolve_orientations(word))
 
 
 def _check_letter(letter, point):
@@ -113,7 +113,7 @@ def test_final_amplitude_matches_evaluator():
 def test_non_unitary_block_rejected():
     # off the unit circle the braiding phases have |lambda| != 1
     w = parse("strands=4; g2^1")
-    annotated, _ = resolve_orientations(w)
+    annotated = resolve_orientations(w)
     (op,) = compile_word(annotated).letters
     assert op.token == "f"
     with pytest.raises(NonUnitaryBlock, match=re.escape(repr(op.token))):
@@ -123,7 +123,7 @@ def test_non_unitary_block_rejected():
 def test_non_unitary_duality_rejected():
     # off the unit circle a is complex orthogonal, a a^T = 1, not unitary
     w = parse("strands=4; g2^1")
-    annotated, _ = resolve_orientations(w)
+    annotated = resolve_orientations(w)
     (op,) = compile_word(annotated).letters
     assert op.basis == "even"
     with pytest.raises(NonUnitaryBlock, match=re.escape(repr("a"))):

@@ -7,8 +7,6 @@ import pytest
 
 from platjones.qnum import QPoint, RealQPoint
 from platjones.vertex import (
-    DOWN,
-    UP,
     braid_limit_check,
     coupled_eigenvectors,
     far_commutation_residual,
@@ -19,26 +17,28 @@ from platjones.vertex import (
     yang_baxter_residual,
 )
 
+UP, DOWN = 0.5, -0.5
+PAIRS = ((UP, UP), (UP, DOWN), (DOWN, UP), (DOWN, DOWN))
+# a matrix index of each spin pair (m1, m2): (+,+), (+,-), (-,+), (-,-)
+PP, PM, MP, MM = range(4)
+
 
 def test_r_matrix_entries():
     u, mu = 0.7, 1.3
     r = r_matrix(u, mu)
-    assert r.entry((UP, UP), (UP, UP)) == pytest.approx(math.sinh(mu - u))
-    assert r.entry((DOWN, DOWN), (DOWN, DOWN)) == pytest.approx(math.sinh(mu - u))
-    assert r.entry((UP, DOWN), (UP, DOWN)) == pytest.approx(-math.sinh(u))
-    assert r.entry((DOWN, UP), (DOWN, UP)) == pytest.approx(-math.sinh(u))
+    assert isinstance(r, np.ndarray) and r.shape == (4, 4) and not r.flags.writeable
+    assert r[PP, PP] == pytest.approx(math.sinh(mu - u))
+    assert r[MM, MM] == pytest.approx(math.sinh(mu - u))
+    assert r[PM, PM] == pytest.approx(-math.sinh(u))
+    assert r[MP, MP] == pytest.approx(-math.sinh(u))
     # spin exchange carries the exponential asymmetry
-    assert r.entry((UP, DOWN), (DOWN, UP)) == pytest.approx(
-        math.exp(-u) * math.sinh(mu)
-    )
-    assert r.entry((DOWN, UP), (UP, DOWN)) == pytest.approx(
-        math.exp(u) * math.sinh(mu)
-    )
-    assert r.entry((UP, UP), (UP, DOWN)) == 0.0
+    assert r[PM, MP] == pytest.approx(math.exp(-u) * math.sinh(mu))
+    assert r[MP, PM] == pytest.approx(math.exp(u) * math.sinh(mu))
+    assert r[PP, PM] == 0.0
 
 
 def test_r_conserves_total_spin():
-    r = r_matrix(0.4, 0.9).entries
+    r = r_matrix(0.4, 0.9)
     # rows/cols ordered (++, +-, -+, --): blocks off the spin sectors vanish
     for i in (0, 3):
         for j in (1, 2):
@@ -64,6 +64,35 @@ def test_x_operator_identity_sites():
     assert np.allclose(x, np.kron(local, np.eye(2)))
 
 
+def _x_operator_by_entries(u, mu, i, strands):
+    """Test-only reference: X_i(u) as a sum of one kron per nonzero R entry."""
+    R = r_matrix(u, mu)
+    out = np.zeros((2 ** strands, 2 ** strands))
+    eye_l = np.eye(2 ** (i - 1))
+    eye_r = np.eye(2 ** (strands - i - 1))
+    for mi, (m1, m2) in enumerate(PAIRS):
+        for ni, (n1, n2) in enumerate(PAIRS):
+            if R[mi, ni] == 0.0:
+                continue
+            local = np.zeros((4, 4))
+            # row = ket (n2, n1) on sites (i, i+1), column = bra (m1, m2)
+            local[2 * (n2 < 0) + (n1 < 0), 2 * (m1 < 0) + (m2 < 0)] = R[mi, ni]
+            out += np.kron(eye_l, np.kron(local, eye_r))
+    return out
+
+
+def test_x_operator_equals_the_per_entry_kron_sum():
+    # one kron of the swapped local R: every entry equal to the 16-term
+    # sum (its zeros may carry a sign the sum's 0.0 + -0.0 drops)
+    rng = random.Random(5)
+    for strands in (2, 3, 4):
+        for i in range(1, strands):
+            for _ in range(4):
+                u, mu = rng.uniform(-2, 2), rng.uniform(-2, 2)
+                want = _x_operator_by_entries(u, mu, i, strands)
+                assert np.array_equal(x_operator(u, mu, i, strands), want)
+
+
 def test_x_operator_index_bounds():
     with pytest.raises(ValueError):
         x_operator(0.1, 1.0, 0, 3)
@@ -80,15 +109,15 @@ def test_braid_limit_monotone():
 
 def test_sigma_entries():
     theta = 1.2
-    pt = QPoint(theta)
-    s = sigma_matrix(pt)
+    s = sigma_matrix(QPoint(theta))
+    assert isinstance(s, np.ndarray) and s.shape == (4, 4) and not s.flags.writeable
     q = cmath.exp(1j * theta)
     qh = cmath.exp(0.5j * theta)
-    assert s.entry((UP, UP), (UP, UP)) == pytest.approx(1.0)
-    assert s.entry((UP, DOWN), (DOWN, UP)) == pytest.approx(-qh)
-    assert s.entry((DOWN, UP), (UP, DOWN)) == pytest.approx(-qh)
-    assert s.entry((DOWN, UP), (DOWN, UP)) == pytest.approx(1 - q)
-    assert s.entry((UP, DOWN), (UP, DOWN)) == 0.0
+    assert s[PP, PP] == pytest.approx(1.0)
+    assert s[PM, MP] == pytest.approx(-qh)
+    assert s[MP, PM] == pytest.approx(-qh)
+    assert s[MP, MP] == pytest.approx(1 - q)
+    assert s[PM, PM] == 0.0
 
 
 def test_sigma_spectrum():
@@ -102,7 +131,7 @@ def test_sigma_spectrum():
 def test_sigma_hecke_relation():
     # (sigma - 1)(sigma + q) = 0
     theta = 0.9
-    s = sigma_matrix(QPoint(theta)).entries
+    s = sigma_matrix(QPoint(theta))
     q = cmath.exp(1j * theta)
     eye = np.eye(4)
     assert np.max(np.abs((s - eye) @ (s + q * eye))) < 1e-12
@@ -110,7 +139,7 @@ def test_sigma_hecke_relation():
 
 def test_sigma_braid_relation_on_three_strands():
     theta = 1.7
-    s = sigma_matrix(QPoint(theta)).entries
+    s = sigma_matrix(QPoint(theta))
     s1 = np.kron(s, np.eye(2))
     s2 = np.kron(np.eye(2), s)
     assert np.max(np.abs(s1 @ s2 @ s1 - s2 @ s1 @ s2)) < 1e-12
@@ -120,7 +149,7 @@ def test_coupled_eigenvectors():
     pt = RealQPoint(0.37)
     v = coupled_eigenvectors(pt)
     assert np.max(np.abs(v.T @ v - np.eye(4))) < 1e-12
-    s = sigma_matrix(pt).entries.real
+    s = sigma_matrix(pt).real
     lam = np.diag([1.0, 1.0, -pt.q, 1.0])
     assert np.max(np.abs(s @ v - v @ lam)) < 1e-12
     # the -q eigenvector is the q-deformed singlet
