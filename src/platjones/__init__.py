@@ -32,9 +32,9 @@ from .evaluator import (
 )
 from .fusion import duality_matrix, racah
 from .laurent import LaurentPoly, laurent_eval, render_q
-from .oracle import PlanarDiagram, jones_exact, kauffman_bracket, plat_diagram
+from .oracle import jones_exact, kauffman_bracket
 from .qnum import CirclePoint, QPoint, RealQPoint, q_number
-from .qsim import StateVector, p_k, run
+from .qsim import p_k, run
 
 __version__ = "0.1.0"
 
@@ -49,12 +49,10 @@ __all__ = [
     "NegativeRadicand",
     "NonAdmissibleTriple",
     "NonUnitaryBlock",
-    "PlanarDiagram",
     "PlatJonesError",
     "QPoint",
     "RealQPoint",
     "ResidualTooLarge",
-    "StateVector",
     "Syllable",
     "UnannotatedSyllable",
     "WordSyntaxError",
@@ -70,7 +68,6 @@ __all__ = [
     "mirror",
     "p_k",
     "parse",
-    "plat_diagram",
     "q_number",
     "racah",
     "render_q",

@@ -36,9 +36,6 @@ class Syllable:
     power: int
     orientation: str = AUTO
 
-    def crossings(self) -> int:
-        return abs(self.power)
-
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -50,8 +47,9 @@ class BraidWord:
     def n(self) -> int:
         return self.strands // 2
 
+    @property
     def crossing_count(self) -> int:
-        return sum(s.crossings() for s in self.syllables)
+        return sum(abs(s.power) for s in self.syllables)
 
     def is_annotated(self) -> bool:
         return all(s.orientation != AUTO for s in self.syllables)

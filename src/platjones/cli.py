@@ -45,13 +45,7 @@ from .evaluator import (
     unlink_normalization,
 )
 from .laurent import LaurentPoly, render_q
-from .oracle import (
-    bracket_span,
-    kauffman_bracket,
-    plat_diagram,
-    resolved_diagram,
-    writhe_correction,
-)
+from .oracle import bracket_span, kauffman_bracket, writhe_correction
 from .qnum import QPoint
 from .qsim import amplitudes as qsim_amplitudes, p_ks as qsim_p_ks
 
@@ -138,7 +132,7 @@ def cmd_eval(args) -> int:
     word = _load_word(args)
     result = jones(word, tolerance=args.tolerance)
     annotated = result.program.word
-    exact = writhe_correction(kauffman_bracket(resolved_diagram(annotated)), writhe(annotated))
+    exact = writhe_correction(kauffman_bracket(annotated), writhe(annotated))
     factor = convention_factor(result.polynomial, exact)
     deviations = {"rounding_shift": result.max_shift}
     report = _report(
@@ -218,15 +212,15 @@ def cmd_prob(args) -> int:
 
 def cmd_oracle(args) -> int:
     word = _load_word(args)
-    diagram = plat_diagram(word)
-    bracket = kauffman_bracket(diagram)
-    w = writhe(diagram.word)
+    annotated = resolve_orientations(word)
+    bracket = kauffman_bracket(annotated)
+    w = writhe(annotated)
     poly = writhe_correction(bracket, w)
     span = bracket_span(bracket)
     report = _report(format_word(word), word.n, oracle_polynomial=poly)
     lines = [
         f"word: {format_word(word)}",
-        f"n: {word.n}  crossings: {diagram.crossing_count}  writhe: {w:+d}",
+        f"n: {word.n}  crossings: {word.crossing_count}  writhe: {w:+d}",
         f"bracket span (A-exponents): [{span[0]}, {span[1]}]",
         f"jones (t): {render_q(poly, 't')}",
     ]
@@ -235,7 +229,11 @@ def cmd_oracle(args) -> int:
 
 
 def _random_words(count: int, seed: int) -> list[tuple[str, BraidWord]]:
-    """Seeded cap-valid sample of words with at most 10 crossings."""
+    """Seeded sample of all-g words with at most 10 crossings.
+
+    Each resolves: an orientation of each link component orients each
+    cup and cap, an arc, with its two ends pointing opposite ways.
+    """
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -248,11 +246,7 @@ def _random_words(count: int, seed: int) -> list[tuple[str, BraidWord]]:
             syllables.append(f"g{idx}^{k}")
         text = f"strands={2 * n}; " + " ".join(syllables)
         word = parse(text)
-        if word.crossing_count() > 10:
-            continue
-        try:
-            resolve_orientations(word)
-        except (CapMismatch, AnnotationConflict):
+        if word.crossing_count > 10:
             continue
         out.append((f"random-{len(out)}", word))
     return out
@@ -276,17 +270,16 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
     """
     groups = {}
     for i, (_, word) in enumerate(cases):
-        diagram = plat_diagram(word)
-        program = compile_word(diagram.word)
-        groups.setdefault(program.n, []).append((i, program, diagram))
+        program = compile_word(resolve_orientations(word))
+        groups.setdefault(program.n, []).append((i, program))
     results = [None] * len(cases)
     for n in list(groups):
         group = groups.pop(n)  # frees the group's programs once checked
         point = QPoint(tuple(phase_grid(n, 10).tolist()))
-        programs = [program for _, program, _ in group]
+        programs = [program for _, program in group]
         values = elements(programs + [compile_word(mirror(p.word)) for p in programs], point)
         amps, mirrored = values[: len(group)], values[len(group) :]
-        exacts = [writhe_correction(kauffman_bracket(d), writhe(d.word)) for _, _, d in group]
+        exacts = [writhe_correction(kauffman_bracket(p.word), writhe(p.word)) for p in programs]
         coeffs = [e.coeffs() for e in exacts]
         exponents = sorted(set().union(*coeffs))
         table = np.array([[c.get(k, 0) for k in exponents] for c in coeffs], dtype=complex)
@@ -302,7 +295,7 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
         mid = len(point.theta) // 2
         probabilities = qsim_p_ks(programs, point.theta[mid])
         rows = zip(group, exacts, moduli, mirrors, probabilities, amps[:, mid])
-        for (i, program, _), exact, worst_mod, worst_mirror, probability, amp in rows:
+        for (i, program), exact, worst_mod, worst_mirror, probability, amp in rows:
             qsim_dev = float(abs(probability - abs(amp) ** 2))
             deviations = {"modulus_rel": worst_mod, "mirror": worst_mirror, "qsim": qsim_dev}
             passed = worst_mod < tolerance and worst_mirror < MIRROR_TOL and qsim_dev < QSIM_TOL

@@ -49,9 +49,6 @@ from .fusion import block_dimension, pair_couplings, recouple
 from .laurent import LaurentPoly, circle_samples, laurent_eval, read_coefficients
 from .qnum import QPoint
 
-RIGHT = "right"
-LEFT = "left"
-
 ODD = "odd"
 EVEN = "even"
 
@@ -62,14 +59,12 @@ BLOCK_ENTRIES = 1 << 12  # complex entries (64 KiB) of one block of d-vectors
 SPECTRUM = {PARALLEL: ((-1, 1), (3, 1)), ANTIPARALLEL: ((1, -1), (0, -2))}
 
 
-def _spectrum(orientation: str, handedness: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Signs and x-exponents of the braiding eigenvalues, columns J = 0, 1."""
+def _spectrum(orientation: str, power: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Signs and x-exponents of the braiding eigenvalues of a crossing of power's sign, columns J = 0, 1."""
     if orientation not in SPECTRUM:
         raise UnannotatedSyllable(f"orientation {orientation!r} is not resolved")
-    if handedness not in (RIGHT, LEFT):
-        raise ValueError(f"handedness must be {RIGHT!r} or {LEFT!r}")
     signs, exponents = SPECTRUM[orientation]
-    return signs, (exponents if handedness == RIGHT else (-exponents[0], -exponents[1]))
+    return signs, (exponents if power > 0 else (-exponents[0], -exponents[1]))
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ class BlockOperator:
         tally = [0] * (4 * pairs)
         for s in self.run:
             k = (s.index - 1) // 2  # sigma_i's pair in either basis: compile splits runs by parity
-            signs, exponents = _spectrum(s.orientation, RIGHT if s.power > 0 else LEFT)
+            signs, exponents = _spectrum(s.orientation, s.power)
             for J in (0, 1):
                 tally[2 * k + J] += abs(s.power) * (signs[J] < 0)
                 tally[2 * (pairs + k) + J] += abs(s.power) * exponents[J]
@@ -273,7 +268,7 @@ def support_window(word: BraidWord) -> tuple[int, int]:
     negative crossings by e_i and s_B the positive ones. The writhe
     factor (-A^3)^{-w} and x = A^{-2} take an A-degree k to (3w - k)/2.
     """
-    c, w = word.crossing_count(), writhe(word)
+    c, w = word.crossing_count, writhe(word)
     top = c + 2 * (state_loops(word, -1) - 1)
     bottom = -c - 2 * (state_loops(word, 1) - 1)
     return (3 * w - top) // 2, (3 * w - bottom) // 2

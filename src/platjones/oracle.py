@@ -35,64 +35,30 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 
 from .braid import BraidWord, cap, resolve_orientations, writhe
 from .laurent import LaurentPoly
 
-BracketPoly = LaurentPoly  # exponents are powers of A
 
-LOOP_VALUE = LaurentPoly({2: -1, -2: -1})  # d = -A^2 - A^{-2}
+def kauffman_bracket(word: BraidWord) -> LaurentPoly:
+    """Exact bracket in powers of A by a sweep over planar matchings, unknot normalized to 1.
 
-
-@dataclass(frozen=True)
-class PlanarDiagram:
-    """Plat closure as signed crossings between n cups and n caps.
-
-    Strand ends are numbered 0..2n-1 from the left; the cups and the
-    caps both pair ends k and k ^ 1. Each crossing stores
-    (position, sign) and crosses ends position and position + 1.
-    """
-
-    n: int
-    crossings: tuple[tuple[int, int], ...]
-    word: BraidWord = field(repr=False)
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self.crossings)
-
-
-def plat_diagram(word: BraidWord) -> PlanarDiagram:
-    """List the crossings bottom to top; orientation resolution validates caps."""
-    return resolved_diagram(resolve_orientations(word))
-
-
-def resolved_diagram(annotated: BraidWord) -> PlanarDiagram:
-    """The diagram of a word that resolve_orientations has already annotated."""
-    crossings = tuple(
-        (s.index - 1, 1 if s.power > 0 else -1)
-        for s in annotated.syllables
-        for _ in range(abs(s.power))
-    )
-    return PlanarDiagram(n=annotated.n, crossings=crossings, word=annotated)
-
-
-def kauffman_bracket(diagram: PlanarDiagram) -> BracketPoly:
-    """Exact bracket by a sweep over planar matchings, unknot normalized to 1.
-
+    Strand ends are numbered 0..2n-1 from the left, and the cups and the
+    caps both pair ends k and k ^ 1. A syllable g_i^p is |p| crossings
+    of ends i - 1 and i with the sign of p; orientations are not read.
     A state is a matching of the current strand ends, partner[k] being
     the other end of the arc below end k, numbered in order of
     appearance. e_i caps ends i and i + 1 (closing a loop if they are
     partners, else joining their partners) and cups them anew.
     """
-    n, c = diagram.n, diagram.crossing_count
+    n, c = word.n, word.crossing_count
     b = -(-(1 + (3**c << n - 1).bit_length()) // 8) * 8  # digit bits, a multiple of 8
     h = b // 2
     start = tuple(k ^ 1 for k in range(2 * n))
     matchings, ids, moves = [start], {start: 0}, {}  # moves[i]: id -> (id after e_i, loop)
     states, trimmed = {0: 1}, 0
-    for j, (i, eps) in enumerate(diagram.crossings):
+    crossings = ((s.index - 1, 1 if s.power > 0 else -1) for s in word.syllables for _ in range(abs(s.power)))
+    for j, (i, eps) in enumerate(crossings):
         # A^3 times A^eps * 1 + A^-eps * e_i, and A^-eps d once e_i closes a loop
         kept, capped, high, low = h * (3 + eps), h * (3 - eps), h * (5 - eps), h * (1 - eps)
         swept: dict[int, int] = {}
@@ -140,7 +106,7 @@ def _digits(value: int, b: int) -> dict[int, int]:
     return {k: d for k, d in enumerate(digits) if d}
 
 
-def writhe_correction(bracket: BracketPoly, w: int) -> LaurentPoly:
+def writhe_correction(bracket: LaurentPoly, w: int) -> LaurentPoly:
     """V = (-1)^w A^{-3w} <K>, re-expressed in x_t = t^{1/2} = A^{-2}."""
     sign = -1 if w % 2 else 1
     out = {}
@@ -161,12 +127,11 @@ def jones_exact(word: BraidWord) -> LaurentPoly:
     evaluator, so the writhe correction refers to the same link
     orientation.
     """
-    diagram = plat_diagram(word)
-    bracket = kauffman_bracket(diagram)
-    return writhe_correction(bracket, writhe(diagram.word))
+    annotated = resolve_orientations(word)
+    return writhe_correction(kauffman_bracket(annotated), writhe(annotated))
 
 
-def bracket_span(bracket: BracketPoly) -> tuple[int, int]:
+def bracket_span(bracket: LaurentPoly) -> tuple[int, int]:
     """Smallest and largest A-exponent; (0, 0) for constants."""
     sup = bracket.support() or [0]
     return (sup[0], sup[-1])

@@ -8,16 +8,15 @@ ever changes. Programs of one n evolve by the evaluator's loop
 at the one-phase point QPoint((theta,)), along the schedule reversed:
 each step applies each covering row's own letter S in place, as
 S u = u S for the symmetric S = D or a E a^T, after check_unitary has
-passed it. The 2^{2n} register is built only for a returned
-StateVector (run, evolution); amplitudes and p_ks read the d-block
-alone. Starting from |0...0> the final amplitude of |0...0>
+passed it. The 2^{2n} register is built only as the plain complex
+array that run returns and evolution yields; amplitudes and p_ks read
+the d-block alone. Starting from |0...0> the final amplitude of |0...0>
 reproduces the evaluator's matrix element, and its squared modulus is
 the algorithm's acceptance probability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -28,24 +27,6 @@ from .fusion import move_deviation
 from .qnum import QPoint
 
 UNITARITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Full 2^{2n}-dimensional register state."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return 1 << (2 * self.n)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def probability(self, index: int = 0) -> float:
-        return float(abs(self.amplitudes[index]) ** 2)
 
 
 def check_unitary(ops, point: QPoint, phases) -> None:
@@ -66,18 +47,18 @@ def check_unitary(ops, point: QPoint, phases) -> None:
             raise NonUnitaryBlock(f"operator {token!r} deviates from unitarity by {deviation:.3e}")
 
 
-def _register(n: int, block: np.ndarray) -> StateVector:
-    """The 2^{2n} register with the d-block on its low indices."""
-    return StateVector(n=n, amplitudes=np.pad(block, (0, (1 << (2 * n)) - len(block))))
+def _register(n: int, block: np.ndarray) -> np.ndarray:
+    """The 2^{2n} register amplitudes with the d-block on its low indices."""
+    return np.pad(block, (0, (1 << (2 * n)) - len(block)))
 
 
-def evolution(program: CompiledProgram, theta: float) -> Iterator[StateVector]:
+def evolution(program: CompiledProgram, theta: float) -> Iterator[np.ndarray]:
     """Yield the register state before and after each letter (an even one is a, E, a† at once)."""
     for block in evolve([program], QPoint((theta,)), True, check_unitary):
         yield _register(program.n, block[0, 0])
 
 
-def run(program: CompiledProgram, theta: float) -> StateVector:
+def run(program: CompiledProgram, theta: float) -> np.ndarray:
     """Evolve |0...0> through the whole compiled program."""
     *_, block = evolve([program], QPoint((theta,)), True, check_unitary)
     return _register(program.n, block[0, 0])

@@ -13,7 +13,7 @@ def braiding_phase(J: int, orientation: str, handedness: str, point):
     """
     if J not in (0, 1):
         raise ValueError(f"pair coupling must be 0 or 1, got {J}")
-    signs, exponents = _spectrum(orientation, handedness)
+    signs, exponents = _spectrum(orientation, {"right": 1, "left": -1}[handedness])
     return signs[J] * point.q_half ** exponents[J]
 
 

@@ -230,8 +230,8 @@ def test_criterion_10_quantum_consistency():
     worst_norm = 0.0
     leak_free = True
     for state in evolution(_program(word), 0.55):
-        worst_norm = max(worst_norm, abs(state.norm() - 1.0))
-        leak_free = leak_free and bool(np.all(state.amplitudes[d:] == 0))
+        worst_norm = max(worst_norm, abs(np.linalg.norm(state) - 1.0))
+        leak_free = leak_free and bool(np.all(state[d:] == 0))
     rng8 = random.Random(8)
     big = parse(
         "strands=8; " + " ".join(

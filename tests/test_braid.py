@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from platjones.braid import (
     ANTIPARALLEL,
@@ -25,7 +27,7 @@ from platjones.errors import (
 )
 from platjones.evaluator import compile as compile_word
 from platjones.evaluator import support_window
-from platjones.oracle import kauffman_bracket, resolved_diagram
+from platjones.oracle import kauffman_bracket
 
 
 def test_parse_basic():
@@ -38,7 +40,7 @@ def test_parse_basic():
         Syllable(1, 1, PARALLEL),
         Syllable(3, -2, ANTIPARALLEL),
     )
-    assert w.crossing_count() == 6
+    assert w.crossing_count == 6
 
 
 def test_parse_flips_header():
@@ -50,7 +52,7 @@ def test_parse_flips_header():
 def test_parse_identity_word():
     w = parse("strands=4;")
     assert w.syllables == ()
-    assert w.crossing_count() == 0
+    assert w.crossing_count == 0
 
 
 def test_parse_whitespace_tolerance():
@@ -172,7 +174,7 @@ def test_antiparallel_powers_act_as_unit_syllables(joined, split, annotated):
     # antiparallel crossings count against the raw sign
     assert writhe(a) == writhe(b)
     assert support_window(a) == support_window(b)
-    assert kauffman_bracket(resolved_diagram(a)) == kauffman_bracket(resolved_diagram(b))
+    assert kauffman_bracket(a) == kauffman_bracket(b)
 
 
 def test_cap_mismatch():
@@ -190,16 +192,30 @@ def test_annotation_conflict():
         resolve_orientations(parse("strands=4; h2^1 b2^1"))
 
 
-def test_auto_words_always_resolve():
-    # a fully auto word can always be closed by some cup choice
-    for text in (
-        "strands=4; g1 g2 g3",
-        "strands=4; g2^2 g1^-1 g2^1",
-        "strands=6; g3^-3 g2 g4^2",
-    ):
-        annotated = resolve_orientations(parse(text))
-        assert propagate_orientations(annotated, annotated.flips) == annotated
-        assert all(s.orientation != AUTO for s in annotated.syllables)
+@st.composite
+def auto_words(draw):
+    """g-only words, n <= 4, powers +-1..+-3, at most 12 crossings."""
+    n = draw(st.integers(1, 4))
+    syllables, budget = [], 12
+    for i, k in draw(st.lists(st.tuples(st.integers(1, 2 * n - 1), st.sampled_from([-3, -2, -1, 1, 2, 3])))):
+        if abs(k) > budget:
+            break
+        syllables.append(f"g{i}^{k}")
+        budget -= abs(k)
+    return f"strands={2 * n}; " + " ".join(syllables)
+
+
+@given(auto_words())
+@example("strands=4; g1 g2 g3")
+@example("strands=4; g2^2 g1^-1 g2^1")
+@example("strands=6; g3^-3 g2 g4^2")
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_auto_words_always_resolve(text):
+    # a fully auto word can always be closed by some cup choice: orient
+    # each link component, and each cup and cap, an arc, gets opposite ends
+    annotated = resolve_orientations(parse(text))
+    assert propagate_orientations(annotated, annotated.flips) == annotated
+    assert all(s.orientation != AUTO for s in annotated.syllables)
 
 
 def test_propagate_returns_the_annotated_word():

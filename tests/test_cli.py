@@ -633,7 +633,7 @@ def test_prob_reads_amplitude_zero_off_the_d_block(tmp_path, monkeypatch, capsys
     text = "strands=8; g2^-1 g4^2 g3^1"
     path = _word_file(tmp_path, text)
     program = evaluator.compile(braid.resolve_orientations(parse(text)))
-    amp = complex(qsim.run(program, 0.5).amplitudes[0])
+    amp = complex(qsim.run(program, 0.5)[0])
 
     def fail(*args):
         raise AssertionError("prob built the register")

@@ -504,7 +504,7 @@ def g_words(draw, n):
 def test_jones_is_signed_oracle(n, data):
     # n <= 4 up to 20 crossings, n <= 6 up to 10
     word = data.draw(g_words(n))
-    assume(word.crossing_count() <= (20 if n <= 4 else 10))
+    assume(word.crossing_count <= (20 if n <= 4 else 10))
     _assert_standard_sign(word)
 
 
@@ -518,7 +518,7 @@ def test_support_window_holds_the_oracle_support(data):
         max_size=30,
     ))
     word = parse(f"strands={2 * n}; " + " ".join(f"g{i}^{k}" for i, k in syllables))
-    assume(word.crossing_count() <= 60)
+    assume(word.crossing_count <= 60)
     try:
         annotated = resolve_orientations(word)
     except (CapMismatch, AnnotationConflict):

@@ -1,7 +1,9 @@
 """Exact skein oracle: the Temperley–Lieb sweep against known values and
 against a brute-force 2^c state sum kept here as the reference."""
 
+import dataclasses
 import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -14,27 +16,30 @@ from platjones.braid import cap, mirror, parse, resolve_orientations, writhe
 from platjones.errors import AnnotationConflict, CapMismatch
 from platjones.laurent import LaurentPoly, laurent_eval
 from platjones.oracle import (
-    LOOP_VALUE,
     _digits,
     bracket_span,
     jones_exact,
     kauffman_bracket,
-    plat_diagram,
-    resolved_diagram,
     writhe_correction,
 )
 from platjones.qnum import QPoint
 
 UNLINK2 = LaurentPoly({-1: -1, 1: -1})  # d in t^{1/2} exponents
+LOOP_VALUE = LaurentPoly({2: -1, -2: -1})  # d = -A^2 - A^{-2}
 
 
-def state_sum_bracket(diagram):
+def _crossings(word):
+    """(i, eps) bottom to top: g_i^p crosses 0-based ends i - 1 and i, |p| times with the sign of p."""
+    return [(s.index - 1, 1 if s.power > 0 else -1) for s in word.syllables for _ in range(abs(s.power))]
+
+
+def state_sum_bracket(word):
     """Every one of the 2^c smoothings, loops counted by union-find.
 
     Segments are the n cup arcs, then two fresh ones above each
     crossing; the identity smoothing weighs A^eps, the cup-cap one A^-eps.
     """
-    n, c = diagram.n, diagram.crossing_count
+    n, c = word.n, word.crossing_count
     counts = Counter()
     for state in range(1 << c):
         parent = list(range(n + 2 * c))
@@ -49,7 +54,7 @@ def state_sum_bracket(diagram):
 
         top = [k // 2 for k in range(2 * n)]
         exp = 0
-        for j, (i, eps) in enumerate(diagram.crossings):
+        for j, (i, eps) in enumerate(_crossings(word)):
             left, right = n + 2 * j, n + 2 * j + 1
             if state >> j & 1:
                 join(top[i], top[i + 1])
@@ -85,11 +90,11 @@ def _loop_power(k):
     return (LOOP_VALUE**k).coeffs()
 
 
-def dict_sweep_bracket(diagram):
+def dict_sweep_bracket(word):
     """The planar-matching sweep with each state's coefficients in an
     {A-exponent: int} dict: the reference past the state sum's reach."""
-    states = {tuple(k ^ 1 for k in range(2 * diagram.n)): {0: 1}}
-    for i, eps in diagram.crossings:
+    states = {tuple(k ^ 1 for k in range(2 * word.n)): {0: 1}}
+    for i, eps in _crossings(word):
         swept = {}
         kept, capped, closed = {eps: 1}, {-eps: 1}, {2 - eps: -1, -2 - eps: -1}
         for partner, coeffs in states.items():
@@ -107,11 +112,6 @@ def dict_sweep_bracket(diagram):
     return LaurentPoly(total)
 
 
-def _diagram(text):
-    """The bracket needs no orientation: list the crossings of the word as written."""
-    return resolved_diagram(parse(text))
-
-
 @st.composite
 def long_words(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -119,19 +119,19 @@ def long_words(draw):
     crossings = draw(
         st.lists(st.tuples(st.integers(1, 2 * n - 1), st.sampled_from([-1, 1])), min_size=c, max_size=c)
     )
-    return _diagram(f"strands={2 * n}; " + " ".join(f"g{i}^{k}" for i, k in crossings))
+    return parse(f"strands={2 * n}; " + " ".join(f"g{i}^{k}" for i, k in crossings))
 
 
 @given(long_words())
 @settings(derandomize=True, max_examples=60, deadline=None)
-def test_packed_sweep_matches_dict_sweep(diagram):
+def test_packed_sweep_matches_dict_sweep(word):
     # past 32 crossings the packed sweep also trims the states' low digits
-    assert kauffman_bracket(diagram) == dict_sweep_bracket(diagram)
+    assert kauffman_bracket(word) == dict_sweep_bracket(word)
 
 
 def test_packed_sweep_without_crossings_is_a_loop_power():
     for n in range(1, 5):
-        assert kauffman_bracket(_diagram(f"strands={2 * n};")) == LOOP_VALUE ** (n - 1)
+        assert kauffman_bracket(parse(f"strands={2 * n};")) == LOOP_VALUE ** (n - 1)
 
 
 def test_packed_sweep_with_crossings_of_one_sign():
@@ -141,11 +141,11 @@ def test_packed_sweep_with_crossings_of_one_sign():
         "strands=6; g1^3 g2^5 g3^7 g4^9 g5^11 g2^3", "strands=6; g1^-3 g2^-5 g3^-7 g4^-9 g5^-11",
         "strands=8; g4^-2 g3^-2 g5^-2 g2^-2 g6^-2 g1^-2 g7^-2",
     ):
-        diagram = _diagram(text)
-        want = dict_sweep_bracket(diagram)
-        assert kauffman_bracket(diagram) == want, text
-        if diagram.crossing_count <= 10:
-            assert want == state_sum_bracket(diagram), text
+        word = parse(text)
+        want = dict_sweep_bracket(word)
+        assert kauffman_bracket(word) == want, text
+        if word.crossing_count <= 10:
+            assert want == state_sum_bracket(word), text
 
 
 def test_digits_reads_signed_digits():
@@ -177,7 +177,7 @@ def small_words(draw):
     )
     text = " ".join(f"{letter}{i}^{k}" for letter, i, k in syllables)
     word = parse(f"strands={2 * n}; {text}")
-    assume(word.crossing_count() <= 10)
+    assume(word.crossing_count <= 10)
     return word
 
 
@@ -185,44 +185,64 @@ def small_words(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 def test_sweep_matches_state_sum(word):
     try:
-        diagram = plat_diagram(word)
+        annotated = resolve_orientations(word)
     except (CapMismatch, AnnotationConflict):
         assume(False)
-    assert kauffman_bracket(diagram) == state_sum_bracket(diagram)
+    assert kauffman_bracket(annotated) == state_sum_bracket(annotated)
 
 
 def test_diagram_structure():
-    d = plat_diagram(parse("strands=4; g2^3"))
+    d = parse("strands=4; g2^3")
     assert d.n == 2
     assert d.crossing_count == 3
     # 0-based position 1 crosses strand ends 1 and 2, positively
-    assert d.crossings == ((1, 1),) * 3
+    assert _crossings(d) == [(1, 1)] * 3
+    assert kauffman_bracket(d) == kauffman_bracket(parse("strands=4; g2 g2 g2")) == state_sum_bracket(d)
 
 
 def test_diagram_validates_caps():
     with pytest.raises(CapMismatch):
-        plat_diagram(parse("strands=4; flips=00; h2^1"))
+        jones_exact(parse("strands=4; flips=00; h2^1"))
+
+
+@pytest.mark.parametrize("text", [
+    "strands=4; g2^3", "strands=4; g2^2", "strands=6; g2^-1 g4^2 g3^1 g1^-2 g5^3",
+], ids=["trefoil", "hopf", "six-strand"])
+def test_bracket_ignores_orientation(text):
+    # the bracket reads only indices and signs: the unannotated word, its
+    # resolution and the word under every explicit flip vector agree
+    word = parse(text)
+    want = kauffman_bracket(word)
+    assert want == state_sum_bracket(word)
+    assert kauffman_bracket(resolve_orientations(word)) == want
+    for bits in itertools.product((False, True), repeat=word.n):
+        flipped = dataclasses.replace(word, flips=bits)
+        assert kauffman_bracket(flipped) == want
+        try:
+            assert kauffman_bracket(resolve_orientations(flipped)) == want
+        except CapMismatch:
+            pass
 
 
 def test_bracket_unknot():
-    d = plat_diagram(parse("strands=2;"))
+    d = parse("strands=2;")
     assert kauffman_bracket(d) == LaurentPoly.one()
 
 
 def test_bracket_unlink_two_components():
-    d = plat_diagram(parse("strands=4;"))
+    d = parse("strands=4;")
     assert kauffman_bracket(d) == LOOP_VALUE
 
 
 def test_bracket_positive_kink():
     # one positive kink multiplies the empty bracket by -A^{-3} in this
     # traversal's smoothing labels
-    d = plat_diagram(parse("strands=2; g1^1"))
+    d = parse("strands=2; g1^1")
     assert kauffman_bracket(d) == LaurentPoly({-3: -1})
 
 
 def test_bracket_hopf():
-    d = plat_diagram(parse("strands=4; g2^2"))
+    d = parse("strands=4; g2^2")
     assert kauffman_bracket(d) == LaurentPoly({-4: -1, 4: -1})
     assert bracket_span(kauffman_bracket(d)) == (-4, 4)
 
@@ -309,7 +329,7 @@ def test_forty_crossings():
         "strands=8; g2^3 g4^-2 g3^3 g6^2 g5^-3 g1^2 g7^-3 g2^-2 g4^3 "
         "g3^-2 g6^-3 g5^2 g4^2 g2^3 g6^-3 g3^2"
     )
-    assert w.crossing_count() == 40
+    assert w.crossing_count == 40
     got = jones_exact(w)
     assert jones_exact(mirror(w)) == got.invert_variable()
     mu = 2
@@ -355,7 +375,7 @@ def test_hundred_twenty_crossings_at_n4():
         "g3^-2 g6^-3 g5^2 g4^2 g2^3 g6^-3 g3^2 "
     )
     w = parse("strands=8; " + base * 3)
-    assert w.crossing_count() == 120
+    assert w.crossing_count == 120
     got = jones_exact(w)
     assert max(abs(c) for c in got.coeffs().values()) > 10**14
     assert jones_exact(mirror(w)) == got.invert_variable()
