@@ -169,12 +169,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    if args.root_order is not None and args.root_order < 5:
-        # q-numbers up to [n+1] must stay positive; below the fifth
-        # root even the two-strand build degenerates
-        raise NegativeRadicand(
-            f"root order {args.root_order} is too small; need at least 5"
-        )
+    if args.root_order is not None and args.root_order < 1:
+        # a phase 2*pi/r past the arc is check_arc's to reject, once the word's n is known
+        raise NegativeRadicand(f"root order {args.root_order} is too small; need at least 1")
     word = _load_word(args)
     if args.root_order is not None:
         try:

@@ -4,24 +4,21 @@ A word splits into maximal runs of same-parity generator indices, one
 diagonal letter per run, named in order of appearance. An odd letter
 is diagonal in the odd path basis, D; an even letter is diagonal in
 the even basis and acts conjugated by the duality matrix, a E a† with
-a† = a^T, so a program reads like a f a† g a h a† ... Both kinds are
-symmetric d x d matrices S, u S = S u, so one loop (evolve) serves the
-row vectors here and qsim's d-blocks: it pushes e_0 through the
-letters of every program of one n, at every phase of a point, in one
-pass along their shared schedule (schedule), one in-place step
-(apply_letters) each. Forwards it reads the plat matrix element
-<0|S_1...S_L|0> (elements); reversed, with each step checked, it is
-qsim's evolution. Programs and phases are numpy axes through the
-F-moves of a and a^T (fusion.recouple), with no d x d matrix. A letter
-is compiled once into integer tallies per pair k and J = 0, 1 (summed
-power of q^{1/2}, count of -1 signs); one gather-sum over the paths'
-pair couplings gives a step's signs and powers per path (letters). The
-Jones polynomial is read off samples of the element, times the unlink
-normalization d^{n-1}, on the circle |q^{1/2}| = RHO just outside the
-unit circle: an inverse DFT, one product with a table of roots of
-unity (laurent.inverse_dft), gives the Laurent coefficients (a Cauchy
-integral, Bornemann, Found. Comput. Math. 11, 2011), rounded to
-integers.
+a† = a^T, so a program reads like a f a† g a h a† ... That is the
+paper's schedule, which qsim and verify run. Each S = D or a E a^T is
+symmetric, S u = u S, so one loop (evolve) pushes e_0 through the
+letters of every program of one n, at every phase of a point, along
+their shared schedule (schedule), one in-place step (apply_letters)
+each, through the F-moves of a and a^T (fusion.recouple): forwards it
+reads <0|S_1...S_L|0> (elements), reversed and checked it is qsim's
+evolution. A letter is compiled once into integer tallies per pair k
+and J = 0, 1, gathered over the paths' pair couplings (letters). jones
+and evaluate read the same element on the comb labellings instead
+(comb_element): one local 2 x 2 move per syllable, no F-move of a. The
+Jones polynomial is read off samples of the element, times d^{n-1}, on
+the circle |q^{1/2}| = RHO just outside the unit circle: an inverse DFT
+(laurent.inverse_dft) gives the Laurent coefficients (a Cauchy
+integral, Bornemann, Found. Comput. Math. 11, 2011), rounded.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from .braid import (
     writhe,
 )
 from .errors import UnannotatedSyllable
-from .fusion import block_dimension, pair_couplings, recouple
+from .fusion import _racah_values, block_dimension, comb_move, pair_couplings, recouple
 from .laurent import LaurentPoly, circle_samples, laurent_eval, read_coefficients
 from .qnum import QPoint
 
@@ -215,9 +212,35 @@ def compile(word: BraidWord) -> CompiledProgram:
     ))
 
 
+def comb_element(word: BraidWord, point) -> np.ndarray:
+    """Plat element <0|R_1 ... R_c|0> of an annotated word on the comb labellings, per phase.
+
+    v, (paths, phases), runs from the odd vacuum (path 0) through v <- v R
+    per syllable g_i^p in word order (fusion.comb_move): R is lambda_J^p
+    on a 1 x 1 block and F^T diag(lambda_0^p, lambda_1^p) F on the 2 x 2
+    block at a, F's rows J and columns m_i = a -+ 1 (_racah_values).
+    """
+    n, x = word.n, point.q_half
+    v = np.zeros((block_dimension(n), len(x)), x.dtype)
+    v[0] = 1.0
+    for s in word.syllables:
+        signs, exponents = _spectrum(s.orientation, s.power)
+        p = abs(s.power)
+        lam = np.array(signs)[:, None] ** p * x ** (p * np.array(exponents)[:, None])
+        low, high, block, J = comb_move(n, s.index)
+        lo, hi = v[low], v[high]
+        v *= lam[J]
+        if len(low):
+            F = _racah_values(n, point).reshape(n - 1, 2, 2, -1)
+            R = np.einsum("bje...,j...,bjf...->bef...", F, lam, F)
+            v[low] = lo * R[block, 0, 0] + hi * R[block, 1, 0]
+            v[high] = lo * R[block, 0, 1] + hi * R[block, 1, 1]
+    return v[0]
+
+
 def evaluate(word: BraidWord, theta: float) -> complex:
-    """Plat matrix element <0| program |0> at q = e^{i theta}."""
-    return complex(compile(resolve_orientations(word)).element(QPoint((theta,)))[0])
+    """Plat matrix element <0| program |0> at q = e^{i theta}, on the comb labellings."""
+    return complex(comb_element(resolve_orientations(word), QPoint((theta,)))[0])
 
 
 def unlink_normalization(n: int, theta):
@@ -277,10 +300,11 @@ def support_window(word: BraidWord) -> tuple[int, int]:
 def jones(word: BraidWord, tolerance: float = 1e-6) -> JonesResult:
     """Reconstruct the Jones polynomial of the plat closure.
 
-    Samples the matrix element times the unlink normalization d^{n-1}
-    at M points x = q^{1/2} on the circle |x| = RHO and reads the
-    integer coefficients off an inverse DFT (read_coefficients); M is
-    the window width plus a guard band on each side (circle_samples).
+    Samples the comb element (comb_element; qsim and verify keep the
+    paper's schedule) times the unlink normalization d^{n-1} at M
+    points x = q^{1/2} on the circle |x| = RHO and reads the integer
+    coefficients off an inverse DFT (read_coefficients); M is the
+    window width plus a guard band on each side (circle_samples).
 
     The window is support_window of the resolved word: Kauffman's
     bounds on the degrees of the bracket, from the loops of the two
@@ -296,7 +320,7 @@ def jones(word: BraidWord, tolerance: float = 1e-6) -> JonesResult:
     window = support_window(annotated)
     point = circle_samples(window)
     x = point.q_half
-    values = program.element(point) * (-(x + 1.0 / x)) ** (n - 1)
+    values = comb_element(annotated, point) * (-(x + 1.0 / x)) ** (n - 1)
     poly, shift = read_coefficients(values, window, tolerance)
     support = poly.support() or [0]
     return JonesResult(

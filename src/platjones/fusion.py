@@ -1,4 +1,4 @@
-"""Total-spin-0 fusion path bases and the odd/even duality matrix.
+"""Total-spin-0 fusion path bases, the odd/even duality matrix and the comb moves.
 
 Strand spins are all 1/2. One builder (_chains) gives both bases as
 chains that fuse a running spin with one pair spin J in {0, 1} at a
@@ -7,21 +7,21 @@ down a left comb from spin 0 back to 0; the even basis starts from
 strand 1's spin 1/2, fuses the n - 1 interior pairs (2i, 2i+1) and ends
 on 1/2 so the last strand can close the total to 0. A basis is a pair of
 int8 arrays (_bases), (paths, pairs) of the pair spins J and of the
-doubled labels, with no other form. Each basis has d = Catalan(n) paths
-(block_dimension) and reaches the left-comb basis of the 2n strands by
-one F-move per strand pair, so the duality matrix a = C_odd C_even^T is
-a product of 2(n - 1) sparse moves, planned once per n from the bases'
-arrays (_move_plan). Each move recouples two spin-1/2 strands, so it is
-the identity on its 1 x 1 blocks and a symmetric 2 x 2 rotation of
-spin-1/2 recoupling (_racah_rows) on each pair of paths that differ only
-in the pair spin it replaces: every stage of the moves holds one state
+doubled labels. Each basis has d = Catalan(n) paths (block_dimension),
+as many as the comb labellings of the 2n strands (_comb), which each
+basis reaches by one F-move per strand pair, so the duality matrix
+a = C_odd C_even^T is a product of 2(n - 1) sparse moves, planned once per
+n from the bases' arrays (_move_plan). Each move recouples two spin-1/2
+strands, so it is the identity on its 1 x 1 blocks and a symmetric 2 x 2
+rotation of spin-1/2 recoupling (_racah_rows) on each pair of paths that
+differ only in the pair spin it replaces: every stage holds one state
 per basis path and is numbered by it, and one permutation joins the two
 sides at the comb labellings; the plan's indices are int32. The
 rotations of a point come in one batch from one qnum.q_table, cached per
 (n, point). recouple applies the moves in place at every phase of a
 point at once, move_deviation checks a's unitarity on the rotations, and
 duality_matrix (the moves applied to the identity) is the tests' dense
-reference.
+reference. On a comb labelling, g_i changes m_i alone (comb_move).
 
 Labels are doubled integers (twice the spin) so triad arithmetic
 stays integral; the paths' pair couplings J are plain integer spins.
@@ -77,9 +77,48 @@ def _bases(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.
     return bases
 
 
+@functools.cache
+def _comb(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The comb labellings m_0..m_{2n}, (paths, 2n + 1) int8 in sorted order, and their step codes.
+
+    m_t, the doubled spin after t strands, starts and ends at 0 in steps
+    of +-1: the Catalan(n) Dyck paths, grown as in _chains. A code has a
+    bit per step, 1 up and the first step highest, so the codes ascend
+    with the rows; path 0 is the odd vacuum 0, 1, 0, 1, ..., 0.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rows = np.zeros((1, 1), dtype=np.int8)
+    for left in range(2 * n - 1, -1, -1):
+        e = rows[:, -1:] + np.array([-1, 1], dtype=np.int8)
+        path, step = np.nonzero((e >= 0) & (e <= left))
+        rows = np.concatenate([rows[path], e[path, step, None]], 1)
+    return rows, (np.diff(rows) > 0) @ (1 << np.arange(2 * n - 1, -1, -1))
+
+
+@functools.cache
+def comb_move(n: int, i: int) -> tuple[np.ndarray, ...]:
+    """The blocks of g_i on the comb labellings: low paths, partners, a - 1, and each path's J.
+
+    g_i changes m_i alone. With a = m_{i-1} and d = m_{i+1}, its 2 x 2
+    blocks pair the paths with a = d > 0 and m_i = a - 1 (low) with the
+    same path at m_i = a + 1 (steps i and i + 1 swapped, a search of the
+    sorted codes); J = 1 where a != d and 0 where a = d, that of every
+    1 x 1 block. Indices are int32, a - 1 and J int8.
+    """
+    labels, codes = _comb(n)
+    a, e, d = labels[:, i - 1], labels[:, i], labels[:, i + 1]
+    low = np.flatnonzero((a == d) & (e < a))
+    high = np.searchsorted(codes, codes[low] + (1 << (2 * n - i - 1)))
+    move = low.astype(np.int32), high.astype(np.int32), a[low] - 1, (a != d).astype(np.int8)
+    for array in move:
+        array.setflags(write=False)
+    return move
+
+
 def block_dimension(n: int) -> int:
-    """d = Catalan(n), the number of paths in each basis (the odd one at n = 1)."""
-    return len(_bases(n)[0][0])
+    """d = Catalan(n), the number of comb labellings and of paths in each basis (the odd one at n = 1)."""
+    return len(_comb(n)[1])
 
 
 def pair_couplings(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +228,11 @@ def _move_plan(n: int):
 
 @functools.lru_cache(maxsize=64)
 def _racah_values(n: int, point) -> np.ndarray:
-    """racah of every key of the move plan, one row per key, one column per phase.
+    """racah of every key of _move_keys, one row per key, one column per phase.
 
     Every key reads the one q_table of the point that reaches them all.
     """
-    values = _racah_rows(_move_plan(n)[0], point)
+    values = _racah_rows(_move_keys(n), point)
     values.setflags(write=False)
     return values
 

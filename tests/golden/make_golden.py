@@ -116,8 +116,9 @@ def calls() -> list[dict]:
     # exit 4: a read-out tolerance below the rounding shift
     add("eval-readout", ["eval", w, "--tolerance", "1e-300"], word(REFERENCE))
     add("eval-readout-json", ["eval", w, "--tolerance", "1e-300", "--json"], word(REFERENCE))
-    # exit 5: phases past the arc or too small a root order
+    # exit 5: a phase past the arc
     add("prob-theta-past-arc", ["prob", w, "--theta", "2.5"], word(TREFOIL))
+    # exit 0: r = 4 puts theta = pi/2 on the trefoil's arc, which check_arc decides
     add("prob-root-order-small-json", ["prob", w, "--root-order", "4", "--json"], word(TREFOIL))
     return out
 

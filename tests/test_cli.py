@@ -136,8 +136,12 @@ def test_prob_trefoil(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "P_K:" in out
     assert main(["prob", path, "--root-order", "2"]) == 5
-    assert main(["prob", path, "--root-order", "4"]) == 5
+    # theta = pi/2 lies on the arc at n = 2 (below 2*pi/3), past it at n = 3 (2*pi/4)
+    assert main(["prob", path, "--root-order", "4"]) == 0
     capsys.readouterr()
+    n3 = _word_file(tmp_path, "strands=6; g2^1 g4^-1", "n3.txt")
+    assert main(["prob", n3, "--root-order", "4"]) == 5
+    assert "triangle(2/2,1/2,3/2) needs |theta| < 2*pi/4" in capsys.readouterr().err
     # 2*pi/r underflows past the float range: the same one-line error, no traceback
     assert main(["prob", path, "--root-order", str(10**400)]) == 5
     captured = capsys.readouterr()
@@ -694,9 +698,12 @@ def test_verify_checks_words_past_20_crossings(tmp_path, capsys):
 def test_internal_errors_cannot_reach_the_cli(tmp_path, monkeypatch, capsys):
     """UnannotatedSyllable and NonUnitaryBlock have no exit code.
 
-    Every subcommand resolves orientations before it compiles, and the
-    blocks are unitary on the admissible arc, so neither can reach main;
-    an escaped one fails this test.
+    Every subcommand resolves orientations before it compiles, so
+    UnannotatedSyllable cannot reach main. The blocks are unitary on the
+    admissible arc only up to round-off, which grows with the power:
+    prob --theta 0.3 on strands=4; g2^1000000 raises NonUnitaryBlock
+    (a traceback, exit 1). The words below stay far from that; an
+    escaped error on them fails this test.
     """
     internal = (UnannotatedSyllable, NonUnitaryBlock)
     assert not any(issubclass(e, tuple(cli.EXIT_CODES)) for e in internal)

@@ -325,9 +325,9 @@ def _letter_by_syllables(op):
 
 
 @st.composite
-def annotated_words(draw):
-    """Resolved words of b, h and g syllables with powers +-1..+-3, n <= 5, or None."""
-    n = draw(st.integers(1, 5))
+def annotated_words(draw, max_n=5):
+    """Resolved words of b, h and g syllables with powers +-1..+-3, n <= max_n, or None."""
+    n = draw(st.integers(1, max_n))
     syllables = draw(st.lists(st.tuples(
         st.sampled_from("bhg"), st.integers(1, 2 * n - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]),
     ), min_size=1, max_size=8))
@@ -355,6 +355,20 @@ def test_letters_equal_the_per_syllable_loop(words):
             want_sign, want_exponent = _letter_by_syllables(op)
             assert np.array_equal(sign[row], want_sign) and sign.dtype == want_sign.dtype
             assert np.array_equal(exponent[row], want_exponent) and exponent.dtype == want_exponent.dtype
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(word=annotated_words(max_n=6))
+def test_comb_element_equals_the_paper_schedule(word):
+    # one 2 x 2 move per syllable against the a f a^T g schedule; the two
+    # share only _racah_rows and SPECTRUM
+    assume(word is not None and word.crossing_count <= 20)
+    program = compile_word(word)
+    grid = QPoint(tuple(phase_grid(word.n, 10).tolist()))
+    assert np.max(np.abs(evaluator.comb_element(word, grid) - program.element(grid))) <= 1e-12
+    circle = circle_samples(support_window(word))
+    want = program.element(circle)
+    assert np.max(np.abs(evaluator.comb_element(word, circle) - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_letters_run_once_per_slice_and_diagonal_step(monkeypatch):
@@ -575,6 +589,16 @@ def test_long_double_reads_words_past_the_dense_stack(text):
     sign = (-1) ** (_components(word) + word.n)
     assert convention_factor(result.polynomial, jones_exact(word)) == (sign, 0)
     assert result.max_shift < 1e-9
+
+
+def test_jones_reads_a_nine_pair_word_to_1e_12():
+    # the seeded (9, 20, 0) word: the schedule's F-moves read it with a
+    # rounding shift of 3.5e-11, the comb moves with 5.7e-14
+    word = parse("strands=18; g5^2 g11^-1 g10^3 g10^2 g7^-2 g7^3 g14^2 g4^2 g11^-3")
+    result = jones(word)
+    sign = (-1) ** (_components(word) + word.n)
+    assert convention_factor(result.polynomial, jones_exact(word)) == (sign, 0)
+    assert result.max_shift <= 1e-12
 
 
 def test_components_of_known_closures():
