@@ -260,12 +260,13 @@ def state_loops(word: BraidWord, sign: int) -> int:
 
     The other crossings keep their strands, and e_i caps ends i and
     i + 1 (cap) and cups them anew; the caps (k, k ^ 1) close the rest.
+    After a syllable's first e_i, each further one caps its own cup and
+    closes one loop, so a syllable costs O(1) whatever its power.
     """
     joined = [k ^ 1 for k in range(word.strands)]
     loops = 0
     for s in word.syllables:
         if (s.power > 0) == (sign > 0):
-            for _ in range(abs(s.power)):
-                loops += cap(joined, s.index - 1)
-                joined[s.index - 1], joined[s.index] = s.index, s.index - 1
+            loops += cap(joined, s.index - 1) + abs(s.power) - 1
+            joined[s.index - 1], joined[s.index] = s.index, s.index - 1
     return loops + sum(cap(joined, k) for k in range(0, word.strands, 2))

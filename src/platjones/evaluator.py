@@ -11,10 +11,11 @@ letters of every program of one n, at every phase of a point, along
 their shared schedule (schedule), one in-place step (apply_letters)
 each, through the F-moves of a and a^T (fusion.recouple): forwards it
 reads <0|S_1...S_L|0> (elements), reversed and checked it is qsim's
-evolution. A letter is compiled once into integer tallies per pair k
+evolution. Both bases number their paths by the comb labellings
+(fusion). A letter is compiled once into integer tallies per pair k
 and J = 0, 1, gathered over the paths' pair couplings (letters). jones
-and evaluate read the same element on the comb labellings instead
-(comb_element): one local 2 x 2 move per syllable, no F-move of a. The
+and evaluate read the same element on the comb labellings with no
+F-move of a (comb_element): one local 2 x 2 move per syllable. The
 Jones polynomial is read off samples of the element, times d^{n-1}, on
 the circle |q^{1/2}| = RHO just outside the unit circle: an inverse DFT
 (laurent.inverse_dft) gives the Laurent coefficients (a Cauchy
@@ -75,7 +76,11 @@ class BlockOperator:
 
     @functools.cached_property
     def _tally(self) -> tuple[int, ...]:
-        """Minus signs, then x-exponents, of the run per pair k and J = 0, 1; flat (2, pairs, 2)."""
+        """Minus signs, then x-exponents, of the run per pair k and J = 0, 1; flat (2, pairs, 2).
+
+        ValueError unless their absolute sum, which bounds every path's
+        sum of them in letters, fits in int64.
+        """
         pairs = pair_couplings(self.n)[self.basis != ODD].shape[1]
         tally = [0] * (4 * pairs)
         for s in self.run:
@@ -84,6 +89,8 @@ class BlockOperator:
             for J in (0, 1):
                 tally[2 * k + J] += abs(s.power) * (signs[J] < 0)
                 tally[2 * (pairs + k) + J] += abs(s.power) * exponents[J]
+        if sum(map(abs, tally)) >= 2**63:
+            raise ValueError(f"letter {self.token!r} has more crossings than int64 can tally")
         return tuple(tally)
 
 

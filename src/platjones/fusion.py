@@ -1,27 +1,27 @@
 """Total-spin-0 fusion path bases, the odd/even duality matrix and the comb moves.
 
-Strand spins are all 1/2. One builder (_chains) gives both bases as
-chains that fuse a running spin with one pair spin J in {0, 1} at a
-time. The odd basis pairs strands (2i-1, 2i) and runs its n pair spins
-down a left comb from spin 0 back to 0; the even basis starts from
-strand 1's spin 1/2, fuses the n - 1 interior pairs (2i, 2i+1) and ends
-on 1/2 so the last strand can close the total to 0. A basis is a pair of
-int8 arrays (_bases), (paths, pairs) of the pair spins J and of the
-doubled labels. Each basis has d = Catalan(n) paths (block_dimension),
-as many as the comb labellings of the 2n strands (_comb), which each
-basis reaches by one F-move per strand pair, so the duality matrix
-a = C_odd C_even^T is a product of 2(n - 1) sparse moves, planned once per
-n from the bases' arrays (_move_plan). Each move recouples two spin-1/2
-strands, so it is the identity on its 1 x 1 blocks and a symmetric 2 x 2
-rotation of spin-1/2 recoupling (_racah_rows) on each pair of paths that
-differ only in the pair spin it replaces: every stage holds one state
-per basis path and is numbered by it, and one permutation joins the two
-sides at the comb labellings; the plan's indices are int32. The
-rotations of a point come in one batch from one qnum.q_table, cached per
-(n, point). recouple applies the moves in place at every phase of a
-point at once, move_deviation checks a's unitarity on the rotations, and
-duality_matrix (the moves applied to the identity) is the tests' dense
-reference. On a comb labelling, g_i changes m_i alone (comb_move).
+Strand spins are all 1/2. A comb labelling m_0..m_{2n} (_comb) gives
+the doubled spin after each strand, from 0 back to 0 in steps of +-1;
+there are d = Catalan(n) of them (block_dimension). Both fusion bases
+are numbered by them. The odd basis pairs strands (2i-1, 2i) and keeps
+the labels at even positions; the even basis starts from strand 1's
+spin 1/2, fuses the interior pairs (2i, 2i+1) and keeps the labels at
+odd positions. Each replaces the other labels m_i by the pair spins J
+at those positions, with J = 0 iff m_{i-1} = m_{i+1} and
+m_i = |m_{i-1} - 1|, so every path of either basis sits at the index
+of one comb labelling (pair_couplings gives each basis's J, int8).
+The F-move at position i replaces J by m_i: it is the identity on its
+1 x 1 blocks and a symmetric 2 x 2 rotation of spin-1/2 recoupling
+(_racah_rows) on the blocks of comb_move(n, i), the paths with
+m_{i-1} = m_{i+1} = a > 0 and m_i = a -+ 1. The duality matrix
+a = C_odd C_even^T is the product of the moves at the odd positions
+3, 5, ..., 2n - 1 and the even ones 2n - 2, ..., 2 (recouple). The
+rotations of a point come in one batch from one qnum.q_table, cached
+per (n, point). recouple applies the moves in place at every phase of
+a point at once, move_deviation checks a's unitarity on the rotations,
+and duality_matrix (the moves applied to the identity) is the tests'
+dense reference. On a comb labelling, g_i changes m_i alone
+(comb_move), which jones reads directly.
 
 Labels are doubled integers (twice the spin) so triad arithmetic
 stays integral; the paths' pair couplings J are plain integer spins.
@@ -37,54 +37,14 @@ from .errors import NonAdmissibleTriple
 from .qnum import check_arc, is_admissible, q_table
 
 
-TWO_J = np.array([0, 2, 2, 2], dtype=np.int8)  # doubled pair spin 2J of each way to extend a chain
-STEPS = np.array([0, -2, 0, 2], dtype=np.int8)  # and the step it moves the last label by, doubled
-
-
-def _chains(two_start: int, pairs: int, two_end: int) -> tuple[np.ndarray, np.ndarray]:
-    """(J, labels) arrays, (chains, pairs) each, of pair spins J in {0, 1} from doubled two_start to two_end.
-
-    A pair fuses J with the last label, to a label from |2J - last| to
-    2J + last; a step of at most 2J keeps the parity and the upper
-    bound, so only the lower bound is checked. A label farther than 2 *
-    (pairs left) from two_end is dropped. Rows are in the order of
-    sorted (J, labels) tuples.
-    """
-    rows = np.array([[two_start]], dtype=np.int8)  # the start, then 2J and the label of each pair
-    for left in range(pairs - 1, -1, -1):
-        last = rows[:, -1:]
-        e = last + STEPS
-        chain, step = np.nonzero((e >= abs(last - TWO_J)) & (abs(e - two_end) <= 2 * left))
-        rows = np.concatenate([rows[chain], TWO_J[step, None], e[chain, step, None]], 1)
-    J, labels = rows[:, 1::2] // 2, rows[:, 2::2]
-    order = np.lexsort(np.concatenate([J, labels], 1).T[::-1])
-    return J[order], labels[order]
-
-
-@functools.cache
-def _bases(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(J, doubled labels) int8 arrays of the odd basis, then of the even one, built once per n.
-
-    The odd labels are l_0..l_{n-1}, the even ones r_0..r_{n-2}; the
-    even arrays have no rows at n = 1 (no interior pairs).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    empty = np.zeros((0, 0), dtype=np.int8)
-    bases = _chains(0, n, 0), (_chains(1, n - 1, 1) if n > 1 else (empty, empty))
-    for array in (*bases[0], *bases[1]):
-        array.setflags(write=False)
-    return bases
-
-
 @functools.cache
 def _comb(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The comb labellings m_0..m_{2n}, (paths, 2n + 1) int8 in sorted order, and their step codes.
 
     m_t, the doubled spin after t strands, starts and ends at 0 in steps
-    of +-1: the Catalan(n) Dyck paths, grown as in _chains. A code has a
-    bit per step, 1 up and the first step highest, so the codes ascend
-    with the rows; path 0 is the odd vacuum 0, 1, 0, 1, ..., 0.
+    of +-1: the Catalan(n) Dyck paths, grown a strand at a time. A code
+    has a bit per step, 1 up and the first step highest, so the codes
+    ascend with the rows; path 0 is the odd vacuum 0, 1, 0, 1, ..., 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -121,9 +81,20 @@ def block_dimension(n: int) -> int:
     return len(_comb(n)[1])
 
 
+@functools.cache
 def pair_couplings(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(paths, pairs) read-only arrays of the pair couplings J of the odd and the even basis."""
-    return _bases(n)[0][0], _bases(n)[1][0]
+    """(paths, pairs) read-only int8 arrays of the pair couplings J of the odd and the even basis.
+
+    Row p is the path at comb labelling p. J at position i is 0 iff
+    m_{i-1} = m_{i+1} and m_i = |m_{i-1} - 1|; the odd basis reads the
+    odd positions 1, 3, ..., 2n - 1, the even one 2, 4, ..., 2n - 2.
+    """
+    m = _comb(n)[0]
+    J = (m[:, :-2] != m[:, 2:]) | (m[:, 1:-1] != abs(m[:, :-2] - 1))
+    couplings = tuple(np.ascontiguousarray(J[:, first::2], dtype=np.int8) for first in (0, 1))
+    for array in couplings:
+        array.setflags(write=False)
+    return couplings
 
 
 def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
@@ -174,58 +145,6 @@ def _move_keys(n: int) -> tuple:
     return tuple((e, 2 * j, a, 1, 1, a) for a in range(1, n) for j in (0, 1) for e in (a - 1, a + 1))
 
 
-@functools.cache
-def _move_plan(n: int):
-    """The F-moves whose product is the duality matrix, built once per n.
-
-    An odd path fixes the left-comb labels after an even number of
-    strands, l_0, ..., l_{n-1}, and an even path those after an odd
-    number, r_0, ..., r_{n-2}. Odd move k replaces the pair coupling
-    J_{k+1} by r_k, with coefficient racah(r_k, J_{k+1}, l_k, 1/2, 1/2,
-    l_{k+1}); even move k replaces J_k by l_k, with racah(l_k, J_k,
-    r_{k-1}, 1/2, 1/2, r_k) and r_{-1} = 1/2. With a and d the labels a
-    move keeps, the new label is e = a - 1 + 2J in a 2 x 2 block (a = d
-    > 0) and the one admissible e otherwise, so every stage of a side
-    holds one state per basis path and is numbered by the path. A move
-    is then the identity on its 1 x 1 blocks (value 1) and a symmetric
-    rotation on each 2 x 2 block, whose two paths differ only in J: the
-    i-th J = 0 and the i-th J = 1 path of the move's blocks, in basis
-    order. After n - 1 moves both sides reach the comb labellings, and
-    sorting them gives the permutation P that matches them, so
-    a = M_0 ... M_{n-2} P E_{n-2} ... E_0, as every M_k^T = M_k.
-
-    Every a = 1..n-1 has blocks, the even ones on the odd side and the
-    odd ones on the even side. Returns the racah keys of each a's
-    rotation, four per a (_move_keys); per side (odd, even) and move, the
-    paths p of its 2 x 2 blocks, their partners q and the keys of p's
-    diagonal entry and of its off-diagonal one; and P as two gathers,
-    the odd path of each even path and the even path of each odd one;
-    every index array is int32.
-    """
-    (odd_J, odd_l), (even_J, even_r) = _bases(n)
-
-    def side(J, fixed):
-        """Per move of one side, (p, q, own key, other key), and the label e that it gives each path."""
-        moves, reached = [], []
-        for k in range(n - 1):
-            a, d, j = fixed[k], fixed[k + 1], J[:, k]
-            two = (a == d) & (a > 0)
-            zero, one = np.flatnonzero(two & (j == 0)), np.flatnonzero(two & (j == 1))
-            p, q = np.concatenate([zero, one]), np.concatenate([one, zero])
-            block, j_p = 4 * (a[p].astype(int) - 1), j[p]
-            moves.append(tuple(x.astype(np.int32) for x in (p, q, block + 3 * j_p, block + 2 - j_p)))
-            reached.append(a - 1 + 2 * np.where(two, j, d >= a))
-        return tuple(moves), reached
-
-    odd_moves, r = side(odd_J[:, 1:], list(odd_l.T))
-    even_moves, l = side(even_J, [np.ones_like(even_r[:, 0]), *even_r.T])
-    # each side's comb labellings (l_0..l_{n-2}, r_0..r_{n-2}), matched by one sort of each
-    odd, even = (np.lexsort(keys).astype(np.int32) for keys in ([*odd_l[:, :-1].T, *r], [*l, *even_r.T]))
-    from_odd, from_even = np.empty_like(odd), np.empty_like(even)
-    from_odd[even], from_even[odd] = odd, even
-    return _move_keys(n), (odd_moves, even_moves), (from_odd, from_even)
-
-
 @functools.lru_cache(maxsize=64)
 def _racah_values(n: int, point) -> np.ndarray:
     """racah of every key of _move_keys, one row per key, one column per phase.
@@ -239,7 +158,7 @@ def _racah_values(n: int, point) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def move_deviation(n: int, point) -> float:
-    """max |R R^H - 1| over the 2 x 2 rotations R of the move plan, at every phase.
+    """max |R R^H - 1| over the 2 x 2 rotations R of the F-moves, at every phase.
 
     Every F-move is a direct sum of these rotations and 1 x 1 blocks of
     value 1, so a is unitary iff each rotation is.
@@ -253,34 +172,33 @@ def move_deviation(n: int, point) -> float:
 def recouple(v: np.ndarray, n: int, point, transpose: bool = False) -> np.ndarray:
     """v @ a, or v @ a^T with transpose, for a the duality matrix at the point.
 
-    v holds row vectors over the odd paths (over the even paths with
-    transpose) in its last axis; the axis before it runs over the
-    phases of a batched point. a = M_0 ... M_{n-2} P E_{n-2} ... E_0
-    with symmetric moves (_move_plan), so v @ a runs the odd moves in
-    order on one copy of v, broadcast over the phases, then gathers
-    through the comb permutation and runs the even moves in reverse;
-    v @ a^T swaps the sides and gathers the other way. Each move
-    rewrites only the paths of its 2 x 2 blocks, in place.
+    v holds row vectors over the paths in its last axis; the axis before
+    it runs over the phases of a batched point. a is the product of the
+    symmetric F-moves at positions 3, 5, ..., 2n - 1, then 2n - 2, ...,
+    2, so v @ a runs them in that order on one copy of v, broadcast over
+    the phases, and v @ a^T in reverse. Each move rewrites only the
+    paths of its 2 x 2 blocks (comb_move), in place, F's rows J and
+    columns m_i = a -+ 1 (_racah_values).
     """
-    _, sides, combs = _move_plan(n)
     values = _racah_values(n, point).T
+    F = values.reshape(values.shape[:-1] + (n - 1, 2, 2))
     shape = np.broadcast_shapes(v.shape, values.shape[:-1] + v.shape[-1:])
     v = np.broadcast_to(v, shape).astype(np.result_type(v, values), order="C")
-    first, last = sides[::-1] if transpose else sides
-
-    def run(v, moves):
-        for p, q, own, other in moves:
-            v[..., p] = v[..., p] * values[..., own] + v[..., q] * values[..., other]
-        return v
-
-    return run(run(v, first)[..., combs[transpose]], last[::-1])
+    positions = [*range(3, 2 * n, 2), *range(2 * n - 2, 1, -2)]
+    for i in positions[::-1] if transpose else positions:
+        low, high, block, _ = comb_move(n, i)
+        if len(low):
+            lo, hi, f = v[..., low], v[..., high], F[..., block, :, :]
+            v[..., low] = lo * f[..., 0, 0] + hi * f[..., 1, 0]
+            v[..., high] = lo * f[..., 0, 1] + hi * f[..., 1, 1]
+    return v
 
 
 def duality_matrix(n: int, point) -> np.ndarray:
     """Orthogonal map from even-path coordinates to odd-path coordinates.
 
-    Rows are indexed by odd paths, columns by even paths, both in their
-    frozen enumeration order. For n = 2 this is the single all-1/2
+    Rows are indexed by odd paths, columns by even paths, both in comb
+    order (pair_couplings). For n = 2 this is the single all-1/2
     racah matrix. At a batched point the entries are a stack with one
     leading axis over the phases. The rows are the F-moves of recouple
     applied to the identity.

@@ -1,9 +1,9 @@
 """Statevector simulation of the plat matrix element.
 
 The register holds 2n qubits; the compiled block of dimension
-d = Catalan(n) sits on computational-basis indices 0..d-1 and every
-letter acts as block plus identity on the rest, so only the d-block
-ever changes. Programs of one n evolve by the evaluator's loop
+d = Catalan(n) sits on computational-basis indices 0..d-1, its paths
+in comb order (fusion.pair_couplings), and every letter acts as block
+plus identity on the rest, so only the d-block ever changes. Programs of one n evolve by the evaluator's loop
 (evaluator.evolve, through evaluator.elements for a slice at a time)
 at the one-phase point QPoint((theta,)), along the schedule reversed:
 each step applies each covering row's own letter S in place, as

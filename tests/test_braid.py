@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,11 +11,13 @@ from platjones.braid import (
     PARALLEL,
     BraidWord,
     Syllable,
+    cap,
     format_word,
     mirror,
     parse,
     propagate_orientations,
     resolve_orientations,
+    state_loops,
     writhe,
 )
 from platjones.errors import (
@@ -175,6 +178,31 @@ def test_antiparallel_powers_act_as_unit_syllables(joined, split, annotated):
     assert writhe(a) == writhe(b)
     assert support_window(a) == support_window(b)
     assert kauffman_bracket(a) == kauffman_bracket(b)
+
+
+def _state_loops_per_crossing(word, sign):
+    """Test-only state_loops that caps and cups anew at every crossing of a syllable, one at a time."""
+    joined = [k ^ 1 for k in range(word.strands)]
+    loops = 0
+    for s in word.syllables:
+        if (s.power > 0) == (sign > 0):
+            for _ in range(abs(s.power)):
+                loops += cap(joined, s.index - 1)
+                joined[s.index - 1], joined[s.index] = s.index, s.index - 1
+    return loops + sum(cap(joined, k) for k in range(0, word.strands, 2))
+
+
+def test_state_loops_equals_the_per_crossing_loop():
+    # after a syllable's first e_i each further one closes one loop, so
+    # one count per syllable gives every state's loops at any power
+    rng = random.Random("state-loops")
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        syllables = [f"g{rng.randint(1, 2 * n - 1)}^{rng.choice((1, -1)) * rng.randint(1, 20)}"
+                     for _ in range(rng.randint(1, 8))]
+        word = parse(f"strands={2 * n}; " + " ".join(syllables))
+        for sign in (1, -1):
+            assert state_loops(word, sign) == _state_loops_per_crossing(word, sign)
 
 
 def test_cap_mismatch():

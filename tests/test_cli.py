@@ -259,6 +259,22 @@ def test_verify_missing_corpus_exits_2(tmp_path, capsys):
     assert "result:" not in captured.out
 
 
+def test_huge_power_exits_2_without_traceback(tmp_path, capsys):
+    # g2^(10^20 - 1) at once: eval stops on the size of its support
+    # window, prob and verify on the letter's tallies leaving int64
+    text = "strands=4; g2^99999999999999999999"
+    path = _word_file(tmp_path, text)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    _word_file(corpus, text)
+    for argv in (["eval", path], ["prob", path, "--theta", "0.3"], ["verify", str(corpus)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        if argv[0] != "eval":
+            assert err == "error: letter 'f' has more crossings than int64 can tally\n"
+
+
 def test_failed_allocation_exits_6_without_traceback(tmp_path, capsys, monkeypatch):
     # a MemoryError from the evaluator or the simulator is exit 6 with a
     # one-line message; the stubs raise it without allocating anything

@@ -278,7 +278,7 @@ def test_element_memory_is_linear_in_paths():
     # where the dense (phases, paths, paths) stack took about 50 MB even
     # when it was built in blocks of phases
     program = compile_word(_resolved("strands=14; g4^-1 g8^1 g11^1 g2^2 g6^-1"))
-    program.element(circle_samples((-35, 35)))  # builds the move plan of n = 7
+    program.element(circle_samples((-35, 35)))  # builds the move tables of n = 7
     point = circle_samples((-36, 36))
     tracemalloc.start()
     try:

@@ -66,21 +66,64 @@ def _recursive_even_paths(n):
     return sorted(out)
 
 
+def _recursive_arrays(n):
+    """(J, doubled labels) int arrays, (paths, pairs) each, of the recursive odd paths, then of the even ones."""
+    return tuple(
+        tuple(np.array([path[k] for path in paths], dtype=int).reshape(len(paths), -1) for k in (0, 1))
+        for paths in (_recursive_odd_paths(n), _recursive_even_paths(n))
+    )
+
+
+def _comb_paths(n):
+    """Each basis's (J, doubled labels) per comb labelling, in comb order; no even paths at n = 1.
+
+    The odd basis keeps the labels m_2, m_4, ..., m_2n, the even one m_3, m_5, ..., m_{2n-1}.
+    """
+    m = fusion._comb(n)[0].tolist()
+    odd, even = (J.tolist() for J in fusion.pair_couplings(n))
+    return (
+        [(tuple(J), tuple(labels[2::2])) for J, labels in zip(odd, m)],
+        [(tuple(J), tuple(labels[3:-1:2])) for J, labels in zip(even, m)] if n > 1 else [],
+    )
+
+
+@functools.cache
+def _comb_index(n):
+    """Test-only: the comb index of each recursive odd path, then of each even one, by their labels.
+
+    A path fixes every other label; at each coupling J between labels a
+    and d it reaches m = (a + d) / 2 if a != d, else a - 1 + 2J (1 at a = 0).
+    """
+    rows = {tuple(m): p for p, m in enumerate(fusion._comb(n)[0].tolist())}
+
+    def reach(J, m):
+        for i, j in zip(range(m.index(None), 2 * n, 2), J):
+            a, d = m[i - 1], m[i + 1]
+            m[i] = (a + d) // 2 if a != d else abs(a - 1 + 2 * j)
+        return rows[tuple(m)]
+
+    odd = [reach(J, [0, *(x for label in l for x in (None, label))]) for J, l in _recursive_odd_paths(n)]
+    even = [reach(J, [0, 1, *(x for label in r for x in (None, label)), 0]) for J, r in _recursive_even_paths(n)]
+    return np.array(odd, dtype=np.intp), np.array(even, dtype=np.intp)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_chain_builder_equals_the_recursive_enumeration(n):
-    # same paths in the same order: elements, qsim and the move plan index by position
-    want = _recursive_odd_paths(n), _recursive_even_paths(n)
-    for (J, labels), paths in zip(fusion._bases(n), want):
-        assert [J.tolist(), labels.tolist()] == [[list(J) for J, _ in paths], [list(l) for _, l in paths]]
+    # every path of either basis sits at the comb labelling it reaches:
+    # the comb's (J, labels) rows, sorted, are the recursion's paths
+    for got, want in zip(_comb_paths(n), (_recursive_odd_paths(n), _recursive_even_paths(n))):
+        assert sorted(got) == want
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_pair_couplings_are_the_paths_couplings(n):
-    # the (paths, pairs) arrays that letters gathers from, in the paths' order
+    # the (paths, pairs) arrays that letters gathers from: each recursive
+    # path's couplings at its own comb index, and every index taken once
     want = [_recursive_odd_paths(n), _recursive_even_paths(n)]
-    for got, paths in zip(fusion.pair_couplings(n), want):
+    for got, paths, index in zip(fusion.pair_couplings(n), want, _comb_index(n)):
         assert got.dtype == np.int8 and not got.flags.writeable
-        assert got.tolist() == [list(J) for J, _ in paths]
+        assert sorted(index.tolist()) == list(range(len(paths)))
+        assert got[index].tolist() == [list(J) for J, _ in paths]
 
 
 @functools.cache
@@ -147,11 +190,13 @@ def _reference_recouple(v, n, point, transpose=False):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_move_plan_equals_the_dict_builder(n):
-    # the in-place 2 x 2 rotations and the comb permutation give the
-    # bits, dtype included, of every state the dict builder's steps
-    # write, both ways, on real and complex rows and on the (d, 1, d)
-    # identity that duality_matrix broadcasts over the phases
-    assert all(type(x) is int for key in fusion._move_plan(n)[0] for x in key)
+    # the in-place 2 x 2 rotations on the comb labellings give the bits,
+    # dtype included, of every state the dict builder's steps write, both
+    # ways, its paths taken to their comb indices, on real and complex
+    # rows and on the (d, 1, d) identity that duality_matrix broadcasts
+    # over the phases
+    assert all(type(x) is int for key in fusion._move_keys(n) for x in key)
+    odd, even = _comb_index(n)
     rng = np.random.default_rng(n)
     d = fusion.block_dimension(n)
     grid = QPoint(tuple(phase_grid(n, 10).tolist()))
@@ -162,41 +207,46 @@ def test_move_plan_equals_the_dict_builder(n):
             rows.append(np.eye(d).reshape(d, 1, d))
         for u in rows:
             for transpose in (False, True):
+                source, target = (even, odd) if transpose else (odd, even)
                 got = fusion.recouple(u, n, point, transpose)
-                want = _reference_recouple(u, n, point, transpose)
+                reference = _reference_recouple(u[..., source], n, point, transpose)
+                want = np.empty_like(reference)
+                want[..., target] = reference
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want)
 
 
-def test_cold_move_plan_memory(monkeypatch):
-    # n = 9, d = 4862: the bases peak near 0.5 MiB while they are built,
-    # and the plan keeps about 0.6 MiB of index arrays, 1 MiB at the peak
-    monkeypatch.setattr(fusion, "_bases", fusion._bases.__wrapped__)
+def _cold_tables(monkeypatch, n):
+    """The comb labellings, pair_couplings and comb_move at every position of n, built cold under tracemalloc.
+
+    Returns the couplings, the moves, and the bytes kept and at the peak.
+    """
+    monkeypatch.setattr(fusion, "_comb", functools.cache(fusion._comb.__wrapped__))
     tracemalloc.start()
     try:
-        fusion._move_plan.__wrapped__(9)
-        peak = tracemalloc.get_traced_memory()[1]
+        couplings = fusion.pair_couplings.__wrapped__(n)
+        moves = [fusion.comb_move.__wrapped__(n, i) for i in range(1, 2 * n)]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return couplings, moves, kept, peak
+
+
+def test_cold_move_plan_memory(monkeypatch):
+    # n = 9, d = 4862: the comb labellings, the couplings and the moves
+    # of every position peak near 1 MiB while they are built, and keep 0.5 MiB
+    *_, peak = _cold_tables(monkeypatch, 9)
     assert peak < 2 * 2**20
 
 
 def test_bases_and_move_plan_memory_at_n11(monkeypatch):
-    # n = 11, d = 58786: the bases keep (paths, pairs) int8 arrays of J
-    # and the doubled labels, and the plan int32 paths, partners, keys
-    # and comb gathers, 11.8 MiB in all
-    monkeypatch.setattr(fusion, "_bases", functools.cache(fusion._bases.__wrapped__))
-    tracemalloc.start()
-    try:
-        plan = fusion._move_plan.__wrapped__(11)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert [array.dtype for basis in fusion._bases(11) for array in basis] == [np.int8] * 4
-    _, sides, combs = plan
-    arrays = [array for moves in sides for move in moves for array in move] + list(combs)
-    assert {array.dtype for array in arrays} == {np.dtype(np.int32)}
-    assert kept < 14 * 2**20
+    # n = 11, d = 58786: the comb labellings and their codes, the int8
+    # couplings of both bases, and per position the int32 paths and
+    # partners and the int8 blocks and J of comb_move, 6.6 MiB in all
+    couplings, moves, kept, _ = _cold_tables(monkeypatch, 11)
+    assert [array.dtype for array in couplings] == [np.int8] * 2
+    assert [[array.dtype for array in move] for move in moves] == [[np.int32] * 2 + [np.int8] * 2] * 21
+    assert kept < 8 * 2**20
 
 
 def test_plan_keys_reach_the_arcs_bound():
@@ -210,7 +260,7 @@ def test_plan_keys_reach_the_arcs_bound():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerators_reject_n_below_one(n):
-    for build in (fusion._bases, fusion.pair_couplings, fusion.block_dimension):
+    for build in (fusion._comb, fusion.pair_couplings, fusion.block_dimension):
         with pytest.raises(ValueError, match="n must be >= 1"):
             build(n)
 
@@ -220,24 +270,22 @@ def test_path_counts_are_catalan():
         assert len(fusion.pair_couplings(n)[0]) == catalan(n) == fusion.block_dimension(n)
     for n in range(2, 10):
         assert len(fusion.pair_couplings(n)[1]) == catalan(n)
-    assert [array.size for array in fusion._bases(1)[1]] == [0, 0]
+    assert fusion.pair_couplings(1)[1].size == 0
 
 
 def test_zero_path_is_first():
     # elements and qsim read index 0 as |0...0>
     for n in range(1, 10):
-        J, labels = fusion._bases(n)[0]
-        assert (J[0].tolist(), labels[0].tolist()) == ([0] * n, [0] * n)
+        assert _comb_paths(n)[0][0] == ((0,) * n, (0,) * n)
 
 
 def test_odd_paths_n2():
-    J, labels = fusion._bases(2)[0]
-    assert (J.tolist(), labels.tolist()) == ([[0, 0], [1, 1]], [[0, 0], [2, 0]])
+    assert _comb_paths(2)[0] == [((0, 0), (0, 0)), ((1, 1), (2, 0))]
 
 
 def test_even_paths_close_on_half():
     for n in (2, 3, 4):
-        assert (fusion._bases(n)[1][1][:, -1] == 1).all()
+        assert all(labels[-1] == 1 for _, labels in _comb_paths(n)[1])
 
 
 def test_racah_anchor_value():
@@ -313,10 +361,10 @@ def test_duality_matrix_n3_pinned():
          0.733700125816787, 0.0],
         [-0.442022907995974, -0.266299874183212, 0.733700125816787,
          0.442022907995974, 0.0],
-        [-0.442022907995974, -0.266299874183212, -0.266299874183212,
-         -0.160434270955569, 0.798151205931400],
         [-0.442022907995974, 0.733700125816787, -0.266299874183212,
          0.442022907995974, 0.0],
+        [-0.442022907995974, -0.266299874183212, -0.266299874183212,
+         -0.160434270955569, 0.798151205931400],
         [0.585603640212689, 0.352801117066291, 0.352801117066291,
          0.212547565718711, 0.602457178951544],
     ])
@@ -359,11 +407,11 @@ def _racah_reference(two_j, two_l, s1, s2, s3, s4, theta):
 
 
 def _one_by_one_keys(n):
-    """The keys (e, 2J, a, 1, 1, d) of the moves' 1 x 1 blocks, a != d or a = d = 0, from the bases' labels.
+    """The keys (e, 2J, a, 1, 1, d) of the moves' 1 x 1 blocks, a != d or a = d = 0, from the recursive paths.
 
     There the one admissible e is (a + d) / 2, or 1 at a = d = 0.
     """
-    (odd_J, odd_l), (even_J, even_r) = fusion._bases(n)
+    (odd_J, odd_l), (even_J, even_r) = _recursive_arrays(n)
     sides = (odd_J[:, 1:], odd_l), (even_J, np.hstack([np.ones_like(even_r[:, :1]), even_r]))
     keys = set()
     for J, fixed in sides:
@@ -419,21 +467,22 @@ def test_duality_build_calls_racah_once_per_distinct_key(monkeypatch):
         return racah(*args)
 
     monkeypatch.setattr(fusion, "racah", counting)
-    keys, sides, _ = fusion._move_plan(6)
+    keys = fusion._move_keys(6)
     assert len(keys) == len(set(keys)) == 20
     # bypass the cache; one batched evaluation serves every key at every
-    # phase, with no racah call per key, and every key feeds some move
+    # phase, with no racah call per key, and every key feeds some move:
+    # recouple reads the four keys of each block of positions 2..2n-1
     values = fusion._racah_values.__wrapped__(6, QPoint((0.1, 0.2, 0.3)))
     assert values.shape == (20, 3) and seen == []
-    used = [np.concatenate([own, other]) for moves in sides for _, _, own, other in moves]
-    assert set(np.concatenate(used).tolist()) == set(range(20))
+    blocks = np.concatenate([fusion.comb_move(6, i)[2] for i in range(2, 12)])
+    assert set((4 * blocks[:, None].astype(int) + np.arange(4)).ravel().tolist()) == set(range(20))
 
 
 def test_racah_values_equal_racah_per_key():
     # one batched evaluation over one shared q-number table gives the
     # same values, bit for bit, as each racah building a table of its own
     for n in range(2, 8):
-        keys = fusion._move_plan(n)[0]
+        keys = fusion._move_keys(n)
         circle = circle_samples((-3 * n, 3 * n))
         grid = QPoint(tuple(phase_grid(n, 10).tolist()))
         for point in (circle, grid):
@@ -464,8 +513,10 @@ def _dense_reference(n, point):
     the racah values of the odd path's moves, racah(r_k, J_{k+1}, l_k,
     1/2, 1/2, l_{k+1}), and of the even path's, racah(l_k, J'_k, r_{k-1},
     1/2, 1/2, r_k) with r_{-1} = 1/2; each distinct key is one racah call.
+    Rows and columns are taken from the recursion's order to comb order.
     """
-    (odd_J, odd_l), (even_J, even_r) = ([x.astype(int) for x in basis] for basis in fusion._bases(n))
+    (odd_J, odd_l), (even_J, even_r) = _recursive_arrays(n)
+    rows, columns = np.ix_(*_comb_index(n))
     l = odd_l[:, None, :]
     J = 2 * odd_J[:, None, 1:]
     r = even_r[None, :, :]
@@ -483,7 +534,9 @@ def _dense_reference(n, point):
     for phase in range(values.shape[-1]):
         a = np.zeros(admissible.shape, dtype=values.dtype)
         a[admissible] = values[index.reshape(-1, 2 * n - 2), phase].prod(-1)
-        yield a
+        comb = np.empty_like(a)
+        comb[rows, columns] = a
+        yield comb
 
 
 def test_f_moves_match_dense_racah_products():

@@ -204,11 +204,11 @@ def test_check_unitary_on_batched_point(thetas):
 
 
 def test_sign_flip_in_a_recoupling_block_is_rejected(monkeypatch):
-    # one entry of a 2 x 2 block of the move plan flipped: a is no longer
+    # one entry of a 2 x 2 block of the F-moves flipped: a is no longer
     # unitary, which the block check must see without the dense matrix,
     # and a run through a flipped a† or a must stop rather than evolve
     n, point = 3, QPoint(0.5)
-    keys = fusion._move_plan(n)[0]
+    keys = fusion._move_keys(n)
     outer = Counter((a, d) for _, _, a, _, _, d in keys)
     flip = next(i for i, (_, _, a, _, _, d) in enumerate(keys) if outer[a, d] == 4)
     values = fusion._racah_values
@@ -236,9 +236,9 @@ def test_sign_flip_in_a_recoupling_block_is_rejected(monkeypatch):
 
 def test_p_k_memory_stays_below_one_dense_matrix():
     # a dense d x d complex a at n = 8 (d = 1430) is 31 MiB; the run holds
-    # the 2^16-amplitude register (1 MiB) and the move plan's values
+    # the 2^16-amplitude register (1 MiB), the F-moves' values and, when
+    # it builds them, the comb tables of n = 8 (0.3 MiB at their peak)
     program = _program(parse("strands=16; g2^1 g4^-1 g6^2 g9^1 g8^-1 g12^1 g14^-2 g3^1 g10^1"))
-    fusion._move_plan(8)
     fusion.move_deviation.cache_clear()
     tracemalloc.start()
     try:
