@@ -33,6 +33,7 @@ from .errors import (
     DegenerateQ,
     NegativeRadicand,
     NonAdmissibleTriple,
+    NonUnitaryBlock,
     ResidualTooLarge,
     WordSyntaxError,
 )
@@ -59,6 +60,7 @@ EXIT_CODES = {
     CapMismatch: 3,
     AnnotationConflict: 3,
     ResidualTooLarge: 4,
+    NonUnitaryBlock: 4,
     NegativeRadicand: 5,
     DegenerateQ: 5,
     NonAdmissibleTriple: 5,

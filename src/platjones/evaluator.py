@@ -43,7 +43,7 @@ from .braid import (
     writhe,
 )
 from .errors import UnannotatedSyllable
-from .fusion import _racah_values, block_dimension, comb_move, pair_couplings, recouple
+from .fusion import block_dimension, comb_move, pair_couplings, recouple, rotations
 from .laurent import LaurentPoly, circle_samples, laurent_eval, read_coefficients
 from .qnum import QPoint
 
@@ -225,11 +225,13 @@ def comb_element(word: BraidWord, point) -> np.ndarray:
     v, (paths, phases), runs from the odd vacuum (path 0) through v <- v R
     per syllable g_i^p in word order (fusion.comb_move): R is lambda_J^p
     on a 1 x 1 block and F^T diag(lambda_0^p, lambda_1^p) F on the 2 x 2
-    block at a, F's rows J and columns m_i = a -+ 1 (_racah_values).
+    block at a, F's rows J and columns m_i = a -+ 1 (fusion.rotations),
+    read at the first such block.
     """
     n, x = word.n, point.q_half
     v = np.zeros((block_dimension(n), len(x)), x.dtype)
     v[0] = 1.0
+    F = None
     for s in word.syllables:
         signs, exponents = _spectrum(s.orientation, s.power)
         p = abs(s.power)
@@ -238,7 +240,7 @@ def comb_element(word: BraidWord, point) -> np.ndarray:
         lo, hi = v[low], v[high]
         v *= lam[J]
         if len(low):
-            F = _racah_values(n, point).reshape(n - 1, 2, 2, -1)
+            F = rotations(n, point) if F is None else F
             R = np.einsum("bje...,j...,bjf...->bef...", F, lam, F)
             v[low] = lo * R[block, 0, 0] + hi * R[block, 1, 0]
             v[high] = lo * R[block, 0, 1] + hi * R[block, 1, 1]

@@ -1,30 +1,24 @@
-"""Total-spin-0 fusion path bases, the odd/even duality matrix and the comb moves.
+"""Fusion path bases on the comb labellings, and the F-moves between them as one table of rotations.
 
-Strand spins are all 1/2. A comb labelling m_0..m_{2n} (_comb) gives
-the doubled spin after each strand, from 0 back to 0 in steps of +-1;
-there are d = Catalan(n) of them (block_dimension). Both fusion bases
-are numbered by them. The odd basis pairs strands (2i-1, 2i) and keeps
-the labels at even positions; the even basis starts from strand 1's
-spin 1/2, fuses the interior pairs (2i, 2i+1) and keeps the labels at
-odd positions. Each replaces the other labels m_i by the pair spins J
-at those positions, with J = 0 iff m_{i-1} = m_{i+1} and
-m_i = |m_{i-1} - 1|, so every path of either basis sits at the index
-of one comb labelling (pair_couplings gives each basis's J, int8).
-The F-move at position i replaces J by m_i: it is the identity on its
-1 x 1 blocks and a symmetric 2 x 2 rotation of spin-1/2 recoupling
-(_racah_rows) on the blocks of comb_move(n, i), the paths with
-m_{i-1} = m_{i+1} = a > 0 and m_i = a -+ 1. The duality matrix
-a = C_odd C_even^T is the product of the moves at the odd positions
-3, 5, ..., 2n - 1 and the even ones 2n - 2, ..., 2 (recouple). The
-rotations of a point come in one batch from one qnum.q_table, cached
-per (n, point). recouple applies the moves in place at every phase of
-a point at once, move_deviation checks a's unitarity on the rotations,
-and duality_matrix (the moves applied to the identity) is the tests'
-dense reference. On a comb labelling, g_i changes m_i alone
-(comb_move), which jones reads directly.
+Strand spins are all 1/2; labels are doubled spins, so triad arithmetic
+stays integral. A comb labelling m_0..m_{2n} (_comb) gives the doubled
+spin after each strand, from 0 back to 0 in steps of +-1; there are
+d = Catalan(n) of them (block_dimension), and both fusion bases number
+their paths by them. The odd basis pairs strands (2i-1, 2i), the even
+one the interior pairs (2i, 2i+1); a path stores at each of its pair
+positions i the spin J = 0 iff m_{i-1} = m_{i+1} and m_i = |m_{i-1} - 1|
+(pair_couplings). g_i changes m_i alone (comb_move): its 2 x 2 blocks
+pair the paths with m_{i-1} = m_{i+1} = a > 0 and m_i = a -+ 1.
 
-Labels are doubled integers (twice the spin) so triad arithmetic
-stays integral; the paths' pair couplings J are plain integer spins.
+The F-move at position i replaces J by m_i. It is the identity on the
+1 x 1 blocks and, on the 2 x 2 block at a, the spin-1/2 recoupling
+rotation rotations(n, point)[a - 1], rows J and columns m_i = a -+ 1
+(Kauffman and Lins, Temperley-Lieb Recoupling Theory, 1994). That one
+table, cached per (n, point) behind one phase check, is what recouple
+(the duality matrix a = C_odd C_even^T: the moves at positions
+3, 5, ..., 2n - 1, then 2n - 2, ..., 2), move_deviation (a's
+unitarity) and evaluator.comb_element read; racah gives one entry per
+key, and duality_matrix is the tests' dense reference.
 """
 
 from __future__ import annotations
@@ -53,7 +47,10 @@ def _comb(n: int) -> tuple[np.ndarray, np.ndarray]:
         e = rows[:, -1:] + np.array([-1, 1], dtype=np.int8)
         path, step = np.nonzero((e >= 0) & (e <= left))
         rows = np.concatenate([rows[path], e[path, step, None]], 1)
-    return rows, (np.diff(rows) > 0) @ (1 << np.arange(2 * n - 1, -1, -1))
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for t in range(2 * n):
+        codes = 2 * codes + (rows[:, t + 1] > rows[:, t])
+    return rows, codes
 
 
 @functools.cache
@@ -97,63 +94,55 @@ def pair_couplings(n: int) -> tuple[np.ndarray, np.ndarray]:
     return couplings
 
 
-def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
-    """Racah recoupling coefficient of two spin-1/2 strands, doubled spin arguments.
+def _rotation_table(n: int, point) -> np.ndarray:
+    """F of every label a = 1..n-1, (n - 1, 2, 2) + the point's phase axes, unchecked.
 
-    The strands are s2 = s3 = 1/2 (ValueError otherwise); one value per
-    phase of the point, from the closed form of _racah_rows.
-    """
-    return _racah_rows([(two_j, two_l, two_s1, two_s2, two_s3, two_s4)], point)[0]
-
-
-def _racah_rows(keys, point):
-    """racah of each key (e, 2J, a, 1, 1, d), doubled, one row per key, all keys at once.
-
-    With [k] = q_number(2k) of doubled labels, the keys sharing outer
-    labels (a, d) form one recoupling block, rows J and columns e. It is
-    1 x 1 with value 1 unless d = a > 0; then rows J = 0, 1 and columns
-    e = a - 1, a + 1 hold the rotation
-    [[-sqrt[a], sqrt[a+2]], [sqrt[a+2], sqrt[a]]] / (sqrt[2] sqrt[a+1]),
-    orthogonal since [a] + [a+2] = [2][a+1]. Every triad is checked for
-    admissibility, since the keys may come from outside; then one phase
-    check of the triad with the largest sum keeps every [k] read here
-    positive on the unit circle; other points have no zeros. Each
+    F = [[-sqrt[a], sqrt[a+2]], [sqrt[a+2], sqrt[a]]] / (sqrt[2] sqrt[a+1]),
+    [k] = q_table's row k, orthogonal since [a] + [a+2] = [2][a+1]. Each
     q-number's root is taken alone: at a circle point sqrt(XY) is not
     sqrt(X) sqrt(Y), and only roots of single q-numbers cancel from the
     plat element whatever their branch.
     """
-    e, J, a, s2, s3, d = np.array(keys).T
-    triads = np.stack([a, s2, e, s3, d, e, a, d, J, s2, s3, J], -1).reshape(-1, 3)
-    admissible = is_admissible(*triads.T)
-    if not admissible.all():
-        x, y, z = triads[np.argmin(admissible)]
-        raise NonAdmissibleTriple(f"({x}/2, {y}/2, {z}/2)")
-    if (s2 != 1).any() or (s3 != 1).any():
-        raise ValueError("racah recouples two spin-1/2 strands: s2 = s3 = 1/2")
-    check_arc(*triads[np.argmax(triads.sum(-1))], point)
-    a = np.where((d == a) & (a > 0), a, 0)  # 0 marks a 1 x 1 block
-    roots = np.sqrt(q_table(a.max() + 2, point))
-    top = np.where((e < a) == (J == 0), a, a + 2)
-    sign = np.where((e < a) & (J == 0), -1.0, 1.0)
-    column = lambda x: x.reshape(x.shape + (1,) * (roots.ndim - 1))
-    rotation = column(sign) * roots[top] / (roots[2] * roots[a + 1])
-    return np.where(column(a > 0), rotation, 1.0)
-
-
-def _move_keys(n: int) -> tuple:
-    """The racah keys (doubled) of each a = 1..n-1's rotation: rows J = 0, 1, columns e = a - 1, a + 1."""
-    return tuple((e, 2 * j, a, 1, 1, a) for a in range(1, n) for j in (0, 1) for e in (a - 1, a + 1))
+    roots = np.sqrt(q_table(n + 1, point))
+    a = np.arange(1, n)
+    sign = np.array([[-1.0, 1.0], [1.0, 1.0]]).reshape((2, 2) + (1,) * (roots.ndim - 1))
+    top = a[:, None, None] + np.array([[0, 2], [2, 0]])
+    return sign * roots[top] / (roots[2] * roots[a + 1])[:, None, None]
 
 
 @functools.lru_cache(maxsize=64)
-def _racah_values(n: int, point) -> np.ndarray:
-    """racah of every key of _move_keys, one row per key, one column per phase.
+def rotations(n: int, point) -> np.ndarray:
+    """The F-moves' 2 x 2 rotations at a point: read-only, (n - 1, 2, 2) + its phase axes.
 
-    Every key reads the one q_table of the point that reaches them all.
+    Entry [a - 1, J, c] recouples label a: rows J = 0, 1, columns
+    e = a - 1 (c = 0) and a + 1 (c = 1). One phase check of the largest
+    triad read, ((n-1)/2, 1/2, n/2), keeps every [k] up to [n + 1]
+    positive on the unit circle; other points have no zeros.
     """
-    values = _racah_rows(_move_keys(n), point)
-    values.setflags(write=False)
-    return values
+    check_arc(n - 1, 1, n, point)
+    table = _rotation_table(n, point)
+    table.setflags(write=False)
+    return table
+
+
+def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
+    """Racah recoupling coefficient of two spin-1/2 strands, doubled spin arguments.
+
+    Read as the key (e, 2J, a, 1/2, 1/2, d), with s2 = s3 = 1/2 (ValueError
+    otherwise): 1 on a 1 x 1 block (d != a or a = 0), else the rotations
+    entry [a - 1, J, e > a], per phase of the point, behind a check of the
+    key's own triads, whose arc at e = a - 1, J = 0 is wider than the table's.
+    """
+    triads = ((two_s1, two_s2, two_j), (two_s3, two_s4, two_j), (two_s1, two_s4, two_l), (two_s2, two_s3, two_l))
+    for triad in triads:
+        if not is_admissible(*triad):
+            raise NonAdmissibleTriple("({}/2, {}/2, {}/2)".format(*triad))
+    if two_s2 != 1 or two_s3 != 1:
+        raise ValueError("racah recouples two spin-1/2 strands: s2 = s3 = 1/2")
+    check_arc(*max(triads, key=sum), point)
+    if two_s4 != two_s1 or two_s1 == 0:
+        return np.ones_like(q_table(0, point))[0]  # the point's dtype and phases, and its DegenerateQ
+    return _rotation_table(two_s1 + 1, point)[-1, two_l // 2, int(two_j > two_s1)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -163,8 +152,7 @@ def move_deviation(n: int, point) -> float:
     Every F-move is a direct sum of these rotations and 1 x 1 blocks of
     value 1, so a is unitary iff each rotation is.
     """
-    values = _racah_values(n, point)
-    R = values.reshape((-1, 2, 2) + values.shape[1:])
+    R = rotations(n, point)
     gram = np.einsum("bie...,bje...->b...ij", R, R.conj()) - np.eye(2)
     return float(np.max(np.abs(gram)))
 
@@ -177,13 +165,11 @@ def recouple(v: np.ndarray, n: int, point, transpose: bool = False) -> np.ndarra
     symmetric F-moves at positions 3, 5, ..., 2n - 1, then 2n - 2, ...,
     2, so v @ a runs them in that order on one copy of v, broadcast over
     the phases, and v @ a^T in reverse. Each move rewrites only the
-    paths of its 2 x 2 blocks (comb_move), in place, F's rows J and
-    columns m_i = a -+ 1 (_racah_values).
+    paths of its 2 x 2 blocks (comb_move), in place, by their rotations.
     """
-    values = _racah_values(n, point).T
-    F = values.reshape(values.shape[:-1] + (n - 1, 2, 2))
-    shape = np.broadcast_shapes(v.shape, values.shape[:-1] + v.shape[-1:])
-    v = np.broadcast_to(v, shape).astype(np.result_type(v, values), order="C")
+    F = np.moveaxis(rotations(n, point), (0, 1, 2), (-3, -2, -1))
+    shape = np.broadcast_shapes(v.shape, F.shape[:-3] + v.shape[-1:])
+    v = np.broadcast_to(v, shape).astype(np.result_type(v, F), order="C")
     positions = [*range(3, 2 * n, 2), *range(2 * n - 2, 1, -2)]
     for i in positions[::-1] if transpose else positions:
         low, high, block, _ = comb_move(n, i)
@@ -206,6 +192,6 @@ def duality_matrix(n: int, point) -> np.ndarray:
     if n < 2:
         raise ValueError("duality needs n >= 2 (no even basis on 2 strands)")
     d = block_dimension(n)
-    phases = np.ndim(_racah_values(n, point)) - 1
+    phases = np.ndim(point.log_q_half)
     identity = np.eye(d).reshape((d,) + (1,) * phases + (d,))
     return np.moveaxis(recouple(identity, n, point), 0, -2)

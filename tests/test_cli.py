@@ -712,17 +712,21 @@ def test_verify_checks_words_past_20_crossings(tmp_path, capsys):
 
 
 def test_internal_errors_cannot_reach_the_cli(tmp_path, monkeypatch, capsys):
-    """UnannotatedSyllable and NonUnitaryBlock have no exit code.
+    """UnannotatedSyllable has no exit code; NonUnitaryBlock exits 4.
 
     Every subcommand resolves orientations before it compiles, so
-    UnannotatedSyllable cannot reach main. The blocks are unitary on the
-    admissible arc only up to round-off, which grows with the power:
-    prob --theta 0.3 on strands=4; g2^1000000 raises NonUnitaryBlock
-    (a traceback, exit 1). The words below stay far from that; an
-    escaped error on them fails this test.
+    UnannotatedSyllable cannot reach main; an escaped one on the words
+    below fails this test. The blocks are unitary on the admissible arc
+    only up to round-off, which grows with the power: prob --theta 0.3
+    on strands=4; g2^1000000 fails the unitarity check, round-off past
+    a fixed bound like a rejected read-out, and exits 4 with one line.
     """
-    internal = (UnannotatedSyllable, NonUnitaryBlock)
-    assert not any(issubclass(e, tuple(cli.EXIT_CODES)) for e in internal)
+    assert not issubclass(UnannotatedSyllable, tuple(cli.EXIT_CODES))
+    assert main(["prob", _word_file(tmp_path, "strands=4; g2^1000000", name="big.txt"), "--theta", "0.3", "--json"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: operator 'f' deviates from unitarity by ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert cli.EXIT_CODES[NonUnitaryBlock] == 4
     compile_word = evaluator.compile
     compiled = []
 

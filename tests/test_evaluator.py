@@ -20,6 +20,7 @@ from platjones.braid import (
 from platjones.errors import (
     AnnotationConflict,
     CapMismatch,
+    NegativeRadicand,
     UnannotatedSyllable,
 )
 from platjones.evaluator import (
@@ -157,6 +158,15 @@ def test_evaluate_matches_oracle_modulus():
             got = abs(evaluate(w, theta)) * abs(unlink_normalization(n, theta))
             want = abs(laurent_eval(exact, QPoint(theta)))
             assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_evaluate_checks_the_arc_at_its_first_two_by_two_block():
+    # the comb path reads the rotations, and their one phase check, only
+    # when a syllable has a 2 x 2 block: g3 at n = 3 has one, g1 and g5 none
+    with pytest.raises(NegativeRadicand) as info:
+        evaluate(parse("strands=6; g3^1"), 1.7)
+    assert str(info.value) == "triangle(2/2,1/2,3/2) needs |theta| < 2*pi/4, got 1.7"
+    assert abs(evaluate(parse("strands=6; g1^1 g5^-2"), 1.7)) == pytest.approx(1.0)
 
 
 def _dense_operator(op, point):
@@ -361,7 +371,7 @@ def test_letters_equal_the_per_syllable_loop(words):
 @given(word=annotated_words(max_n=6))
 def test_comb_element_equals_the_paper_schedule(word):
     # one 2 x 2 move per syllable against the a f a^T g schedule; the two
-    # share only _racah_rows and SPECTRUM
+    # share only fusion.rotations and SPECTRUM
     assume(word is not None and word.crossing_count <= 20)
     program = compile_word(word)
     grid = QPoint(tuple(phase_grid(word.n, 10).tolist()))

@@ -177,10 +177,15 @@ def _dict_move_plan(n):
     return tuple(keys), tuple(forward), tuple(backward)
 
 
+def _rotation_keys(n):
+    """The racah key (e, 2J, a, 1, 1, a), doubled, of each entry [a - 1, J, c] of rotations(n, point), in order."""
+    return [(e, 2 * J, a, 1, 1, a) for a in range(1, n) for J in (0, 1) for e in (a - 1, a + 1)]
+
+
 def _reference_recouple(v, n, point, transpose=False):
     """Test-only recouple through the dict builder's steps: a gather-multiply, then a multiply-add."""
     keys, forward, backward = _dict_move_plan(n)
-    values = fusion._racah_rows(keys, point).T
+    values = np.array([racah(*key, point) for key in keys]).T
     for (index, key), (rows, second, second_key) in backward if transpose else forward:
         w = v[..., index] * values[..., key]
         w[..., rows] += v[..., second] * values[..., second_key]
@@ -194,14 +199,15 @@ def test_move_plan_equals_the_dict_builder(n):
     # dtype included, of every state the dict builder's steps write, both
     # ways, its paths taken to their comb indices, on real and complex
     # rows and on the (d, 1, d) identity that duality_matrix broadcasts
-    # over the phases
-    assert all(type(x) is int for key in fusion._move_keys(n) for x in key)
+    # over the phases; the rotations are one read-only (n - 1, 2, 2) table per phase
     odd, even = _comb_index(n)
     rng = np.random.default_rng(n)
     d = fusion.block_dimension(n)
     grid = QPoint(tuple(phase_grid(n, 10).tolist()))
     for point in (grid, circle_samples((-3 * n, 3 * n)), QPoint(0.4)):
-        v = rng.standard_normal((2,) + np.shape(fusion._racah_values(n, point))[1:] + (d,))
+        table = fusion.rotations(n, point)
+        assert table.shape[:3] == (n - 1, 2, 2) and not table.flags.writeable
+        v = rng.standard_normal((2,) + table.shape[3:] + (d,))
         rows = [v, v * np.exp(1j * rng.uniform(0, 7, d))]
         if n <= 6 and point is grid:
             rows.append(np.eye(d).reshape(d, 1, d))
@@ -234,28 +240,35 @@ def _cold_tables(monkeypatch, n):
 
 def test_cold_move_plan_memory(monkeypatch):
     # n = 9, d = 4862: the comb labellings, the couplings and the moves
-    # of every position peak near 1 MiB while they are built, and keep 0.5 MiB
+    # of every position peak near 0.5 MiB while they are built, about what
+    # they keep: the step codes grow a column at a time
     *_, peak = _cold_tables(monkeypatch, 9)
-    assert peak < 2 * 2**20
+    assert peak < 0.75 * 2**20
 
 
 def test_bases_and_move_plan_memory_at_n11(monkeypatch):
     # n = 11, d = 58786: the comb labellings and their codes, the int8
     # couplings of both bases, and per position the int32 paths and
-    # partners and the int8 blocks and J of comb_move, 6.6 MiB in all
-    couplings, moves, kept, _ = _cold_tables(monkeypatch, 11)
+    # partners and the int8 blocks and J of comb_move, 6.6 MiB in all,
+    # built at a peak of 6.9 MiB
+    couplings, moves, kept, peak = _cold_tables(monkeypatch, 11)
     assert [array.dtype for array in couplings] == [np.int8] * 2
     assert [[array.dtype for array in move] for move in moves] == [[np.int32] * 2 + [np.int8] * 2] * 21
-    assert kept < 8 * 2**20
+    assert kept < 8 * 2**20 and peak < 8 * 2**20
 
 
 def test_plan_keys_reach_the_arcs_bound():
-    # the phase check reads the largest triad of the plan's keys, from
-    # 2 x 2 blocks only: its K = n + 1 is admissible_arc's bound
+    # the phase check of rotations reads the largest triad of the keys of
+    # its entries, from 2 x 2 blocks only: its K = n + 1 is admissible_arc's
+    # bound, which passes the last phase below it and rejects the bound
     for n in range(2, 13):
-        e, J, a, s2, s3, d = np.array(fusion._move_keys(n)).T
+        e, J, a, s2, s3, d = np.array(_rotation_keys(n)).T
         largest = np.stack([a + s2 + e, s3 + d + e, a + d + J, s2 + s3 + J]).max() // 2 + 1
-        assert largest == n + 1 and 2 * math.pi / largest == admissible_arc(n)[1]
+        bound = admissible_arc(n)[1]
+        assert largest == n + 1 and 2 * math.pi / largest == bound
+        fusion.rotations.__wrapped__(n, QPoint(float(np.nextafter(bound, 0.0))))
+        with pytest.raises(NegativeRadicand, match=re.escape(f"|theta| < 2*pi/{n + 1}, got {bound!r}")):
+            fusion.rotations.__wrapped__(n, QPoint(bound))
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -299,11 +312,19 @@ def test_racah_anchor_value():
 def test_racah_rejects_bad_triads():
     with pytest.raises(NonAdmissibleTriple):
         racah(1, 0, 1, 1, 1, 1, QPoint(0.5))
-    # the first bad triad is named, key by key and in each key (a, 1/2, e), (1/2, d, e),
-    # (a, d, J), (1/2, 1/2, J): the second key's (a, d, J), though the third key's first fails too
-    keys = [(1, 0, 0, 1, 1, 0), (2, 0, 1, 1, 1, 3), (3, 0, 0, 1, 1, 0)]
-    with pytest.raises(NonAdmissibleTriple, match=re.escape("(1/2, 3/2, 0/2)")):
-        fusion._racah_rows(keys, QPoint(0.5))
+    # the first bad triad of the key (e, 2J, a, s2, s3, d) is named, in the order
+    # (a, 1/2, e), (1/2, d, e), (a, d, J), (1/2, 1/2, J), though the later ones fail too,
+    # and before the strands' spins are checked
+    named = {
+        (3, 2, 0, 1, 1, 0): "(0/2, 1/2, 3/2)",
+        (1, 0, 0, 1, 1, 4): "(1/2, 4/2, 1/2)",
+        (2, 1, 3, 1, 1, 3): "(3/2, 3/2, 1/2)",
+        (1, 4, 2, 1, 1, 2): "(1/2, 1/2, 4/2)",
+        (1, 0, 0, 3, 1, 4): "(0/2, 3/2, 1/2)",
+    }
+    for key, triad in named.items():
+        with pytest.raises(NonAdmissibleTriple, match=re.escape(triad)):
+            racah(*key, QPoint(0.5))
 
 
 def test_racah_rejects_strands_other_than_spin_half():
@@ -429,7 +450,7 @@ def test_batched_racah_matches_scalar_reference():
     # on the plan's 2 x 2 keys and on the value 1 of the 1 x 1 keys
     for n in range(2, 11):
         thetas = phase_grid(n, 16)
-        for key in fusion._move_keys(n) + tuple(_one_by_one_keys(n)):
+        for key in _rotation_keys(n) + _one_by_one_keys(n):
             got = racah(*key, QPoint(tuple(thetas.tolist())))
             want = [_racah_reference(*key, t) for t in thetas]
             assert got.shape == (16,)
@@ -467,30 +488,31 @@ def test_duality_build_calls_racah_once_per_distinct_key(monkeypatch):
         return racah(*args)
 
     monkeypatch.setattr(fusion, "racah", counting)
-    keys = fusion._move_keys(6)
+    keys = _rotation_keys(6)
     assert len(keys) == len(set(keys)) == 20
-    # bypass the cache; one batched evaluation serves every key at every
-    # phase, with no racah call per key, and every key feeds some move:
-    # recouple reads the four keys of each block of positions 2..2n-1
-    values = fusion._racah_values.__wrapped__(6, QPoint((0.1, 0.2, 0.3)))
-    assert values.shape == (20, 3) and seen == []
+    # bypass the cache; one batched evaluation serves every entry at every
+    # phase, with no racah call per key, and every row feeds some move:
+    # recouple reads the 2 x 2 rotation of each block of positions 2..2n-1
+    table = fusion.rotations.__wrapped__(6, QPoint((0.1, 0.2, 0.3)))
+    assert table.shape == (5, 2, 2, 3) and seen == []
     blocks = np.concatenate([fusion.comb_move(6, i)[2] for i in range(2, 12)])
-    assert set((4 * blocks[:, None].astype(int) + np.arange(4)).ravel().tolist()) == set(range(20))
+    assert set(blocks.tolist()) == set(range(5))
 
 
-def test_racah_values_equal_racah_per_key():
+def test_rotations_equal_racah_per_key():
     # one batched evaluation over one shared q-number table gives the
     # same values, bit for bit, as each racah building a table of its own
     for n in range(2, 8):
-        keys = fusion._move_keys(n)
         circle = circle_samples((-3 * n, 3 * n))
         grid = QPoint(tuple(phase_grid(n, 10).tolist()))
         for point in (circle, grid):
-            got = fusion._racah_values.__wrapped__(n, point)
-            assert np.array_equal(got, np.array([racah(*k, point) for k in keys]))
+            got = fusion.rotations.__wrapped__(n, point)
+            want = np.array([racah(*k, point) for k in _rotation_keys(n)])
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.reshape(want.shape), want)
 
 
-def test_racah_values_build_one_q_number_table(monkeypatch):
+def test_rotations_build_one_q_number_table(monkeypatch):
     calls = []
 
     def counting(*args):
@@ -500,7 +522,7 @@ def test_racah_values_build_one_q_number_table(monkeypatch):
     monkeypatch.setattr(qnum, "q_number", counting)
     for n in (2, 6):
         calls.clear()
-        fusion._racah_values.__wrapped__(n, circle_samples((-20, 20)))
+        fusion.rotations.__wrapped__(n, circle_samples((-20, 20)))
         assert len(calls) == 1
 
 

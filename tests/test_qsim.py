@@ -2,7 +2,6 @@ import random
 import re
 import time
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -208,20 +207,17 @@ def test_sign_flip_in_a_recoupling_block_is_rejected(monkeypatch):
     # unitary, which the block check must see without the dense matrix,
     # and a run through a flipped a† or a must stop rather than evolve
     n, point = 3, QPoint(0.5)
-    keys = fusion._move_keys(n)
-    outer = Counter((a, d) for _, _, a, _, _, d in keys)
-    flip = next(i for i, (_, _, a, _, _, d) in enumerate(keys) if outer[a, d] == 4)
-    values = fusion._racah_values
+    rotations = fusion.rotations
 
     def flipped(m, p):
-        v = values(m, p).copy()
+        table = rotations(m, p).copy()
         if m == n:
-            v[flip] = -v[flip]
-        return v
+            table[0, 0, 0] = -table[0, 0, 0]  # a = 1, J = 0, e = 0
+        return table
 
     program = _program(parse("strands=6; g2^1 g3^1 g4^-1 g1^2"))
     fusion.move_deviation.cache_clear()
-    monkeypatch.setattr(fusion, "_racah_values", flipped)
+    monkeypatch.setattr(fusion, "rotations", flipped)
     try:
         with pytest.raises(NonUnitaryBlock, match=r"operator 'a' deviates from unitarity by") as info:
             _check_letter(BlockOperator(n=n, token="f", basis="even"), point)
