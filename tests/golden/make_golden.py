@@ -36,6 +36,14 @@ SMALL_CORPUS = {
     "corpus/c.txt": "strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2",
     "corpus/d.txt": TREFOIL,
 }
+# every *.txt entry, dotfiles included, in name order (B before a); the rest is skipped
+MIXED_NAMES = {
+    "mixed/B.txt": HOPF,
+    "mixed/a.txt": "strands=6; g2^-1 g4^2 g3^1",
+    "mixed/.h.txt": TREFOIL,
+    "mixed/notes.md": "not a word",
+    "mixed/x.TXT": "not a word",
+}
 BAD_CAPS = {"bad/a.txt": TREFOIL, "bad/b.txt": "strands=6; flips=000; g4^1"}
 
 
@@ -99,6 +107,8 @@ def calls() -> list[dict]:
     add("verify-corpus-json", ["verify", f"{TMP}/corpus", "--json"], SMALL_CORPUS)
     add("verify-random", ["verify", "--random", "30"])
     add("verify-random-json", ["verify", "--random", "30", "--json"])
+    add("verify-random-200-json", ["verify", "--random", "200", "--json"])
+    add("verify-mixed-names-json", ["verify", f"{TMP}/mixed", "--json"], MIXED_NAMES)
     # exit 1: a tolerance no deviation can meet fails every case
     add("verify-fail", ["verify", "--random", "5", "--seed", "3", "--tolerance", "1e-300"])
     add("verify-fail-json", ["verify", f"{TMP}/corpus", "--tolerance", "1e-300", "--json"],
