@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -61,10 +61,23 @@ _FLIPS = re.compile(r"flips=([01]+)$")
 _SYLLABLE = re.compile(r"([bhg])(\d+)(?:\^(-?\d+))?$")
 
 
-def _tokenize(text: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for m in _TOKEN.finditer(line):
-            yield m.group(0), lineno, m.start() + 1
+def _at(text: str, i: int) -> tuple[int, int]:
+    """1-based (line, column) of token i of the text, or just past its last token if it has fewer.
+
+    Only errors read positions, so parse keeps the bare tokens. No token
+    holds a line break, as each is whitespace to _TOKEN.
+    """
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    offset = spans[i][0] if i < len(spans) else spans[-1][1] if spans else 0
+    lines = (text[:offset] + "x").splitlines()  # x: a break just before offset opens its line
+    return len(lines), len(lines[-1])
+
+
+def _token(text: str, toks: list[str], i: int, expect: str) -> str:
+    """toks[i], or the error of input that ends before it."""
+    if i < len(toks):
+        return toks[i]
+    raise WordSyntaxError(f"unexpected end of input, expected {expect}", *_at(text, i))
 
 
 def parse(text: str) -> BraidWord:
@@ -73,66 +86,49 @@ def parse(text: str) -> BraidWord:
     Syllables are letter + index + optional ^power (default 1), with
     'b' parallel, 'h' antiparallel and 'g' auto-oriented.
     """
-    toks = list(_tokenize(text))
-    pos = 0
-
-    def take(expect=None):
-        nonlocal pos
-        if pos >= len(toks):
-            last = toks[-1] if toks else ("", 1, 1)
-            raise WordSyntaxError(
-                f"unexpected end of input, expected {expect}",
-                last[1],
-                last[2] + len(last[0]),
-            )
-        t = toks[pos]
-        pos += 1
-        return t
-
-    tok, line, col = take("strands=<even>")
+    toks = _TOKEN.findall(text)
+    tok = _token(text, toks, 0, "strands=<even>")
     m = _HEADER.match(tok)
     if not m:
-        raise WordSyntaxError(f"expected strands=<even>, got {tok!r}", line, col)
+        raise WordSyntaxError(f"expected strands=<even>, got {tok!r}", *_at(text, 0))
     strands = int(m.group(1))
     if strands < 2 or strands % 2 != 0:
-        raise WordSyntaxError(f"strand count must be even and >= 2, got {strands}", line, col)
+        raise WordSyntaxError(f"strand count must be even and >= 2, got {strands}", *_at(text, 0))
 
-    tok, line, col = take("';'")
+    tok = _token(text, toks, 1, "';'")
     if tok != ";":
-        raise WordSyntaxError(f"expected ';' after header, got {tok!r}", line, col)
+        raise WordSyntaxError(f"expected ';' after header, got {tok!r}", *_at(text, 1))
 
-    flips = None
-    if pos < len(toks):
-        m = _FLIPS.match(toks[pos][0])
-        if m:
-            _, line, col = take()
-            bits = m.group(1)
-            if len(bits) != strands // 2:
-                raise WordSyntaxError(
-                    f"flips needs {strands // 2} bits, got {len(bits)}", line, col
-                )
-            flips = tuple(c == "1" for c in bits)
-            tok, line, col = take("';'")
-            if tok != ";":
-                raise WordSyntaxError(f"expected ';' after flips, got {tok!r}", line, col)
+    flips, body = None, 2
+    m = _FLIPS.match(toks[2]) if len(toks) > 2 else None
+    if m:
+        bits = m.group(1)
+        if len(bits) != strands // 2:
+            raise WordSyntaxError(
+                f"flips needs {strands // 2} bits, got {len(bits)}", *_at(text, 2)
+            )
+        flips = tuple(c == "1" for c in bits)
+        tok = _token(text, toks, 3, "';'")
+        if tok != ";":
+            raise WordSyntaxError(f"expected ';' after flips, got {tok!r}", *_at(text, 3))
+        body = 4
 
     syllables = []
-    while pos < len(toks):
-        tok, line, col = take()
+    for i, tok in enumerate(toks[body:], body):
         m = _SYLLABLE.match(tok)
         if not m:
-            raise WordSyntaxError(f"bad syllable {tok!r}", line, col)
+            raise WordSyntaxError(f"bad syllable {tok!r}", *_at(text, i))
         letter, idx_s, pow_s = m.groups()
         idx = int(idx_s)
         if not 1 <= idx <= strands - 1:
             raise IndexOutOfRange(
-                f"generator index {idx} outside [1, {strands - 1}]", line, col
+                f"generator index {idx} outside [1, {strands - 1}]", *_at(text, i)
             )
         power = int(pow_s) if pow_s is not None else 1
         if power == 0:
-            raise ZeroPower(f"zero power in {tok!r}", line, col)
+            raise ZeroPower(f"zero power in {tok!r}", *_at(text, i))
         syllables.append(Syllable(idx, power, _LETTER_ORIENT[letter]))
-    return BraidWord(strands=strands, syllables=tuple(syllables), flips=flips)
+    return BraidWord(strands, tuple(syllables), flips)
 
 
 def format_word(word: BraidWord) -> str:
@@ -148,9 +144,10 @@ def format_word(word: BraidWord) -> str:
 
 def mirror(word: BraidWord) -> BraidWord:
     """Negate every power; annotations and flips are kept."""
-    return replace(
-        word,
-        syllables=tuple(Syllable(s.index, -s.power, s.orientation) for s in word.syllables),
+    return BraidWord(
+        word.strands,
+        tuple([Syllable(s.index, -s.power, s.orientation) for s in word.syllables]),
+        word.flips,
     )
 
 
@@ -164,35 +161,46 @@ def propagate_orientations(word: BraidWord, cup_flips) -> BraidWord:
     propagation raise AnnotationConflict. Raises CapMismatch unless
     every top pair ends with opposite directions.
     """
-    annotated, bad = _propagate(word, tuple(cup_flips))
+    flips = tuple(cup_flips)
+    orientations, bad = _propagate(word, flips)
     if bad:
         raise CapMismatch(f"cap pairs {bad} have equal directions")
-    return annotated
+    return _annotate(word, orientations, flips)
 
 
-def _propagate(word: BraidWord, flips: tuple[bool, ...]) -> tuple[BraidWord, list[int]]:
-    """The annotated word and its cap pairs (1-based) whose two directions are equal."""
+def _propagate(word: BraidWord, flips: tuple[bool, ...]) -> tuple[list[str], list[int]]:
+    """Each syllable's orientation from the cup flips, and the cap pairs (1-based) whose two directions are equal.
+
+    Only directions are walked: the caller builds the annotated word
+    (_annotate) once a flip vector closes every cap. Raises
+    AnnotationConflict at the first explicit label that disagrees.
+    """
     n = word.n
     if len(flips) != n:
         raise ValueError(f"need {n} cup flips")
-    up = []
-    for f in flips:
-        up += [not f, f]  # cup: Up at 2i-1, Down at 2i unless flipped
-    out = []
+    up = [d for f in flips for d in (not f, f)]  # cup: Up at 2i-1, Down at 2i unless flipped
+    orientations = []
     for s in word.syllables:
         i = s.index - 1
-        agree = up[i] == up[i + 1]
-        orient = PARALLEL if agree else ANTIPARALLEL
+        orient = PARALLEL if up[i] == up[i + 1] else ANTIPARALLEL
         if s.orientation != AUTO and s.orientation != orient:
             raise AnnotationConflict(
                 f"syllable {s.index}^{s.power} marked {s.orientation}, "
                 f"propagation gives {orient}"
             )
-        out.append(Syllable(s.index, s.power, orient))
+        orientations.append(orient)
         if s.power % 2 != 0:
             up[i], up[i + 1] = up[i + 1], up[i]
-    bad = [i + 1 for i in range(n) if up[2 * i] == up[2 * i + 1]]
-    return replace(word, syllables=tuple(out), flips=flips), bad
+    return orientations, [i + 1 for i in range(n) if up[2 * i] == up[2 * i + 1]]
+
+
+def _annotate(word: BraidWord, orientations: list[str], flips: tuple[bool, ...]) -> BraidWord:
+    """The word with each syllable labeled by its orientation, and the cup flips."""
+    syllables = tuple([
+        s if s.orientation == o else Syllable(s.index, s.power, o)
+        for s, o in zip(word.syllables, orientations)
+    ])
+    return BraidWord(word.strands, syllables, flips)
 
 
 def resolve_orientations(word: BraidWord) -> BraidWord:
@@ -208,13 +216,13 @@ def resolve_orientations(word: BraidWord) -> BraidWord:
     last_conflict = None
     for bits in itertools.product([False, True], repeat=word.n):
         try:
-            annotated, bad = _propagate(word, bits)
+            orientations, bad = _propagate(word, bits)
         except AnnotationConflict as e:
             last_conflict = e
             continue
         conflict_free += 1
         if not bad:
-            return annotated
+            return _annotate(word, orientations, bits)
     if conflict_free:
         raise CapMismatch(
             "no cup orientation closes the caps "

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -252,10 +253,14 @@ def _random_words(count: int, seed: int) -> list[tuple[str, BraidWord]]:
 
 
 def _corpus_words(path: Path) -> list[tuple[str, BraidWord]]:
+    """Every *.txt entry of the directory, dotfiles included, parsed in name order (B.txt before a.txt)."""
     if not path.is_dir():
         raise NotADirectoryError(f"corpus {path} is not a directory")
-    files = sorted(path.glob("*.txt"))
-    return [(f.name, parse(f.read_text())) for f in files]
+    words = []
+    for name in sorted(name for name in os.listdir(path) if name.endswith(".txt")):
+        with open(os.path.join(path, name)) as f:  # a directory named *.txt is an OSError, exit 2
+            words.append((name, parse(f.read())))
+    return words
 
 
 def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[dict]:

@@ -22,7 +22,7 @@ class NegativeRadicand(PlatJonesError):
 
 
 class ResidualTooLarge(PlatJonesError):
-    """Coefficient read-out rejected: rounding shift or guard band."""
+    """Coefficient read-out rejected: rounding shift, guard band, or a window too wide to sample."""
 
 
 class WordSyntaxError(PlatJonesError):

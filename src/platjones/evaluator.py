@@ -55,6 +55,11 @@ BLOCK_ENTRIES = 1 << 12  # complex entries (64 KiB) of one block of d-vectors
 
 # right-handed braiding eigenvalues +-x^e, x = q^{1/2}: rows sign and e, columns J = 0, 1
 SPECTRUM = {PARALLEL: ((-1, 1), (3, 1)), ANTIPARALLEL: ((1, -1), (0, -2))}
+# (orientation, power > 0) -> one crossing's minus signs and x-exponents, J = 0, 1
+_CROSSING = {
+    (o, p > 0): (int(signs[0] < 0), int(signs[1] < 0), p * exponents[0], p * exponents[1])
+    for o, (signs, exponents) in SPECTRUM.items() for p in (1, -1)
+}
 
 
 def _spectrum(orientation: str, power: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -84,11 +89,16 @@ class BlockOperator:
         pairs = pair_couplings(self.n)[self.basis != ODD].shape[1]
         tally = [0] * (4 * pairs)
         for s in self.run:
-            k = (s.index - 1) // 2  # sigma_i's pair in either basis: compile splits runs by parity
-            signs, exponents = _spectrum(s.orientation, s.power)
-            for J in (0, 1):
-                tally[2 * k + J] += abs(s.power) * (signs[J] < 0)
-                tally[2 * (pairs + k) + J] += abs(s.power) * exponents[J]
+            k = 2 * ((s.index - 1) // 2)  # sigma_i's pair in either basis: compile splits runs by parity
+            try:
+                minus0, minus1, exponent0, exponent1 = _CROSSING[s.orientation, s.power > 0]
+            except KeyError:
+                raise UnannotatedSyllable(f"orientation {s.orientation!r} is not resolved") from None
+            p = abs(s.power)
+            tally[k] += p * minus0
+            tally[k + 1] += p * minus1
+            tally[2 * pairs + k] += p * exponent0
+            tally[2 * pairs + k + 1] += p * exponent1
         if sum(map(abs, tally)) >= 2**63:
             raise ValueError(f"letter {self.token!r} has more crossings than int64 can tally")
         return tuple(tally)
@@ -127,7 +137,7 @@ def group_slices(programs, phases: int) -> list:
 
 
 def schedule(programs) -> list:
-    """(rows, letters) of each step D, E, D, E, ... (D odd, E even) that programs cover.
+    """(rows, letters) of each step D, E, D, E, ... (D odd, E even) that programs cover, rows an index array.
 
     A program's letters cover consecutive steps, from 0 if its first letter is odd, else from 1.
     """
@@ -136,7 +146,7 @@ def schedule(programs) -> list:
         first = int(bool(p.letters) and p.letters[0].basis == EVEN)
         for step, op in enumerate(p.letters, first):
             steps.setdefault(step, []).append((row, op))
-    return [([row for row, _ in steps[s]], [op for _, op in steps[s]]) for s in sorted(steps)]
+    return [(np.array([row for row, _ in steps[s]]), [op for _, op in steps[s]]) for s in sorted(steps)]
 
 
 def letters(ops) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +155,10 @@ def letters(ops) -> tuple[np.ndarray, np.ndarray]:
     One gather-sum of their per-pair tallies over the paths' pair couplings J.
     """
     couplings = pair_couplings(ops[0].n)[ops[0].basis != ODD]
-    tallies = np.array([op._tally for op in ops]).reshape(len(ops), 2, -1, 2)
-    minus, exponent = tallies[:, :, np.arange(couplings.shape[1]), couplings].sum(-1).swapaxes(0, 1)
+    pairs = couplings.shape[1]
+    flat = itertools.chain.from_iterable(op._tally for op in ops)
+    tallies = np.fromiter(flat, np.int64, 4 * pairs * len(ops)).reshape(len(ops), 2, pairs, 2)
+    minus, exponent = tallies[:, :, np.arange(pairs), couplings].sum(-1).swapaxes(0, 1)
     return (-1) ** minus, exponent
 
 
@@ -180,9 +192,15 @@ def evolve(part, point, reverse=False, check=None) -> Iterator[np.ndarray]:
     v[..., 0] = 1.0
     yield v
     steps = schedule(part)
+    x = point.q_half
     for rows, ops in reversed(steps) if reverse else steps:
         sign, exponent = letters(ops)
-        phases = sign[:, None] * np.power(point.q_half[:, None], exponent[:, None])
+        lo, hi = int(exponent.min()), int(exponent.max())
+        if hi - lo < exponent.size:  # x^lo..x^hi, gathered: the same bits as a power per entry
+            powers = np.power(x[:, None], np.arange(lo, hi + 1)).take(exponent - lo, 1).swapaxes(0, 1)
+        else:
+            powers = np.power(x[:, None], exponent[:, None])
+        phases = sign[:, None] * powers
         if check is not None:
             check(ops, point, phases)
         apply_letters(v, rows, ops, point, phases)

@@ -25,6 +25,10 @@ from .qnum import CirclePoint
 RHO = 1.05  # |x| of the sampling circle
 GUARD = 8  # exponents read past each end of the window, to catch aliasing
 DFT_CHUNK = 64  # outputs of inverse_dft per product
+# M past which no read-out can pass, checked before anything is sampled: round-off
+# grows as RHO^{M/2}, so no M past about 800 reads a shift below 0.49, and at
+# 4096 the window's ends stay where RHO^{-k} is a finite float
+MAX_SAMPLES = 1 << 12
 
 
 class LaurentPoly:
@@ -170,12 +174,19 @@ def _sample_count(window: tuple[int, int]) -> int:
     """M for a window: its width plus GUARD exponents past each end.
 
     A larger M only widens the guard band, where c_k = RHO^{-k} b_k
-    multiplies the round-off of b by up to RHO^{M/2}.
+    multiplies the round-off of b by up to RHO^{M/2}. ResidualTooLarge
+    past MAX_SAMPLES.
     """
     lo, hi = window
     if lo > hi:
         raise ValueError(f"degree window [{lo}, {hi}] is empty")
-    return hi - lo + 1 + 2 * GUARD
+    m = hi - lo + 1 + 2 * GUARD
+    if m > MAX_SAMPLES:
+        raise ResidualTooLarge(
+            f"window [{lo}, {hi}] needs M {m} > {MAX_SAMPLES} samples"
+            f" (rho {RHO}; round-off grows as rho^(M/2))"
+        )
+    return m
 
 
 def circle_samples(window: tuple[int, int]) -> CirclePoint:

@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from platjones import braid
 from platjones.braid import (
     ANTIPARALLEL,
     AUTO,
@@ -273,3 +276,138 @@ def test_word_equality_and_immutability():
     assert w == parse("strands=4; g2^3")
     with pytest.raises(AttributeError):
         w.strands = 6
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("strands=4;\n g2^3 gg9", WordSyntaxError, "bad syllable 'gg9' (line 2, column 7)"),
+    ("strands=4\n;\nflips=01\n", WordSyntaxError, "unexpected end of input, expected ';' (line 3, column 9)"),
+    ("strands=4;\n\n  flips=0;", WordSyntaxError, "flips needs 2 bits, got 1 (line 3, column 3)"),
+    ("strands=4; flips=01\n g2", WordSyntaxError, "expected ';' after flips, got 'g2' (line 2, column 2)"),
+    ("\n\n", WordSyntaxError, "unexpected end of input, expected strands=<even> (line 1, column 1)"),
+    (" \n  strands=5;", WordSyntaxError, "strand count must be even and >= 2, got 5 (line 2, column 3)"),
+    ("strands=4\ng2", WordSyntaxError, "expected ';' after header, got 'g2' (line 2, column 1)"),
+    ("strands=4;\ng5^2", IndexOutOfRange, "generator index 5 outside [1, 3] (line 2, column 1)"),
+    ("strands=4;\n g1^0", ZeroPower, "zero power in 'g1^0' (line 2, column 2)"),
+    ("strands=4;\n\tb2 ;  x1", WordSyntaxError, "bad syllable ';' (line 2, column 5)"),
+    ("strands=4; flips=10", WordSyntaxError, "unexpected end of input, expected ';' (line 1, column 20)"),
+])
+def test_parse_error_texts(text, error, message):
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("strands=4; h2^1", CapMismatch,
+     "no cup orientation closes the caps (2 conflict-free flip vectors, all cap-invalid)"),
+    ("strands=4; h2^1 b2^1", AnnotationConflict, "annotations inconsistent with every cup "
+     "orientation: syllable 2^1 marked parallel, propagation gives antiparallel"),
+    ("strands=6; h2 b4 g3^2 h1", AnnotationConflict, "annotations inconsistent with every cup "
+     "orientation: syllable 4^1 marked parallel, propagation gives antiparallel"),
+    ("strands=4; flips=00; b2^1", AnnotationConflict,
+     "syllable 2^1 marked parallel, propagation gives antiparallel"),
+    ("strands=4; flips=00; h2^1", CapMismatch, "cap pairs [1, 2] have equal directions"),
+])
+def test_resolution_error_texts(text, error, message):
+    with pytest.raises(error) as exc:
+        resolve_orientations(parse(text))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def _annotating_propagate(word, flips):
+    """Test-only walk that annotates every flip vector it tries: the word and its bad cap pairs."""
+    up = []
+    for f in flips:
+        up += [not f, f]
+    out = []
+    for s in word.syllables:
+        i = s.index - 1
+        orient = PARALLEL if up[i] == up[i + 1] else ANTIPARALLEL
+        if s.orientation not in (AUTO, orient):
+            raise AnnotationConflict(
+                f"syllable {s.index}^{s.power} marked {s.orientation}, propagation gives {orient}"
+            )
+        out.append(Syllable(s.index, s.power, orient))
+        if s.power % 2 != 0:
+            up[i], up[i + 1] = up[i + 1], up[i]
+    bad = [i + 1 for i in range(word.n) if up[2 * i] == up[2 * i + 1]]
+    return dataclasses.replace(word, syllables=tuple(out), flips=tuple(flips)), bad
+
+
+def _reference_resolve(word):
+    """Test-only resolve_orientations over _annotating_propagate."""
+    if word.flips is not None:
+        annotated, bad = _annotating_propagate(word, word.flips)
+        if bad:
+            raise CapMismatch(f"cap pairs {bad} have equal directions")
+        return annotated
+    conflict_free, last_conflict = 0, None
+    for bits in itertools.product([False, True], repeat=word.n):
+        try:
+            annotated, bad = _annotating_propagate(word, bits)
+        except AnnotationConflict as e:
+            last_conflict = e
+            continue
+        conflict_free += 1
+        if not bad:
+            return annotated
+    if conflict_free:
+        raise CapMismatch(
+            "no cup orientation closes the caps "
+            f"({conflict_free} conflict-free flip vectors, all cap-invalid)"
+        )
+    raise AnnotationConflict(f"annotations inconsistent with every cup orientation: {last_conflict}")
+
+
+@st.composite
+def lettered_words(draw):
+    """b, h and g words, n <= 4, powers +-1..+-3, at most 12 crossings, with or without flips."""
+    n = draw(st.integers(1, 4))
+    syllables, budget = [], 12
+    for c, i, k in draw(st.lists(st.tuples(
+        st.sampled_from("bhggg"), st.integers(1, 2 * n - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    ))):
+        if abs(k) > budget:
+            break
+        syllables.append(f"{c}{i}^{k}")
+        budget -= abs(k)
+    flips = draw(st.none() | st.text("01", min_size=n, max_size=n))
+    header = f"strands={2 * n};" + ("" if flips is None else f" flips={flips};")
+    return parse(header + " " + " ".join(syllables))
+
+
+def _outcome(resolve, word):
+    try:
+        return resolve(word)
+    except (CapMismatch, AnnotationConflict) as e:
+        return type(e), str(e)
+
+
+@given(lettered_words())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_resolution_and_mirror_equal_the_annotating_walk(word):
+    # resolve walks directions alone and annotates only the flips that close
+    # the caps: the same word, or the same error and text, as annotating each try
+    got = _outcome(resolve_orientations, word)
+    assert got == _outcome(_reference_resolve, word)
+    for w in (word, got) if isinstance(got, BraidWord) else (word,):
+        negated = tuple(dataclasses.replace(s, power=-s.power) for s in w.syllables)
+        assert mirror(w) == dataclasses.replace(w, syllables=negated)
+
+
+_PIECES = ["g2^1", "strands=4", "flips=01", ";", "x;y", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
+           "\x85", "\u2028", "\xa0"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_token_positions_equal_the_per_line_tokenizer(text):
+    # parse keeps bare tokens and places one only for its error: the same
+    # tokens, lines and columns as tokenizing each line of str.splitlines
+    lines = enumerate(text.splitlines(), start=1)
+    want = [(m.group(0), n, m.start() + 1) for n, line in lines for m in re.finditer(r"[^\s;]+|;", line)]
+    assert braid._TOKEN.findall(text) == [tok for tok, _, _ in want]
+    for i, (_, line, col) in enumerate(want):
+        assert braid._at(text, i) == (line, col)
+    last = want[-1] if want else ("", 1, 1)
+    assert braid._at(text, len(want)) == (last[1], last[2] + len(last[0]))

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import platjones
 from platjones import braid, cli, evaluator, fusion, qsim
 from platjones.braid import parse
 from platjones.cli import main
-from platjones.errors import NonUnitaryBlock, UnannotatedSyllable
+from platjones.errors import NonUnitaryBlock, ResidualTooLarge, UnannotatedSyllable
 from platjones.laurent import LaurentPoly, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
@@ -260,19 +261,52 @@ def test_verify_missing_corpus_exits_2(tmp_path, capsys):
 
 
 def test_huge_power_exits_2_without_traceback(tmp_path, capsys):
-    # g2^(10^20 - 1) at once: eval stops on the size of its support
-    # window, prob and verify on the letter's tallies leaving int64
+    # g2^(10^20 - 1) at once: prob and verify stop on the letter's tallies
+    # leaving int64 (eval's exit 4 is the next test's)
     text = "strands=4; g2^99999999999999999999"
     path = _word_file(tmp_path, text)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     _word_file(corpus, text)
-    for argv in (["eval", path], ["prob", path, "--theta", "0.3"], ["verify", str(corpus)]):
+    for argv in (["prob", path, "--theta", "0.3"], ["verify", str(corpus)]):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
-        if argv[0] != "eval":
-            assert err == "error: letter 'f' has more crossings than int64 can tally\n"
+        assert err == "error: letter 'f' has more crossings than int64 can tally\n"
+
+
+@pytest.mark.parametrize("power", ["99999999999999999999", "100000000"])
+def test_eval_huge_power_exits_4_before_sampling(tmp_path, capsys, power):
+    # the window of g2^p is 2p wide; past laurent.MAX_SAMPLES samples eval
+    # exits 4 naming the window and M, before it allocates any of them
+    text = f"strands=4; g2^{power}"
+    assert main(["eval", _word_file(tmp_path, text)]) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: window \[-?\d+, -?\d+\] needs M \d+ > 4096 samples .*\n", err)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResidualTooLarge, match=r"needs M \d+ > 4096"):
+            evaluator.jones(parse(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_verify_corpus_reads_every_txt_entry_in_name_order(tmp_path, capsys):
+    # dotfiles included, names case-sensitive and in code-point order
+    files = {"B.txt": "strands=4; g2^2", "a.txt": "strands=6; g2^-1 g4^2 g3^1",
+             ".h.txt": "strands=4; g2^-3", "notes.md": "not a word", "x.TXT": "not a word"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(["verify", str(tmp_path), "--json"]) == 0
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert [case["name"] for case in cases] == [".h.txt", "B.txt", "a.txt"]
+    # an entry that is no file is unreadable input
+    (tmp_path / "d.txt").mkdir()
+    assert main(["verify", str(tmp_path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and "d.txt" in captured.err
 
 
 def test_failed_allocation_exits_6_without_traceback(tmp_path, capsys, monkeypatch):

@@ -636,3 +636,25 @@ def test_convention_factor_cases():
     assert convention_factor(-p.shift(-2), p) == (-1, -4)
     assert convention_factor(p, LaurentPoly({0: 1, 2: 1})) is None
     assert convention_factor(LaurentPoly.zero(), LaurentPoly.zero()) == (1, 0)
+
+
+def test_evolve_phases_equal_a_power_per_entry():
+    # a step gathers one table of x^lo..x^hi at its exponents, or powers each
+    # entry when they span more than it holds (g1^200): either has the bits
+    # of np.power per (row, phase, path) entry, unit circle and off it
+    part = [compile_word(_resolved(text)) for text in (
+        "strands=6; g1^2 g4^1 g3^-1 g5^2 g2^1", "strands=6; g2^-3 g3^1", "strands=6; g1^200 g2^-1 g5^3",
+    )]
+    tabled = []
+
+    def check(ops, point, phases):
+        sign, exponent = evaluator.letters(ops)
+        want = sign[:, None] * np.power(point.q_half[:, None], exponent[:, None])
+        assert phases.dtype == want.dtype and np.array_equal(phases, want)
+        tabled.append(int(exponent.max() - exponent.min()) < exponent.size)
+
+    for point in (QPoint(tuple(phase_grid(3, 10).tolist())), circle_samples((-40, 40))):
+        for reverse in (False, True):
+            for _ in evaluator.evolve(part, point, reverse, check):
+                pass
+    assert set(tabled) == {True, False}

@@ -309,6 +309,17 @@ def test_racah_anchor_value():
         assert got == pytest.approx(-1.0 / q_number(4, pt), rel=1e-12)
 
 
+def test_racah_between_its_arc_and_the_tables_is_silent():
+    # the key (a - 1, 0, a, 1, 1, a) reads [2], [a] and [a + 1], positive for
+    # theta < 2 pi/(a + 1), while the table it is cut from roots a negative
+    # [a + 2]; under the suite's filterwarnings = error a warning fails here
+    assert racah(0, 0, 1, 1, 1, 1, QPoint(2.5)) == -1.5856788468850516
+    for a in (2, 3, 5):
+        pt = QPoint(math.pi * (1 / (a + 2) + 1 / (a + 1)))
+        want = -math.sqrt(q_number(2 * a, pt) / q_number(2 * a + 2, pt)) / math.sqrt(q_number(4, pt))
+        assert racah(a - 1, 0, a, 1, 1, a, pt) == pytest.approx(want, rel=1e-12)
+
+
 def test_racah_rejects_bad_triads():
     with pytest.raises(NonAdmissibleTriple):
         racah(1, 0, 1, 1, 1, 1, QPoint(0.5))
