@@ -64,8 +64,7 @@ _SYLLABLE = re.compile(r"([bhg])(\d+)(?:\^(-?\d+))?$")
 def _at(text: str, i: int) -> tuple[int, int]:
     """1-based (line, column) of token i of the text, or just past its last token if it has fewer.
 
-    Only errors read positions, so parse keeps the bare tokens. No token
-    holds a line break, as each is whitespace to _TOKEN.
+    Only errors read positions; no token holds a line break (whitespace to _TOKEN).
     """
     spans = [m.span() for m in _TOKEN.finditer(text)]
     offset = spans[i][0] if i < len(spans) else spans[-1][1] if spans else 0
@@ -104,9 +103,7 @@ def parse(text: str) -> BraidWord:
     if m:
         bits = m.group(1)
         if len(bits) != strands // 2:
-            raise WordSyntaxError(
-                f"flips needs {strands // 2} bits, got {len(bits)}", *_at(text, 2)
-            )
+            raise WordSyntaxError(f"flips needs {strands // 2} bits, got {len(bits)}", *_at(text, 2))
         flips = tuple(c == "1" for c in bits)
         tok = _token(text, toks, 3, "';'")
         if tok != ";":
@@ -121,9 +118,7 @@ def parse(text: str) -> BraidWord:
         letter, idx_s, pow_s = m.groups()
         idx = int(idx_s)
         if not 1 <= idx <= strands - 1:
-            raise IndexOutOfRange(
-                f"generator index {idx} outside [1, {strands - 1}]", *_at(text, i)
-            )
+            raise IndexOutOfRange(f"generator index {idx} outside [1, {strands - 1}]", *_at(text, i))
         power = int(pow_s) if pow_s is not None else 1
         if power == 0:
             raise ZeroPower(f"zero power in {tok!r}", *_at(text, i))
@@ -144,11 +139,8 @@ def format_word(word: BraidWord) -> str:
 
 def mirror(word: BraidWord) -> BraidWord:
     """Negate every power; annotations and flips are kept."""
-    return BraidWord(
-        word.strands,
-        tuple([Syllable(s.index, -s.power, s.orientation) for s in word.syllables]),
-        word.flips,
-    )
+    syllables = tuple([Syllable(s.index, -s.power, s.orientation) for s in word.syllables])
+    return BraidWord(word.strands, syllables, word.flips)
 
 
 def propagate_orientations(word: BraidWord, cup_flips) -> BraidWord:
@@ -171,9 +163,8 @@ def propagate_orientations(word: BraidWord, cup_flips) -> BraidWord:
 def _propagate(word: BraidWord, flips: tuple[bool, ...]) -> tuple[list[str], list[int]]:
     """Each syllable's orientation from the cup flips, and the cap pairs (1-based) whose two directions are equal.
 
-    Only directions are walked: the caller builds the annotated word
-    (_annotate) once a flip vector closes every cap. Raises
-    AnnotationConflict at the first explicit label that disagrees.
+    Walks directions alone, raising AnnotationConflict at the first explicit label that
+    disagrees; the caller labels the word (_annotate) once a flip vector closes every cap.
     """
     n = word.n
     if len(flips) != n:
@@ -196,10 +187,8 @@ def _propagate(word: BraidWord, flips: tuple[bool, ...]) -> tuple[list[str], lis
 
 def _annotate(word: BraidWord, orientations: list[str], flips: tuple[bool, ...]) -> BraidWord:
     """The word with each syllable labeled by its orientation, and the cup flips."""
-    syllables = tuple([
-        s if s.orientation == o else Syllable(s.index, s.power, o)
-        for s, o in zip(word.syllables, orientations)
-    ])
+    pairs = zip(word.syllables, orientations)
+    syllables = tuple([s if s.orientation == o else Syllable(s.index, s.power, o) for s, o in pairs])
     return BraidWord(word.strands, syllables, flips)
 
 

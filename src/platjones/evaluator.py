@@ -56,10 +56,8 @@ BLOCK_ENTRIES = 1 << 12  # complex entries (64 KiB) of one block of d-vectors
 # right-handed braiding eigenvalues +-x^e, x = q^{1/2}: rows sign and e, columns J = 0, 1
 SPECTRUM = {PARALLEL: ((-1, 1), (3, 1)), ANTIPARALLEL: ((1, -1), (0, -2))}
 # (orientation, power > 0) -> one crossing's minus signs and x-exponents, J = 0, 1
-_CROSSING = {
-    (o, p > 0): (int(signs[0] < 0), int(signs[1] < 0), p * exponents[0], p * exponents[1])
-    for o, (signs, exponents) in SPECTRUM.items() for p in (1, -1)
-}
+_CROSSING = {(o, p > 0): (int(s0 < 0), int(s1 < 0), p * e0, p * e1)
+             for o, ((s0, s1), (e0, e1)) in SPECTRUM.items() for p in (1, -1)}
 
 
 def _spectrum(orientation: str, power: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -192,14 +190,14 @@ def evolve(part, point, reverse=False, check=None) -> Iterator[np.ndarray]:
     v[..., 0] = 1.0
     yield v
     steps = schedule(part)
-    x = point.q_half
+    x = point.q_half[:, None]
     for rows, ops in reversed(steps) if reverse else steps:
         sign, exponent = letters(ops)
         lo, hi = int(exponent.min()), int(exponent.max())
-        if hi - lo < exponent.size:  # x^lo..x^hi, gathered: the same bits as a power per entry
-            powers = np.power(x[:, None], np.arange(lo, hi + 1)).take(exponent - lo, 1).swapaxes(0, 1)
+        if hi - lo < exponent.size:  # a table x^lo..x^hi no longer than the entries; same bits gathered
+            powers = np.power(x, np.arange(lo, hi + 1)).take(exponent - lo, 1).swapaxes(0, 1)
         else:
-            powers = np.power(x[:, None], exponent[:, None])
+            powers = np.power(x, exponent[:, None])
         phases = sign[:, None] * powers
         if check is not None:
             check(ops, point, phases)

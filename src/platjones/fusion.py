@@ -142,9 +142,7 @@ def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
     check_arc(*max(triads, key=sum), point)
     if two_s4 != two_s1 or two_s1 == 0:
         return np.ones_like(q_table(0, point))[0]  # the point's dtype and phases, and its DegenerateQ
-    # the table roots every [k] up to [a + 2], which may be negative here; the arc
-    # check above has proved positive every [k] that this entry reads
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # [a + 2] may be < 0; the arc check proved every [k] read > 0
         return _rotation_table(two_s1 + 1, point)[-1, two_l // 2, int(two_j > two_s1)]
 
 

@@ -25,9 +25,8 @@ from .qnum import CirclePoint
 RHO = 1.05  # |x| of the sampling circle
 GUARD = 8  # exponents read past each end of the window, to catch aliasing
 DFT_CHUNK = 64  # outputs of inverse_dft per product
-# M past which no read-out can pass, checked before anything is sampled: round-off
-# grows as RHO^{M/2}, so no M past about 800 reads a shift below 0.49, and at
-# 4096 the window's ends stay where RHO^{-k} is a finite float
+# M past which no read-out can pass: round-off grows as RHO^{M/2} (a shift of 0.49 by
+# M = 817 on g2^p words); below it RHO^{-k} stays far inside float range at every k read
 MAX_SAMPLES = 1 << 12
 
 
@@ -174,18 +173,14 @@ def _sample_count(window: tuple[int, int]) -> int:
     """M for a window: its width plus GUARD exponents past each end.
 
     A larger M only widens the guard band, where c_k = RHO^{-k} b_k
-    multiplies the round-off of b by up to RHO^{M/2}. ResidualTooLarge
-    past MAX_SAMPLES.
+    multiplies the round-off of b by up to RHO^{M/2}; past MAX_SAMPLES, ResidualTooLarge.
     """
     lo, hi = window
     if lo > hi:
         raise ValueError(f"degree window [{lo}, {hi}] is empty")
     m = hi - lo + 1 + 2 * GUARD
     if m > MAX_SAMPLES:
-        raise ResidualTooLarge(
-            f"window [{lo}, {hi}] needs M {m} > {MAX_SAMPLES} samples"
-            f" (rho {RHO}; round-off grows as rho^(M/2))"
-        )
+        raise ResidualTooLarge(f"window [{lo}, {hi}] needs M {m} > {MAX_SAMPLES} samples (rho {RHO})")
     return m
 
 
