@@ -313,7 +313,7 @@ def test_racah_between_its_arc_and_the_tables_is_silent():
     # the key (a - 1, 0, a, 1, 1, a) reads [2], [a] and [a + 1], positive for
     # theta < 2 pi/(a + 1), while the table it is cut from roots a negative
     # [a + 2]; under the suite's filterwarnings = error a warning fails here
-    assert racah(0, 0, 1, 1, 1, 1, QPoint(2.5)) == -1.5856788468850516
+    assert racah(0, 0, 1, 1, 1, 1, QPoint(2.5)) == pytest.approx(-1.5856788468850516, rel=1e-14)
     for a in (2, 3, 5):
         pt = QPoint(math.pi * (1 / (a + 2) + 1 / (a + 1)))
         want = -math.sqrt(q_number(2 * a, pt) / q_number(2 * a + 2, pt)) / math.sqrt(q_number(4, pt))
