@@ -30,7 +30,7 @@ from .evaluator import (
     jones,
     unlink_normalization,
 )
-from .fusion import duality_matrix, racah
+from .fusion import racah
 from .laurent import LaurentPoly, laurent_eval, render_q
 from .oracle import jones_exact, kauffman_bracket
 from .qnum import CirclePoint, QPoint, RealQPoint, q_number
@@ -58,7 +58,6 @@ __all__ = [
     "WordSyntaxError",
     "admissible_arc",
     "convention_factor",
-    "duality_matrix",
     "evaluate",
     "format_word",
     "jones",

@@ -39,9 +39,9 @@ from .errors import (
     WordSyntaxError,
 )
 from .evaluator import (
+    comb_elements,
     compile as compile_word,
     convention_factor,
-    elements,
     jones,
     phase_grid,
     unlink_normalization,
@@ -266,11 +266,11 @@ def _corpus_words(path: Path) -> list[tuple[str, BraidWord]]:
 def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[dict]:
     """Check each word against the oracle, its mirror and the simulator.
 
-    Every word is resolved and compiled first, in corpus order, so the
-    first bad word decides the error. Then the words of each n in turn,
-    whatever their letters, are evaluated with their mirrors in one
-    elements call, simulated at the middle phase in one qsim pass, and
-    checked as (words, phases) arrays reduced per row.
+    Every word is resolved and compiled (for its tokens) first, in
+    corpus order, so the first bad word decides the error. Then the
+    words of each n in turn are evaluated with their mirrors in one
+    comb_elements call, simulated at the middle phase in one qsim pass,
+    and checked as (words, phases) arrays reduced per row.
     """
     groups = {}
     for i, (_, word) in enumerate(cases):
@@ -281,9 +281,10 @@ def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[
         group = groups.pop(n)  # frees the group's programs once checked
         point = QPoint(tuple(phase_grid(n, 10).tolist()))
         programs = [program for _, program in group]
-        values = elements(programs + [compile_word(mirror(p.word)) for p in programs], point)
+        words = [p.word for p in programs]
+        values = comb_elements(words + [mirror(w) for w in words], point)
         amps, mirrored = values[: len(group)], values[len(group) :]
-        exacts = [writhe_correction(kauffman_bracket(p.word), writhe(p.word)) for p in programs]
+        exacts = [writhe_correction(kauffman_bracket(w), writhe(w)) for w in words]
         coeffs = [e.coeffs() for e in exacts]
         exponents = sorted(set().union(*coeffs))
         table = np.array([[c.get(k, 0) for k in exponents] for c in coeffs], dtype=complex)

@@ -1,23 +1,19 @@
-"""Compile annotated words into diagonal letters and evaluate the plat element.
+"""Compile annotated words into the paper's operator list, and contract them on the comb labellings.
 
 A word splits into maximal runs of same-parity generator indices, one
-diagonal letter per run, named in order of appearance. An odd letter
-is diagonal in the odd path basis, D; an even letter is diagonal in
-the even basis and acts conjugated by the duality matrix, a E a† with
-a† = a^T, so a program reads like a f a† g a h a† ... That is the
-paper's schedule, which qsim and verify run. Each S = D or a E a^T is
-symmetric, S u = u S, so one loop (evolve) pushes e_0 through the
-letters of every program of one n, at every phase of a point, along
-their shared schedule (schedule), one in-place step (apply_letters)
-each, through the F-moves of a and a^T (fusion.recouple): forwards it
-reads <0|S_1...S_L|0> (elements), reversed and checked it is qsim's
-evolution. Both bases number their paths by the comb labellings
-(fusion). A letter is compiled once into integer tallies per pair k
-and J = 0, 1, gathered over the paths' pair couplings (letters). jones
-and evaluate read the same element on the comb labellings with no
-F-move of a (comb_element): one local 2 x 2 move per syllable. The
-Jones polynomial is read off samples of the element, times d^{n-1}, on
-the circle |q^{1/2}| = RHO just outside the unit circle: an inverse DFT
+diagonal letter per run, named in order of appearance: an odd letter
+is diagonal in the odd path basis, an even one in the even basis and
+acts conjugated by the duality matrix, so a program prints like the
+paper's a f a† g a h a† ... (compile, tokens). The commands print that
+list; every backend (jones, evaluate, qsim, verify) reads the element
+<0|R_1 ... R_c|0> on the comb labellings (fusion) instead: one local
+move R per syllable g_i^p (fusion.comb_move), lambda_J^p on a 1 x 1
+block and F^T diag(lambda_0^p, lambda_1^p) F on a 2 x 2 block at a,
+F the rotation of a (fusion.rotations), lambda from SPECTRUM. comb runs
+the words of one n as one batch, a slice at a time, each word with its
+own moves (comb_elements reads column 0). The Jones polynomial is read
+off samples of the element, times d^{n-1}, on the circle
+|q^{1/2}| = RHO just outside the unit circle: an inverse DFT
 (laurent.inverse_dft) gives the Laurent coefficients (a Cauchy
 integral, Bornemann, Found. Comput. Math. 11, 2011), rounded.
 """
@@ -27,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -43,7 +38,7 @@ from .braid import (
     writhe,
 )
 from .errors import UnannotatedSyllable
-from .fusion import block_dimension, comb_move, pair_couplings, recouple, rotations
+from .fusion import block_dimension, comb_move, rotations
 from .laurent import LaurentPoly, circle_samples, laurent_eval, read_coefficients
 from .qnum import QPoint
 
@@ -51,55 +46,35 @@ ODD = "odd"
 EVEN = "even"
 
 DAGGER = "a†"
-BLOCK_ENTRIES = 1 << 12  # complex entries (64 KiB) of one block of d-vectors
+BLOCK_ENTRIES = 1 << 12  # complex entries (64 KiB) of one slice's block of d-vectors
 
 # right-handed braiding eigenvalues +-x^e, x = q^{1/2}: rows sign and e, columns J = 0, 1
 SPECTRUM = {PARALLEL: ((-1, 1), (3, 1)), ANTIPARALLEL: ((1, -1), (0, -2))}
-# (orientation, power > 0) -> one crossing's minus signs and x-exponents, J = 0, 1
-_CROSSING = {(o, p > 0): (int(s0 < 0), int(s1 < 0), p * e0, p * e1)
-             for o, ((s0, s1), (e0, e1)) in SPECTRUM.items() for p in (1, -1)}
 
 
-def _spectrum(orientation: str, power: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Signs and x-exponents of the braiding eigenvalues of a crossing of power's sign, columns J = 0, 1."""
+@functools.cache
+def _spectrum(orientation: str, power: int) -> tuple[int, int, int, int]:
+    """Signs, then x-exponents, of the braiding eigenvalues of a syllable of that power, J = 0, 1.
+
+    ValueError unless the exponents fit in int64.
+    """
     if orientation not in SPECTRUM:
         raise UnannotatedSyllable(f"orientation {orientation!r} is not resolved")
-    signs, exponents = SPECTRUM[orientation]
-    return signs, (exponents if power > 0 else (-exponents[0], -exponents[1]))
+    (s0, s1), (e0, e1) = SPECTRUM[orientation]
+    p = abs(power)
+    if p * max(abs(e0), abs(e1)) >= 2**63:
+        raise ValueError(f"power {power} has more crossings than int64 can tally")
+    return s0**p, s1**p, power * e0, power * e1
 
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """One diagonal letter of a compiled program: a run's braiding phases in its basis."""
+    """One diagonal letter of a compiled program: a run of same-parity syllables in its basis."""
 
     n: int
     token: str
     basis: str
     run: tuple[Syllable, ...] = ()
-
-    @functools.cached_property
-    def _tally(self) -> tuple[int, ...]:
-        """Minus signs, then x-exponents, of the run per pair k and J = 0, 1; flat (2, pairs, 2).
-
-        ValueError unless their absolute sum, which bounds every path's
-        sum of them in letters, fits in int64.
-        """
-        pairs = pair_couplings(self.n)[self.basis != ODD].shape[1]
-        tally = [0] * (4 * pairs)
-        for s in self.run:
-            k = 2 * ((s.index - 1) // 2)  # sigma_i's pair in either basis: compile splits runs by parity
-            try:
-                minus0, minus1, exponent0, exponent1 = _CROSSING[s.orientation, s.power > 0]
-            except KeyError:
-                raise UnannotatedSyllable(f"orientation {s.orientation!r} is not resolved") from None
-            p = abs(s.power)
-            tally[k] += p * minus0
-            tally[k + 1] += p * minus1
-            tally[2 * pairs + k] += p * exponent0
-            tally[2 * pairs + k + 1] += p * exponent1
-        if sum(map(abs, tally)) >= 2**63:
-            raise ValueError(f"letter {self.token!r} has more crossings than int64 can tally")
-        return tuple(tally)
 
 
 @dataclass(frozen=True)
@@ -116,107 +91,6 @@ class CompiledProgram:
     @property
     def operator_count(self) -> int:
         return len(self.tokens())
-
-    def element(self, point) -> np.ndarray:
-        """Plat element <0|S_1 ... S_L|0>, one value per phase of the point."""
-        return elements([self], point)[0]
-
-
-def group_slices(programs, phases: int) -> list:
-    """Programs of one n in slices of at most BLOCK_ENTRIES // (phases * d).
-
-    A program holds phases d-vectors of a block, so a block's memory
-    stays bounded however large the group; a slice has at least one.
-    """
-    if len({p.n for p in programs}) != 1:
-        raise ValueError("expected at least one program, all of one n")
-    step = max(1, BLOCK_ENTRIES // (phases * block_dimension(programs[0].n)))
-    return [programs[i : i + step] for i in range(0, len(programs), step)]
-
-
-def schedule(programs) -> list:
-    """(rows, letters) of each step D, E, D, E, ... (D odd, E even) that programs cover, rows an index array.
-
-    A program's letters cover consecutive steps, from 0 if its first letter is odd, else from 1.
-    """
-    steps = {}
-    for row, p in enumerate(programs):
-        first = int(bool(p.letters) and p.letters[0].basis == EVEN)
-        for step, op in enumerate(p.letters, first):
-            steps.setdefault(step, []).append((row, op))
-    return [(np.array([row for row, _ in steps[s]]), [op for _, op in steps[s]]) for s in sorted(steps)]
-
-
-def letters(ops) -> tuple[np.ndarray, np.ndarray]:
-    """Integer signs and x-exponents, (ops, paths) each, of diagonal letters of one n and basis.
-
-    One gather-sum of their per-pair tallies over the paths' pair couplings J.
-    """
-    couplings = pair_couplings(ops[0].n)[ops[0].basis != ODD]
-    pairs = couplings.shape[1]
-    flat = itertools.chain.from_iterable(op._tally for op in ops)
-    tallies = np.fromiter(flat, np.int64, 4 * pairs * len(ops)).reshape(len(ops), 2, pairs, 2)
-    minus, exponent = tallies[:, :, np.arange(pairs), couplings].sum(-1).swapaxes(0, 1)
-    return (-1) ** minus, exponent
-
-
-def apply_letters(v: np.ndarray, rows, ops, point, phases) -> None:
-    """v[rows] = v[rows] S in place, S each row's letter at the point (phases, its diagonal).
-
-    v holds d-vectors in its last axis, per phase of a batched point
-    before it. An even letter's S = a E a^T runs the F-moves of a, scales by
-    E and runs them back (fusion.recouple). S is symmetric, so this is
-    also S u for column vectors u, the step of qsim's d-blocks.
-    """
-    even = ops[0].basis == EVEN
-    if even:
-        v[rows] = recouple(v[rows], ops[0].n, point)
-    v[rows] *= phases
-    if even:
-        v[rows] = recouple(v[rows], ops[0].n, point, transpose=True)
-
-
-def evolve(part, point, reverse=False, check=None) -> Iterator[np.ndarray]:
-    """Yield the (programs, phases, paths) block of a slice, updated in place, before and after each step.
-
-    The block starts as e_0 per program and phase, and goes through
-    the schedule, reversed with reverse: a step applies each covering
-    row's own letter (apply_letters, with letters once per step), so a
-    row keeps the bits it has when evolved alone. check, if given, sees
-    each step's (ops, point, phases) before it is applied.
-    """
-    # in the point's precision from the start, as v[rows] = ... cannot promote v
-    v = np.zeros((len(part), len(point.theta), block_dimension(part[0].n)), point.q_half.dtype)
-    v[..., 0] = 1.0
-    yield v
-    steps = schedule(part)
-    x = point.q_half[:, None]
-    for rows, ops in reversed(steps) if reverse else steps:
-        sign, exponent = letters(ops)
-        lo, hi = int(exponent.min()), int(exponent.max())
-        if hi - lo < exponent.size:  # a table x^lo..x^hi no longer than the entries; same bits gathered
-            powers = np.power(x, np.arange(lo, hi + 1)).take(exponent - lo, 1).swapaxes(0, 1)
-        else:
-            powers = np.power(x, exponent[:, None])
-        phases = sign[:, None] * powers
-        if check is not None:
-            check(ops, point, phases)
-        apply_letters(v, rows, ops, point, phases)
-        yield v
-
-
-def elements(programs, point, reverse=False, check=None) -> np.ndarray:
-    """Plat elements of programs of one n: (programs, phases).
-
-    <0|S_1 ... S_L|0> of each program, one slice of programs
-    (group_slices) and all phases at a time through evolve: row vectors
-    S_1 first, or with reverse column vectors S_L first, the step order
-    of qsim's register.
-    """
-    return np.concatenate([  # a slice's block is dropped once its column 0 is copied
-        deque(evolve(part, point, reverse, check), maxlen=1).pop()[..., 0].copy()
-        for part in group_slices(programs, len(point.theta))
-    ])
 
 
 def _diagonal_letter(i: int) -> str:
@@ -235,37 +109,81 @@ def compile(word: BraidWord) -> CompiledProgram:
     ))
 
 
-def comb_element(word: BraidWord, point) -> np.ndarray:
-    """Plat element <0|R_1 ... R_c|0> of an annotated word on the comb labellings, per phase.
+def comb(words, point, reverse=False, check=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield each slice's word indices and (words, paths, phases) block v, updated in place, before and after each step.
 
-    v, (paths, phases), runs from the odd vacuum (path 0) through v <- v R
-    per syllable g_i^p in word order (fusion.comb_move): R is lambda_J^p
-    on a 1 x 1 block and F^T diag(lambda_0^p, lambda_1^p) F on the 2 x 2
-    block at a, F's rows J and columns m_i = a -+ 1 (fusion.rotations),
-    read at the first such block.
+    v starts as the odd vacuum e_0 per word and phase. The annotated
+    words of one n go longest first, in slices of at most
+    BLOCK_ENTRIES // (phases * d) words, so the words still moving at a
+    step are a prefix v[:k]. Step t applies each one's t-th syllable
+    g_i^p, the words of each i in one move v <- v R with their own
+    lambda, so a word keeps the bits it has alone: R is lambda_J^p on a
+    1 x 1 block and F^T diag(lambda_0^p, lambda_1^p) F on a 2 x 2 block
+    (fusion.comb_move; fusion.rotations, read at the first such block,
+    checks the phases). With reverse it
+    applies the t-th from the end: each R is symmetric, so these row
+    steps are the column steps u <- R u of qsim's register. check, if
+    given, sees each step's word indices, syllable positions, lambda
+    (words, J, phases) and whether a 2 x 2 block moves, before the step.
     """
-    n, x = word.n, point.q_half
-    v = np.zeros((block_dimension(n), len(x)), x.dtype)
-    v[0] = 1.0
-    F = None
-    for s in word.syllables:
-        signs, exponents = _spectrum(s.orientation, s.power)
-        p = abs(s.power)
-        lam = np.array(signs)[:, None] ** p * x ** (p * np.array(exponents)[:, None])
-        low, high, block, J = comb_move(n, s.index)
-        lo, hi = v[low], v[high]
-        v *= lam[J]
-        if len(low):
-            F = rotations(n, point) if F is None else F
-            R = np.einsum("bje...,j...,bjf...->bef...", F, lam, F)
-            v[low] = lo * R[block, 0, 0] + hi * R[block, 1, 0]
-            v[high] = lo * R[block, 0, 1] + hi * R[block, 1, 1]
-    return v[0]
+    if len({w.n for w in words}) != 1:
+        raise ValueError("expected at least one word, all of one n")
+    n, x = words[0].n, point.q_half
+    d, F = block_dimension(n), None
+    order = sorted(range(len(words)), key=lambda w: -len(words[w].syllables))
+    size = max(1, BLOCK_ENTRIES // (len(x) * d))
+    for start in range(0, len(order), size):
+        rows = np.array(order[start : start + size])
+        runs = [words[w].syllables[::-1] if reverse else words[w].syllables for w in rows]
+        lengths = [len(run) for run in runs]
+        # (words, steps, (i, signs, exponents)), padded past each word's end, which no step reads
+        table = np.array([[(s.index, *_spectrum(s.orientation, s.power)) for s in run]
+                          + [(0, 1, 1, 0, 0)] * (lengths[0] - len(run)) for run in runs])
+        # in the point's precision from the start, as v[rows] = ... cannot promote v
+        v = np.zeros((len(rows), d, len(x)), x.dtype)
+        v[:, 0] = 1.0
+        yield rows, v
+        k = len(rows)
+        for t in range(lengths[0]):
+            while lengths[k - 1] <= t:  # the words still moving are a prefix: longest first
+                k -= 1
+            lam = table[:k, t, 1:3, None] * x ** table[:k, t, 3:, None]
+            groups = {}
+            for row, i in enumerate(table[:k, t, 0].tolist()):
+                groups.setdefault(i, []).append(row)
+            moves = [(comb_move(n, i), group) for i, group in groups.items()]
+            if check is not None:
+                positions = np.array(lengths[:k]) - 1 - t if reverse else np.full(k, t)
+                check(rows[:k], positions, lam, any(len(move[0]) for move, _ in moves))
+            for (low, high, block, J), group in moves:
+                first, last = group[0], group[-1]
+                # a view where the rows allow: one word's (paths, phases), as a word alone
+                part = first if first == last else slice(first, last + 1) if last - first == len(group) - 1 else group
+                u, g = v[part], lam[part]
+                lo, hi = u[..., low, :], u[..., high, :]
+                u *= g[..., J, :]
+                if len(low):
+                    F = rotations(n, point) if F is None else F
+                    R = np.einsum("bjep,...jp,bjfp->...befp", F, g, F)
+                    u[..., low, :] = lo * R[..., block, 0, 0, :] + hi * R[..., block, 1, 0, :]
+                    u[..., high, :] = lo * R[..., block, 0, 1, :] + hi * R[..., block, 1, 1, :]
+                if part is group:
+                    v[part] = u
+            yield rows, v
+
+
+def comb_elements(words, point, reverse=False, check=None) -> np.ndarray:
+    """The plat matrix entry <0|R_1 ... R_c|0> of each annotated word of one n, (words, phases): comb's column 0."""
+    out = None
+    for rows, v in comb(words, point, reverse, check):
+        out = np.empty((len(words), v.shape[2]), v.dtype) if out is None else out
+        out[rows] = v[:, 0]
+    return out
 
 
 def evaluate(word: BraidWord, theta: float) -> complex:
     """Plat matrix element <0| program |0> at q = e^{i theta}, on the comb labellings."""
-    return complex(comb_element(resolve_orientations(word), QPoint((theta,)))[0])
+    return complex(comb_elements([resolve_orientations(word)], QPoint((theta,)))[0, 0])
 
 
 def unlink_normalization(n: int, theta):
@@ -325,9 +243,8 @@ def support_window(word: BraidWord) -> tuple[int, int]:
 def jones(word: BraidWord, tolerance: float = 1e-6) -> JonesResult:
     """Reconstruct the Jones polynomial of the plat closure.
 
-    Samples the comb element (comb_element; qsim and verify keep the
-    paper's schedule) times the unlink normalization d^{n-1} at M
-    points x = q^{1/2} on the circle |x| = RHO and reads the integer
+    Samples the comb element (comb_elements) times the unlink
+    normalization d^{n-1} at M points x = q^{1/2} on the circle |x| = RHO and reads the integer
     coefficients off an inverse DFT (read_coefficients); M is the
     window width plus a guard band on each side (circle_samples).
 
@@ -345,7 +262,7 @@ def jones(word: BraidWord, tolerance: float = 1e-6) -> JonesResult:
     window = support_window(annotated)
     point = circle_samples(window)
     x = point.q_half
-    values = comb_element(annotated, point) * (-(x + 1.0 / x)) ** (n - 1)
+    values = comb_elements([annotated], point)[0] * (-(x + 1.0 / x)) ** (n - 1)
     poly, shift = read_coefficients(values, window, tolerance)
     support = poly.support() or [0]
     return JonesResult(

@@ -1,24 +1,20 @@
-"""Fusion path bases on the comb labellings, and the F-moves between them as one table of rotations.
+"""The comb labellings of fusion paths, and the 2 x 2 recoupling rotations between them.
 
 Strand spins are all 1/2; labels are doubled spins, so triad arithmetic
 stays integral. A comb labelling m_0..m_{2n} (_comb) gives the doubled
 spin after each strand, from 0 back to 0 in steps of +-1; there are
-d = Catalan(n) of them (block_dimension), and both fusion bases number
-their paths by them. The odd basis pairs strands (2i-1, 2i), the even
-one the interior pairs (2i, 2i+1); a path stores at each of its pair
-positions i the spin J = 0 iff m_{i-1} = m_{i+1} and m_i = |m_{i-1} - 1|
-(pair_couplings). g_i changes m_i alone (comb_move): its 2 x 2 blocks
-pair the paths with m_{i-1} = m_{i+1} = a > 0 and m_i = a -+ 1.
+d = Catalan(n) of them (block_dimension), and path 0, the labelling
+0, 1, 0, 1, ..., 0, is the odd vacuum. g_i changes m_i alone
+(comb_move): its 2 x 2 blocks pair the paths with
+m_{i-1} = m_{i+1} = a > 0 and m_i = a -+ 1, and every other path is a
+1 x 1 block with pair spin J = 1 if m_{i-1} != m_{i+1}, else J = 0.
 
-The F-move at position i replaces J by m_i. It is the identity on the
-1 x 1 blocks and, on the 2 x 2 block at a, the spin-1/2 recoupling
-rotation rotations(n, point)[a - 1], rows J and columns m_i = a -+ 1
-(Kauffman and Lins, Temperley-Lieb Recoupling Theory, 1994). That one
-table, cached per (n, point) behind one phase check, is what recouple
-(the duality matrix a = C_odd C_even^T: the moves at positions
-3, 5, ..., 2n - 1, then 2n - 2, ..., 2), move_deviation (a's
-unitarity) and evaluator.comb_element read; racah gives one entry per
-key, and duality_matrix is the tests' dense reference.
+On the 2 x 2 block at a, g_i^p acts as F^T diag(lambda_0^p,
+lambda_1^p) F, F = rotations(n, point)[a - 1] the spin-1/2 recoupling
+rotation, rows J and columns m_i = a -+ 1 (Kauffman and Lins,
+Temperley-Lieb Recoupling Theory, 1994). That one table, cached per
+(n, point) behind one phase check, is what evaluator.comb and qsim's
+unitarity check (move_deviation) read; racah gives one entry per key.
 """
 
 from __future__ import annotations
@@ -76,22 +72,6 @@ def comb_move(n: int, i: int) -> tuple[np.ndarray, ...]:
 def block_dimension(n: int) -> int:
     """d = Catalan(n), the number of comb labellings and of paths in each basis (the odd one at n = 1)."""
     return len(_comb(n)[1])
-
-
-@functools.cache
-def pair_couplings(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(paths, pairs) read-only int8 arrays of the pair couplings J of the odd and the even basis.
-
-    Row p is the path at comb labelling p. J at position i is 0 iff
-    m_{i-1} = m_{i+1} and m_i = |m_{i-1} - 1|; the odd basis reads the
-    odd positions 1, 3, ..., 2n - 1, the even one 2, 4, ..., 2n - 2.
-    """
-    m = _comb(n)[0]
-    J = (m[:, :-2] != m[:, 2:]) | (m[:, 1:-1] != abs(m[:, :-2] - 1))
-    couplings = tuple(np.ascontiguousarray(J[:, first::2], dtype=np.int8) for first in (0, 1))
-    for array in couplings:
-        array.setflags(write=False)
-    return couplings
 
 
 def _rotation_table(n: int, point) -> np.ndarray:
@@ -156,43 +136,3 @@ def move_deviation(n: int, point) -> float:
     R = rotations(n, point)
     gram = np.einsum("bie...,bje...->b...ij", R, R.conj()) - np.eye(2)
     return float(np.max(np.abs(gram)))
-
-
-def recouple(v: np.ndarray, n: int, point, transpose: bool = False) -> np.ndarray:
-    """v @ a, or v @ a^T with transpose, for a the duality matrix at the point.
-
-    v holds row vectors over the paths in its last axis; the axis before
-    it runs over the phases of a batched point. a is the product of the
-    symmetric F-moves at positions 3, 5, ..., 2n - 1, then 2n - 2, ...,
-    2, so v @ a runs them in that order on one copy of v, broadcast over
-    the phases, and v @ a^T in reverse. Each move rewrites only the
-    paths of its 2 x 2 blocks (comb_move), in place, by their rotations.
-    """
-    F = np.moveaxis(rotations(n, point), (0, 1, 2), (-3, -2, -1))
-    shape = np.broadcast_shapes(v.shape, F.shape[:-3] + v.shape[-1:])
-    v = np.broadcast_to(v, shape).astype(np.result_type(v, F), order="C")
-    positions = [*range(3, 2 * n, 2), *range(2 * n - 2, 1, -2)]
-    for i in positions[::-1] if transpose else positions:
-        low, high, block, _ = comb_move(n, i)
-        if len(low):
-            lo, hi, f = v[..., low], v[..., high], F[..., block, :, :]
-            v[..., low] = lo * f[..., 0, 0] + hi * f[..., 1, 0]
-            v[..., high] = lo * f[..., 0, 1] + hi * f[..., 1, 1]
-    return v
-
-
-def duality_matrix(n: int, point) -> np.ndarray:
-    """Orthogonal map from even-path coordinates to odd-path coordinates.
-
-    Rows are indexed by odd paths, columns by even paths, both in comb
-    order (pair_couplings). For n = 2 this is the single all-1/2
-    racah matrix. At a batched point the entries are a stack with one
-    leading axis over the phases. The rows are the F-moves of recouple
-    applied to the identity.
-    """
-    if n < 2:
-        raise ValueError("duality needs n >= 2 (no even basis on 2 strands)")
-    d = block_dimension(n)
-    phases = np.ndim(point.log_q_half)
-    identity = np.eye(d).reshape((d,) + (1,) * phases + (d,))
-    return np.moveaxis(recouple(identity, n, point), 0, -2)

@@ -1,8 +1,6 @@
-"""Test-only forms of the evaluator's braiding phases, shared by several test modules."""
+"""Test-only form of the evaluator's braiding phases, shared by several test modules."""
 
-import numpy as np
-
-from platjones.evaluator import _spectrum, letters
+from platjones.evaluator import _spectrum
 
 
 def braiding_phase(J: int, orientation: str, handedness: str, point):
@@ -13,11 +11,6 @@ def braiding_phase(J: int, orientation: str, handedness: str, point):
     """
     if J not in (0, 1):
         raise ValueError(f"pair coupling must be 0 or 1, got {J}")
-    signs, exponents = _spectrum(orientation, {"right": 1, "left": -1}[handedness])
-    return signs[J] * point.q_half ** exponents[J]
+    spectrum = _spectrum(orientation, {"right": 1, "left": -1}[handedness])
+    return spectrum[J] * point.q_half ** spectrum[2 + J]
 
-
-def letter_phases(op, point) -> np.ndarray:
-    """A compiled letter's diagonal entries sign * x^exponent, one row per phase of the point."""
-    sign, exponent = letters([op])
-    return sign[0] * np.power.outer(point.q_half, exponent[0])

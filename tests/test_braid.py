@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,9 +32,9 @@ from platjones.errors import (
     WordSyntaxError,
     ZeroPower,
 )
-from platjones.evaluator import compile as compile_word
-from platjones.evaluator import support_window
+from platjones.evaluator import comb_elements, compile as compile_word, phase_grid, support_window
 from platjones.oracle import kauffman_bracket
+from platjones.qnum import QPoint
 
 
 def test_parse_basic():
@@ -174,9 +175,9 @@ def test_antiparallel_powers_act_as_unit_syllables(joined, split, annotated):
     a, b = resolve_orientations(parse(joined)), resolve_orientations(parse(split))
     assert [(s.index, s.power, s.orientation) for s in a.syllables] == annotated
     assert a.flips == b.flips
-    pa, pb = compile_word(a), compile_word(b)
-    assert [op._tally for op in pa.letters] == [op._tally for op in pb.letters]
-    assert pa.tokens() == pb.tokens()
+    point = QPoint(tuple(phase_grid(2, 10).tolist()))
+    assert np.max(np.abs(comb_elements([a], point) - comb_elements([b], point))) < 1e-14
+    assert compile_word(a).tokens() == compile_word(b).tokens()
     # antiparallel crossings count against the raw sign
     assert writhe(a) == writhe(b)
     assert support_window(a) == support_window(b)

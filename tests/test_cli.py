@@ -261,8 +261,8 @@ def test_verify_missing_corpus_exits_2(tmp_path, capsys):
 
 
 def test_huge_power_exits_2_without_traceback(tmp_path, capsys):
-    # g2^(10^20 - 1) at once: prob and verify stop on the letter's tallies
-    # leaving int64 (eval's exit 4 is the next test's)
+    # g2^(10^20 - 1) at once: prob and verify stop on the syllable's
+    # x-exponents leaving int64 (eval's exit 4 is the next test's)
     text = "strands=4; g2^99999999999999999999"
     path = _word_file(tmp_path, text)
     corpus = tmp_path / "corpus"
@@ -271,7 +271,7 @@ def test_huge_power_exits_2_without_traceback(tmp_path, capsys):
     for argv in (["prob", path, "--theta", "0.3"], ["verify", str(corpus)]):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == "error: letter 'f' has more crossings than int64 can tally\n"
+        assert err == "error: power 99999999999999999999 has more crossings than int64 can tally\n"
 
 
 @pytest.mark.parametrize("power", ["99999999999999999999", "100000000"])
@@ -518,8 +518,8 @@ def _scalar_deviations(program):
     """Test-only reference: one case's deviations, by the per-case formulas of the scalar check."""
     n = program.n
     point = QPoint(tuple(evaluator.phase_grid(n, 10).tolist()))
-    amps = program.element(point)
-    mirrored = evaluator.compile(braid.mirror(program.word)).element(point)
+    amps = evaluator.comb_elements([program.word], point)[0]
+    mirrored = evaluator.comb_elements([braid.mirror(program.word)], point)[0]
     exact = jones_exact(program.word)
     floor = 1e-9 * max(1.0, float(sum(abs(v) for v in exact.coeffs().values())))
     got = abs(amps) * abs(evaluator.unlink_normalization(n, point.thetas))
@@ -536,8 +536,8 @@ def _scalar_deviations(program):
 @pytest.mark.parametrize("seed", [0, 4])
 def test_verify_group_deviations_equal_the_scalar_formulas(seed):
     # each n's checks run as (words, phases) arrays over words of many
-    # skeletons; every case must read the same bits as its own scalar
-    # computation
+    # lengths and generators; every case must read the same bits as its
+    # own scalar computation
     cases = cli._random_words(200, seed)
     programs = [evaluator.compile(braid.resolve_orientations(w)) for _, w in cases]
     assert min(Counter(p.n for p in programs).values()) > 20
@@ -563,13 +563,13 @@ def test_verify_batching_leaves_each_report_unchanged():
 
 
 def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
-    # resolves: the word, once, for both the program and the oracle's
-    # diagram; compiles: the word and its mirror (the mirror of the
-    # resolved word), with qsim reusing the word's program. The words
-    # of each n and their mirrors, whatever their skeletons, are one
-    # elements call and the words one qsim pass, and a's block unitarity
-    # check runs once per (n, point) over the whole corpus, with no
-    # dense matrix built
+    # resolves: the word, once, for both the comb and the oracle's
+    # diagram; compiles: the word, once, for its tokens, as its mirror
+    # goes to the comb as a word. The words of each n and their mirrors,
+    # whatever their letters, are one comb_elements call and the words
+    # one qsim pass, reversed, and the rotations' unitarity check runs
+    # once per (n, point) over the whole corpus, for the n whose words
+    # move a 2 x 2 block
     cases = cli._random_words(40, 5)
     cases.append(("n4", parse("strands=8; g2^-1 g4^2 g3^1 g6^1 g5^-2")))
     programs = [evaluator.compile(braid.resolve_orientations(w)) for _, w in cases]
@@ -579,37 +579,27 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     deviation.cache_clear()
     resolves = _count_calls(monkeypatch, braid.resolve_orientations)
     compiles = _count_calls(monkeypatch, evaluator.compile)
-    batches = _count_calls(monkeypatch, evaluator.elements)
-    builds = _count_calls(monkeypatch, fusion.duality_matrix)
+    batches = _count_calls(monkeypatch, evaluator.comb_elements)
     checks = _count_calls(monkeypatch, deviation)
-    passes = _count_calls(monkeypatch, evaluator.evolve)
     results = cli._verify_cases(cases, 1e-6)
-    # qsim runs the evaluator's loop reversed, its third argument
+    # qsim runs the comb reversed, its third argument
     simulated = [args for args in batches if args[2:3] == (True,)]
     batches = [args for args in batches if args[2:3] != (True,)]
-    passes = [args for args in passes if args[2]]
-    assert len(simulated) == len(groups)
     assert [r["name"] for r in results] == [name for name, _ in cases]
     assert [r["tokens"] for r in results] == [" ".join(p.tokens()) for p in programs]
     assert all(r["pass"] for r in results)
     assert len(resolves) == len(cases)
-    assert len(compiles) == 2 * len(cases)
-    keys = []
-    for batch, _ in batches:
-        (n,) = {p.n for p in batch}
-        assert len(batch) == 2 * groups[n]
-        keys.append(n)
-    assert sorted(keys) == sorted(groups)
-    keys = []
-    for batch, *_ in passes:
-        (n,) = {p.n for p in batch}
-        assert len(batch) == groups[n]
-        keys.append(n)
-    assert sorted(keys) == sorted(groups)
-    assert builds == []
-    with_a = {p.n for p in programs if "even" in _skeleton(p)}
-    assert {n for n, _ in checks} == with_a
-    assert deviation.cache_info().misses == len(with_a)
+    assert len(compiles) == len(cases)
+    for calls, per_word in ((batches, 2), (simulated, 1)):
+        keys = []
+        for words, *_ in calls:
+            (n,) = {w.n for w in words}
+            assert len(words) == per_word * groups[n]
+            keys.append(n)
+        assert sorted(keys) == sorted(groups)
+    paired = {p.n for p in programs if any(len(fusion.comb_move(p.n, s.index)[0]) for s in p.word.syllables)}
+    assert {n for n, _ in checks} == paired
+    assert deviation.cache_info().misses == len(paired)
 
 
 def test_verify_random_zero_cases(capsys):

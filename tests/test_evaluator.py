@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from platjones import evaluator
 from platjones.braid import (
-    ANTIPARALLEL,
     PARALLEL,
     BraidWord,
     Syllable,
@@ -33,12 +33,13 @@ from platjones.evaluator import (
     support_window,
     unlink_normalization,
 )
-from platjones.fusion import block_dimension, duality_matrix, pair_couplings, recouple
+from platjones.fusion import block_dimension
 from platjones.laurent import LaurentPoly, circle_samples, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
 
-from phase_helpers import braiding_phase, letter_phases
+from paper_schedule import duality_matrix, element, letter_phases
+from phase_helpers import braiding_phase
 
 
 def _resolved(text):
@@ -63,11 +64,13 @@ def test_braiding_phases():
 
 
 def test_braiding_phase_rejects_auto():
-    with pytest.raises(UnannotatedSyllable):
+    text = re.escape("orientation 'auto' is not resolved")
+    with pytest.raises(UnannotatedSyllable, match=text):
         braiding_phase(0, "auto", "right", QPoint(0.5))
-    block = evaluator.BlockOperator(n=2, token="f", basis="odd", run=(Syllable(1, 1),))
-    with pytest.raises(UnannotatedSyllable):
-        letter_phases(block, QPoint(0.5))
+    # the comb reads the one spectrum table, word by word, a resolved one first
+    words = [_resolved("strands=4; g1^1 g2^1"), BraidWord(4, (Syllable(1, 1),))]
+    with pytest.raises(UnannotatedSyllable, match=text):
+        evaluator.comb_elements(words, QPoint((0.5,)))
 
 
 def test_compile_reference_patterns():
@@ -199,86 +202,77 @@ def test_batched_element_matches_per_phase_reference():
             )
             program = compile_word(_resolved(text))
             thetas = phase_grid(n, 64)
-            got = program.element(QPoint(tuple(thetas.tolist())))
+            (got,) = evaluator.comb_elements([program.word], QPoint(tuple(thetas.tolist())))
             assert got.shape == (64,)
             assert np.max(np.abs(got - _element_per_phase(program, thetas))) < 1e-13
 
 
-def _element_by_act(program, point):
-    """Test-only reference: e_0 through each letter, a E a^T by F-moves, one program at a time."""
-    v = np.zeros((len(point.theta), block_dimension(program.n)), dtype=complex)
-    v[:, 0] = 1.0
-    for op in program.letters:
-        if op.basis == "even":
-            v = recouple(v, program.n, point)
-        v = v * letter_phases(op, point)
-        if op.basis == "even":
-            v = recouple(v, program.n, point, transpose=True)
-    return v[:, 0]
-
-
 @st.composite
-def program_groups(draw):
-    """Compiled annotated words of one n, each with its own operator skeleton.
+def word_groups(draw):
+    """Resolved words of one n <= 5, each of 0 to 6 b, h or g syllables and at most 12 crossings.
 
-    A word is 0 to 4 runs of alternating parity, the first odd or even
-    (only odd at n = 1, which has no even generator), and fills every
-    run with its own syllables of that parity.
+    Lengths and generators mix freely; a group may hold the empty word,
+    and one word in two has only negative powers.
     """
     n = draw(st.integers(1, 5))
     group = []
     for _ in range(draw(st.integers(1, 6))):
-        runs = draw(st.integers(0, 1 if n == 1 else 4))
-        first = 1 if n == 1 else draw(st.sampled_from([0, 1]))
-        syllables = []
-        for r in range(runs):
-            indices = range(2 - (first + r) % 2, 2 * n, 2)
-            for _ in range(draw(st.integers(1, 3))):
-                syllables.append(Syllable(
-                    draw(st.sampled_from(indices)),
-                    draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
-                    draw(st.sampled_from([PARALLEL, ANTIPARALLEL])),
-                ))
-        group.append(compile_word(BraidWord(2 * n, tuple(syllables))))
+        negative = draw(st.booleans())
+        syllables = draw(st.lists(st.tuples(
+            st.sampled_from("bhg"), st.integers(1, 2 * n - 1), st.sampled_from([1, 2, 3]),
+        ), max_size=6))
+        text = f"strands={2 * n}; " + " ".join(f"{c}{i}^{-p if negative else p}" for c, i, p in syllables)
+        try:
+            word = resolve_orientations(parse(text))
+        except (CapMismatch, AnnotationConflict):
+            continue
+        if word.crossing_count <= 12:
+            group.append(word)
+    assume(group)
     return group
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(group=program_groups())
+@given(group=word_groups())
 def test_elements_equals_per_program_act(group):
-    # words of any skeletons share one pass on their n's schedule, and
-    # each row keeps the bits of its own program alone, in elements and
-    # in qsim's registers; the rows come in the point's precision
+    # the words of one n, of any lengths and generators, run as one
+    # batch: each row keeps the bits of its word run alone, forwards and
+    # reversed (qsim's order), in the point's precision, and matches the
+    # paper's schedule reference on the verify grid
     from platjones import qsim
 
     n = group[0].n
-    for point in (QPoint(tuple(phase_grid(n, 10).tolist())), circle_samples((-12, 12))):
-        got = evaluator.elements(group, point)
-        want = np.array([_element_by_act(program, point) for program in group])
-        assert got.dtype == point.q_half.dtype
-        assert np.array_equal(got, want)
-        assert np.array_equal(group[0].element(point), want[0])
+    grid = QPoint(tuple(phase_grid(n, 10).tolist()))
+    for point in (grid, circle_samples((-12, 12))):
+        for reverse in (False, True):
+            got = evaluator.comb_elements(group, point, reverse)
+            assert got.dtype == point.q_half.dtype
+            for row, word in zip(got, group):
+                assert np.array_equal(row, evaluator.comb_elements([word], point, reverse)[0])
+    want = np.array([element(compile_word(word), grid) for word in group])
+    assert np.max(np.abs(evaluator.comb_elements(group, grid) - want)) < 1e-13
+    programs = [compile_word(word) for word in group]
     theta = float(phase_grid(n, 10)[5])
-    assert np.array_equal(qsim.p_ks(group, theta), [qsim.p_k(program, theta) for program in group])
+    assert np.array_equal(qsim.p_ks(programs, theta), [qsim.p_k(program, theta) for program in programs])
 
 
 def test_elements_rejects_empty_and_mixed_groups():
     from platjones import qsim
 
     point = QPoint((0.3, 0.5))
-    word = lambda n, *indices: compile_word(
-        BraidWord(2 * n, tuple(Syllable(i, 1, PARALLEL) for i in indices))
-    )
-    with pytest.raises(ValueError, match="at least one program"):
-        evaluator.elements([], point)
-    # a f a†, f a g a† and the empty word share n = 2's schedule
+    word = lambda n, *indices: BraidWord(2 * n, tuple(Syllable(i, 1, PARALLEL) for i in indices))
+    with pytest.raises(ValueError, match="at least one word"):
+        evaluator.comb_elements([], point)
+    # g2, g1 g2 and the empty word share n = 2
     mixed = [word(2, 2), word(2, 1, 2), word(2)]
-    assert np.array_equal(evaluator.elements(mixed, point), [p.element(point) for p in mixed])
-    assert np.array_equal(evaluator.elements(mixed[2:], point), [[1.0, 1.0]])
-    # a f a† at n = 2 against n = 3
+    alone = [evaluator.comb_elements([w], point)[0] for w in mixed]
+    assert np.array_equal(evaluator.comb_elements(mixed, point), alone)
+    assert np.array_equal(evaluator.comb_elements(mixed[2:], point), [[1.0, 1.0]])
+    # g2 at n = 2 against n = 3
     mixed = [word(2, 2), word(3, 2)]
-    assert evaluator.elements(mixed[:1], point).shape == (1, 2)
-    for batch in (lambda: evaluator.elements(mixed, point), lambda: qsim.p_ks(mixed, 0.3)):
+    assert evaluator.comb_elements(mixed[:1], point).shape == (1, 2)
+    programs = [compile_word(w) for w in mixed]
+    for batch in (lambda: evaluator.comb_elements(mixed, point), lambda: qsim.p_ks(programs, 0.3)):
         with pytest.raises(ValueError, match="all of one n"):
             batch()
 
@@ -287,12 +281,12 @@ def test_element_memory_is_linear_in_paths():
     # n = 7 at 45 circle phases: one (phases, paths) block of v is 0.6 MB,
     # where the dense (phases, paths, paths) stack took about 50 MB even
     # when it was built in blocks of phases
-    program = compile_word(_resolved("strands=14; g4^-1 g8^1 g11^1 g2^2 g6^-1"))
-    program.element(circle_samples((-35, 35)))  # builds the move tables of n = 7
+    word = _resolved("strands=14; g4^-1 g8^1 g11^1 g2^2 g6^-1")
+    evaluator.comb_elements([word], circle_samples((-35, 35)))  # builds the move tables of n = 7
     point = circle_samples((-36, 36))
     tracemalloc.start()
     try:
-        program.element(point)
+        evaluator.comb_elements([word], point)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,37 +295,45 @@ def test_element_memory_is_linear_in_paths():
     assert peak < 8 * block
 
 
-def test_elements_memory_is_bounded_by_slices():
-    # 300 one-syllable n = 6 words form one a f a† group; its whole
-    # (words, phases, paths) block is 6.3 MB and each F-move makes
-    # several such arrays, while a slice of the group keeps every block
-    # under BLOCK_ENTRIES entries with the bits of one word at a time
-    words = [f"strands=12; g{i}^{p}" for i in (2, 4, 6, 8, 10) for p in (-3, -2, -1, 1, 2, 3)]
-    group = [compile_word(_resolved(w)) for w in words] * 10
-    point = QPoint(tuple(phase_grid(6, 10).tolist()))
-    want = np.array([program.element(point) for program in group[:30]])
+def _peak_of_batch(words, point):
+    """The comb's elements of words, and the peak bytes traced while they are read."""
     tracemalloc.start()
     try:
-        got = evaluator.elements(group, point)
+        got = evaluator.comb_elements(words, point)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return got, peak
+
+
+def test_elements_memory_is_bounded_by_slices():
+    # 300 one-syllable n = 6 words: their whole (words, paths, phases)
+    # block is 6.3 MB and each move makes several such arrays, while a
+    # slice keeps every block under BLOCK_ENTRIES entries with the bits
+    # of one word at a time
+    words = [_resolved(f"strands=12; g{i}^{p}") for i in (2, 4, 6, 8, 10) for p in (-3, -2, -1, 1, 2, 3)]
+    point = QPoint(tuple(phase_grid(6, 10).tolist()))
+    want = evaluator.comb_elements(words, point)
+    got, peak = _peak_of_batch(words * 10, point)
     assert np.array_equal(got, np.tile(want, (10, 1)))
     assert peak < 8 * evaluator.BLOCK_ENTRIES * np.dtype(complex).itemsize
 
 
-def _letter_by_syllables(op):
-    """Test-only reference: each path's sign and x-exponent, one syllable of the run at a time."""
-    odd, even = pair_couplings(op.n)
-    couplings = odd if op.basis == "odd" else even
-    sign = np.ones(len(couplings), dtype=int)
-    exponent = np.zeros(len(couplings), dtype=int)
-    for s in op.run:
-        J = couplings[:, (s.index - 1) // 2]
-        signs, exponents = np.array(evaluator.SPECTRUM[s.orientation]) * [[1], [np.sign(s.power)]]
-        sign *= signs[J] ** abs(s.power)
-        exponent += exponents[J] * abs(s.power)
-    return sign, exponent
+def test_elements_memory_is_bounded_for_240_mixed_words_at_n6():
+    # a verify corpus at n = 6: slices are sized by entries (3 words of
+    # 10 phases x 132 paths), not by a count of words, however the
+    # lengths and generators mix
+    rng = random.Random(240)
+    words = []
+    while len(words) < 240:
+        text = "strands=12; " + " ".join(
+            f"g{rng.randint(1, 11)}^{rng.choice([-2, -1, 1, 2])}" for _ in range(rng.randint(0, 6))
+        )
+        words.append(_resolved(text))
+    point = QPoint(tuple(phase_grid(6, 10).tolist()))
+    got, peak = _peak_of_batch(words, point)
+    assert np.array_equal(got[::40], evaluator.comb_elements(words[::40], point))
+    assert peak < 8 * evaluator.BLOCK_ENTRIES * np.dtype(complex).itemsize
 
 
 @st.composite
@@ -349,93 +351,59 @@ def annotated_words(draw, max_n=5):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(words=st.lists(annotated_words(), min_size=1, max_size=4))
-def test_letters_equal_the_per_syllable_loop(words):
-    # the letters of each (n, basis) in one call, row by row against
-    # the loop over the run's syllables that the per-pair tallies replaced
-    ops = {}
-    assume(any(words))
-    for word in filter(None, words):
-        for op in compile_word(word).letters:
-            ops.setdefault((op.n, op.basis), []).append(op)
-    for group in ops.values():
-        sign, exponent = evaluator.letters(group)
-        assert sign.shape == exponent.shape == (len(group), block_dimension(group[0].n))
-        for row, op in enumerate(group):
-            want_sign, want_exponent = _letter_by_syllables(op)
-            assert np.array_equal(sign[row], want_sign) and sign.dtype == want_sign.dtype
-            assert np.array_equal(exponent[row], want_exponent) and exponent.dtype == want_exponent.dtype
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
 @given(word=annotated_words(max_n=6))
 def test_comb_element_equals_the_paper_schedule(word):
-    # one 2 x 2 move per syllable against the a f a^T g schedule; the two
-    # share only fusion.rotations and SPECTRUM
+    # one 2 x 2 move per syllable against the a f a^T g schedule of the
+    # tests' reference; the two share only fusion.rotations and SPECTRUM
     assume(word is not None and word.crossing_count <= 20)
     program = compile_word(word)
     grid = QPoint(tuple(phase_grid(word.n, 10).tolist()))
-    assert np.max(np.abs(evaluator.comb_element(word, grid) - program.element(grid))) <= 1e-12
+    assert np.max(np.abs(evaluator.comb_elements([word], grid)[0] - element(program, grid))) <= 1e-12
     circle = circle_samples(support_window(word))
-    want = program.element(circle)
-    assert np.max(np.abs(evaluator.comb_element(word, circle) - want)) <= 1e-8 * np.max(np.abs(want))
+    want = element(program, circle)
+    assert np.max(np.abs(evaluator.comb_elements([word], circle)[0] - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_letters_run_once_per_slice_and_diagonal_step(monkeypatch):
-    # f a g a† h a g1 a†: four steps, one per letter; seven words in slices of
-    # three give three slices, in elements and in qsim's evolution alike
-    from platjones import qsim
-
-    group = [compile_word(_resolved(f"strands=6; g1^{k} g4^1 g3^-1 g5^2 g2^{j}"))
+    # seven words in slices of three give three slices, and each step of
+    # a slice computes its words' lambda once, for the words still moving;
+    # the slices read the bits of the whole batch
+    words = [_resolved(f"strands=6; g1^{k} g4^1 g3^-1 g5^2 g2^{j}" + " g1^1" * (k % 2))
              for k in (1, -2, 3) for j in (1, 2, -1)][:7]
-    assert len({tuple(op.basis for op in p.letters) for p in group}) == 1
-    steps = len(group[0].letters)
-    assert steps == 4
-    calls = []
-
-    def counted(ops):
-        calls.append(len(ops))
-        return letters(ops)
-
-    letters = evaluator.letters
-    monkeypatch.setattr(evaluator, "letters", counted)
     point = QPoint(tuple(phase_grid(3, 10).tolist()))
+    whole = evaluator.comb_elements(words, point)
+    calls = []
     monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * 10 * block_dimension(3))
-    evaluator.elements(group, point)
-    assert sorted(calls) == sorted([3, 3, 1] * steps)
-    calls.clear()
-    monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * block_dimension(3))
-    qsim.p_ks(group, 0.5)
-    assert sorted(calls) == sorted([3, 3, 1] * steps)
+    got = evaluator.comb_elements(words, point, check=lambda rows, *_: calls.append(len(rows)))
+    assert np.array_equal(got, whole)
+    # 4 words of 6 syllables and 3 of 5, longest first: slices of 6, 6, 6
+    # then 6, 5, 5 then 5 syllables
+    assert calls == [3] * 6 + [3] * 5 + [1] + [1] * 5
 
 
 def test_even_step_is_symmetric_and_its_dense_form():
-    # an even letter's S = a E a^T equals its transpose, so qsim's
-    # column step S u can reuse the evaluator's row step u S; the
-    # in-place step on random rows is v S, at unit-circle phases and at
-    # the long-double circle samples alike. Both are relative to the
-    # size of the terms, |a| |a|^T: near q = -1 the entries of a grow
+    # the schedule's even letter S = a E a^T equals its transpose, and so
+    # does each comb move R: qsim's column order, syllables last to
+    # first, reads the element of the row order, at unit-circle phases
+    # and at the long-double circle samples alike. Both are relative to
+    # the size of the terms, |a| |a|^T: near q = -1 the entries of a grow
     # (to 1e5 at n = 6) and S cancels most of their digits
-    rng = np.random.default_rng(7)
     for n in range(2, 7):
         r = random.Random(n)
         text = f"strands={2 * n}; " + " ".join(
             f"g{r.randint(1, 2 * n - 1)}^{r.choice([-2, -1, 1, 2, 3])}" for _ in range(8)
         )
-        even = [op for op in compile_word(_resolved(text)).letters if op.basis == "even"]
+        word = _resolved(text)
+        even = [op for op in compile_word(word).letters if op.basis == "even"]
         assert even
         for point in (QPoint(tuple(phase_grid(n, 10).tolist())), circle_samples((-9, 9))):
             a = duality_matrix(n, point)
+            scale = np.max(np.abs(a) @ np.abs(a).swapaxes(-1, -2))
             for op in even:
-                phases = letter_phases(op, point)
-                S = a * phases[:, None, :] @ a.swapaxes(-1, -2)
-                scale = np.max(np.abs(a) @ np.abs(a).swapaxes(-1, -2))
+                S = a * letter_phases(op, point)[:, None, :] @ a.swapaxes(-1, -2)
                 assert np.max(np.abs(S - S.swapaxes(-1, -2))) < 1e-14 * scale
-                shape = (3,) + phases.shape
-                v = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(phases.dtype)
-                want, size = np.einsum("rpi,pij->rpj", v, S), np.max(np.abs(v)) * scale
-                evaluator.apply_letters(v, [0, 1, 2], [op] * 3, point, np.stack([phases] * 3))
-                assert np.max(np.abs(v - want)) < 1e-13 * size
+            forward, reverse = (evaluator.comb_elements([word], point, flag)[0] for flag in (False, True))
+            assert np.max(np.abs(forward - reverse)) < 1e-13 * scale
 
 
 def test_jones_trefoil_exact():
@@ -638,23 +606,24 @@ def test_convention_factor_cases():
     assert convention_factor(LaurentPoly.zero(), LaurentPoly.zero()) == (1, 0)
 
 
-def test_evolve_phases_equal_a_power_per_entry():
-    # a step gathers one table of x^lo..x^hi at its exponents, or powers each
-    # entry when they span more than it holds (g1^200): either has the bits
-    # of np.power per (row, phase, path) entry, unit circle and off it
-    part = [compile_word(_resolved(text)) for text in (
-        "strands=6; g1^2 g4^1 g3^-1 g5^2 g2^1", "strands=6; g2^-3 g3^1", "strands=6; g1^200 g2^-1 g5^3",
+def test_comb_phases_equal_a_power_per_entry():
+    # a step's lambda is sign^|p| x^(p e) per (word, J, phase) entry, with
+    # the bits of np.power, unit circle and off it, forwards and reversed
+    words = [_resolved(text) for text in (
+        "strands=6; g1^2 g4^1 g3^-1 g5^2 g2^1", "strands=6; g2^-3 g3^1", "strands=6; g1^200 g2^-1 h5^3",
     )]
-    tabled = []
+    seen = []
 
-    def check(ops, point, phases):
-        sign, exponent = evaluator.letters(ops)
-        want = sign[:, None] * np.power(point.q_half[:, None], exponent[:, None])
-        assert phases.dtype == want.dtype and np.array_equal(phases, want)
-        tabled.append(int(exponent.max() - exponent.min()) < exponent.size)
+    def check(rows, positions, lam, paired):
+        syllables = [words[row].syllables[position] for row, position in zip(rows, positions)]
+        for s, row in zip(syllables, lam):
+            (s0, s1), (e0, e1) = evaluator.SPECTRUM[s.orientation]
+            p = abs(s.power)
+            want = np.array([[s0**p], [s1**p]]) * np.power(point.q_half, [[s.power * e0], [s.power * e1]])
+            assert row.dtype == want.dtype and np.array_equal(row, want)
+        seen.extend(s.power for s in syllables)
 
     for point in (QPoint(tuple(phase_grid(3, 10).tolist())), circle_samples((-40, 40))):
         for reverse in (False, True):
-            for _ in evaluator.evolve(part, point, reverse, check):
-                pass
-    assert set(tabled) == {True, False}
+            evaluator.comb_elements(words, point, reverse, check)
+    assert sorted(seen) == sorted(4 * [s.power for w in words for s in w.syllables])

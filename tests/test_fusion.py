@@ -1,4 +1,4 @@
-"""Fusion paths, Racah coefficients and the duality change of basis."""
+"""Fusion paths, Racah coefficients, and the duality change of basis of the tests' schedule reference."""
 
 import functools
 import math
@@ -12,10 +12,11 @@ import pytest
 from platjones import fusion, qnum
 from platjones.errors import NegativeRadicand, NonAdmissibleTriple
 from platjones.evaluator import admissible_arc, phase_grid
-from platjones.fusion import duality_matrix, racah
+from platjones.fusion import racah
 from platjones.laurent import circle_samples
 from platjones.qnum import CirclePoint, QPoint, RealQPoint, q_number
 
+from paper_schedule import duality_matrix, pair_couplings, recouple
 from phase_helpers import braiding_phase
 
 
@@ -80,7 +81,7 @@ def _comb_paths(n):
     The odd basis keeps the labels m_2, m_4, ..., m_2n, the even one m_3, m_5, ..., m_{2n-1}.
     """
     m = fusion._comb(n)[0].tolist()
-    odd, even = (J.tolist() for J in fusion.pair_couplings(n))
+    odd, even = (J.tolist() for J in pair_couplings(n))
     return (
         [(tuple(J), tuple(labels[2::2])) for J, labels in zip(odd, m)],
         [(tuple(J), tuple(labels[3:-1:2])) for J, labels in zip(even, m)] if n > 1 else [],
@@ -120,7 +121,7 @@ def test_pair_couplings_are_the_paths_couplings(n):
     # the (paths, pairs) arrays that letters gathers from: each recursive
     # path's couplings at its own comb index, and every index taken once
     want = [_recursive_odd_paths(n), _recursive_even_paths(n)]
-    for got, paths, index in zip(fusion.pair_couplings(n), want, _comb_index(n)):
+    for got, paths, index in zip(pair_couplings(n), want, _comb_index(n)):
         assert got.dtype == np.int8 and not got.flags.writeable
         assert sorted(index.tolist()) == list(range(len(paths)))
         assert got[index].tolist() == [list(J) for J, _ in paths]
@@ -214,7 +215,7 @@ def test_move_plan_equals_the_dict_builder(n):
         for u in rows:
             for transpose in (False, True):
                 source, target = (even, odd) if transpose else (odd, even)
-                got = fusion.recouple(u, n, point, transpose)
+                got = recouple(u, n, point, transpose)
                 reference = _reference_recouple(u[..., source], n, point, transpose)
                 want = np.empty_like(reference)
                 want[..., target] = reference
@@ -230,7 +231,7 @@ def _cold_tables(monkeypatch, n):
     monkeypatch.setattr(fusion, "_comb", functools.cache(fusion._comb.__wrapped__))
     tracemalloc.start()
     try:
-        couplings = fusion.pair_couplings.__wrapped__(n)
+        couplings = pair_couplings.__wrapped__(n)
         moves = [fusion.comb_move.__wrapped__(n, i) for i in range(1, 2 * n)]
         kept, peak = tracemalloc.get_traced_memory()
     finally:
@@ -273,21 +274,21 @@ def test_plan_keys_reach_the_arcs_bound():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_enumerators_reject_n_below_one(n):
-    for build in (fusion._comb, fusion.pair_couplings, fusion.block_dimension):
+    for build in (fusion._comb, pair_couplings, fusion.block_dimension):
         with pytest.raises(ValueError, match="n must be >= 1"):
             build(n)
 
 
 def test_path_counts_are_catalan():
     for n in range(1, 10):
-        assert len(fusion.pair_couplings(n)[0]) == catalan(n) == fusion.block_dimension(n)
+        assert len(pair_couplings(n)[0]) == catalan(n) == fusion.block_dimension(n)
     for n in range(2, 10):
-        assert len(fusion.pair_couplings(n)[1]) == catalan(n)
-    assert fusion.pair_couplings(1)[1].size == 0
+        assert len(pair_couplings(n)[1]) == catalan(n)
+    assert pair_couplings(1)[1].size == 0
 
 
 def test_zero_path_is_first():
-    # elements and qsim read index 0 as |0...0>
+    # the comb and qsim read index 0 as |0...0>
     for n in range(1, 10):
         assert _comb_paths(n)[0][0] == ((0,) * n, (0,) * n)
 
@@ -581,7 +582,7 @@ def test_f_moves_match_dense_racah_products():
             reference = list(_dense_reference(n, point))
             v = rng.standard_normal((len(reference), d)) * np.exp(1j * rng.uniform(0, 7, d))
             for transpose in (False, True):
-                got = fusion.recouple(v, n, point, transpose=transpose)
+                got = recouple(v, n, point, transpose=transpose)
                 want = np.array([u @ (a.T if transpose else a) for u, a in zip(v, reference)])
                 assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want))
             if n <= 6:
@@ -672,7 +673,7 @@ def test_duality_needs_even_basis():
 def _braid_blocks(n, pt):
     """Elementary braid blocks: odd generators are diagonal on odd paths,
     even generators conjugate by the duality matrix."""
-    odd, even = (J.tolist() for J in fusion.pair_couplings(n))
+    odd, even = (J.tolist() for J in pair_couplings(n))
     a = duality_matrix(n, pt).astype(complex)
     blocks = {}
     for i in range(1, 2 * n):

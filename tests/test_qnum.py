@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from platjones.errors import DegenerateQ
-from platjones.fusion import duality_matrix
 from platjones.qnum import QPoint, RealQPoint, is_admissible, q_number
+
+from paper_schedule import duality_matrix
 
 
 def test_q_number_basics():

@@ -11,13 +11,12 @@ from platjones.braid import parse, resolve_orientations
 from platjones.cli import _random_words
 from platjones.errors import NonUnitaryBlock
 from platjones.evaluator import (
-    BlockOperator,
     admissible_arc,
     compile as compile_word,
     evaluate,
     phase_grid,
 )
-from platjones.fusion import block_dimension, duality_matrix
+from platjones.fusion import block_dimension
 from platjones.qnum import CirclePoint, QPoint, RealQPoint
 from platjones.qsim import (
     check_unitary,
@@ -27,16 +26,19 @@ from platjones.qsim import (
     run,
 )
 
-from phase_helpers import letter_phases
+from paper_schedule import duality_matrix, element, letter_phases, recouple
+from phase_helpers import braiding_phase
 
 
 def _program(word):
     return compile_word(resolve_orientations(word))
 
 
-def _check_letter(letter, point):
-    """check_unitary of a schedule step that holds the one letter."""
-    check_unitary([letter], point, letter_phases(letter, point)[None])
+def _check_syllable(program, point):
+    """check_unitary of a step that moves the first syllable of the one program at the point, 2 x 2 blocks included."""
+    s = program.word.syllables[0]
+    lam = np.array([braiding_phase(J, s.orientation, "right", point) for J in (0, 1)]) ** s.power
+    check_unitary([program], point)(np.array([0]), np.array([0]), lam.reshape(1, 2, -1), True)
 
 
 def test_identity_word_leaves_initial_state():
@@ -50,32 +52,38 @@ def test_identity_word_leaves_initial_state():
 def test_single_duality_prepares_first_column():
     # a|0> is a's first column, and one even letter a E a^T leaves its
     # first column in the register's d-block
+    # (the comb labellings of n = 2 are the odd basis paths)
     pt = QPoint(0.9)
     program = _program(parse("strands=4; g2^1"))
     (letter,) = program.letters
-    _check_letter(letter, pt)
+    _check_syllable(program, pt)
     block = duality_matrix(2, pt)
-    assert np.allclose(fusion.recouple(np.eye(2, dtype=complex)[0], 2, pt, transpose=True), block[:, 0])
+    assert np.allclose(recouple(np.eye(2, dtype=complex)[0], 2, pt, transpose=True), block[:, 0])
     out = run(program, 0.9)
     assert np.allclose(out[:2], (block @ np.diag(letter_phases(letter, pt)) @ block.T)[:, 0])
     assert np.all(out[2:] == 0)
 
 
 def test_block_step_is_the_dense_block_on_the_low_indices():
-    # a and a† = a^T: recouple gives u a, and with transpose a u; an
-    # even letter's step gives S u for S = a E a^T, the step that the
-    # register applies to its d-block
+    # a and a† = a^T: recouple gives u a, and with transpose a u; the
+    # register's d-block after g1 g2^-2 g3 g2 at n = 2, whose comb
+    # labellings are the odd basis paths, is the paper's S_1 ... S_L e_0,
+    # S = D or a E a^T, the last letter applied first, and the identity
+    # part is never touched
     pt = QPoint(0.7)
     a = duality_matrix(3, pt)
     u = np.random.default_rng(5).normal(size=len(a)) + 0j
-    assert np.max(np.abs(fusion.recouple(u, 3, pt, transpose=True) - a @ u)) < 1e-14
-    assert np.max(np.abs(fusion.recouple(u, 3, pt) - u @ a)) < 1e-14
-    letter = _program(parse("strands=6; g2^1 g4^-2")).letters[0]
-    _check_letter(letter, pt)
-    v = u[None].copy()
-    evaluator.apply_letters(v, [0], [letter], pt, letter_phases(letter, pt)[None])
-    assert np.max(np.abs(v[0] - a @ np.diag(letter_phases(letter, pt)) @ a.T @ u)) < 1e-14
+    assert np.max(np.abs(recouple(u, 3, pt, transpose=True) - a @ u)) < 1e-14
+    assert np.max(np.abs(recouple(u, 3, pt) - u @ a)) < 1e-14
     assert np.max(np.abs(a @ a.T - np.eye(len(a)))) < 1e-10
+    program = _program(parse("strands=4; g1^1 g2^-2 g3^1 g2^1"))
+    a = duality_matrix(2, pt)
+    want = np.eye(2, dtype=complex)[0]
+    for op in program.letters[::-1]:
+        S = np.diag(letter_phases(op, pt))
+        want = (a @ S @ a.T if op.basis == "even" else S) @ want
+    out = run(program, 0.7)
+    assert np.max(np.abs(out[:2] - want)) < 1e-14 and np.all(out[2:] == 0)
 
 
 def test_norm_preserved_and_no_leak():
@@ -84,7 +92,7 @@ def test_norm_preserved_and_no_leak():
     d = block_dimension(3)
     program = _program(w)
     states = list(evolution(program, theta))
-    assert len(states) == len(program.letters) + 1
+    assert len(states) == len(w.syllables) + 1
     for s in states:
         assert abs(np.linalg.norm(s) - 1.0) < 1e-12
         # the identity part must never be touched
@@ -112,20 +120,22 @@ def test_non_unitary_block_rejected():
     # off the unit circle the braiding phases have |lambda| != 1
     w = parse("strands=4; g2^1")
     annotated = resolve_orientations(w)
-    (op,) = compile_word(annotated).letters
+    program = compile_word(annotated)
+    (op,) = program.letters
     assert op.token == "f"
     with pytest.raises(NonUnitaryBlock, match=re.escape(repr(op.token))):
-        _check_letter(op, RealQPoint(0.5))
+        _check_syllable(program, RealQPoint(0.5))
 
 
 def test_non_unitary_duality_rejected():
     # off the unit circle a is complex orthogonal, a a^T = 1, not unitary
     w = parse("strands=4; g2^1")
     annotated = resolve_orientations(w)
-    (op,) = compile_word(annotated).letters
+    program = compile_word(annotated)
+    (op,) = program.letters
     assert op.basis == "even"
     with pytest.raises(NonUnitaryBlock, match=re.escape(repr("a"))):
-        _check_letter(op, CirclePoint(0.3, 1.05))
+        _check_syllable(program, CirclePoint((0.3,), 1.05))
 
 
 def test_twenty_syllable_word_is_fast():
@@ -154,38 +164,33 @@ def test_element_matches_qsim_amplitude_on_verify_phases():
     for w in words:
         program = _program(w)
         thetas = phase_grid(w.n, 10)
-        got = program.element(QPoint(tuple(thetas.tolist())))
+        point = QPoint(tuple(thetas.tolist()))
+        got = evaluator.comb_elements([program.word], point)[0]
         want = [run(program, float(t))[0] for t in thetas]
         assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(element(program, point) - want)) < 1e-12
 
 
 def test_evolution_embeds_each_duality_once(monkeypatch):
-    # every letter is checked for unitarity, but a's block check runs
-    # once per (n, point), however many evolutions read it, and the
-    # dense matrix is never built
+    # every step is checked for unitarity, but the rotations' check runs
+    # once per (n, point), however many steps and evolutions read it
     fusion.move_deviation.cache_clear()
-    bases, builds = [], []
+    steps = []
+    check = qsim.check_unitary
 
-    def counting(ops, point, phases):
-        bases.append(ops[0].basis)
-        return check_unitary(ops, point, phases)
-
-    def building(n, point):
-        builds.append((n, point))
-        return duality_matrix(n, point)
+    def counting(programs, point):
+        inner = check(programs, point)
+        return lambda rows, positions, lam, paired: steps.append(paired) or inner(rows, positions, lam, paired)
 
     monkeypatch.setattr(qsim, "check_unitary", counting)
-    for module in (fusion, qsim):
-        monkeypatch.setattr(module, "duality_matrix", building, raising=False)
-    # three even runs, each one a E a† letter, and three odd ones
+    # six syllables, all but g1 with a 2 x 2 block at n = 4, run last to first
     w = parse("strands=8; g2^1 g1^-1 g4^2 g3^1 g6^-1 g5^1")
     state = run(_program(w), 0.5)
-    assert sorted(bases) == sorted(["even"] * 3 + ["odd"] * 3)
+    assert steps == [True, False, True, True, True, True][::-1]
     assert state[0] == pytest.approx(evaluate(w, 0.5), abs=1e-12)
     run(_program(w), 0.5)
     info = fusion.move_deviation.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
-    assert builds == []
+    assert (info.misses, info.hits) == (1, 9)
 
 
 @pytest.mark.parametrize(
@@ -198,15 +203,15 @@ def test_check_unitary_on_batched_point(thetas):
     # at 5 phases (as many as d at n = 3), read a unitary a as deviating
     # by 1.6
     point = QPoint(thetas)
-    _check_letter(BlockOperator(n=3, token="f", basis="even"), point)
+    _check_syllable(_program(parse("strands=6; g2^1")), point)
     assert fusion.move_deviation(3, point) < 1e-13
 
 
 def test_sign_flip_in_a_recoupling_block_is_rejected(monkeypatch):
-    # one entry of a 2 x 2 block of the F-moves flipped: a is no longer
-    # unitary, which the block check must see without the dense matrix,
-    # and a run through a flipped a† or a must stop rather than evolve
-    n, point = 3, QPoint(0.5)
+    # one entry of a 2 x 2 block of the F-moves flipped: the rotations are
+    # no longer unitary, which the block check must see, and a run
+    # through a flipped block must stop rather than evolve
+    n, point = 3, QPoint((0.5,))
     rotations = fusion.rotations
 
     def flipped(m, p):
@@ -220,7 +225,7 @@ def test_sign_flip_in_a_recoupling_block_is_rejected(monkeypatch):
     monkeypatch.setattr(fusion, "rotations", flipped)
     try:
         with pytest.raises(NonUnitaryBlock, match=r"operator 'a' deviates from unitarity by") as info:
-            _check_letter(BlockOperator(n=n, token="f", basis="even"), point)
+            _check_syllable(program, point)
         assert float(str(info.value).split()[-1]) > 0.1
         with pytest.raises(NonUnitaryBlock):
             p_k(program, 0.5)
@@ -252,9 +257,24 @@ def _groups(programs):
     return groups
 
 
+def _count_slices(monkeypatch) -> list:
+    """Record the word count of each slice that the evaluator's comb starts."""
+    slices = []
+    comb = evaluator.comb
+
+    def counted(*args):
+        for rows, v in comb(*args):
+            if not slices or slices[-1] is not rows:
+                slices.append(rows)
+            yield rows, v
+
+    monkeypatch.setattr(evaluator, "comb", counted)
+    return slices
+
+
 def test_batched_p_k_matches_each_program(monkeypatch):
-    # the words of each n of a mixed corpus, whatever their skeletons,
-    # in one pass, then cut into slices of three d-blocks, one pass per
+    # the words of each n of a mixed corpus, whatever their letters, in
+    # one pass, then cut into slices of three d-blocks, one pass per
     # slice: the slices give the same bits, and each row its own
     # program's p_k
     programs = [_program(w) for _, w in _random_words(80, 7)]
@@ -265,26 +285,22 @@ def test_batched_p_k_matches_each_program(monkeypatch):
     groups = list(_groups(programs).values())
     assert sorted(g[0].n for g in groups) == [2, 3, 4]
     assert all(len({tuple(op.basis for op in p.letters) for p in g}) > 1 for g in groups)
-    passes = []
-    evolve = evaluator.evolve
-    monkeypatch.setattr(evaluator, "evolve", lambda part, *args: passes.append(len(part)) or evolve(part, *args))
+    slices = _count_slices(monkeypatch)
     whole = {}
     for group in groups:
         theta = float(phase_grid(group[0].n, 10)[5])
         got = whole[id(group)] = p_ks(group, theta)
         assert got.shape == (len(group),)
-        assert passes == [len(group)]
-        passes.clear()
+        assert [len(rows) for rows in slices] == [len(group)]
         want = np.array([p_k(program, theta) for program in group])
         assert np.array_equal(got, want)
-        passes.clear()
+        slices.clear()
     for group in groups:
         monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * block_dimension(group[0].n))
-        assert len(evaluator.group_slices(group, 1)) == -(-len(group) // 3)
         theta = float(phase_grid(group[0].n, 10)[5])
         assert np.array_equal(p_ks(group, theta), whole[id(group)])
-        assert passes == [3] * (len(group) // 3) + [len(group) % 3] * (len(group) % 3 > 0)
-        passes.clear()
+        assert [len(rows) for rows in slices] == [3] * (len(group) // 3) + [len(group) % 3] * (len(group) % 3 > 0)
+        slices.clear()
 
 
 def test_p_ks_slices_by_the_fusion_block(monkeypatch):
@@ -295,12 +311,11 @@ def test_p_ks_slices_by_the_fusion_block(monkeypatch):
     programs = [_program(parse("strands=12; " + " ".join(
         f"g{rng.randint(1, 11)}^{rng.choice([-2, -1, 1, 2])}" for _ in range(3)
     ))) for _ in range(60)]
-    passes = []
-    evolve = evaluator.evolve
-    monkeypatch.setattr(evaluator, "evolve", lambda part, *args: passes.append(len(part)) or evolve(part, *args))
+    slices = _count_slices(monkeypatch)
     theta = float(phase_grid(6, 10)[5])
     got = p_ks(programs, theta)
     assert block_dimension(6) == 132
+    passes = [len(rows) for rows in slices]
     assert passes == [31, 29] and len(passes) == -(-60 // (evaluator.BLOCK_ENTRIES // 132))
     assert np.array_equal(got, [p_k(program, theta) for program in programs])
 
@@ -316,26 +331,20 @@ def test_evolution_snapshots_do_not_alias():
 
 
 def test_non_unitary_diagonal_in_a_group_names_its_token(monkeypatch):
-    # a f a† g, then f a g a† h three times: the letters the shared loop reads give
-    # the third word's g a modulus-2 entry, so the pass runs h (g for
-    # the first word) and stops at a g a†, the step where the first
-    # word has its a f a†
-    group = [_program(parse("strands=4; g2^1 g1^1"))]
-    group += [_program(parse(f"strands=4; g1^{k} g2^1 g1^1")) for k in (1, 2, -1)]
+    # f a g a† h four times, one with a power 2 in its g: a spectrum whose
+    # power-2 phases have a modulus-2 entry stops the shared pass at that
+    # step, naming the letter whose run holds the syllable, and the group
+    # without that word passes
+    group = [_program(parse(f"strands=4; g1^{k} g2^{j} g1^1")) for k, j in ((1, 1), (-1, 1), (1, 2), (1, -1))]
     assert len(_groups(group)) == 1
-    assert group[0].letters[0].token == "f"
-    op = group[2].letters[1]
-    assert (op.basis, op.token) == ("even", "g")
-    letters = evaluator.letters
+    assert [(op.basis, op.token) for op in group[2].letters] == [("odd", "f"), ("even", "g"), ("odd", "h")]
+    spectrum = evaluator._spectrum
 
-    def injected(ops):
-        sign, exponent = letters(ops)
-        for row, other in enumerate(ops):
-            if other is op:
-                sign[row] *= np.array([1, 2])
-        return sign, exponent
+    def injected(orientation, power):
+        s0, s1, e0, e1 = spectrum(orientation, power)
+        return s0, 2 * s1 if power == 2 else s1, e0, e1
 
-    monkeypatch.setattr(evaluator, "letters", injected)
+    monkeypatch.setattr(evaluator, "_spectrum", injected)
     with pytest.raises(NonUnitaryBlock, match=r"operator 'g' deviates from unitarity by 3\.000e\+00"):
         p_ks(group, 0.5)
     p_ks(group[:2] + group[3:], 0.5)
