@@ -15,7 +15,6 @@ from .errors import (
     CapMismatch,
     DegenerateQ,
     NegativeRadicand,
-    NonAdmissibleTriple,
     NonUnitaryBlock,
     PlatJonesError,
     ResidualTooLarge,
@@ -30,10 +29,9 @@ from .evaluator import (
     jones,
     unlink_normalization,
 )
-from .fusion import racah
 from .laurent import LaurentPoly, laurent_eval, render_q
 from .oracle import jones_exact, kauffman_bracket
-from .qnum import CirclePoint, QPoint, RealQPoint, q_number
+from .qnum import CirclePoint, QPoint, q_number
 from .qsim import p_k, run
 
 __version__ = "0.1.0"
@@ -47,11 +45,9 @@ __all__ = [
     "JonesResult",
     "LaurentPoly",
     "NegativeRadicand",
-    "NonAdmissibleTriple",
     "NonUnitaryBlock",
     "PlatJonesError",
     "QPoint",
-    "RealQPoint",
     "ResidualTooLarge",
     "Syllable",
     "UnannotatedSyllable",
@@ -68,7 +64,6 @@ __all__ = [
     "p_k",
     "parse",
     "q_number",
-    "racah",
     "render_q",
     "resolve_orientations",
     "run",

@@ -33,7 +33,6 @@ from .errors import (
     CapMismatch,
     DegenerateQ,
     NegativeRadicand,
-    NonAdmissibleTriple,
     NonUnitaryBlock,
     ResidualTooLarge,
     WordSyntaxError,
@@ -64,7 +63,6 @@ EXIT_CODES = {
     NonUnitaryBlock: 4,
     NegativeRadicand: 5,
     DegenerateQ: 5,
-    NonAdmissibleTriple: 5,
     ValueError: 2,
     OSError: 2,
     MemoryError: 6,

@@ -9,10 +9,6 @@ class DegenerateQ(PlatJonesError):
     """q-number denominator vanishes (theta is a multiple of 2*pi)."""
 
 
-class NonAdmissibleTriple(PlatJonesError):
-    """Spin triple violates the triangle rule or integrality."""
-
-
 class NegativeRadicand(PlatJonesError):
     """A q-number that a recoupling value needs is not positive.
 

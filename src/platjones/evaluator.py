@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -40,7 +39,7 @@ from .braid import (
 from .errors import UnannotatedSyllable
 from .fusion import block_dimension, comb_move, rotations
 from .laurent import LaurentPoly, circle_samples, laurent_eval, read_coefficients
-from .qnum import QPoint
+from .qnum import QPoint, admissible_arc
 
 ODD = "odd"
 EVEN = "even"
@@ -189,15 +188,6 @@ def evaluate(word: BraidWord, theta: float) -> complex:
 def unlink_normalization(n: int, theta):
     """d^{n-1} with d = -(q^{1/2} + q^{-1/2}) = -2 cos(theta/2), per theta."""
     return (-2.0 * np.cos(theta / 2.0)) ** (n - 1)
-
-
-def admissible_arc(n: int) -> tuple[float, float]:
-    """Open phase interval where every needed q-number stays positive.
-
-    The duality build reads q-numbers [k] with k <= n+1, so theta must
-    stay below 2 pi / (n+1).
-    """
-    return (0.0, 2.0 * math.pi / (n + 1))
 
 
 def phase_grid(n: int, count: int) -> np.ndarray:

@@ -14,7 +14,7 @@ lambda_1^p) F, F = rotations(n, point)[a - 1] the spin-1/2 recoupling
 rotation, rows J and columns m_i = a -+ 1 (Kauffman and Lins,
 Temperley-Lieb Recoupling Theory, 1994). That one table, cached per
 (n, point) behind one phase check, is what evaluator.comb and qsim's
-unitarity check (move_deviation) read; racah gives one entry per key.
+unitarity check (move_deviation) read.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import functools
 
 import numpy as np
 
-from .errors import NonAdmissibleTriple
-from .qnum import check_arc, is_admissible, q_table
+from .qnum import check_arc, q_table
 
 
 @functools.cache
@@ -95,35 +94,14 @@ def rotations(n: int, point) -> np.ndarray:
     """The F-moves' 2 x 2 rotations at a point: read-only, (n - 1, 2, 2) + its phase axes.
 
     Entry [a - 1, J, c] recouples label a: rows J = 0, 1, columns
-    e = a - 1 (c = 0) and a + 1 (c = 1). One phase check of the largest
-    triad read, ((n-1)/2, 1/2, n/2), keeps every [k] up to [n + 1]
-    positive on the unit circle; other points have no zeros.
+    e = a - 1 (c = 0) and a + 1 (c = 1). One phase check (check_arc)
+    keeps every [k] up to [n + 1] positive on the unit circle; other
+    points have no zeros.
     """
-    check_arc(n - 1, 1, n, point)
+    check_arc(n, point)
     table = _rotation_table(n, point)
     table.setflags(write=False)
     return table
-
-
-def racah(two_j, two_l, two_s1, two_s2, two_s3, two_s4, point):
-    """Racah recoupling coefficient of two spin-1/2 strands, doubled spin arguments.
-
-    Read as the key (e, 2J, a, 1/2, 1/2, d), with s2 = s3 = 1/2 (ValueError
-    otherwise): 1 on a 1 x 1 block (d != a or a = 0), else the rotations
-    entry [a - 1, J, e > a], per phase of the point, behind a check of the
-    key's own triads, whose arc at e = a - 1, J = 0 is wider than the table's.
-    """
-    triads = ((two_s1, two_s2, two_j), (two_s3, two_s4, two_j), (two_s1, two_s4, two_l), (two_s2, two_s3, two_l))
-    for triad in triads:
-        if not is_admissible(*triad):
-            raise NonAdmissibleTriple("({}/2, {}/2, {}/2)".format(*triad))
-    if two_s2 != 1 or two_s3 != 1:
-        raise ValueError("racah recouples two spin-1/2 strands: s2 = s3 = 1/2")
-    check_arc(*max(triads, key=sum), point)
-    if two_s4 != two_s1 or two_s1 == 0:
-        return np.ones_like(q_table(0, point))[0]  # the point's dtype and phases, and its DegenerateQ
-    with np.errstate(invalid="ignore"):  # [a + 2] may be < 0; the arc check proved every [k] read > 0
-        return _rotation_table(two_s1 + 1, point)[-1, two_l // 2, int(two_j > two_s1)]
 
 
 @functools.lru_cache(maxsize=64)

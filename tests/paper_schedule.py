@@ -8,6 +8,7 @@ compiled letter is diagonal in its run's basis (letter_phases), an
 even one acting as a E a^T for the duality matrix a = C_odd C_even^T,
 the F-moves at positions 3, 5, ..., 2n - 1, then 2n - 2, ..., 2
 (recouple), and element reads <0|S_1 ... S_L|0> one letter at a time.
+racah_entry reads the recoupling value of one 6j key off the rotations.
 """
 
 import functools
@@ -78,3 +79,15 @@ def element(program, point):
         if op.basis == "even":
             v = recouple(v, program.n, point, transpose=True)
     return v[:, 0]
+
+
+def racah_entry(key, point):
+    """The recoupling value of the key (e, 2J, a, 1/2, 1/2, d), doubled, per phase of the point.
+
+    1 on a 1 x 1 block (d != a or a = 0), else the entry [a - 1, J, e > a]
+    of rotations(a + 1, point), behind that table's phase check.
+    """
+    e, two_j, a, _, _, d = key
+    if d != a or a == 0:
+        return np.ones(np.shape(point.q_half))
+    return rotations(a + 1, point)[-1, two_j // 2, int(e > a)]

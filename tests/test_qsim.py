@@ -17,7 +17,7 @@ from platjones.evaluator import (
     phase_grid,
 )
 from platjones.fusion import block_dimension
-from platjones.qnum import CirclePoint, QPoint, RealQPoint
+from platjones.qnum import CirclePoint, QPoint
 from platjones.qsim import (
     check_unitary,
     evolution,
@@ -27,7 +27,7 @@ from platjones.qsim import (
 )
 
 from paper_schedule import duality_matrix, element, letter_phases, recouple
-from phase_helpers import braiding_phase
+from phase_helpers import RealPoint, braiding_phase
 
 
 def _program(word):
@@ -124,7 +124,7 @@ def test_non_unitary_block_rejected():
     (op,) = program.letters
     assert op.token == "f"
     with pytest.raises(NonUnitaryBlock, match=re.escape(repr(op.token))):
-        _check_syllable(program, RealQPoint(0.5))
+        _check_syllable(program, RealPoint(0.5))
 
 
 def test_non_unitary_duality_rejected():

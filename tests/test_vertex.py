@@ -5,13 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from platjones.qnum import QPoint, RealQPoint
-from platjones.vertex import (
+from platjones.qnum import QPoint
+from platjones.vertex import sigma_matrix
+
+from phase_helpers import RealPoint
+from vertex_reference import (
     braid_limit_check,
     coupled_eigenvectors,
     far_commutation_residual,
     r_matrix,
-    sigma_matrix,
     sigma_spectrum,
     x_operator,
     yang_baxter_residual,
@@ -146,7 +148,7 @@ def test_sigma_braid_relation_on_three_strands():
 
 
 def test_coupled_eigenvectors():
-    pt = RealQPoint(0.37)
+    pt = RealPoint(0.37)
     v = coupled_eigenvectors(pt)
     assert np.max(np.abs(v.T @ v - np.eye(4))) < 1e-12
     s = sigma_matrix(pt).real
