@@ -43,6 +43,7 @@ from .evaluator import (
     convention_factor,
     jones,
     phase_grid,
+    tokens,
     unlink_normalization,
 )
 from .laurent import LaurentPoly, render_q
@@ -134,38 +135,28 @@ def cmd_eval(args) -> int:
     result = jones(word, tolerance=args.tolerance)
     annotated = result.program.word
     exact = writhe_correction(kauffman_bracket(annotated), writhe(annotated))
-    factor = convention_factor(result.polynomial, exact)
-    deviations = {"rounding_shift": result.max_shift}
-    report = _report(
-        word=format_word(word),
-        n=result.n,
-        polynomial=result.polynomial,
-        residual=result.residual,
-        operator_count=result.operator_count,
-        oracle_polynomial=exact,
-        deviations=deviations,
-    )
-    flips = "".join("1" if b else "0" for b in annotated.flips)
-    lines = [
-        f"word: {format_word(word)}",
-        f"resolved: {format_word(annotated)} [flips={flips}]",
-        f"n: {result.n}  writhe: {writhe(annotated):+d}",
-        f"operators ({result.operator_count}): " + " ".join(result.program.tokens()),
-        f"window: [{result.window[0]}, {result.window[1]}]",
-        f"normalization: {result.normalization}",
-        f"polynomial: {render_q(result.polynomial)}",
-        f"residual: {result.residual:.3e}  rounding shift: {result.max_shift:.3e}",
-        f"oracle (t=q): {render_q(exact, 't')}",
-    ]
-    if factor is not None:
-        c, s = factor
-        sign = "+" if c > 0 else "-"
-        lines.append(
-            f"convention factor: {sign}q^{{{s}/4}} (polynomial = factor * oracle)"
-        )
-    else:
-        lines.append("convention factor: none found")
-    _emit(args, report, lines)
+    report = _report(format_word(word), result.n, result.polynomial, result.residual, result.operator_count,
+                     oracle_polynomial=exact, deviations={"rounding_shift": result.max_shift})
+
+    def lines():  # built only for the text output
+        flips = "".join("1" if b else "0" for b in annotated.flips)
+        yield f"word: {format_word(word)}"
+        yield f"resolved: {format_word(annotated)} [flips={flips}]"
+        yield f"n: {result.n}  writhe: {writhe(annotated):+d}"
+        yield f"operators ({result.operator_count}): " + " ".join(result.program.tokens())
+        yield f"window: [{result.window[0]}, {result.window[1]}]"
+        yield f"normalization: {result.normalization}"
+        yield f"polynomial: {render_q(result.polynomial)}"
+        yield f"residual: {result.residual:.3e}  rounding shift: {result.max_shift:.3e}"
+        yield f"oracle (t=q): {render_q(exact, 't')}"
+        factor = convention_factor(result.polynomial, exact)
+        if factor is None:
+            yield "convention factor: none found"
+        else:
+            sign = "+" if factor[0] > 0 else "-"
+            yield f"convention factor: {sign}q^{{{factor[1]}/4}} (polynomial = factor * oracle)"
+
+    _emit(args, report, lines())
     return 0
 
 
@@ -187,15 +178,9 @@ def cmd_prob(args) -> int:
             raise ValueError(f"theta must be finite, got {theta!r}")
     annotated = resolve_orientations(word)
     program = compile_word(annotated)
-    amp = complex(qsim_amplitudes([program], theta)[0])
+    amp = complex(qsim_amplitudes([annotated], theta)[0])
     pk = abs(amp) ** 2
-    report = _report(
-        word=format_word(word),
-        n=word.n,
-        operator_count=program.operator_count,
-        p_k=pk,
-        im_amplitude=amp.imag,
-    )
+    report = _report(format_word(word), word.n, operator_count=program.operator_count, p_k=pk, im_amplitude=amp.imag)
     lines = [
         f"word: {format_word(word)}",
         f"theta: {theta_label} = {theta:.12f}",
@@ -216,13 +201,14 @@ def cmd_oracle(args) -> int:
     poly = writhe_correction(bracket, w)
     span = bracket_span(bracket)
     report = _report(format_word(word), word.n, oracle_polynomial=poly)
-    lines = [
-        f"word: {format_word(word)}",
-        f"n: {word.n}  crossings: {word.crossing_count}  writhe: {w:+d}",
-        f"bracket span (A-exponents): [{span[0]}, {span[1]}]",
-        f"jones (t): {render_q(poly, 't')}",
-    ]
-    _emit(args, report, lines)
+
+    def lines():  # built only for the text output
+        yield f"word: {format_word(word)}"
+        yield f"n: {word.n}  crossings: {word.crossing_count}  writhe: {w:+d}"
+        yield f"bracket span (A-exponents): [{span[0]}, {span[1]}]"
+        yield f"jones (t): {render_q(poly, 't')}"
+
+    _emit(args, report, lines())
     return 0
 
 
@@ -264,48 +250,50 @@ def _corpus_words(path: Path) -> list[tuple[str, BraidWord]]:
 def _verify_cases(cases: list[tuple[str, BraidWord]], tolerance: float) -> list[dict]:
     """Check each word against the oracle, its mirror and the simulator.
 
-    Every word is resolved and compiled (for its tokens) first, in
-    corpus order, so the first bad word decides the error. Then the
-    words of each n in turn are evaluated with their mirrors in one
-    comb_elements call, simulated at the middle phase in one qsim pass,
-    and checked as (words, phases) arrays reduced per row.
+    Every word is resolved first, in corpus order, so the first bad word
+    decides the error; tokens spells it, uncompiled. Then the words of
+    each n in turn are evaluated with their mirrors in one comb_elements
+    call, simulated at the middle phase in one qsim pass, swept by the
+    oracle on the call's one tables dict, and checked as (words, phases)
+    arrays reduced per row.
     """
     groups = {}
     for i, (_, word) in enumerate(cases):
-        program = compile_word(resolve_orientations(word))
-        groups.setdefault(program.n, []).append((i, program))
-    results = [None] * len(cases)
+        annotated = resolve_orientations(word)
+        groups.setdefault(annotated.n, []).append((i, annotated))
+    results, tables = [None] * len(cases), {}
     for n in list(groups):
-        group = groups.pop(n)  # frees the group's programs once checked
+        group = groups.pop(n)  # frees the group's words once checked
         point = QPoint(tuple(phase_grid(n, 10).tolist()))
-        programs = [program for _, program in group]
-        words = [p.word for p in programs]
+        words = [word for _, word in group]
         values = comb_elements(words + [mirror(w) for w in words], point)
         amps, mirrored = values[: len(group)], values[len(group) :]
-        exacts = [writhe_correction(kauffman_bracket(w), writhe(w)) for w in words]
+        exacts = [writhe_correction(kauffman_bracket(w, tables), writhe(w)) for w in words]
         coeffs = [e.coeffs() for e in exacts]
         exponents = sorted(set().union(*coeffs))
-        table = np.array([[c.get(k, 0) for k in exponents] for c in coeffs], dtype=complex)
+        at = {k: j for j, k in enumerate(exponents)}
+        word_rows, columns, entries = zip(*((row, at[k], v) for row, c in enumerate(coeffs) for k, v in c.items()))
+        table = np.zeros((len(coeffs), len(exponents)), complex)
+        table[word_rows, columns] = entries
         # laurent_eval's terms in laurent_eval's order, so each row has its bits
         want = sum(column[:, None] * point.q_half**k for column, k in zip(table.T, exponents))
         # polynomial roots can land on sample phases; floor the relative
         # scale by the coefficient mass so a true zero does not divide out
-        mass = [[float(sum(map(abs, c.values())))] for c in coeffs]
-        floor = 1e-9 * np.maximum(1.0, mass)
+        floor = 1e-9 * np.maximum(1.0, abs(table).sum(1, keepdims=True))
         got, want = abs(amps) * abs(unlink_normalization(n, point.thetas)), abs(want)
         moduli = (abs(got - want) / np.maximum(want, floor)).max(1).tolist()
         mirrors = abs(mirrored - amps.conj()).max(1).tolist()
         mid = len(point.theta) // 2
-        probabilities = qsim_p_ks(programs, point.theta[mid])
+        probabilities = qsim_p_ks(words, point.theta[mid])
         rows = zip(group, exacts, moduli, mirrors, probabilities, amps[:, mid])
-        for (i, program), exact, worst_mod, worst_mirror, probability, amp in rows:
+        for (i, word), exact, worst_mod, worst_mirror, probability, amp in rows:
             qsim_dev = float(abs(probability - abs(amp) ** 2))
             deviations = {"modulus_rel": worst_mod, "mirror": worst_mirror, "qsim": qsim_dev}
             passed = worst_mod < tolerance and worst_mirror < MIRROR_TOL and qsim_dev < QSIM_TOL
-            report = _report(format_word(cases[i][1]), n, operator_count=program.operator_count,
+            spelled = tokens(word)
+            report = _report(format_word(cases[i][1]), n, operator_count=len(spelled),
                              oracle_polynomial=exact, deviations=deviations)
-            results[i] = {"name": cases[i][0], "pass": passed,
-                          "tokens": " ".join(program.tokens()), "report": report}
+            results[i] = {"name": cases[i][0], "pass": passed, "tokens": " ".join(spelled), "report": report}
     return results
 
 

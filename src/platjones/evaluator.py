@@ -83,28 +83,30 @@ class CompiledProgram:
     word: BraidWord = field(repr=False)
 
     def tokens(self) -> list[str]:
-        """The paper's operator list: an even letter E reads a, E, a†."""
-        spelled = ([op.token] if op.basis == ODD else ["a", op.token, DAGGER] for op in self.letters)
-        return [token for tokens in spelled for token in tokens]
+        return tokens(self.word)
 
     @property
     def operator_count(self) -> int:
         return len(self.tokens())
 
 
-def _diagonal_letter(i: int) -> str:
-    base = "fgh"[i % 3]
-    return base if i < 3 else f"{base}{i // 3}"
+def _runs(word: BraidWord):
+    """Each maximal same-parity run of syllables with its parity and diagonal letter, named f, g, h, f1, g1, ..."""
+    for i, (odd, run) in enumerate(itertools.groupby(word.syllables, lambda s: s.index % 2)):
+        yield "fgh"[i % 3] + (str(i // 3) if i >= 3 else ""), odd, run
+
+
+def tokens(word: BraidWord) -> list[str]:
+    """The paper's operator list of an annotated word, one letter per run: an even letter E reads a, E, a†."""
+    return [token for letter, odd, _ in _runs(word) for token in ([letter] if odd else ["a", letter, DAGGER])]
 
 
 def compile(word: BraidWord) -> CompiledProgram:
     """Split into maximal same-parity runs, one diagonal letter each, in its run's basis."""
     if not word.is_annotated():
         raise UnannotatedSyllable("compile needs a fully annotated word")
-    runs = itertools.groupby(word.syllables, lambda s: s.index % 2)
     return CompiledProgram(n=word.n, word=word, letters=tuple(
-        BlockOperator(word.n, _diagonal_letter(i), ODD if odd else EVEN, tuple(run))
-        for i, (odd, run) in enumerate(runs)
+        BlockOperator(word.n, letter, ODD if odd else EVEN, tuple(run)) for letter, odd, run in _runs(word)
     ))
 
 
@@ -136,8 +138,13 @@ def comb(words, point, reverse=False, check=None) -> Iterator[tuple[np.ndarray, 
         runs = [words[w].syllables[::-1] if reverse else words[w].syllables for w in rows]
         lengths = [len(run) for run in runs]
         # (words, steps, (i, signs, exponents)), padded past each word's end, which no step reads
-        table = np.array([[(s.index, *_spectrum(s.orientation, s.power)) for s in run]
-                          + [(0, 1, 1, 0, 0)] * (lengths[0] - len(run)) for run in runs])
+        flat = []
+        for run in runs:
+            for s in run:
+                flat.append(s.index)
+                flat += _spectrum(s.orientation, s.power)
+            flat += (0, 1, 1, 0, 0) * (lengths[0] - len(run))
+        table = np.array(flat, np.int64).reshape(len(runs), lengths[0], 5)
         # in the point's precision from the start, as v[rows] = ... cannot promote v
         v = np.zeros((len(rows), d, len(x)), x.dtype)
         v[:, 0] = 1.0

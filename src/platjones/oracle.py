@@ -40,7 +40,7 @@ from .braid import BraidWord, cap, resolve_orientations, writhe
 from .laurent import LaurentPoly
 
 
-def kauffman_bracket(word: BraidWord) -> LaurentPoly:
+def kauffman_bracket(word: BraidWord, tables: dict | None = None) -> LaurentPoly:
     """Exact bracket in powers of A by a sweep over planar matchings, unknot normalized to 1.
 
     Strand ends are numbered 0..2n-1 from the left, and the cups and the
@@ -49,13 +49,15 @@ def kauffman_bracket(word: BraidWord) -> LaurentPoly:
     A state is a matching of the current strand ends, partner[k] being
     the other end of the arc below end k, numbered in order of
     appearance. e_i caps ends i and i + 1 (closing a loop if they are
-    partners, else joining their partners) and cups them anew.
+    partners, else joining their partners) and cups them anew. tables, a
+    dict the caller owns, keeps each n's matchings, moves and loop counts for later calls.
     """
     n, c = word.n, word.crossing_count
     b = -(-(1 + (3**c << n - 1).bit_length()) // 8) * 8  # digit bits, a multiple of 8
     h = b // 2
     start = tuple(k ^ 1 for k in range(2 * n))
-    matchings, ids, moves = [start], {start: 0}, {}  # moves[i]: id -> (id after e_i, loop)
+    # matchings, ids, moves[i]: id -> (id after e_i, loop), closed: id -> loops under the caps
+    matchings, ids, moves, closed = ({} if tables is None else tables).setdefault(n, ([start], {start: 0}, {}, {}))
     states, trimmed = {0: 1}, 0
     crossings = ((s.index - 1, 1 if s.power > 0 else -1) for s in word.syllables for _ in range(abs(s.power)))
     for j, (i, eps) in enumerate(crossings):
@@ -85,9 +87,10 @@ def kauffman_bracket(word: BraidWord) -> LaurentPoly:
             trimmed += g
     by_loops: dict[int, int] = {}
     for m, p in states.items():
-        joined = list(matchings[m])
-        loops = sum(cap(joined, k) for k in range(0, 2 * n, 2))
-        by_loops[loops] = by_loops.get(loops, 0) + p
+        if m not in closed:
+            joined = list(matchings[m])
+            closed[m] = sum(cap(joined, k) for k in range(0, 2 * n, 2))
+        by_loops[closed[m]] = by_loops.get(closed[m], 0) + p
     total = sum(p * ((-(1 << 2 * b) - 1) ** (loops - 1) << b * (n - loops)) for loops, p in by_loops.items())
     return LaurentPoly({2 * (k + trimmed - n + 1) - 3 * c: v for k, v in _digits(total, b).items()})
 

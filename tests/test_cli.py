@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import platjones
-from platjones import braid, cli, evaluator, fusion, qsim
+from platjones import braid, cli, evaluator, fusion, oracle, qsim
 from platjones.braid import parse
 from platjones.cli import main
 from platjones.errors import NonUnitaryBlock, ResidualTooLarge, UnannotatedSyllable
@@ -526,7 +526,7 @@ def _scalar_deviations(program):
     got = abs(amps) * abs(evaluator.unlink_normalization(n, point.thetas))
     want = abs(laurent_eval(exact, point))
     mid = len(point.theta) // 2
-    probability = qsim.p_ks([program], point.theta[mid])[0]
+    probability = qsim.p_ks([program.word], point.theta[mid])[0]
     return {
         "modulus_rel": float((abs(got - want) / np.maximum(want, floor)).max()),
         "mirror": float(abs(mirrored - amps.conj()).max()),
@@ -563,12 +563,13 @@ def test_verify_batching_leaves_each_report_unchanged():
         assert cli._verify_cases([case], 1e-6) == [result]
 
 
-def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
-    # resolves: the word, once, for both the comb and the oracle's
-    # diagram; compiles: the word, once, for its tokens, as its mirror
-    # goes to the comb as a word. The words of each n and their mirrors,
-    # whatever their letters, are one comb_elements call and the words
-    # one qsim pass, reversed, and the rotations' unitarity check runs
+def test_verify_case_resolves_each_word_once_and_compiles_none(monkeypatch):
+    # resolves: the word, once, for the comb, the oracle's diagram and
+    # its tokens, spelled from the annotated word with no compile, as its
+    # mirror goes to the comb as a word. The words of each n and their
+    # mirrors, whatever their letters, are one comb_elements call and the
+    # words one qsim pass, reversed; the oracle sweeps every word on one
+    # tables dict, keyed by n; and the rotations' unitarity check runs
     # once per (n, point) over the whole corpus, for the n whose words
     # move a 2 x 2 block
     cases = cli._random_words(40, 5)
@@ -582,6 +583,7 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     compiles = _count_calls(monkeypatch, evaluator.compile)
     batches = _count_calls(monkeypatch, evaluator.comb_elements)
     checks = _count_calls(monkeypatch, deviation)
+    brackets = _count_calls(monkeypatch, oracle.kauffman_bracket)
     results = cli._verify_cases(cases, 1e-6)
     # qsim runs the comb reversed, its third argument
     simulated = [args for args in batches if args[2:3] == (True,)]
@@ -590,7 +592,11 @@ def test_verify_case_resolves_and_compiles_each_word_once(monkeypatch):
     assert [r["tokens"] for r in results] == [" ".join(p.tokens()) for p in programs]
     assert all(r["pass"] for r in results)
     assert len(resolves) == len(cases)
-    assert len(compiles) == len(cases)
+    assert compiles == []
+    assert [r["report"]["operator_count"] for r in results] == [p.operator_count for p in programs]
+    assert [word for word, _ in brackets] == [p.word for n in groups for p in programs if p.n == n]
+    (tables,) = {id(tables): tables for _, tables in brackets}.values()
+    assert sorted(tables) == sorted(groups)
     for calls, per_word in ((batches, 2), (simulated, 1)):
         keys = []
         for words, *_ in calls:

@@ -251,9 +251,8 @@ def test_elements_equals_per_program_act(group):
                 assert np.array_equal(row, evaluator.comb_elements([word], point, reverse)[0])
     want = np.array([element(compile_word(word), grid) for word in group])
     assert np.max(np.abs(evaluator.comb_elements(group, grid) - want)) < 1e-13
-    programs = [compile_word(word) for word in group]
     theta = float(phase_grid(n, 10)[5])
-    assert np.array_equal(qsim.p_ks(programs, theta), [qsim.p_k(program, theta) for program in programs])
+    assert np.array_equal(qsim.p_ks(group, theta), [qsim.p_k(compile_word(word), theta) for word in group])
 
 
 def test_elements_rejects_empty_and_mixed_groups():
@@ -271,8 +270,7 @@ def test_elements_rejects_empty_and_mixed_groups():
     # g2 at n = 2 against n = 3
     mixed = [word(2, 2), word(3, 2)]
     assert evaluator.comb_elements(mixed[:1], point).shape == (1, 2)
-    programs = [compile_word(w) for w in mixed]
-    for batch in (lambda: evaluator.comb_elements(mixed, point), lambda: qsim.p_ks(programs, 0.3)):
+    for batch in (lambda: evaluator.comb_elements(mixed, point), lambda: qsim.p_ks(mixed, 0.3)):
         with pytest.raises(ValueError, match="all of one n"):
             batch()
 

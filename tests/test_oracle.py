@@ -134,6 +134,27 @@ def test_packed_sweep_without_crossings_is_a_loop_power():
         assert kauffman_bracket(parse(f"strands={2 * n};")) == LOOP_VALUE ** (n - 1)
 
 
+@st.composite
+def word_batches(draw):
+    """At least 100 words of n = 1..5 in turn and at most 30 crossings, with repeats and mirrors, shuffled."""
+    words = [parse(f"strands={2 * n}; " + " ".join(f"g{i}^{p}" for i, p in draw(st.lists(
+        st.tuples(st.integers(1, 2 * n - 1), st.sampled_from([-3, -2, -1, 1, 2, 3])), max_size=10,
+    )))) for n in [1, 2, 3, 4, 5] * 8]
+    repeats = draw(st.lists(st.sampled_from(words), min_size=20, max_size=30))
+    return draw(st.permutations(words + [mirror(w) for w in words] + repeats))
+
+
+@given(word_batches())
+@settings(derandomize=True, max_examples=10, deadline=None)
+def test_shared_tables_give_each_word_its_own_bracket(batch):
+    # one tables dict across a batch of mixed n, as verify passes it,
+    # holds each n's sweep apart: every word reads the bracket of a call
+    # with a table of its own
+    tables = {}
+    assert [kauffman_bracket(w, tables) for w in batch] == [kauffman_bracket(w) for w in batch]
+    assert sorted(tables) == [1, 2, 3, 4, 5]
+
+
 def test_packed_sweep_with_crossings_of_one_sign():
     # every crossing kept or capped the same way, past one and two trims
     for text in (

@@ -38,7 +38,7 @@ def _check_syllable(program, point):
     """check_unitary of a step that moves the first syllable of the one program at the point, 2 x 2 blocks included."""
     s = program.word.syllables[0]
     lam = np.array([braiding_phase(J, s.orientation, "right", point) for J in (0, 1)]) ** s.power
-    check_unitary([program], point)(np.array([0]), np.array([0]), lam.reshape(1, 2, -1), True)
+    check_unitary([program.word], point)(np.array([0]), np.array([0]), lam.reshape(1, 2, -1), True)
 
 
 def test_identity_word_leaves_initial_state():
@@ -178,8 +178,8 @@ def test_evolution_embeds_each_duality_once(monkeypatch):
     steps = []
     check = qsim.check_unitary
 
-    def counting(programs, point):
-        inner = check(programs, point)
+    def counting(words, point):
+        inner = check(words, point)
         return lambda rows, positions, lam, paired: steps.append(paired) or inner(rows, positions, lam, paired)
 
     monkeypatch.setattr(qsim, "check_unitary", counting)
@@ -289,7 +289,7 @@ def test_batched_p_k_matches_each_program(monkeypatch):
     whole = {}
     for group in groups:
         theta = float(phase_grid(group[0].n, 10)[5])
-        got = whole[id(group)] = p_ks(group, theta)
+        got = whole[id(group)] = p_ks([program.word for program in group], theta)
         assert got.shape == (len(group),)
         assert [len(rows) for rows in slices] == [len(group)]
         want = np.array([p_k(program, theta) for program in group])
@@ -298,7 +298,7 @@ def test_batched_p_k_matches_each_program(monkeypatch):
     for group in groups:
         monkeypatch.setattr(evaluator, "BLOCK_ENTRIES", 3 * block_dimension(group[0].n))
         theta = float(phase_grid(group[0].n, 10)[5])
-        assert np.array_equal(p_ks(group, theta), whole[id(group)])
+        assert np.array_equal(p_ks([program.word for program in group], theta), whole[id(group)])
         assert [len(rows) for rows in slices] == [3] * (len(group) // 3) + [len(group) % 3] * (len(group) % 3 > 0)
         slices.clear()
 
@@ -313,7 +313,7 @@ def test_p_ks_slices_by_the_fusion_block(monkeypatch):
     ))) for _ in range(60)]
     slices = _count_slices(monkeypatch)
     theta = float(phase_grid(6, 10)[5])
-    got = p_ks(programs, theta)
+    got = p_ks([program.word for program in programs], theta)
     assert block_dimension(6) == 132
     passes = [len(rows) for rows in slices]
     assert passes == [31, 29] and len(passes) == -(-60 // (evaluator.BLOCK_ENTRIES // 132))
@@ -346,5 +346,27 @@ def test_non_unitary_diagonal_in_a_group_names_its_token(monkeypatch):
 
     monkeypatch.setattr(evaluator, "_spectrum", injected)
     with pytest.raises(NonUnitaryBlock, match=r"operator 'g' deviates from unitarity by 3\.000e\+00"):
-        p_ks(group, 0.5)
-    p_ks(group[:2] + group[3:], 0.5)
+        p_ks([program.word for program in group], 0.5)
+    p_ks([program.word for program in group[:2] + group[3:]], 0.5)
+
+
+def test_non_unitary_block_names_the_letter_of_a_word_after_the_first_and_shorter(monkeypatch):
+    # the batch runs longest first and reversed: the failing word (1 of 4,
+    # 5 syllables) is row 2 of its slice and fails at step 1 on its g2^2,
+    # syllable 3, in its fourth run f1. Its place in the batch, the word
+    # in row 2's place (syllable 3 in run h) or the forward syllable
+    # (1, in run g) would each name another letter
+    texts = ["g1^1 g2^1", "g1^1 g2^1 g1^1 g2^2 g3^1",
+             "g2^1 g1^1 g3^1 g2^1 g1^1 g2^1 g3^1", "g3^1 g2^1 g1^1 g2^1 g3^1 g2^1"]
+    words = [resolve_orientations(parse(f"strands=4; {text}")) for text in texts]
+    assert evaluator.tokens(words[1]) == ["f", "a", "g", "a†", "h", "a", "f1", "a†", "g1"]
+    spectrum = evaluator._spectrum
+
+    def injected(orientation, power):
+        s0, s1, e0, e1 = spectrum(orientation, power)
+        return s0, 2 * s1 if power == 2 else s1, e0, e1
+
+    monkeypatch.setattr(evaluator, "_spectrum", injected)
+    with pytest.raises(NonUnitaryBlock, match=r"^operator 'f1' deviates from unitarity by 3\.000e\+00$"):
+        p_ks(words, 0.5)
+    p_ks(words[:1] + words[2:], 0.5)
